@@ -38,12 +38,6 @@ __all__ = [
     "gerbopole_equator_pair",
 ]
 
-# Orientation of the deterministic fundamental cycle against the increasing
-# longitude direction, fixed once per mesh family so charges come out +1.
-_MONOPOLE_SIGN = 1.0
-_GERBOPOLE_SIGN = 1.0
-
-
 def circle_complex(segments: int) -> SimplicialComplex:
     """An m-gon circle; vertex k sits at angle 2*pi*k/m."""
     if segments < 3:
@@ -145,24 +139,23 @@ def _cap_bundle_data(
     cover: Cover,
     longitude: dict[int, float],
     winding: int,
-    sign: float,
 ) -> TotalCochain:
     """Bundle data on a two-cap cover from longitudes on the band vertices.
 
-    The transition layer on the band is sign * winding * longitude.  The
+    The transition layer on the band is winding * longitude.  The
     connection on the second cap takes wrapped longitude differences on band
     edges and zero on edges touching the pole, which spreads the curvature
     evenly over the polar cells; the first cap's connection is zero.
     """
     band = cover.overlap((0, 1))
     phi = Cochain(
-        0, {(v,): sign * winding * longitude[v] for (v,) in band.cells(0)}
+        0, {(v,): winding * longitude[v] for (v,) in band.cells(0)}
     )
     second = cover.overlap((1,))
     a_values = {}
     for a, b in second.cells(1):
         if a in longitude and b in longitude:
-            val = wrap(sign * winding * (longitude[b] - longitude[a]))
+            val = wrap(winding * (longitude[b] - longitude[a]))
             if val != 0.0:
                 a_values[(a, b)] = val
     connection = Cochain(1, a_values)
@@ -189,7 +182,7 @@ def build_monopole(m: int, winding: int = 1) -> GerbeDatum:
     band = set(range(2 * m))
     cover = Cover.build(complex, [band | {2 * m}, band | {2 * m + 1}])
     longitude = {v: TWO_PI * (v % m) / m for v in band}
-    data = _cap_bundle_data(complex, cover, longitude, winding, _MONOPOLE_SIGN)
+    data = _cap_bundle_data(complex, cover, longitude, winding)
     return GerbeDatum(0, data, cover)
 
 
@@ -216,8 +209,7 @@ def build_gerbopole(m: int, winding: int = 1, base_segments: int = 8) -> GerbeDa
     cover = Cover.build(complex, [fiber | arc0, fiber | arc1, fiber | arc2])
 
     alpha = {k: TWO_PI * k / m for k in range(m)}
-    sign = _GERBOPOLE_SIGN
-    phi = Cochain(0, {(k,): sign * winding * alpha[k] for k in range(m)})
+    phi = Cochain(0, {(k,): winding * alpha[k] for k in range(m)})
 
     # connection 1-form on the (1, 2) overlap: minus the wrapped derivative
     # of the transition on ring edges, zero elsewhere, so the triple-overlap
@@ -226,7 +218,7 @@ def build_gerbopole(m: int, winding: int = 1, base_segments: int = 8) -> GerbeDa
     a_values = {}
     for a, b in pair12.cells(1):
         if a in fiber and b in fiber:
-            val = wrap(-sign * winding * (alpha[b] - alpha[a]))
+            val = wrap(-winding * (alpha[b] - alpha[a]))
             if val != 0.0:
                 a_values[(a, b)] = val
     connection = Cochain(1, a_values)
@@ -309,10 +301,11 @@ def gerbopole_equator_pair(
         ),
         cover,
     )
+    # reading the transition at (0, 2, 1) negates it, hence -winding
     longitude = {k: TWO_PI * k / m for k in range(m)}
     direct = GerbeDatum(
         0,
-        _cap_bundle_data(sphere, cover, longitude, winding, -_GERBOPOLE_SIGN),
+        _cap_bundle_data(sphere, cover, longitude, -winding),
         cover,
     )
     return restricted, direct

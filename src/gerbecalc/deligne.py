@@ -5,16 +5,18 @@ part is the angle-valued transition layer, intermediate parts are connection
 layers, and the global (n+2, 0) part stores minus the curvature.  A bundle is
 the level-0 case and a gerbe the level-1 case; level -1 is allowed.
 
-Gauge equivalence is decided by real least squares: two valid cocycles are
-accepted as equivalent when the difference is matched by the total coboundary
-of a potential without global top form part, with angle-layer rows compared
-modulo 2*pi.  Rejection means no such witness was found at tolerance; it is
-numeric evidence, not a certificate.  The charge is the reliable separator.
+Gauge equivalence is decided by a sparse minimum-norm solve: D is assembled
+as a sparse matrix over flat bases of the potential and datum spaces, and
+conjugate gradients on the normal equations (CGLS) run without forming D^T D.
+Two valid cocycles are accepted as equivalent when the difference is matched
+by the total coboundary of a potential without global top form part, with
+angle-layer rows compared modulo 2*pi.  Rejection means no such witness was
+found at tolerance; it is numeric evidence, not a certificate.  The charge is
+the reliable separator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,15 +198,19 @@ class _LayerBasis:
         self.degree = degree
         self.entries: list[tuple[int, int, tuple[int, ...], Simplex]] = []
         self.index: dict[tuple[int, int, tuple[int, ...], Simplex], int] = {}
+        # each bidegree's entries are contiguous, so its positions are a range
+        self.positions: dict[tuple[int, int], range] = {}
         n_min = 1 if omit_top_form else 0
         for n in range(n_min, min(degree, len(cover.sets)) + 1):
             p = degree - n
+            start = len(self.entries)
             tuples = [()] if n == 0 else [t for t in cover.nerve() if len(t) == n]
             for t in tuples:
                 sub = cover.complex if n == 0 else cover.overlap(t)
                 for cell in sub.cells(p):
                     self.index[(p, n, t, cell)] = len(self.entries)
                     self.entries.append((p, n, t, cell))
+            self.positions[(p, n)] = range(start, len(self.entries))
 
     def vector_of(self, total: TotalCochain) -> np.ndarray:
         vec = np.zeros(len(self.entries))
@@ -236,42 +242,108 @@ class _LayerBasis:
         }
         return TotalCochain(self.degree, parts)
 
-    def rows_at(self, p: int, n: int) -> list[int]:
-        return [i for i, e in enumerate(self.entries) if (e[0], e[1]) == (p, n)]
+    def rows_at(self, p: int, n: int) -> range:
+        return self.positions.get((p, n), range(0))
 
 
-def _coboundary_matrix(cover: Cover, cols: _LayerBasis, rows: _LayerBasis) -> np.ndarray:
-    """Dense matrix of D restricted to the column basis, assembled sparsely."""
-    matrix = np.zeros((len(rows.entries), len(cols.entries)))
-    nsets = len(cover.sets)
-    coface_cache: dict[tuple[int, tuple[int, ...], int], list] = {}
+@dataclass(frozen=True)
+class _SparseD:
+    """D = delta - dbar in coordinate form: D[rows[e], cols[e]] = signs[e].
+
+    Each (row, column) pair occurs once and every sign is +1 or -1; the two
+    products D x and D^T y are weighted bincounts over the nonzeros.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    signs: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.signs * x[self.cols], minlength=self.shape[0])
+
+    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols, weights=self.signs * y[self.rows], minlength=self.shape[1])
+
+
+def _coboundary_matrix(cover: Cover, cols: _LayerBasis, rows: _LayerBasis) -> _SparseD:
+    """Sparse D = delta - dbar from the column basis to the row basis.
+
+    Every entry is +1 or -1: a column (p, n, t, cell) meets the delta rows
+    (p, n + 1, t + extra index, cell) and the dbar rows (p + 1, n, t, tau)
+    for the cofaces tau of cell inside the overlap of t.
+    """
+    # nerve tuple -> [(one index deeper tuple, delta sign)]
+    deeper: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for target in cover.nerve():
+        for a in range(len(target)):
+            face = target[:a] + target[a + 1 :]
+            deeper.setdefault(face, []).append((target, 1 if a % 2 == 0 else -1))
+    # (p, t) -> {p-cell of the overlap of t: [(its (p+1)-coface there, incidence)]}
+    cofaces: dict[tuple[int, tuple[int, ...]], dict[Simplex, list[tuple[Simplex, int]]]] = {}
+    row_ids: list[int] = []
+    col_ids: list[int] = []
+    signs: list[int] = []
     for j, (p, n, t, cell) in enumerate(cols.entries):
-        for extra in range(nsets):
-            if extra in t:
-                continue
-            target = tuple(sorted(t + (extra,)))
+        for target, sign in deeper.get(t, ()):
             i = rows.index.get((p, n + 1, target, cell))
             if i is not None:
-                matrix[i, j] += 1.0 if target.index(extra) % 2 == 0 else -1.0
-        cache_key = (p, t, n)
-        cofaces = coface_cache.get(cache_key)
-        if cofaces is None:
+                row_ids.append(i)
+                col_ids.append(j)
+                signs.append(sign)
+        by_face = cofaces.get((p, t))
+        if by_face is None:
             sub = cover.complex if n == 0 else cover.overlap(t)
-            cofaces = []
+            by_face = {}
             for tau in sub.cells(p + 1):
-                for i_v in range(p + 2):
-                    cofaces.append(
-                        (tau[:i_v] + tau[i_v + 1 :], tau, 1 if i_v % 2 == 0 else -1)
-                    )
-            coface_cache[cache_key] = cofaces
-        dsign = -1.0 if n % 2 == 0 else 1.0  # the -dbar contribution of D
-        for face, tau, inc in cofaces:
-            if face != cell:
-                continue
+                for a in range(p + 2):
+                    face = tau[:a] + tau[a + 1 :]
+                    by_face.setdefault(face, []).append((tau, 1 if a % 2 == 0 else -1))
+            cofaces[(p, t)] = by_face
+        dsign = -1 if n % 2 == 0 else 1  # the -dbar contribution of D
+        for tau, inc in by_face.get(cell, ()):
             i = rows.index.get((p + 1, n, t, tau))
             if i is not None:
-                matrix[i, j] += dsign * inc
-    return matrix
+                row_ids.append(i)
+                col_ids.append(j)
+                signs.append(dsign * inc)
+    return _SparseD(
+        (len(rows.entries), len(cols.entries)),
+        np.array(row_ids, dtype=np.intp),
+        np.array(col_ids, dtype=np.intp),
+        np.array(signs, dtype=float),
+    )
+
+
+def _cgls(matrix: _SparseD, b: np.ndarray, max_iterations: int | None = None) -> np.ndarray:
+    """Minimum-norm least-squares solution of matrix x = b by CGLS.
+
+    Conjugate gradients on the normal equations (Hestenes-Stiefel), never
+    forming matrix^T matrix.  Starting from x = 0 keeps every iterate in the
+    row space, so the limit is the minimum-norm solution.  Stops when
+    |matrix^T r| <= 1e-15 max(1, |b|); raises NumericError if that takes
+    more than max_iterations (4 * columns by default).
+    """
+    limit = 4 * matrix.shape[1] if max_iterations is None else max_iterations
+    x = np.zeros(matrix.shape[1])
+    r = b.copy()
+    s = matrix.apply_transpose(r)
+    direction = s.copy()
+    gamma = float(s @ s)
+    stop = 1e-30 * max(1.0, float(b @ b))  # (1e-15 max(1, |b|))^2
+    for _ in range(limit):
+        if gamma <= stop:
+            break
+        q = matrix.apply(direction)
+        alpha = gamma / float(q @ q)
+        x += alpha * direction
+        r -= alpha * q
+        s = matrix.apply_transpose(r)
+        gamma, previous = float(s @ s), gamma
+        direction = s + (gamma / previous) * direction
+    if gamma > stop:
+        raise NumericError(f"CGLS did not converge in {limit} iterations")
+    return x
 
 
 def gauge_equivalent(
@@ -279,6 +351,9 @@ def gauge_equivalent(
 ) -> EquivalenceResult:
     """Search for a potential with D(potential) matching the difference.
 
+    D is assembled sparsely and the minimum-norm potential is found by CGLS,
+    whose cost grows with the nonzeros of D times the iterations; it never
+    forms D^T D, so the conditioning is that of D and not its square.
     The difference's angle layer is wrapped componentwise before solving and
     angle-layer residual rows are wrapped before the tolerance test, which
     absorbs the 2*pi ambiguity for small winding differences.  Large relative
@@ -306,17 +381,11 @@ def gauge_equivalent(
     rows = _LayerBasis(first.cover, k, omit_top_form=False)
     cols = _LayerBasis(first.cover, k - 1, omit_top_form=True)
     b = rows.vector_of(delta)
-    if cols.entries:
-        matrix = _coboundary_matrix(first.cover, cols, rows)
-        try:
-            gram = matrix.T @ matrix
-            x = np.linalg.lstsq(gram, matrix.T @ b, rcond=None)[0]
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise NumericError(f"least-squares solve failed: {exc}") from exc
-        residual_vec = matrix @ x - b
-    else:
-        x = np.zeros(0)
-        residual_vec = -b
+    if not np.all(np.isfinite(b)):
+        raise NumericError("the difference of the data is not finite")
+    matrix = _coboundary_matrix(first.cover, cols, rows)
+    x = _cgls(matrix, b)
+    residual_vec = matrix.apply(x) - b
     for i in rows.rows_at(0, k):
         residual_vec[i] = wrap(float(residual_vec[i]))
     residual = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
@@ -336,7 +405,15 @@ def higher_gauge_shift(datum: GerbeDatum, shift: TotalCochain) -> GerbeDatum:
         raise InvalidInputError(
             f"shift must have total degree {datum.level + 1}, got {shift.total_degree}"
         )
-    return GerbeDatum(datum.level, datum.data + big_d(shift, datum.cover), datum.cover)
+    k = datum.level + 2
+    shifted = datum.data + big_d(shift, datum.cover)
+    top = shifted.part(0, k)
+    if top is not None and not top.angle_valued:
+        # the datum had no transition layer: its shift becomes one
+        parts = dict(shifted.parts)
+        parts[(0, k)] = BigradedCochain(0, k, top.components, angle_valued=True)
+        shifted = TotalCochain(k, parts)
+    return GerbeDatum(datum.level, shifted, datum.cover)
 
 
 def gauge_shift(datum: GerbeDatum, potential: GaugePotential) -> GerbeDatum:

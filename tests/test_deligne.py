@@ -1,14 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
 from gerbecalc import (
     BigradedCochain,
     Cochain,
     GerbeDatum,
+    GerbecalcError,
     InvalidInputError,
+    NumericError,
     TotalCochain,
     big_d,
+    build_gerbopole,
+    build_minus_one_gerbe,
     build_monopole,
     build_trivial,
     charge,
@@ -24,6 +29,7 @@ from gerbecalc import (
 )
 from gerbecalc.builders import join_sphere3, two_cone_sphere
 from gerbecalc.cover import Cover
+from gerbecalc.deligne import _cgls, _coboundary_matrix, _LayerBasis
 from gerbecalc.randomdata import random_gauge_potential
 from gerbecalc.rng import Lcg64
 
@@ -249,6 +255,35 @@ class TestGaugeEquivalence:
             assert validate_cocycle(shifted, 1e-9).passed
             assert charge(shifted) == pytest.approx(charge(datum), abs=1e-10)
 
+    def test_shifted_monopole_residual_at_round_off(self):
+        # the solve works on D itself, not on D^T D, whose condition number
+        # is the square of cond(D) and left residuals near 1e-13 at m=192
+        datum = build_monopole(192)
+        pot = random_gauge_potential(datum.cover, 1, Lcg64(23))
+        result = gauge_equivalent(datum, gauge_shift(datum, pot))
+        assert result.equivalent
+        assert result.residual <= 1e-14
+
+    def test_shifted_trivial_datum_is_equivalent_to_it(self):
+        trivial = build_trivial(build_monopole(12).cover, 0)
+        pot = random_gauge_potential(trivial.cover, 1, Lcg64(29), amplitude=0.5)
+        shifted = gauge_shift(trivial, pot)
+        assert shifted.transition_layer.angle_valued
+        assert validate_cocycle(shifted).passed
+        result = gauge_equivalent(trivial, shifted)
+        assert result.equivalent
+        assert result.residual < 1e-12
+
+    def test_non_finite_datum_gets_a_library_error(self):
+        datum = build_monopole(6)
+        parts = dict(datum.data.parts)
+        values = dict(parts[(2, 0)].components[()].values)
+        values[next(iter(values))] = math.nan
+        parts[(2, 0)] = BigradedCochain(2, 0, {(): Cochain(2, values)})
+        broken = GerbeDatum(0, TotalCochain(2, parts), datum.cover)
+        with pytest.raises(GerbecalcError):
+            gauge_equivalent(datum, broken)
+
     def test_level_mismatch_rejected(self):
         datum = build_monopole(6)
         with pytest.raises(InvalidInputError):
@@ -298,3 +333,46 @@ class TestHigherGaugeShift:
         datum = build_monopole(6)
         with pytest.raises(InvalidInputError):
             higher_gauge_shift(datum, TotalCochain.zero(2))
+
+
+class TestCoboundaryMatrix:
+    """The sparse D of the equivalence solve against big_d as the reference."""
+
+    @pytest.mark.parametrize(
+        "datum",
+        [build_minus_one_gerbe(12), build_monopole(12), build_gerbopole(6)],
+        ids=["level-1", "level0", "level1"],
+    )
+    @pytest.mark.parametrize("omit_top_form", [False, True])
+    def test_matches_big_d_on_random_vectors(self, datum, omit_top_form):
+        cover, k = datum.cover, datum.level + 2
+        cols = _LayerBasis(cover, k - 1, omit_top_form=omit_top_form)
+        rows = _LayerBasis(cover, k, omit_top_form=False)
+        matrix = _coboundary_matrix(cover, cols, rows)
+        assert matrix.shape == (len(rows.entries), len(cols.entries))
+        assert np.all(np.abs(matrix.signs) == 1.0)
+        assert len(set(zip(matrix.rows.tolist(), matrix.cols.tolist()))) == len(matrix.signs)
+        rng = Lcg64(53 + k)
+        for _ in range(3):
+            x = np.array([rng.uniform(-1.0, 1.0) for _ in cols.entries])
+            expected = rows.vector_of(big_d(cols.total_of(x), cover))
+            # each entry sums a few terms of size <= 1 in another order
+            np.testing.assert_allclose(matrix.apply(x), expected, rtol=0.0, atol=1e-14)
+            y = np.array([rng.uniform(-1.0, 1.0) for _ in rows.entries])
+            # D^T y against the dense form of the same triples
+            dense = np.zeros(matrix.shape)
+            dense[matrix.rows, matrix.cols] = matrix.signs
+            np.testing.assert_allclose(matrix.apply_transpose(y), dense.T @ y, rtol=0.0, atol=1e-14)
+
+    def test_solve_that_hits_the_iteration_cap_raises(self):
+        datum = build_monopole(6)
+        cover, k = datum.cover, datum.level + 2
+        cols = _LayerBasis(cover, k - 1, omit_top_form=True)
+        rows = _LayerBasis(cover, k, omit_top_form=False)
+        matrix = _coboundary_matrix(cover, cols, rows)
+        rng = Lcg64(59)
+        b = matrix.apply(np.array([rng.uniform(-1.0, 1.0) for _ in cols.entries]))
+        with pytest.raises(NumericError):
+            _cgls(matrix, b, max_iterations=2)
+        x = _cgls(matrix, b)
+        assert np.max(np.abs(matrix.apply(x) - b)) < 1e-13
