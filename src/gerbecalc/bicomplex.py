@@ -1,4 +1,4 @@
-"""Bigraded cochains over a cover and the combined coboundary operators.
+"""Bigraded cochains over a cover and the combined coboundary operator D.
 
 A (p, n) cochain assigns a p-cochain to every strictly increasing n-tuple of
 cover indices, supported on that overlap; n = 0 means one global cochain.
@@ -13,6 +13,14 @@ with each summand restricted to the deeper overlap.  The cellwise coboundary
 is twisted to dbar = (-1)^n d so that delta and dbar anticommute, and the
 total operator is D = delta - dbar, which squares to zero.
 
+Two representations, one module.  ``cech_delta``, ``dbar`` and ``big_d`` act
+on the dict cochains and touch only stored values, which suits validation
+and gauge shifts of sparse data.  ``_coboundary_matrix`` assembles D as a
+sparse integer matrix over flat bases (``_LayerBasis``), for the equivalence
+solve and for the exact check that D^2 = 0.  Both take the deletion sign
+(-1)^a from ``_deletion_sign``, the twist (-1)^n from ``_twist`` and the
+minus of D = delta - dbar from ``_DBAR_IN_D``.
+
 Angle-valued layers.  A (0, n) layer may be flagged angle-valued, meaning its
 values are defined only modulo 2*pi.  Its derivative is taken with per-edge
 wrapping into (-pi, pi], and residuals of equations fed by such a layer must
@@ -21,16 +29,20 @@ be wrapped before comparison with zero.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .cover import Cover
 from .errors import InvalidInputError
-from .simplicial import Cochain, SimplicialComplex, exterior_derivative
+from .simplicial import Cochain, Simplex, SimplicialComplex, exterior_derivative
 
 TWO_PI = 2.0 * math.pi
+
+# D = delta + _DBAR_IN_D * dbar
+_DBAR_IN_D = -1
 
 __all__ = [
     "TWO_PI",
@@ -149,9 +161,6 @@ class BigradedCochain:
             return Cochain.zero(self.form_degree)
         return comp if sign > 0 else comp.scaled(-1.0)
 
-    def is_zero(self) -> bool:
-        return all(not c.values for c in self.components.values())
-
     def sup_norm(self) -> float:
         return max((c.sup_norm() for c in self.components.values()), default=0.0)
 
@@ -268,6 +277,16 @@ class GaugePotential:
                 )
 
 
+def _deletion_sign(a: int) -> int:
+    """(-1)^a, the sign of the term that deletes position a of a tuple."""
+    return -1 if a % 2 else 1
+
+
+def _twist(n: int) -> int:
+    """(-1)^n, the factor of d in dbar at cech degree n."""
+    return -1 if n % 2 else 1
+
+
 def _check_indices(cochain: BigradedCochain, cover: Cover) -> None:
     for t in cochain.components:
         for i in t:
@@ -285,10 +304,9 @@ def cech_delta(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
     """
     _check_indices(cochain, cover)
     p, n = cochain.form_degree, cochain.cech_degree
-    nerve = set(cover.nerve())
     out: dict[tuple[int, ...], Cochain] = {}
-    for target in itertools.combinations(range(len(cover.sets)), n + 1):
-        if target not in nerve:
+    for target in cover.nerve():
+        if len(target) != n + 1:
             continue
         overlap = cover.overlap(target)
         acc = Cochain.zero(p)
@@ -299,7 +317,7 @@ def cech_delta(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
             term = comp.restricted_to(overlap)
             if not term.values:
                 continue
-            acc = acc + (term if a % 2 == 0 else term.scaled(-1.0))
+            acc = acc + (term if _deletion_sign(a) > 0 else term.scaled(-1.0))
         if acc.values:
             out[target] = acc
     return BigradedCochain(p, n + 1, out, cochain.angle_valued)
@@ -313,13 +331,12 @@ def dbar(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
     """
     _check_indices(cochain, cover)
     p, n = cochain.form_degree, cochain.cech_degree
-    flip = n % 2 == 1
     out: dict[tuple[int, ...], Cochain] = {}
     for key in sorted(cochain.components):
         comp = cochain.components[key]
         sub = cover.complex if n == 0 else cover.overlap(key)
         der = wrap_d(comp, sub) if cochain.angle_valued else exterior_derivative(comp, sub)
-        if flip:
+        if _twist(n) < 0:
             der = der.scaled(-1.0)
         if der.values:
             out[key] = der
@@ -340,7 +357,173 @@ def big_d(total: TotalCochain, cover: Cover) -> TotalCochain:
         part = total.parts[key]
         p, n = key
         put((p, n + 1), cech_delta(part, cover))
-        put((p + 1, n), dbar(part, cover).scaled(-1.0))
+        put((p + 1, n), dbar(part, cover).scaled(_DBAR_IN_D))
     return TotalCochain(
         total.total_degree + 1, {k: v for k, v in acc.items() if v.components}
     )
+
+
+class _LayerBasis:
+    """Flat real coordinates for one total-cochain space over a cover."""
+
+    def __init__(self, cover: Cover, degree: int, *, omit_top_form: bool):
+        self.cover = cover
+        self.degree = degree
+        self.entries: list[tuple[int, int, tuple[int, ...], Simplex]] = []
+        self.index: dict[tuple[int, int, tuple[int, ...], Simplex], int] = {}
+        # each bidegree's entries are contiguous, so its positions are a range
+        self.positions: dict[tuple[int, int], range] = {}
+        n_min = 1 if omit_top_form else 0
+        for n in range(n_min, min(degree, len(cover.sets)) + 1):
+            p = degree - n
+            start = len(self.entries)
+            tuples = [()] if n == 0 else [t for t in cover.nerve() if len(t) == n]
+            for t in tuples:
+                sub = cover.complex if n == 0 else cover.overlap(t)
+                for cell in sub.cells(p):
+                    self.index[(p, n, t, cell)] = len(self.entries)
+                    self.entries.append((p, n, t, cell))
+            self.positions[(p, n)] = range(start, len(self.entries))
+
+    def vector_of(self, total: TotalCochain) -> np.ndarray:
+        vec = np.zeros(len(self.entries))
+        for (p, n), part in total.parts.items():
+            for t, comp in part.components.items():
+                for cell, value in comp.values.items():
+                    pos = self.index.get((p, n, t, cell))
+                    if pos is None:
+                        if value != 0.0:
+                            raise InvalidInputError(
+                                f"value at ({p},{n},{t},{cell}) lies outside the basis"
+                            )
+                        continue
+                    vec[pos] = value
+        return vec
+
+    def total_of(self, vec: np.ndarray) -> TotalCochain:
+        grouped: dict[tuple[int, int], dict[tuple[int, ...], dict[Simplex, float]]] = {}
+        for value, (p, n, t, cell) in zip(vec, self.entries):
+            v = float(value)
+            if v == 0.0:
+                continue
+            grouped.setdefault((p, n), {}).setdefault(t, {})[cell] = v
+        parts = {
+            (p, n): BigradedCochain(
+                p, n, {t: Cochain(p, vals) for t, vals in comps.items()}
+            )
+            for (p, n), comps in grouped.items()
+        }
+        return TotalCochain(self.degree, parts)
+
+
+@dataclass(frozen=True)
+class _SparseD:
+    """D = delta - dbar in coordinate form: D[rows[e], cols[e]] = signs[e].
+
+    Each (row, column) pair occurs once and every sign is +1 or -1, held as
+    a float so that the two products D x and D^T y, weighted bincounts over
+    the nonzeros, need no cast.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    signs: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.signs * x[self.cols], minlength=self.shape[0])
+
+    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols, weights=self.signs * y[self.rows], minlength=self.shape[1])
+
+    def triples(self) -> Iterable[tuple[int, int, int]]:
+        """(row, column, integer sign) of every nonzero."""
+        return zip(self.rows.tolist(), self.cols.tolist(), self.signs.astype(int).tolist())
+
+
+def _coboundary_matrix(
+    cover: Cover, cols: _LayerBasis, rows: _LayerBasis, *, _drop_twist: bool = False
+) -> _SparseD:
+    """Sparse D = delta - dbar from the column basis to the row basis.
+
+    Every entry is +1 or -1: a column (p, n, t, cell) meets the delta rows
+    (p, n + 1, t + extra index, cell) and the dbar rows (p + 1, n, t, tau)
+    for the cofaces tau of cell inside the overlap of t.  ``_drop_twist``
+    replaces dbar by the untwisted d, which breaks D^2 = 0; it exists only
+    to show that the self-check detects a wrong sign.
+    """
+    # nerve tuple -> [(one index deeper tuple, delta sign)]
+    deeper: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for target in cover.nerve():
+        for a in range(len(target)):
+            face = target[:a] + target[a + 1 :]
+            deeper.setdefault(face, []).append((target, _deletion_sign(a)))
+    # (p, t) -> {p-cell of the overlap of t: [(its (p+1)-coface there, incidence)]}
+    cofaces: dict[tuple[int, tuple[int, ...]], dict[Simplex, list[tuple[Simplex, int]]]] = {}
+    row_ids: list[int] = []
+    col_ids: list[int] = []
+    signs: list[int] = []
+    for j, (p, n, t, cell) in enumerate(cols.entries):
+        for target, sign in deeper.get(t, ()):
+            i = rows.index.get((p, n + 1, target, cell))
+            if i is not None:
+                row_ids.append(i)
+                col_ids.append(j)
+                signs.append(sign)
+        by_face = cofaces.get((p, t))
+        if by_face is None:
+            sub = cover.complex if n == 0 else cover.overlap(t)
+            by_face = {}
+            for tau in sub.cells(p + 1):
+                for a in range(p + 2):
+                    face = tau[:a] + tau[a + 1 :]
+                    by_face.setdefault(face, []).append((tau, _deletion_sign(a)))
+            cofaces[(p, t)] = by_face
+        dsign = _DBAR_IN_D * (1 if _drop_twist else _twist(n))
+        for tau, inc in by_face.get(cell, ()):
+            i = rows.index.get((p + 1, n, t, tau))
+            if i is not None:
+                row_ids.append(i)
+                col_ids.append(j)
+                signs.append(dsign * inc)
+    return _SparseD(
+        (len(rows.entries), len(cols.entries)),
+        np.array(row_ids, dtype=np.intp),
+        np.array(col_ids, dtype=np.intp),
+        np.array(signs, dtype=float),
+    )
+
+
+def _square_blocks(
+    cover: Cover, degrees: Iterable[int], *, _drop_twist: bool = False
+) -> dict[str, int]:
+    """Largest |entry| of the integer product D_{k+1} D_k over the degrees k.
+
+    D_k leaves total degree k.  The product takes (p, n) to three disjoint
+    row blocks: delta^2 lands in (p, n + 2), dbar^2 in (p + 2, n) and the
+    anticommutator delta dbar + dbar delta in (p + 1, n + 1).  Python
+    integers keep every entry exact, so D^2 = 0 holds iff every value
+    returned is 0.
+    """
+    # the block of an entry is fixed by how far it raises the cech degree
+    names = {2: "delta2", 0: "d2", 1: "anticommute"}
+    blocks = dict.fromkeys(names.values(), 0)
+    for degree in degrees:
+        bases = [_LayerBasis(cover, k, omit_top_form=False) for k in range(degree, degree + 3)]
+        first, second = (
+            _coboundary_matrix(cover, a, b, _drop_twist=_drop_twist)
+            for a, b in zip(bases, bases[1:])
+        )
+        # column of the second factor -> [(its row, sign)]
+        by_col: dict[int, list[tuple[int, int]]] = {}
+        for i, j, s in second.triples():
+            by_col.setdefault(j, []).append((i, s))
+        product: dict[tuple[int, int], int] = {}
+        for i, j, s in first.triples():
+            for row, s2 in by_col.get(i, ()):
+                product[row, j] = product.get((row, j), 0) + s2 * s
+        for (row, col), value in product.items():
+            name = names[bases[2].entries[row][1] - bases[0].entries[col][1]]
+            blocks[name] = max(blocks[name], abs(value))
+    blocks["D2"] = max(blocks.values())
+    return blocks

@@ -94,6 +94,18 @@ def _check_resolution(m: int, winding: int, minimum: int) -> None:
         raise InvalidInputError(f"resolution {m} is too coarse for winding {winding}")
 
 
+def _wrapped_differences(edges, angle: dict[int, float], factor: int) -> dict:
+    """wrap(factor * (angle[b] - angle[a])) on the edges with both ends in
+    ``angle``; zero values are left out."""
+    out = {}
+    for a, b in edges:
+        if a in angle and b in angle:
+            val = wrap(factor * (angle[b] - angle[a]))
+            if val != 0.0:
+                out[(a, b)] = val
+    return out
+
+
 def build_minus_one_gerbe(m: int, winding: int = 1) -> GerbeDatum:
     """Level -1 datum on an m-gon circle with three overlapping arcs.
 
@@ -119,11 +131,7 @@ def build_minus_one_gerbe(m: int, winding: int = 1) -> GerbeDatum:
         (i,): Cochain(0, {(v,): winding * theta[v] for v in sorted(arc)})
         for i, arc in enumerate(cover.sets)
     }
-    one_form = {}
-    for a, b in complex.cells(1):
-        val = wrap(winding * (theta[b] - theta[a]))
-        if val != 0.0:
-            one_form[(a, b)] = val
+    one_form = _wrapped_differences(complex.cells(1), theta, winding)
     data = TotalCochain(
         1,
         {
@@ -152,13 +160,7 @@ def _cap_bundle_data(
         0, {(v,): winding * longitude[v] for (v,) in band.cells(0)}
     )
     second = cover.overlap((1,))
-    a_values = {}
-    for a, b in second.cells(1):
-        if a in longitude and b in longitude:
-            val = wrap(winding * (longitude[b] - longitude[a]))
-            if val != 0.0:
-                a_values[(a, b)] = val
-    connection = Cochain(1, a_values)
+    connection = Cochain(1, _wrapped_differences(second.cells(1), longitude, winding))
     field = exterior_derivative(connection, second)
     return TotalCochain(
         2,
@@ -215,13 +217,7 @@ def build_gerbopole(m: int, winding: int = 1, base_segments: int = 8) -> GerbeDa
     # of the transition on ring edges, zero elsewhere, so the triple-overlap
     # equation closes exactly
     pair12 = cover.overlap((1, 2))
-    a_values = {}
-    for a, b in pair12.cells(1):
-        if a in fiber and b in fiber:
-            val = wrap(-winding * (alpha[b] - alpha[a]))
-            if val != 0.0:
-                a_values[(a, b)] = val
-    connection = Cochain(1, a_values)
+    connection = Cochain(1, _wrapped_differences(pair12.cells(1), alpha, -winding))
 
     # 2-form layer on the third patch: the derivative of that connection,
     # which is supported on the mixed triangles of the (1, 2) overlap and

@@ -6,8 +6,9 @@ layers, and the global (n+2, 0) part stores minus the curvature.  A bundle is
 the level-0 case and a gerbe the level-1 case; level -1 is allowed.
 
 Gauge equivalence is decided by a sparse minimum-norm solve: D is assembled
-as a sparse matrix over flat bases of the potential and datum spaces, and
-conjugate gradients on the normal equations (CGLS) run without forming D^T D.
+by ``bicomplex._coboundary_matrix`` as a sparse integer matrix over flat
+bases of the potential and datum spaces, and conjugate gradients on the
+normal equations (CGLS) run without forming D^T D.
 Two valid cocycles are accepted as equivalent when the difference is matched
 by the total coboundary of a potential without global top form part, with
 angle-layer rows compared modulo 2*pi.  Rejection means no such witness was
@@ -17,7 +18,9 @@ the reliable separator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -26,6 +29,9 @@ from .bicomplex import (
     BigradedCochain,
     GaugePotential,
     TotalCochain,
+    _coboundary_matrix,
+    _LayerBasis,
+    _SparseD,
     big_d,
     wrap,
 )
@@ -111,9 +117,14 @@ class ResidualPeak:
     magnitude: float
 
 
+def _worst(magnitudes: Iterable[float]) -> float:
+    """The largest magnitude, 0.0 for none, NaN if any is NaN (max() can miss one)."""
+    return float(np.max(list(magnitudes), initial=0.0))
+
+
 @dataclass(frozen=True)
 class ValidationReport:
-    """Per-bidegree cocycle residuals; pass iff all are within tolerance."""
+    """Per-bidegree cocycle residuals; pass iff all are finite and within tol."""
 
     tolerance: float
     residuals: dict[tuple[int, int], float]
@@ -121,7 +132,7 @@ class ValidationReport:
     passed: bool
 
     def max_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
+        return _worst(self.residuals.values())
 
 
 def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationReport:
@@ -129,7 +140,8 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
 
     Residuals at the two bidegrees fed by the angle layer, (0, k+1) and
     (1, k), are wrapped into (-pi, pi] before the tolerance test, since those
-    equations only hold modulo 2*pi.
+    equations only hold modulo 2*pi.  A non-finite residual fails at any
+    tolerance.
     """
     tol = DEFAULT_VALIDATION_TOL if tol is None else float(tol)
     k = datum.level + 2
@@ -148,12 +160,14 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
             continue
         if key in wrap_rows:
             part = part.wrapped()
-        residuals[key] = part.sup_norm()
+        start = len(peaks)
         for t, comp in part.components.items():
             for cell, value in comp.values.items():
                 peaks.append(ResidualPeak(key, t, cell, abs(value)))
+        residuals[key] = _worst(pk.magnitude for pk in peaks[start:])
     peaks.sort(key=lambda pk: (-pk.magnitude, pk.bidegree, pk.indices, pk.cell))
-    passed = max(residuals.values(), default=0.0) <= tol
+    worst = _worst(residuals.values())
+    passed = math.isfinite(worst) and worst <= tol
     return ValidationReport(tol, residuals, tuple(peaks[:8]), passed)
 
 
@@ -188,131 +202,6 @@ class EquivalenceResult:
     equivalent: bool
     residual: float
     witness: GaugePotential | None
-
-
-class _LayerBasis:
-    """Flat real coordinates for one total-cochain space over a cover."""
-
-    def __init__(self, cover: Cover, degree: int, *, omit_top_form: bool):
-        self.cover = cover
-        self.degree = degree
-        self.entries: list[tuple[int, int, tuple[int, ...], Simplex]] = []
-        self.index: dict[tuple[int, int, tuple[int, ...], Simplex], int] = {}
-        # each bidegree's entries are contiguous, so its positions are a range
-        self.positions: dict[tuple[int, int], range] = {}
-        n_min = 1 if omit_top_form else 0
-        for n in range(n_min, min(degree, len(cover.sets)) + 1):
-            p = degree - n
-            start = len(self.entries)
-            tuples = [()] if n == 0 else [t for t in cover.nerve() if len(t) == n]
-            for t in tuples:
-                sub = cover.complex if n == 0 else cover.overlap(t)
-                for cell in sub.cells(p):
-                    self.index[(p, n, t, cell)] = len(self.entries)
-                    self.entries.append((p, n, t, cell))
-            self.positions[(p, n)] = range(start, len(self.entries))
-
-    def vector_of(self, total: TotalCochain) -> np.ndarray:
-        vec = np.zeros(len(self.entries))
-        for (p, n), part in total.parts.items():
-            for t, comp in part.components.items():
-                for cell, value in comp.values.items():
-                    pos = self.index.get((p, n, t, cell))
-                    if pos is None:
-                        if value != 0.0:
-                            raise InvalidInputError(
-                                f"value at ({p},{n},{t},{cell}) lies outside the basis"
-                            )
-                        continue
-                    vec[pos] = value
-        return vec
-
-    def total_of(self, vec: np.ndarray) -> TotalCochain:
-        grouped: dict[tuple[int, int], dict[tuple[int, ...], dict[Simplex, float]]] = {}
-        for value, (p, n, t, cell) in zip(vec, self.entries):
-            v = float(value)
-            if v == 0.0:
-                continue
-            grouped.setdefault((p, n), {}).setdefault(t, {})[cell] = v
-        parts = {
-            (p, n): BigradedCochain(
-                p, n, {t: Cochain(p, vals) for t, vals in comps.items()}
-            )
-            for (p, n), comps in grouped.items()
-        }
-        return TotalCochain(self.degree, parts)
-
-    def rows_at(self, p: int, n: int) -> range:
-        return self.positions.get((p, n), range(0))
-
-
-@dataclass(frozen=True)
-class _SparseD:
-    """D = delta - dbar in coordinate form: D[rows[e], cols[e]] = signs[e].
-
-    Each (row, column) pair occurs once and every sign is +1 or -1; the two
-    products D x and D^T y are weighted bincounts over the nonzeros.
-    """
-
-    shape: tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    signs: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, weights=self.signs * x[self.cols], minlength=self.shape[0])
-
-    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        return np.bincount(self.cols, weights=self.signs * y[self.rows], minlength=self.shape[1])
-
-
-def _coboundary_matrix(cover: Cover, cols: _LayerBasis, rows: _LayerBasis) -> _SparseD:
-    """Sparse D = delta - dbar from the column basis to the row basis.
-
-    Every entry is +1 or -1: a column (p, n, t, cell) meets the delta rows
-    (p, n + 1, t + extra index, cell) and the dbar rows (p + 1, n, t, tau)
-    for the cofaces tau of cell inside the overlap of t.
-    """
-    # nerve tuple -> [(one index deeper tuple, delta sign)]
-    deeper: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for target in cover.nerve():
-        for a in range(len(target)):
-            face = target[:a] + target[a + 1 :]
-            deeper.setdefault(face, []).append((target, 1 if a % 2 == 0 else -1))
-    # (p, t) -> {p-cell of the overlap of t: [(its (p+1)-coface there, incidence)]}
-    cofaces: dict[tuple[int, tuple[int, ...]], dict[Simplex, list[tuple[Simplex, int]]]] = {}
-    row_ids: list[int] = []
-    col_ids: list[int] = []
-    signs: list[int] = []
-    for j, (p, n, t, cell) in enumerate(cols.entries):
-        for target, sign in deeper.get(t, ()):
-            i = rows.index.get((p, n + 1, target, cell))
-            if i is not None:
-                row_ids.append(i)
-                col_ids.append(j)
-                signs.append(sign)
-        by_face = cofaces.get((p, t))
-        if by_face is None:
-            sub = cover.complex if n == 0 else cover.overlap(t)
-            by_face = {}
-            for tau in sub.cells(p + 1):
-                for a in range(p + 2):
-                    face = tau[:a] + tau[a + 1 :]
-                    by_face.setdefault(face, []).append((tau, 1 if a % 2 == 0 else -1))
-            cofaces[(p, t)] = by_face
-        dsign = -1 if n % 2 == 0 else 1  # the -dbar contribution of D
-        for tau, inc in by_face.get(cell, ()):
-            i = rows.index.get((p + 1, n, t, tau))
-            if i is not None:
-                row_ids.append(i)
-                col_ids.append(j)
-                signs.append(dsign * inc)
-    return _SparseD(
-        (len(rows.entries), len(cols.entries)),
-        np.array(row_ids, dtype=np.intp),
-        np.array(col_ids, dtype=np.intp),
-        np.array(signs, dtype=float),
-    )
 
 
 def _cgls(matrix: _SparseD, b: np.ndarray, max_iterations: int | None = None) -> np.ndarray:
@@ -369,15 +258,8 @@ def gauge_equivalent(
             raise InvalidInputError(f"{name} datum is not a cocycle at tolerance {tol:g}")
     k = first.level + 2
     delta = second.data - first.data
-    angle_key = (0, k)
-    if angle_key in delta.parts:
-        parts = dict(delta.parts)
-        wrapped = parts[angle_key].wrapped()
-        if wrapped.components:
-            parts[angle_key] = wrapped
-        else:
-            del parts[angle_key]
-        delta = TotalCochain(k, parts)
+    if (0, k) in delta.parts:
+        delta = TotalCochain(k, {**delta.parts, (0, k): delta.parts[(0, k)].wrapped()})
     rows = _LayerBasis(first.cover, k, omit_top_form=False)
     cols = _LayerBasis(first.cover, k - 1, omit_top_form=True)
     b = rows.vector_of(delta)
@@ -386,7 +268,7 @@ def gauge_equivalent(
     matrix = _coboundary_matrix(first.cover, cols, rows)
     x = _cgls(matrix, b)
     residual_vec = matrix.apply(x) - b
-    for i in rows.rows_at(0, k):
+    for i in rows.positions.get((0, k), ()):
         residual_vec[i] = wrap(float(residual_vec[i]))
     residual = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
     if residual <= tol:

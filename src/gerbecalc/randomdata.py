@@ -59,11 +59,11 @@ def random_bigraded(
     return BigradedCochain(p, n, components)
 
 
-def random_total(
-    cover: Cover, degree: int, rng: Lcg64, amplitude: float = 1.0
+def _random_total(
+    cover: Cover, degree: int, rng: Lcg64, amplitude: float, first_cech_degree: int
 ) -> TotalCochain:
     parts = {}
-    for n in range(0, min(degree, len(cover.sets)) + 1):
+    for n in range(first_cech_degree, min(degree, len(cover.sets)) + 1):
         p = degree - n
         if p > cover.complex.top_dimension:
             continue
@@ -73,17 +73,15 @@ def random_total(
     return TotalCochain(degree, parts)
 
 
+def random_total(
+    cover: Cover, degree: int, rng: Lcg64, amplitude: float = 1.0
+) -> TotalCochain:
+    return _random_total(cover, degree, rng, amplitude, 0)
+
+
 def random_gauge_potential(
     cover: Cover, degree: int, rng: Lcg64, amplitude: float = 1.0
 ) -> GaugePotential:
     """Random potential without global form part; amplitudes should stay
     below pi so wrapped comparisons never cross a branch."""
-    parts = {}
-    for n in range(1, min(degree, len(cover.sets)) + 1):
-        p = degree - n
-        if p > cover.complex.top_dimension:
-            continue
-        part = random_bigraded(cover, p, n, rng, amplitude)
-        if part.components:
-            parts[(p, n)] = part
-    return GaugePotential(TotalCochain(degree, parts))
+    return GaugePotential(_random_total(cover, degree, rng, amplitude, 1))

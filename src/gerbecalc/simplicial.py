@@ -219,9 +219,6 @@ class Cochain:
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scaled(-1.0)
 
-    def __neg__(self) -> "Cochain":
-        return self.scaled(-1.0)
-
 
 @dataclass(frozen=True)
 class Chain:

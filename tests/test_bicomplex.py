@@ -20,7 +20,14 @@ from gerbecalc import (
     wrap,
     wrap_d,
 )
-from gerbecalc.builders import circle_complex, two_cone_sphere
+from gerbecalc.bicomplex import _square_blocks
+from gerbecalc.builders import (
+    build_gerbopole,
+    build_minus_one_gerbe,
+    build_monopole,
+    circle_complex,
+    two_cone_sphere,
+)
 from gerbecalc.randomdata import random_bigraded, random_complex_and_cover, random_total
 from gerbecalc.rng import Lcg64
 
@@ -196,6 +203,44 @@ class TestOperatorIdentities:
         assert (d0.components[()] - raw0).sup_norm() == 0.0
         raw1 = exterior_derivative(c1.components[(0,)], cover.overlap((0,)))
         assert (d1.components[(0,)] + raw1).sup_norm() == 0.0
+
+
+def star_cover(complex):
+    """One set per vertex: the vertex and its neighbours."""
+    stars = [{v} for v in range(complex.vertex_count)]
+    for a, b in complex.cells(1):
+        stars[a].add(b)
+        stars[b].add(a)
+    return Cover.build(complex, stars)
+
+
+class TestExactSquare:
+    """D_{k+1} D_k on the integer matrix of D, with no tolerance."""
+
+    @pytest.fixture(
+        params=[(build_minus_one_gerbe, 12), (build_monopole, 12), (build_gerbopole, 6), None],
+        ids=["minus1", "monopole", "gerbopole", "icosahedron-stars"],
+    )
+    def cover_and_level(self, request, icosahedron):
+        if request.param is None:
+            return star_cover(icosahedron), 0
+        build, m = request.param
+        datum = build(m)
+        return datum.cover, datum.level
+
+    def test_square_is_exactly_zero(self, cover_and_level):
+        cover, level = cover_and_level
+        k = level + 2
+        blocks = _square_blocks(cover, (k - 1, k, k + 1))
+        assert blocks == {"delta2": 0, "d2": 0, "anticommute": 0, "D2": 0}
+
+    def test_dropped_twist_breaks_anticommutation(self, cover_and_level):
+        cover, level = cover_and_level
+        blocks = _square_blocks(cover, (level + 1,), _drop_twist=True)
+        assert blocks["anticommute"] != 0
+        assert blocks["D2"] == blocks["anticommute"]
+        # delta^2 and d^2 do not involve the twist
+        assert blocks["delta2"] == blocks["d2"] == 0
 
 
 class TestStructuralValidation:

@@ -100,6 +100,35 @@ class TestValidate:
         assert "tol=0.001" in captured.out
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1e-3"])
+    def test_flag_must_be_finite_and_non_negative(self, monopole_file, capsys, value):
+        rc = main(["validate", str(monopole_file), f"--tol={value}"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--tol" in captured.err
+        assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_env_must_be_finite_and_non_negative(self, tmp_path, capsys, monkeypatch, value):
+        one, two = tmp_path / "w1.json", tmp_path / "w2.json"
+        save_datum(one, build_monopole(12, winding=1))
+        save_datum(two, build_monopole(12, winding=2))
+        monkeypatch.setenv("GERBECALC_TOL", value)
+        rc = main(["equiv", str(one), str(two)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "GERBECALC_TOL" in captured.err
+        assert "EQUIVALENT" not in captured.out
+        assert main(["validate", str(one)]) == 2
+
+    def test_zero_is_accepted(self, monopole_file, capsys):
+        # the builder's residuals are exactly zero
+        rc = main(["validate", str(monopole_file), "--tol", "0"])
+        assert rc == 0
+        assert "PASS (tol=0)" in capsys.readouterr().out
+
+
 class TestCharge:
     def test_monopole_charge(self, monopole_file, capsys):
         rc = main(["charge", str(monopole_file)])

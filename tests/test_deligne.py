@@ -11,6 +11,7 @@ from gerbecalc import (
     InvalidInputError,
     NumericError,
     TotalCochain,
+    ValidationReport,
     big_d,
     build_gerbopole,
     build_minus_one_gerbe,
@@ -143,6 +144,26 @@ class TestValidate:
         parts[(0, 2)] = bad_phi
         with pytest.raises(InvalidInputError):
             GerbeDatum(0, TotalCochain(2, parts), datum.cover)
+
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_non_finite_curvature_fails(self, position):
+        datum = build_monopole(6)
+        parts = dict(datum.data.parts)
+        values = dict(parts[(2, 0)].components[()].values)
+        values[list(values)[position]] = math.nan
+        parts[(2, 0)] = BigradedCochain(2, 0, {(): Cochain(2, values)})
+        report = validate_cocycle(GerbeDatum(0, TotalCochain(2, parts), datum.cover))
+        assert not report.passed
+        assert math.isnan(report.residuals[(2, 1)])
+        assert math.isnan(report.max_residual())
+
+    def test_max_residual_reports_nan_in_any_position(self):
+        for residuals in (
+            {(0, 1): math.nan, (1, 0): 0.5},
+            {(0, 1): 0.5, (1, 0): math.nan},
+        ):
+            report = ValidationReport(1e-9, residuals, (), False)
+            assert math.isnan(report.max_residual())
 
 
 class TestCurvatureAndCharge:
