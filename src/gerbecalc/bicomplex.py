@@ -334,7 +334,7 @@ def dbar(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
     out: dict[tuple[int, ...], Cochain] = {}
     for key in sorted(cochain.components):
         comp = cochain.components[key]
-        sub = cover.complex if n == 0 else cover.overlap(key)
+        sub = cover.overlap(key)
         der = wrap_d(comp, sub) if cochain.angle_valued else exterior_derivative(comp, sub)
         if _twist(n) < 0:
             der = der.scaled(-1.0)
@@ -379,7 +379,7 @@ class _LayerBasis:
             start = len(self.entries)
             tuples = [()] if n == 0 else [t for t in cover.nerve() if len(t) == n]
             for t in tuples:
-                sub = cover.complex if n == 0 else cover.overlap(t)
+                sub = cover.overlap(t)
                 for cell in sub.cells(p):
                     self.index[(p, n, t, cell)] = len(self.entries)
                     self.entries.append((p, n, t, cell))
@@ -472,7 +472,7 @@ def _coboundary_matrix(
                 signs.append(sign)
         by_face = cofaces.get((p, t))
         if by_face is None:
-            sub = cover.complex if n == 0 else cover.overlap(t)
+            sub = cover.overlap(t)
             by_face = {}
             for tau in sub.cells(p + 1):
                 for a in range(p + 2):

@@ -3,11 +3,15 @@
 The open set U_i is the subcomplex induced on a vertex subset; the overlap of
 several sets is the subcomplex induced on their intersection.  A p-cochain
 "on an overlap" is supported on cells all of whose vertices lie inside it.
+
+The good-cover check ranks boundary matrices by sparse Gaussian elimination in
+exact rational arithmetic, so its Betti numbers are over Q with no threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -60,21 +64,14 @@ class Cover:
                 raise InvalidInputError(f"cover index {i} out of range")
         return tuple(sorted(t))
 
-    def overlap_vertices(self, indices: Iterable[int]) -> frozenset[int]:
+    def overlap(self, indices: Iterable[int]) -> SimplicialComplex:
+        """Induced subcomplex on the vertex intersection; the complex itself for ()."""
         key = self._canonical(indices)
         if not key:
-            return self.complex.vertices
-        out = self.sets[key[0]]
-        for i in key[1:]:
-            out = out & self.sets[i]
-        return out
-
-    def overlap(self, indices: Iterable[int]) -> SimplicialComplex:
-        """Induced subcomplex on the vertex intersection; depends only on the set."""
-        key = self._canonical(indices)
+            return self.complex
         got = self._overlaps.get(key)
         if got is None:
-            got = self.complex.induced(self.overlap_vertices(key))
+            got = self.complex.induced(frozenset.intersection(*(self.sets[i] for i in key)))
             self._overlaps[key] = got
         return got
 
@@ -100,36 +97,35 @@ class Cover:
 
 
 def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
+    """Rank over the rationals by sparse Gaussian elimination in exact arithmetic.
 
-    Exact integer arithmetic, so no float rank thresholds are involved.
+    Each row becomes a {column: value} dict of its nonzeros and is reduced at
+    its first nonzero column against the pivot row stored for that column,
+    until it is zero or becomes the pivot row of a column that has none.
     """
-    m = [list(map(int, row)) for row in matrix]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[r][c] * m[row][col] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    pivots: dict[int, dict[int, int | Fraction]] = {}
+    for dense in matrix:
+        row = {c: int(v) for c, v in enumerate(dense) if v}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            factor = Fraction(row[col], pivot[col])
+            if factor.denominator == 1:  # keeps +-1 incidence rows in plain ints
+                factor = factor.numerator
+            for c, v in pivot.items():
+                left = row.get(c, 0) - factor * v
+                if left:
+                    row[c] = left
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def betti_numbers(complex: SimplicialComplex, up_to: int = 2) -> tuple[int, ...]:
-    """Betti numbers b_0..b_{up_to} from exact integer ranks of boundary maps."""
+    """Betti numbers b_0..b_{up_to} over Q from exact ranks of boundary maps."""
     counts = [len(complex.cells(q)) for q in range(up_to + 2)]
     ranks = [0] + [
         integer_rank(boundary_matrix(complex, q)) for q in range(1, up_to + 2)
@@ -140,7 +136,7 @@ def betti_numbers(complex: SimplicialComplex, up_to: int = 2) -> tuple[int, ...]
 @dataclass(frozen=True)
 class OverlapDiagnostic:
     indices: tuple[int, ...]
-    betti: tuple[int, int, int]
+    betti: tuple[int, ...]
     contractible: bool
 
     @property
@@ -164,13 +160,16 @@ class GoodCoverReport:
 
 
 def check_good_cover(cover: Cover) -> GoodCoverReport:
-    """Check each nonempty overlap for acyclicity (b0 = 1, b1 = b2 = 0).
+    """Check each nonempty overlap for acyclicity: b0 = 1 and every higher b = 0.
 
-    Failures are reported with WARN status only: non-contractible overlaps
-    still carry usable data, they just fall outside the good-cover setting.
+    Betti numbers are computed up to the overlap's top dimension, and at least
+    to b2.  Failures are reported with WARN status only: non-contractible
+    overlaps still carry usable data, they just fall outside the good-cover
+    setting.
     """
     entries = []
     for t in cover.nerve():
-        b = betti_numbers(cover.overlap(t), up_to=2)
-        entries.append(OverlapDiagnostic(t, b, b == (1, 0, 0)))
+        overlap = cover.overlap(t)
+        b = betti_numbers(overlap, max(2, overlap.top_dimension))
+        entries.append(OverlapDiagnostic(t, b, b == (1,) + (0,) * (len(b) - 1)))
     return GoodCoverReport(tuple(entries))

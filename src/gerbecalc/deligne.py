@@ -93,7 +93,7 @@ class GerbeDatum:
             if (p, n) == (0, k) and not part.angle_valued:
                 raise InvalidInputError("the transition layer must be angle-valued")
             for t, comp in part.components.items():
-                sub = self.cover.complex if n == 0 else self.cover.overlap(t)
+                sub = self.cover.overlap(t)
                 for cell in comp.values:
                     if not sub.has_cell(cell):
                         raise InvalidInputError(
@@ -147,9 +147,8 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
     k = datum.level + 2
     residual = big_d(datum.data, datum.cover)
     wrap_rows = {(0, k + 1), (1, k)}
-    bidegrees = {
-        (p, k + 1 - p) for p in range(k + 2) if k + 1 - p <= len(datum.cover.sets)
-    }
+    first_p = max(0, k + 1 - len(datum.cover.sets))
+    bidegrees = {(p, k + 1 - p) for p in range(first_p, k + 2)}
     bidegrees.update(residual.parts)
     residuals: dict[tuple[int, int], float] = {}
     peaks: list[ResidualPeak] = []

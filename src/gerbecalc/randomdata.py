@@ -50,7 +50,7 @@ def random_bigraded(
     components = {}
     tuples = [()] if n == 0 else [t for t in cover.nerve() if len(t) == n]
     for t in tuples:
-        sub = cover.complex if n == 0 else cover.overlap(t)
+        sub = cover.overlap(t)
         values = {
             cell: rng.uniform(-amplitude, amplitude) for cell in sub.cells(p)
         }

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gerbecalc import build_minus_one_gerbe, build_monopole
+from gerbecalc import GerbeDatum, TotalCochain, build_minus_one_gerbe, build_monopole
 from gerbecalc.cli import main
 from gerbecalc.serialize import datum_from_dict, datum_to_dict, load_datum, save_datum
 
@@ -98,6 +98,18 @@ class TestValidate:
         captured = capsys.readouterr()
         assert rc == 0
         assert "tol=0.001" in captured.out
+
+    def test_huge_level_answers_in_bounded_time(self, tmp_path, capsys):
+        # the residual bidegrees are bounded by the cover, not by the level
+        cover = build_monopole(6).cover
+        level = 10**12
+        path = tmp_path / "huge-level.json"
+        save_datum(path, GerbeDatum(level, TotalCochain(level + 2, {}), cover))
+        rc = main(["validate", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert len([line for line in lines if line.startswith("residual")]) == len(cover.sets) + 1
+        assert lines[-1].startswith("PASS")
 
 
 class TestTolerance:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerbecalc import (
     Cover,
@@ -10,7 +12,34 @@ from gerbecalc import (
     check_good_cover,
     integer_rank,
 )
-from gerbecalc.builders import build_minus_one_gerbe, build_monopole, circle_complex, two_cone_sphere
+from gerbecalc.builders import (
+    build_minus_one_gerbe,
+    build_monopole,
+    circle_complex,
+    join_sphere3,
+    two_cone_sphere,
+)
+
+# the minimal triangulation of the real projective plane: 6 vertices, 15 edges
+RP2_TRIANGLES = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+]
+
+
+@st.composite
+def small_integer_matrices(draw):
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    entries = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    m = draw(st.lists(entries, min_size=rows, max_size=rows))
+    # zero whole rows and columns, which uniform entries alone rarely give
+    for r in draw(st.sets(st.integers(0, rows - 1))):
+        m[r] = [0] * cols
+    for c in draw(st.sets(st.integers(0, cols - 1))):
+        for row in m:
+            row[c] = 0
+    return m
 
 
 class TestCoverConstruction:
@@ -62,6 +91,10 @@ class TestOverlap:
         with pytest.raises(InvalidInputError):
             cover.overlap((0, 0))
 
+    def test_empty_index_is_the_complex_itself(self):
+        datum = build_minus_one_gerbe(12)
+        assert datum.cover.overlap(()) is datum.cover.complex
+
 
 class TestNerve:
     def test_single_set(self):
@@ -109,6 +142,24 @@ class TestIntegerRank:
             m = boundary_matrix(icosahedron, q)
             assert integer_rank(m) == np.linalg.matrix_rank(np.array(m))
 
+    def test_non_unit_pivots(self):
+        assert integer_rank([[2, 3], [4, 6]]) == 1
+        assert integer_rank([[2, 1], [1, 2]]) == 2
+
+    def test_projective_plane_is_ranked_over_the_rationals(self):
+        # over GF(2) the 2-boundary has rank 9 and the Betti numbers are (1, 1, 1)
+        K = SimplicialComplex.from_top_cells(6, RP2_TRIANGLES)
+        assert [len(K.cells(q)) for q in range(3)] == [6, 15, 10]
+        ranks = tuple(integer_rank(boundary_matrix(K, q)) for q in (1, 2, 3))
+        assert ranks == (5, 10, 0)
+        assert betti_numbers(K) == (1, 0, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_integer_matrices())
+    def test_matches_float_rank_and_transpose(self, m):
+        transpose = [list(col) for col in zip(*m)]
+        assert integer_rank(m) == np.linalg.matrix_rank(np.array(m)) == integer_rank(transpose)
+
 
 class TestGoodCover:
     def test_arc_overlaps_are_contractible(self):
@@ -143,3 +194,10 @@ class TestGoodCover:
         ] + [0]
         expected = tuple(counts[q] - ranks[q] - ranks[q + 1] for q in range(3))
         assert betti_numbers(icosahedron) == expected == (1, 0, 1)
+
+    def test_closed_three_manifold_overlap_warns(self):
+        sphere3 = join_sphere3(6)
+        report = check_good_cover(Cover.build(sphere3, [sphere3.vertices]))
+        assert report.entries[0].betti == (1, 0, 0, 1)
+        assert not report.entries[0].contractible
+        assert not report.all_contractible
