@@ -17,7 +17,6 @@ from .bicomplex import (
     dbar,
     permutation_sign,
     wrap,
-    wrap_cochain,
     wrap_d,
 )
 from .builders import (

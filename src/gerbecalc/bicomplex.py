@@ -18,8 +18,9 @@ on the dict cochains and touch only stored values, which suits validation
 and gauge shifts of sparse data.  ``_coboundary_matrix`` assembles D as a
 sparse integer matrix over flat bases (``_LayerBasis``), for the equivalence
 solve and for the exact check that D^2 = 0.  Both take the deletion sign
-(-1)^a from ``_deletion_sign``, the twist (-1)^n from ``_twist`` and the
-minus of D = delta - dbar from ``_DBAR_IN_D``.
+(-1)^a from ``simplicial._deletion_sign``, the twist (-1)^n from ``_twist``
+and the minus of D = delta - dbar from ``_DBAR_IN_D``, and read the nerve
+only at the cech degrees they touch, through ``Cover.layer``.
 
 Angle-valued layers.  A (0, n) layer may be flagged angle-valued, meaning its
 values are defined only modulo 2*pi.  Its derivative is taken with per-edge
@@ -37,7 +38,7 @@ import numpy as np
 
 from .cover import Cover
 from .errors import InvalidInputError
-from .simplicial import Cochain, Simplex, SimplicialComplex, exterior_derivative
+from .simplicial import Cochain, Simplex, SimplicialComplex, _deletion_sign, exterior_derivative
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,7 +48,6 @@ _DBAR_IN_D = -1
 __all__ = [
     "TWO_PI",
     "wrap",
-    "wrap_cochain",
     "wrap_d",
     "permutation_sign",
     "BigradedCochain",
@@ -68,16 +68,6 @@ def wrap(x: float) -> float:
     if r <= -math.pi:
         r += TWO_PI
     return r
-
-
-def wrap_cochain(cochain: Cochain) -> Cochain:
-    """Wrap every stored value; exact multiples of 2*pi drop out."""
-    out = {}
-    for s, v in cochain.values.items():
-        w = wrap(v)
-        if w != 0.0:
-            out[s] = w
-    return Cochain(cochain.degree, out)
 
 
 def wrap_d(f: Cochain, complex: SimplicialComplex) -> Cochain:
@@ -173,11 +163,12 @@ class BigradedCochain:
         return BigradedCochain(self.form_degree, self.cech_degree, comps, self.angle_valued)
 
     def wrapped(self) -> "BigradedCochain":
+        """Wrap every stored value; exact multiples of 2*pi drop out."""
         comps = {}
         for t, c in self.components.items():
-            wc = wrap_cochain(c)
-            if wc.values:
-                comps[t] = wc
+            values = {s: w for s, v in c.values.items() if (w := wrap(v)) != 0.0}
+            if values:
+                comps[t] = Cochain(self.form_degree, values)
         return BigradedCochain(self.form_degree, self.cech_degree, comps, self.angle_valued)
 
     def __add__(self, other: "BigradedCochain") -> "BigradedCochain":
@@ -232,9 +223,6 @@ class TotalCochain:
     def part(self, p: int, n: int) -> BigradedCochain | None:
         return self.parts.get((p, n))
 
-    def bidegrees(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.parts))
-
     def sup_norm(self) -> float:
         return max((part.sup_norm() for part in self.parts.values()), default=0.0)
 
@@ -277,11 +265,6 @@ class GaugePotential:
                 )
 
 
-def _deletion_sign(a: int) -> int:
-    """(-1)^a, the sign of the term that deletes position a of a tuple."""
-    return -1 if a % 2 else 1
-
-
 def _twist(n: int) -> int:
     """(-1)^n, the factor of d in dbar at cech degree n."""
     return -1 if n % 2 else 1
@@ -305,19 +288,13 @@ def cech_delta(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
     _check_indices(cochain, cover)
     p, n = cochain.form_degree, cochain.cech_degree
     out: dict[tuple[int, ...], Cochain] = {}
-    for target in cover.nerve():
-        if len(target) != n + 1:
-            continue
-        overlap = cover.overlap(target)
+    for target, overlap in cover.layer(n + 1).items():
         acc = Cochain.zero(p)
         for a in range(n + 1):
             comp = cochain.components.get(target[:a] + target[a + 1 :])
-            if comp is None or not comp.values:
-                continue
-            term = comp.restricted_to(overlap)
-            if not term.values:
-                continue
-            acc = acc + (term if _deletion_sign(a) > 0 else term.scaled(-1.0))
+            term = Cochain.zero(p) if comp is None else comp.restricted_to(overlap)
+            if term.values:
+                acc = acc + (term if _deletion_sign(a) > 0 else term.scaled(-1.0))
         if acc.values:
             out[target] = acc
     return BigradedCochain(p, n + 1, out, cochain.angle_valued)
@@ -377,9 +354,7 @@ class _LayerBasis:
         for n in range(n_min, min(degree, len(cover.sets)) + 1):
             p = degree - n
             start = len(self.entries)
-            tuples = [()] if n == 0 else [t for t in cover.nerve() if len(t) == n]
-            for t in tuples:
-                sub = cover.overlap(t)
+            for t, sub in cover.layer(n).items():
                 for cell in sub.cells(p):
                     self.index[(p, n, t, cell)] = len(self.entries)
                     self.entries.append((p, n, t, cell))
@@ -452,12 +427,13 @@ def _coboundary_matrix(
     replaces dbar by the untwisted d, which breaks D^2 = 0; it exists only
     to show that the self-check detects a wrong sign.
     """
-    # nerve tuple -> [(one index deeper tuple, delta sign)]
+    # column tuple -> [(one index deeper tuple, delta sign)]
     deeper: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for target in cover.nerve():
-        for a in range(len(target)):
-            face = target[:a] + target[a + 1 :]
-            deeper.setdefault(face, []).append((target, _deletion_sign(a)))
+    for _, n in cols.positions:
+        for target in cover.layer(n + 1):
+            for a in range(n + 1):
+                face = target[:a] + target[a + 1 :]
+                deeper.setdefault(face, []).append((target, _deletion_sign(a)))
     # (p, t) -> {p-cell of the overlap of t: [(its (p+1)-coface there, incidence)]}
     cofaces: dict[tuple[int, tuple[int, ...]], dict[Simplex, list[tuple[Simplex, int]]]] = {}
     row_ids: list[int] = []

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -24,12 +23,13 @@ from .cover import check_good_cover
 from .deligne import (
     DEFAULT_EQUIVALENCE_TOL,
     DEFAULT_VALIDATION_TOL,
+    _checked_tol,
     charge,
     gauge_equivalent,
     gauge_shift,
     validate_cocycle,
 )
-from .errors import FormatError, GerbecalcError
+from .errors import FormatError, GerbecalcError, InvalidInputError
 from .randomdata import random_complex_and_cover, random_gauge_potential
 from .rng import Lcg64
 from .serialize import load_datum, save_datum, save_witness
@@ -56,9 +56,10 @@ def _resolve_tol(flag_value: float | None, fallback: float) -> float:
             tol, source = float(env), "GERBECALC_TOL"
         except ValueError:
             raise FormatError(f"GERBECALC_TOL is not a number: {env!r}") from None
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise FormatError(f"{source} must be finite and non-negative, got {tol!r}")
-    return tol
+    try:
+        return _checked_tol(tol, source)
+    except InvalidInputError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def _format_tuple(t: tuple[int, ...]) -> str:

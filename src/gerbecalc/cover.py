@@ -3,6 +3,8 @@
 The open set U_i is the subcomplex induced on a vertex subset; the overlap of
 several sets is the subcomplex induced on their intersection.  A p-cochain
 "on an overlap" is supported on cells all of whose vertices lie inside it.
+``Cover.layer(n)`` owns the nerve: the nonempty overlaps of n sets, each built
+inside its parent overlap of n - 1 sets, and only as deep as a caller reads.
 
 The good-cover check ranks boundary matrices by sparse Gaussian elimination in
 exact rational arithmetic, so its Betti numbers are over Q with no threshold.
@@ -10,7 +12,7 @@ exact rational arithmetic, so its Betti numbers are over Q with no threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -30,7 +32,6 @@ class Cover:
 
     complex: SimplicialComplex
     sets: tuple[frozenset[int], ...]
-    _overlaps: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(
@@ -65,35 +66,43 @@ class Cover:
         return tuple(sorted(t))
 
     def overlap(self, indices: Iterable[int]) -> SimplicialComplex:
-        """Induced subcomplex on the vertex intersection; the complex itself for ()."""
+        """The overlap of the sets in any order, looked up in ``layer``: the
+        complex itself for (), the empty complex for a tuple outside the nerve."""
         key = self._canonical(indices)
-        if not key:
-            return self.complex
-        got = self._overlaps.get(key)
-        if got is None:
-            got = self.complex.induced(frozenset.intersection(*(self.sets[i] for i in key)))
-            self._overlaps[key] = got
-        return got
+        got = self.layer(len(key)).get(key)
+        return SimplicialComplex(self.complex.vertex_count, {}, -1) if got is None else got
 
     @cached_property
-    def _nerve(self) -> tuple[tuple[int, ...], ...]:
-        out: list[tuple[int, ...]] = []
+    def _layers(self) -> list[dict[tuple[int, ...], SimplicialComplex]]:
+        return [{(): self.complex}]
 
-        def grow(prefix: tuple[int, ...], inter):
-            start = prefix[-1] + 1 if prefix else 0
-            for j in range(start, len(self.sets)):
-                ni = (inter & self.sets[j]) if prefix else self.sets[j]
-                if ni:
-                    t = prefix + (j,)
-                    out.append(t)
-                    grow(t, ni)
+    def layer(self, n: int) -> dict[tuple[int, ...], SimplicialComplex]:
+        """The increasing n-tuples of cover indices with a nonempty overlap,
+        each mapped to its overlap, in lexicographic order; {(): complex} for 0.
 
-        grow((), None)
-        return tuple(out)
+        Layers are built on first use, each from the one below: the overlap of
+        t + (j,) is induced inside the overlap of t, so an operation that reads
+        tuples of up to n sets never builds a deeper layer.
+        """
+        layers = self._layers
+        while len(layers) <= n and layers[-1]:
+            grown = {}
+            for t, parent in layers[-1].items():
+                inter = {v for (v,) in parent.cells(0)}
+                for j in range(t[-1] + 1 if t else 0, len(self.sets)):
+                    common = inter & self.sets[j]
+                    if common:
+                        grown[t + (j,)] = parent.induced(common)
+            layers.append(grown)
+        return layers[n] if 0 <= n < len(layers) else {}
 
     def nerve(self) -> tuple[tuple[int, ...], ...]:
-        """All increasing index tuples with a nonempty overlap, in lexicographic order."""
-        return self._nerve
+        """All increasing index tuples with a nonempty overlap, in lexicographic order.
+
+        It builds every layer, exponential in the number of sets sharing a
+        vertex; only ``demo`` and ``check_good_cover`` read it whole.
+        """
+        return tuple(sorted(t for n in range(1, len(self.sets) + 1) for t in self.layer(n)))
 
 
 def integer_rank(matrix: Sequence[Sequence[int]]) -> int:

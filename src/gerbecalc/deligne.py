@@ -117,6 +117,14 @@ class ResidualPeak:
     magnitude: float
 
 
+def _checked_tol(tol: float, name: str = "tol") -> float:
+    """The tolerance as a float; NaN, infinite and negative values are refused."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidInputError(f"{name} must be finite and non-negative, got {tol!r}")
+    return tol
+
+
 def _worst(magnitudes: Iterable[float]) -> float:
     """The largest magnitude, 0.0 for none, NaN if any is NaN (max() can miss one)."""
     return float(np.max(list(magnitudes), initial=0.0))
@@ -141,9 +149,9 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
     Residuals at the two bidegrees fed by the angle layer, (0, k+1) and
     (1, k), are wrapped into (-pi, pi] before the tolerance test, since those
     equations only hold modulo 2*pi.  A non-finite residual fails at any
-    tolerance.
+    tolerance; a NaN, infinite or negative tolerance raises InvalidInputError.
     """
-    tol = DEFAULT_VALIDATION_TOL if tol is None else float(tol)
+    tol = _checked_tol(DEFAULT_VALIDATION_TOL if tol is None else tol)
     k = datum.level + 2
     residual = big_d(datum.data, datum.cover)
     wrap_rows = {(0, k + 1), (1, k)}
@@ -246,8 +254,9 @@ def gauge_equivalent(
     angle-layer residual rows are wrapped before the tolerance test, which
     absorbs the 2*pi ambiguity for small winding differences.  Large relative
     windings can defeat the wrapping; charges then separate the data anyway.
+    A NaN, infinite or negative tolerance raises InvalidInputError.
     """
-    tol = DEFAULT_EQUIVALENCE_TOL if tol is None else float(tol)
+    tol = _checked_tol(DEFAULT_EQUIVALENCE_TOL if tol is None else tol)
     if first.level != second.level:
         raise InvalidInputError("data have different levels")
     if first.cover != second.cover:

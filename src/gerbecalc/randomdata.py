@@ -48,9 +48,7 @@ def random_bigraded(
 ) -> BigradedCochain:
     """Dense random values on every p-cell of every n-fold overlap."""
     components = {}
-    tuples = [()] if n == 0 else [t for t in cover.nerve() if len(t) == n]
-    for t in tuples:
-        sub = cover.overlap(t)
+    for t, sub in cover.layer(n).items():
         values = {
             cell: rng.uniform(-amplitude, amplitude) for cell in sub.cells(p)
         }

@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+def _deletion_sign(i: int) -> int:
+    """(-1)^i, the sign of the face that deletes position i of a simplex or tuple."""
+    return -1 if i % 2 else 1
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A finite simplicial complex, closed under taking faces.
@@ -235,15 +240,16 @@ def exterior_derivative(cochain: Cochain, complex: SimplicialComplex) -> Cochain
         if not complex.has_cell(s):
             raise InvalidInputError(f"cochain references unknown {p}-cell {s}")
     out: dict[Simplex, float] = {}
+    signs = [_deletion_sign(i) for i in range(p + 2)]
     for tau in complex.cells(p + 1):
         total = 0.0
         hit = False
-        for i in range(p + 2):
+        for i, sign in enumerate(signs):
             v = cochain.values.get(tau[:i] + tau[i + 1 :])
             if v is None:
                 continue
             hit = True
-            total += v if i % 2 == 0 else -v
+            total += sign * v
         if hit and total != 0.0:
             out[tau] = total
     return Cochain(p + 1, out)
@@ -273,7 +279,7 @@ def chain_boundary(chain: Chain, complex: SimplicialComplex) -> Chain:
             raise InvalidInputError(f"chain references unknown cell {cell}")
         for i in range(chain.degree + 1):
             face = cell[:i] + cell[i + 1 :]
-            total = out.get(face, 0) + (coeff if i % 2 == 0 else -coeff)
+            total = out.get(face, 0) + _deletion_sign(i) * coeff
             if total == 0:
                 out.pop(face, None)
             else:
@@ -294,9 +300,10 @@ def fundamental_cycle(complex: SimplicialComplex) -> Chain:
         raise StructuralError("complex has no top-dimensional cells to orient")
     tops = complex.cells(d)
     cofaces: dict[Simplex, list[tuple[Simplex, int]]] = collections.defaultdict(list)
+    signs = [_deletion_sign(i) for i in range(d + 1)]
     for t in tops:
-        for i in range(d + 1):
-            cofaces[t[:i] + t[i + 1 :]].append((t, 1 if i % 2 == 0 else -1))
+        for i, sign in enumerate(signs):
+            cofaces[t[:i] + t[i + 1 :]].append((t, sign))
     for face, pair in cofaces.items():
         if len(pair) != 2:
             raise StructuralError(
@@ -330,5 +337,5 @@ def boundary_matrix(complex: SimplicialComplex, dim: int) -> list[list[int]]:
     matrix = [[0] * len(cols) for _ in rows]
     for j, s in enumerate(cols):
         for i in range(dim + 1):
-            matrix[row_index[s[:i] + s[i + 1 :]]][j] = 1 if i % 2 == 0 else -1
+            matrix[row_index[s[:i] + s[i + 1 :]]][j] = _deletion_sign(i)
     return matrix

@@ -1,30 +1,51 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gerbecalc import (
+    BigradedCochain,
     Cover,
+    GerbeDatum,
     InvalidInputError,
     SimplicialComplex,
+    TotalCochain,
     betti_numbers,
     boundary_matrix,
     check_good_cover,
+    gauge_equivalent,
+    gauge_shift,
     integer_rank,
+    validate_cocycle,
 )
 from gerbecalc.builders import (
+    build_gerbopole,
     build_minus_one_gerbe,
     build_monopole,
     circle_complex,
     join_sphere3,
     two_cone_sphere,
 )
+from gerbecalc.randomdata import random_gauge_potential
+from gerbecalc.rng import Lcg64
 
 # the minimal triangulation of the real projective plane: 6 vertices, 15 edges
 RP2_TRIANGLES = [
     (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
     (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
 ]
+
+
+def closed_star_cover(complex):
+    """One set per vertex: the vertices of the top cells around it."""
+    stars = [{v} for v in range(complex.vertex_count)]
+    for cell in complex.cells(complex.top_dimension):
+        for v in cell:
+            stars[v].update(cell)
+    return Cover.build(complex, stars)
 
 
 @st.composite
@@ -127,6 +148,65 @@ class TestNerve:
 
         datum = build_gerbopole(6)
         assert (0, 1, 2) in datum.cover.nerve()
+
+
+# name -> cover, given the icosahedron fixture
+COVERS = {
+    "minus1": lambda ico: build_minus_one_gerbe(12).cover,
+    "monopole": lambda ico: build_monopole(12).cover,
+    "gerbopole": lambda ico: build_gerbopole(6).cover,
+    "icosahedron stars": closed_star_cover,
+}
+
+
+@pytest.fixture(params=list(COVERS))
+def any_cover(request, icosahedron):
+    return COVERS[request.param](icosahedron)
+
+
+class TestLayer:
+    def test_layers_are_the_nerve_by_length(self, any_cover):
+        cover = any_cover
+        nerve = cover.nerve()
+        for n in range(1, len(cover.sets) + 2):
+            assert tuple(cover.layer(n)) == tuple(t for t in nerve if len(t) == n)
+        assert cover.layer(0) == {(): cover.complex}
+        assert cover.layer(0)[()] is cover.complex
+        assert cover.layer(-1) == {}
+
+    def test_nerve_is_every_index_tuple_with_a_common_vertex(self, any_cover):
+        cover = any_cover
+        expected = sorted(
+            t
+            for n in range(1, len(cover.sets) + 1)
+            for t in itertools.combinations(range(len(cover.sets)), n)
+            if frozenset.intersection(*(cover.sets[i] for i in t))
+        )
+        assert list(cover.nerve()) == expected
+
+    def test_overlaps_match_the_whole_complex_induced_on_the_intersection(self, any_cover):
+        cover = any_cover
+        for n in range(1, len(cover.sets) + 1):
+            for t, sub in cover.layer(n).items():
+                reference = cover.complex.induced(frozenset.intersection(*(cover.sets[i] for i in t)))
+                assert sub == reference
+                assert cover.overlap(t) is sub
+
+    def test_star_cover_with_a_vertex_in_25_sets_round_trips_in_bounded_time(self):
+        # the full nerve has more than 2**25 entries; a level-0 datum reads only 3 layers
+        sphere = two_cone_sphere(24)
+        north = 48
+        start = time.perf_counter()
+        cover = closed_star_cover(sphere)
+        assert sum(north in s for s in cover.sets) == 25
+        zero = GerbeDatum(
+            0, TotalCochain(2, {(0, 2): BigradedCochain.zero(0, 2, angle_valued=True)}), cover
+        )
+        potential = random_gauge_potential(cover, 1, Lcg64(24), amplitude=0.5)
+        shifted = gauge_shift(zero, potential)
+        assert validate_cocycle(shifted).passed
+        assert gauge_equivalent(zero, shifted).equivalent
+        assert time.perf_counter() - start < 10.0
 
 
 class TestIntegerRank:

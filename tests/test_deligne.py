@@ -225,6 +225,30 @@ class TestCurvatureAndCharge:
         assert closed.sup_norm() < 1e-10
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_validate_refuses_nan_infinite_and_negative(self, tol):
+        with pytest.raises(InvalidInputError, match="tol must be finite and non-negative"):
+            validate_cocycle(build_monopole(6), tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_equivalence_refuses_nan_infinite_and_negative(self, tol):
+        datum = build_monopole(6)
+        with pytest.raises(InvalidInputError, match="tol must be finite and non-negative"):
+            gauge_equivalent(datum, datum, tol=tol)
+
+    def test_infinite_tolerance_cannot_equate_different_charges(self):
+        # an infinite tolerance once accepted any residual, so charges 1 and 2 matched
+        with pytest.raises(InvalidInputError):
+            gauge_equivalent(build_monopole(12), build_monopole(12, winding=2), tol=math.inf)
+
+    def test_zero_is_legal(self):
+        # the builder's residuals are exactly zero
+        datum = build_monopole(6)
+        assert validate_cocycle(datum, 0).passed
+        assert gauge_equivalent(datum, datum, tol=0.0).equivalent
+
+
 class TestGaugeEquivalence:
     def test_reflexive(self):
         datum = build_monopole(6)
