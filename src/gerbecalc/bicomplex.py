@@ -16,11 +16,11 @@ total operator is D = delta - dbar, which squares to zero.
 Two representations, one module.  ``cech_delta``, ``dbar`` and ``big_d`` act
 on the dict cochains and touch only stored values, which suits validation
 and gauge shifts of sparse data.  ``_coboundary_matrix`` assembles D as a
-sparse integer matrix over flat bases (``_LayerBasis``), for the equivalence
-solve and for the exact check that D^2 = 0.  Both take the deletion sign
-(-1)^a from ``simplicial._deletion_sign``, the twist (-1)^n from ``_twist``
-and the minus of D = delta - dbar from ``_DBAR_IN_D``, and read the nerve
-only at the cech degrees they touch, through ``Cover.layer``.
+sparse integer matrix over flat bases (``_LayerBasis``: a block per overlap),
+for the equivalence solve and the exact check that D^2 = 0.  Both walk the
+targets in ``Cover.layer``: a cell reads the same cell at each parent tuple
+and its own faces, with the sign (-1)^a of ``simplicial._deletion_sign``, the
+twist (-1)^n of ``_twist`` and the minus of D = delta - dbar in ``_DBAR_IN_D``.
 
 Angle-valued layers.  A (0, n) layer may be flagged angle-valued, meaning its
 values are defined only modulo 2*pi.  Its derivative is taken with per-edge
@@ -70,11 +70,17 @@ def wrap(x: float) -> float:
     return r
 
 
+def _wrap_finite(x: float) -> float:
+    """wrap(x) for finite x; anything else stays as it is, so an overflow still shows."""
+    return wrap(x) if math.isfinite(x) else x
+
+
 def wrap_d(f: Cochain, complex: SimplicialComplex) -> Cochain:
     """Wrapped edge differences of an angle-valued vertex function.
 
     The result is invariant under shifting any single vertex value by a
-    multiple of 2*pi, which makes winding counts exact telescoping sums.
+    multiple of 2*pi, which makes winding counts exact telescoping sums.  A
+    difference that overflows stays infinite.
     """
     if f.degree != 0:
         raise InvalidInputError("wrap_d expects a 0-cochain")
@@ -83,7 +89,7 @@ def wrap_d(f: Cochain, complex: SimplicialComplex) -> Cochain:
             raise InvalidInputError(f"no angle value at vertex {v[0]}")
     out = {}
     for a, b in complex.cells(1):
-        val = wrap(f.values[(b,)] - f.values[(a,)])
+        val = _wrap_finite(f.values[(b,)] - f.values[(a,)])
         if val != 0.0:
             out[(a, b)] = val
     return Cochain(1, out)
@@ -163,10 +169,10 @@ class BigradedCochain:
         return BigradedCochain(self.form_degree, self.cech_degree, comps, self.angle_valued)
 
     def wrapped(self) -> "BigradedCochain":
-        """Wrap every stored value; exact multiples of 2*pi drop out."""
+        """Wrap every finite stored value, keep the others; multiples of 2*pi drop out."""
         comps = {}
         for t, c in self.components.items():
-            values = {s: w for s, v in c.values.items() if (w := wrap(v)) != 0.0}
+            values = {s: w for s, v in c.values.items() if (w := _wrap_finite(v)) != 0.0}
             if values:
                 comps[t] = Cochain(self.form_degree, values)
         return BigradedCochain(self.form_degree, self.cech_degree, comps, self.angle_valued)
@@ -282,21 +288,25 @@ def _check_indices(cochain: BigradedCochain, cover: Cover) -> None:
 def cech_delta(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
     """Index-deletion coboundary, raising the cover degree by one.
 
-    Each summand is restricted to the deeper overlap; the angle-valued flag
-    propagates since sums of angles are still angles.
+    Each target sums its parents' components restricted to its overlap; the
+    angle-valued flag propagates since sums of angles are still angles.
     """
     _check_indices(cochain, cover)
     p, n = cochain.form_degree, cochain.cech_degree
     out: dict[tuple[int, ...], Cochain] = {}
+    signs = [_deletion_sign(a) for a in range(n + 1)]
+    absent = Cochain.zero(p)
     for target, overlap in cover.layer(n + 1).items():
-        acc = Cochain.zero(p)
-        for a in range(n + 1):
-            comp = cochain.components.get(target[:a] + target[a + 1 :])
-            term = Cochain.zero(p) if comp is None else comp.restricted_to(overlap)
-            if term.values:
-                acc = acc + (term if _deletion_sign(a) > 0 else term.scaled(-1.0))
-        if acc.values:
-            out[target] = acc
+        inside = overlap.cell_positions(p)
+        acc: dict[Simplex, float] = {}
+        for a, sign in enumerate(signs):
+            comp = cochain.components.get(target[:a] + target[a + 1 :], absent)
+            for cell, value in comp.values.items():
+                if cell in inside:
+                    acc[cell] = acc.get(cell, 0.0) + sign * value
+        values = {cell: v for cell, v in acc.items() if v != 0.0}
+        if values:
+            out[target] = Cochain(p, values)
     return BigradedCochain(p, n + 1, out, cochain.angle_valued)
 
 
@@ -341,38 +351,40 @@ def big_d(total: TotalCochain, cover: Cover) -> TotalCochain:
 
 
 class _LayerBasis:
-    """Flat real coordinates for one total-cochain space over a cover."""
+    """Flat real coordinates for one total-cochain space over a cover.
+
+    Bidegree (p, n) fills ``positions[p, n]``, one block per overlap t of
+    ``cover.layer(n)``: cell i of its ``cells(p)`` is entry ``start[t] + i``.
+    """
 
     def __init__(self, cover: Cover, degree: int, *, omit_top_form: bool):
         self.cover = cover
         self.degree = degree
         self.entries: list[tuple[int, int, tuple[int, ...], Simplex]] = []
-        self.index: dict[tuple[int, int, tuple[int, ...], Simplex], int] = {}
-        # each bidegree's entries are contiguous, so its positions are a range
+        self.start: dict[tuple[int, ...], int] = {}
         self.positions: dict[tuple[int, int], range] = {}
         n_min = 1 if omit_top_form else 0
         for n in range(n_min, min(degree, len(cover.sets)) + 1):
             p = degree - n
-            start = len(self.entries)
+            first = len(self.entries)
             for t, sub in cover.layer(n).items():
-                for cell in sub.cells(p):
-                    self.index[(p, n, t, cell)] = len(self.entries)
-                    self.entries.append((p, n, t, cell))
-            self.positions[(p, n)] = range(start, len(self.entries))
+                self.start[t] = len(self.entries)
+                self.entries.extend((p, n, t, cell) for cell in sub.cells(p))
+            self.positions[(p, n)] = range(first, len(self.entries))
 
     def vector_of(self, total: TotalCochain) -> np.ndarray:
         vec = np.zeros(len(self.entries))
         for (p, n), part in total.parts.items():
             for t, comp in part.components.items():
+                at = self.start.get(t) if (p, n) in self.positions else None
+                inside = {} if at is None else self.cover.layer(n)[t].cell_positions(p)
                 for cell, value in comp.values.items():
-                    pos = self.index.get((p, n, t, cell))
-                    if pos is None:
-                        if value != 0.0:
-                            raise InvalidInputError(
-                                f"value at ({p},{n},{t},{cell}) lies outside the basis"
-                            )
-                        continue
-                    vec[pos] = value
+                    if cell in inside:
+                        vec[at + inside[cell]] = value
+                    elif value != 0.0:
+                        raise InvalidInputError(
+                            f"value at ({p},{n},{t},{cell}) lies outside the basis"
+                        )
         return vec
 
     def total_of(self, vec: np.ndarray) -> TotalCochain:
@@ -421,47 +433,34 @@ def _coboundary_matrix(
 ) -> _SparseD:
     """Sparse D = delta - dbar from the column basis to the row basis.
 
-    Every entry is +1 or -1: a column (p, n, t, cell) meets the delta rows
-    (p, n + 1, t + extra index, cell) and the dbar rows (p + 1, n, t, tau)
-    for the cofaces tau of cell inside the overlap of t.  ``_drop_twist``
-    replaces dbar by the untwisted d, which breaks D^2 = 0; it exists only
-    to show that the self-check detects a wrong sign.
+    Rows are walked as ``cech_delta`` and ``exterior_derivative`` walk them:
+    the row of p-cell c in the overlap of t reads, with sign (-1)^a, c in the
+    overlap of t less index a (delta) and face a of c (dbar).  Every lookup
+    hits, since overlaps are induced in their parents and closed under faces.
+    ``_drop_twist`` replaces dbar by the untwisted d, which breaks D^2 = 0; it
+    exists only to show that the self-check detects a wrong sign.
     """
-    # column tuple -> [(one index deeper tuple, delta sign)]
-    deeper: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for _, n in cols.positions:
-        for target in cover.layer(n + 1):
-            for a in range(n + 1):
-                face = target[:a] + target[a + 1 :]
-                deeper.setdefault(face, []).append((target, _deletion_sign(a)))
-    # (p, t) -> {p-cell of the overlap of t: [(its (p+1)-coface there, incidence)]}
-    cofaces: dict[tuple[int, tuple[int, ...]], dict[Simplex, list[tuple[Simplex, int]]]] = {}
-    row_ids: list[int] = []
-    col_ids: list[int] = []
-    signs: list[int] = []
-    for j, (p, n, t, cell) in enumerate(cols.entries):
-        for target, sign in deeper.get(t, ()):
-            i = rows.index.get((p, n + 1, target, cell))
-            if i is not None:
-                row_ids.append(i)
-                col_ids.append(j)
-                signs.append(sign)
-        by_face = cofaces.get((p, t))
-        if by_face is None:
-            sub = cover.overlap(t)
-            by_face = {}
-            for tau in sub.cells(p + 1):
-                for a in range(p + 2):
-                    face = tau[:a] + tau[a + 1 :]
-                    by_face.setdefault(face, []).append((tau, _deletion_sign(a)))
-            cofaces[(p, t)] = by_face
-        dsign = _DBAR_IN_D * (1 if _drop_twist else _twist(n))
-        for tau, inc in by_face.get(cell, ()):
-            i = rows.index.get((p + 1, n, t, tau))
-            if i is not None:
-                row_ids.append(i)
-                col_ids.append(j)
-                signs.append(dsign * inc)
+    row_ids, col_ids, signs = [], [], []
+    for p, n in rows.positions:
+        layer = cover.layer(n)
+        if (p, n - 1) in cols.positions:
+            parents = cover.layer(n - 1)
+            for t, sub in layer.items():
+                for i, cell in enumerate(sub.cells(p), rows.start[t]):
+                    for a in range(n):
+                        face = t[:a] + t[a + 1 :]
+                        row_ids.append(i)
+                        col_ids.append(cols.start[face] + parents[face].cell_positions(p)[cell])
+                        signs.append(_deletion_sign(a))
+        if (p - 1, n) in cols.positions:
+            dsign = _DBAR_IN_D * (1 if _drop_twist else _twist(n))
+            for t, sub in layer.items():
+                at, faces = cols.start[t], sub.cell_positions(p - 1)
+                for i, tau in enumerate(sub.cells(p), rows.start[t]):
+                    for a in range(p + 1):
+                        row_ids.append(i)
+                        col_ids.append(at + faces[tau[:a] + tau[a + 1 :]])
+                        signs.append(dsign * _deletion_sign(a))
     return _SparseD(
         (len(rows.entries), len(cols.entries)),
         np.array(row_ids, dtype=np.intp),

@@ -142,12 +142,7 @@ def build_minus_one_gerbe(m: int, winding: int = 1) -> GerbeDatum:
     return GerbeDatum(-1, data, cover)
 
 
-def _cap_bundle_data(
-    complex: SimplicialComplex,
-    cover: Cover,
-    longitude: dict[int, float],
-    winding: int,
-) -> TotalCochain:
+def _cap_bundle_data(cover: Cover, longitude: dict[int, float], winding: int) -> TotalCochain:
     """Bundle data on a two-cap cover from longitudes on the band vertices.
 
     The transition layer on the band is winding * longitude.  The
@@ -184,7 +179,7 @@ def build_monopole(m: int, winding: int = 1) -> GerbeDatum:
     band = set(range(2 * m))
     cover = Cover.build(complex, [band | {2 * m}, band | {2 * m + 1}])
     longitude = {v: TWO_PI * (v % m) / m for v in band}
-    data = _cap_bundle_data(complex, cover, longitude, winding)
+    data = _cap_bundle_data(cover, longitude, winding)
     return GerbeDatum(0, data, cover)
 
 
@@ -299,9 +294,5 @@ def gerbopole_equator_pair(
     )
     # reading the transition at (0, 2, 1) negates it, hence -winding
     longitude = {k: TWO_PI * k / m for k in range(m)}
-    direct = GerbeDatum(
-        0,
-        _cap_bundle_data(sphere, cover, longitude, -winding),
-        cover,
-    )
+    direct = GerbeDatum(0, _cap_bundle_data(cover, longitude, -winding), cover)
     return restricted, direct

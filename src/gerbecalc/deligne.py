@@ -130,6 +130,12 @@ def _worst(magnitudes: Iterable[float]) -> float:
     return float(np.max(list(magnitudes), initial=0.0))
 
 
+def _peak_order(peak: ResidualPeak) -> tuple:
+    """NaN magnitudes first, since NaN compares false with everything; then the largest."""
+    nan = math.isnan(peak.magnitude)
+    return (not nan, 0.0 if nan else -peak.magnitude, peak.bidegree, peak.indices, peak.cell)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Per-bidegree cocycle residuals; pass iff all are finite and within tol."""
@@ -172,7 +178,7 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
             for cell, value in comp.values.items():
                 peaks.append(ResidualPeak(key, t, cell, abs(value)))
         residuals[key] = _worst(pk.magnitude for pk in peaks[start:])
-    peaks.sort(key=lambda pk: (-pk.magnitude, pk.bidegree, pk.indices, pk.cell))
+    peaks.sort(key=_peak_order)
     worst = _worst(residuals.values())
     passed = math.isfinite(worst) and worst <= tol
     return ValidationReport(tol, residuals, tuple(peaks[:8]), passed)

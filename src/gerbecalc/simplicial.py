@@ -147,12 +147,15 @@ class SimplicialComplex:
         return self.simplices.get(dim, ())
 
     @cached_property
-    def _cell_sets(self) -> dict[int, frozenset[Simplex]]:
-        return {q: frozenset(cs) for q, cs in self.simplices.items()}
+    def _positions(self) -> dict[int, dict[Simplex, int]]:
+        return {q: dict(zip(cs, range(len(cs)))) for q, cs in self.simplices.items()}
+
+    def cell_positions(self, dim: int) -> dict[Simplex, int]:
+        """Each dim-cell mapped to its position in ``cells(dim)``."""
+        return self._positions.get(dim, {})
 
     def has_cell(self, simplex: Simplex) -> bool:
-        group = self._cell_sets.get(len(simplex) - 1)
-        return group is not None and simplex in group
+        return simplex in self._positions.get(len(simplex) - 1, ())
 
     @cached_property
     def vertices(self) -> frozenset[int]:

@@ -1,6 +1,6 @@
 import pytest
 
-from gerbecalc import SimplicialComplex
+from gerbecalc import Cover, SimplicialComplex
 
 ICOSAHEDRON_FACES = [
     (0, 1, 2),
@@ -24,6 +24,15 @@ ICOSAHEDRON_FACES = [
     (9, 10, 11),
     (6, 10, 11),
 ]
+
+
+def closed_star_cover(complex):
+    """One set per vertex: the vertices of the top cells around it."""
+    stars = [{v} for v in range(complex.vertex_count)]
+    for cell in complex.cells(complex.top_dimension):
+        for v in cell:
+            stars[v].update(cell)
+    return Cover.build(complex, stars)
 
 
 @pytest.fixture(scope="session")

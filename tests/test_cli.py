@@ -75,6 +75,26 @@ class TestValidate:
         assert "FAIL" in captured.out
         assert "3.000e-01" in captured.out
 
+    def test_overflowing_residual_fails_with_residual_lines(self, tmp_path, capsys):
+        # finite file values whose (1,2) residual, a wrapped row, overflows to inf
+        doc = datum_to_dict(build_monopole(12))
+        for part in doc["datum"]["parts"]:
+            if (part["p"], part["n"]) == (1, 1):
+                (component,) = part["components"]
+                entry = next(e for e in component["entries"] if e["simplex"] == [0, 1])
+                entry["value"] = 1.7e308
+                part["components"].insert(
+                    0, {"indices": [0], "entries": [{"simplex": [0, 1], "value": -1.7e308}]}
+                )
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "residual (p=1,n=2): inf" in captured.out
+        assert captured.out.splitlines()[-1].startswith("FAIL")
+        assert "error" not in captured.err
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{this is not json")

@@ -32,20 +32,13 @@ from gerbecalc.builders import (
 from gerbecalc.randomdata import random_gauge_potential
 from gerbecalc.rng import Lcg64
 
+from conftest import closed_star_cover
+
 # the minimal triangulation of the real projective plane: 6 vertices, 15 edges
 RP2_TRIANGLES = [
     (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
     (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
 ]
-
-
-def closed_star_cover(complex):
-    """One set per vertex: the vertices of the top cells around it."""
-    stars = [{v} for v in range(complex.vertex_count)]
-    for cell in complex.cells(complex.top_dimension):
-        for v in cell:
-            stars[v].update(cell)
-    return Cover.build(complex, stars)
 
 
 @st.composite

@@ -31,8 +31,10 @@ from gerbecalc import (
 from gerbecalc.builders import join_sphere3, two_cone_sphere
 from gerbecalc.cover import Cover
 from gerbecalc.deligne import _cgls, _coboundary_matrix, _LayerBasis
-from gerbecalc.randomdata import random_gauge_potential
+from gerbecalc.randomdata import random_gauge_potential, random_total
 from gerbecalc.rng import Lcg64
+
+from conftest import closed_star_cover
 
 TWO_PI = 2.0 * math.pi
 
@@ -156,6 +158,51 @@ class TestValidate:
         assert not report.passed
         assert math.isnan(report.residuals[(2, 1)])
         assert math.isnan(report.max_residual())
+
+    @pytest.mark.parametrize("position", [0, 5, -1])
+    def test_nan_cell_leads_the_worst_cells(self, position):
+        # shifted connection values give many residual cells larger than 1,
+        # which a NaN cell must not fall behind
+        datum = build_monopole(12)
+        parts = dict(datum.data.parts)
+        connection = parts[(1, 1)].components[(1,)]
+        parts[(1, 1)] = BigradedCochain(
+            1, 1, {(1,): Cochain(1, {e: v + 1.0 for e, v in connection.values.items()})}
+        )
+        values = dict(parts[(2, 0)].components[()].values)
+        nan_cell = list(values)[position]
+        values[nan_cell] = math.nan
+        parts[(2, 0)] = BigradedCochain(2, 0, {(): Cochain(2, values)})
+        report = validate_cocycle(GerbeDatum(0, TotalCochain(2, parts), datum.cover))
+        assert math.isnan(report.residuals[(2, 1)])
+        nan_peaks = [pk for pk in report.worst if math.isnan(pk.magnitude)]
+        assert nan_peaks and report.worst[: len(nan_peaks)] == tuple(nan_peaks)
+        assert {pk.cell for pk in nan_peaks} == {nan_cell}
+        rest = [pk.magnitude for pk in report.worst[len(nan_peaks) :]]
+        assert rest == sorted(rest, reverse=True) and rest[0] > 1.0
+
+    @pytest.mark.parametrize("layer", ["connection", "transition"])
+    def test_overflow_in_a_wrapped_row_fails_instead_of_raising(self, layer):
+        # finite values whose residual in the (1, 2) row, which is wrapped,
+        # overflows to inf: through delta of the connection, or through the
+        # wrapped edge difference of the transition on the band edge (0, 1)
+        datum = build_monopole(12)
+        parts = dict(datum.data.parts)
+        if layer == "connection":
+            connection = dict(parts[(1, 1)].components[(1,)].values)
+            connection[(0, 1)] = 1.7e308
+            parts[(1, 1)] = BigradedCochain(
+                1, 1, {(0,): Cochain(1, {(0, 1): -1.7e308}), (1,): Cochain(1, connection)}
+            )
+        else:
+            phi = dict(parts[(0, 2)].components[(0, 1)].values)
+            phi[(0,)], phi[(1,)] = 1.7e308, -1.7e308
+            parts[(0, 2)] = BigradedCochain(0, 2, {(0, 1): Cochain(0, phi)}, angle_valued=True)
+        report = validate_cocycle(GerbeDatum(0, TotalCochain(2, parts), datum.cover))
+        assert not report.passed
+        assert report.residuals[(1, 2)] == math.inf
+        assert report.worst[0].magnitude == math.inf
+        assert report.worst[0].bidegree == (1, 2)
 
     def test_max_residual_reports_nan_in_any_position(self):
         for residuals in (
@@ -329,6 +376,24 @@ class TestGaugeEquivalence:
         with pytest.raises(GerbecalcError):
             gauge_equivalent(datum, broken)
 
+    def test_overflowing_difference_raises_numeric_error(self):
+        # both data are cocycles, constant transitions of +-1.7e308 on every
+        # arc, but their difference overflows to -inf in the angle layer
+        cover = build_minus_one_gerbe(12).cover
+
+        def constant_transition(value):
+            functions = {
+                (i,): Cochain(0, {v: value for v in cover.overlap((i,)).cells(0)})
+                for i in range(len(cover.sets))
+            }
+            part = BigradedCochain(0, 1, functions, angle_valued=True)
+            return GerbeDatum(-1, TotalCochain(1, {(0, 1): part}), cover)
+
+        first, second = constant_transition(1.7e308), constant_transition(-1.7e308)
+        assert validate_cocycle(first).passed and validate_cocycle(second).passed
+        with pytest.raises(NumericError, match="not finite"):
+            gauge_equivalent(first, second)
+
     def test_level_mismatch_rejected(self):
         datum = build_monopole(6)
         with pytest.raises(InvalidInputError):
@@ -383,14 +448,21 @@ class TestHigherGaugeShift:
 class TestCoboundaryMatrix:
     """The sparse D of the equivalence solve against big_d as the reference."""
 
-    @pytest.mark.parametrize(
-        "datum",
-        [build_minus_one_gerbe(12), build_monopole(12), build_gerbopole(6)],
-        ids=["level-1", "level0", "level1"],
-    )
+    # name -> (cover, level), given the icosahedron fixture; the closed-star
+    # cover's nerve goes six sets deep, and at level 2 the delta rows read
+    # parent overlaps of up to three sets
+    DATA = {
+        "level-1": lambda ico: (build_minus_one_gerbe(12).cover, -1),
+        "level0": lambda ico: (build_monopole(12).cover, 0),
+        "level1": lambda ico: (build_gerbopole(6).cover, 1),
+        "icosahedron-stars": lambda ico: (closed_star_cover(ico), 2),
+    }
+
+    @pytest.mark.parametrize("name", list(DATA))
     @pytest.mark.parametrize("omit_top_form", [False, True])
-    def test_matches_big_d_on_random_vectors(self, datum, omit_top_form):
-        cover, k = datum.cover, datum.level + 2
+    def test_matches_big_d_on_random_vectors(self, name, omit_top_form, icosahedron):
+        cover, level = self.DATA[name](icosahedron)
+        k = level + 2
         cols = _LayerBasis(cover, k - 1, omit_top_form=omit_top_form)
         rows = _LayerBasis(cover, k, omit_top_form=False)
         matrix = _coboundary_matrix(cover, cols, rows)
@@ -421,3 +493,50 @@ class TestCoboundaryMatrix:
             _cgls(matrix, b, max_iterations=2)
         x = _cgls(matrix, b)
         assert np.max(np.abs(matrix.apply(x) - b)) < 1e-13
+
+
+class TestLayerBasis:
+    """Flat coordinates: one block per overlap, cells in ``cells(p)`` order."""
+
+    @pytest.mark.parametrize("omit_top_form", [False, True])
+    def test_round_trip(self, icosahedron, omit_top_form):
+        cover = closed_star_cover(icosahedron)
+        for k in range(1, 5):
+            basis = _LayerBasis(cover, k, omit_top_form=omit_top_form)
+            if omit_top_form:
+                x = random_gauge_potential(cover, k, Lcg64(61 + k)).data
+            else:
+                x = random_total(cover, k, Lcg64(61 + k))
+            vec = basis.vector_of(x)
+            assert np.count_nonzero(vec) == len(basis.entries)
+            assert basis.total_of(vec) == x
+
+    def test_blocks_follow_the_layers(self, icosahedron):
+        cover = closed_star_cover(icosahedron)
+        basis = _LayerBasis(cover, 3, omit_top_form=False)
+        for j, (p, n, t, cell) in enumerate(basis.entries):
+            assert j in basis.positions[p, n]
+            assert j == basis.start[t] + cover.layer(n)[t].cells(p).index(cell)
+
+    @pytest.mark.parametrize(
+        "part, omit_top_form",
+        [
+            # stars of opposite vertices 0 and 11 do not meet: (0, 11) is outside the nerve
+            (BigradedCochain(0, 2, {(0, 11): Cochain(0, {(0,): 1.0})}), False),
+            # vertex 11 lies outside the overlap of the stars of 0 and 1
+            (BigradedCochain(0, 2, {(0, 1): Cochain(0, {(11,): 1.0})}), False),
+            # the global top-form part is omitted from a potential's basis
+            (BigradedCochain(2, 0, {(): Cochain(2, {(0, 1, 2): 1.0})}), True),
+        ],
+        ids=["tuple-outside-nerve", "cell-outside-overlap", "omitted-top-form"],
+    )
+    def test_value_outside_the_basis_raises(self, icosahedron, part, omit_top_form):
+        cover = closed_star_cover(icosahedron)
+        assert (0, 11) not in cover.layer(2)
+        basis = _LayerBasis(cover, 2, omit_top_form=omit_top_form)
+        key = (part.form_degree, part.cech_degree)
+        with pytest.raises(InvalidInputError, match="outside the basis"):
+            basis.vector_of(TotalCochain(2, {key: part}))
+        t, comp = next(iter(part.components.items()))
+        zero = BigradedCochain(*key, {t: Cochain(comp.degree, dict.fromkeys(comp.values, 0.0))})
+        assert not basis.vector_of(TotalCochain(2, {key: zero})).any()
