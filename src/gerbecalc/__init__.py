@@ -17,7 +17,6 @@ from .bicomplex import (
     dbar,
     permutation_sign,
     wrap,
-    wrap_d,
 )
 from .builders import (
     build_gerbopole,

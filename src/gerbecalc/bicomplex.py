@@ -23,9 +23,9 @@ and its own faces, with the sign (-1)^a of ``simplicial._deletion_sign``, the
 twist (-1)^n of ``_twist`` and the minus of D = delta - dbar in ``_DBAR_IN_D``.
 
 Angle-valued layers.  A (0, n) layer may be flagged angle-valued, meaning its
-values are defined only modulo 2*pi.  Its derivative is taken with per-edge
-wrapping into (-pi, pi], and residuals of equations fed by such a layer must
-be wrapped before comparison with zero.
+values are defined only modulo 2*pi.  The flag declares a type; no operator
+here reads it, since D is linear on every layer.  Only the equations hold
+modulo 2*pi, so ``deligne`` wraps the rows it compares with zero.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .cover import Cover
 from .errors import InvalidInputError
-from .simplicial import Cochain, Simplex, SimplicialComplex, _deletion_sign, exterior_derivative
+from .simplicial import Cochain, Simplex, _deletion_sign, _worst, exterior_derivative
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,7 +48,6 @@ _DBAR_IN_D = -1
 __all__ = [
     "TWO_PI",
     "wrap",
-    "wrap_d",
     "permutation_sign",
     "BigradedCochain",
     "TotalCochain",
@@ -73,26 +72,6 @@ def wrap(x: float) -> float:
 def _wrap_finite(x: float) -> float:
     """wrap(x) for finite x; anything else stays as it is, so an overflow still shows."""
     return wrap(x) if math.isfinite(x) else x
-
-
-def wrap_d(f: Cochain, complex: SimplicialComplex) -> Cochain:
-    """Wrapped edge differences of an angle-valued vertex function.
-
-    The result is invariant under shifting any single vertex value by a
-    multiple of 2*pi, which makes winding counts exact telescoping sums.  A
-    difference that overflows stays infinite.
-    """
-    if f.degree != 0:
-        raise InvalidInputError("wrap_d expects a 0-cochain")
-    for v in complex.cells(0):
-        if v not in f.values:
-            raise InvalidInputError(f"no angle value at vertex {v[0]}")
-    out = {}
-    for a, b in complex.cells(1):
-        val = _wrap_finite(f.values[(b,)] - f.values[(a,)])
-        if val != 0.0:
-            out[(a, b)] = val
-    return Cochain(1, out)
 
 
 def permutation_sign(indices: Iterable[int]) -> int:
@@ -158,7 +137,7 @@ class BigradedCochain:
         return comp if sign > 0 else comp.scaled(-1.0)
 
     def sup_norm(self) -> float:
-        return max((c.sup_norm() for c in self.components.values()), default=0.0)
+        return _worst(c.sup_norm() for c in self.components.values())
 
     def scaled(self, factor: float) -> "BigradedCochain":
         comps = {}
@@ -166,15 +145,6 @@ class BigradedCochain:
             sc = c.scaled(factor)
             if sc.values:
                 comps[t] = sc
-        return BigradedCochain(self.form_degree, self.cech_degree, comps, self.angle_valued)
-
-    def wrapped(self) -> "BigradedCochain":
-        """Wrap every finite stored value, keep the others; multiples of 2*pi drop out."""
-        comps = {}
-        for t, c in self.components.items():
-            values = {s: w for s, v in c.values.items() if (w := _wrap_finite(v)) != 0.0}
-            if values:
-                comps[t] = Cochain(self.form_degree, values)
         return BigradedCochain(self.form_degree, self.cech_degree, comps, self.angle_valued)
 
     def __add__(self, other: "BigradedCochain") -> "BigradedCochain":
@@ -193,9 +163,6 @@ class BigradedCochain:
             comps,
             self.angle_valued or other.angle_valued,
         )
-
-    def __sub__(self, other: "BigradedCochain") -> "BigradedCochain":
-        return self + other.scaled(-1.0)
 
 
 @dataclass(frozen=True)
@@ -230,7 +197,7 @@ class TotalCochain:
         return self.parts.get((p, n))
 
     def sup_norm(self) -> float:
-        return max((part.sup_norm() for part in self.parts.values()), default=0.0)
+        return _worst(part.sup_norm() for part in self.parts.values())
 
     def scaled(self, factor: float) -> "TotalCochain":
         parts = {}
@@ -313,8 +280,8 @@ def cech_delta(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
 def dbar(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
     """Sign-twisted cellwise coboundary (-1)^n d, taken inside each overlap.
 
-    Angle-valued input uses wrapped edge differences; the output is an
-    ordinary real-valued layer either way.
+    Linear on angle-valued layers too, with absent values read as zero; the
+    output is an ordinary real-valued layer.
     """
     _check_indices(cochain, cover)
     p, n = cochain.form_degree, cochain.cech_degree
@@ -322,7 +289,7 @@ def dbar(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
     for key in sorted(cochain.components):
         comp = cochain.components[key]
         sub = cover.overlap(key)
-        der = wrap_d(comp, sub) if cochain.angle_valued else exterior_derivative(comp, sub)
+        der = exterior_derivative(comp, sub)
         if _twist(n) < 0:
             der = der.scaled(-1.0)
         if der.values:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .bicomplex import (
     _coboundary_matrix,
     _LayerBasis,
     _SparseD,
+    _wrap_finite,
     big_d,
     wrap,
 )
@@ -41,6 +41,7 @@ from .simplicial import (
     Cochain,
     Simplex,
     SimplicialComplex,
+    _worst,
     fundamental_cycle,
     integrate,
 )
@@ -125,11 +126,6 @@ def _checked_tol(tol: float, name: str = "tol") -> float:
     return tol
 
 
-def _worst(magnitudes: Iterable[float]) -> float:
-    """The largest magnitude, 0.0 for none, NaN if any is NaN (max() can miss one)."""
-    return float(np.max(list(magnitudes), initial=0.0))
-
-
 def _peak_order(peak: ResidualPeak) -> tuple:
     """NaN magnitudes first, since NaN compares false with everything; then the largest."""
     nan = math.isnan(peak.magnitude)
@@ -152,10 +148,11 @@ class ValidationReport:
 def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationReport:
     """Check that the total coboundary of the datum vanishes.
 
-    Residuals at the two bidegrees fed by the angle layer, (0, k+1) and
-    (1, k), are wrapped into (-pi, pi] before the tolerance test, since those
-    equations only hold modulo 2*pi.  A non-finite residual fails at any
-    tolerance; a NaN, infinite or negative tolerance raises InvalidInputError.
+    D is linear, so the residual rows fed by the angle layer, (0, k+1) and
+    (1, k), hold only modulo 2*pi: each of their values is wrapped into
+    (-pi, pi] before the tolerance test, and one that wraps to 0 is dropped.
+    A non-finite residual fails at any tolerance; a NaN, infinite or negative
+    tolerance raises InvalidInputError.
     """
     tol = _checked_tol(DEFAULT_VALIDATION_TOL if tol is None else tol)
     k = datum.level + 2
@@ -171,12 +168,13 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
         if part is None:
             residuals[key] = 0.0
             continue
-        if key in wrap_rows:
-            part = part.wrapped()
-        start = len(peaks)
+        start, wrapped = len(peaks), key in wrap_rows
         for t, comp in part.components.items():
             for cell, value in comp.values.items():
-                peaks.append(ResidualPeak(key, t, cell, abs(value)))
+                if wrapped:
+                    value = _wrap_finite(value)
+                if value != 0.0:
+                    peaks.append(ResidualPeak(key, t, cell, abs(value)))
         residuals[key] = _worst(pk.magnitude for pk in peaks[start:])
     peaks.sort(key=_peak_order)
     worst = _worst(residuals.values())
@@ -256,10 +254,11 @@ def gauge_equivalent(
     D is assembled sparsely and the minimum-norm potential is found by CGLS,
     whose cost grows with the nonzeros of D times the iterations; it never
     forms D^T D, so the conditioning is that of D and not its square.
-    The difference's angle layer is wrapped componentwise before solving and
-    angle-layer residual rows are wrapped before the tolerance test, which
-    absorbs the 2*pi ambiguity for small winding differences.  Large relative
-    windings can defeat the wrapping; charges then separate the data anyway.
+    D is linear; only the (0, k) rows, which compare the transition layers,
+    hold modulo 2*pi.  They are wrapped cell by cell in the difference before
+    solving and in the residual before the tolerance test, which absorbs the
+    2*pi ambiguity for small winding differences.  Large relative windings
+    can defeat the wrapping; charges then separate the data anyway.
     A NaN, infinite or negative tolerance raises InvalidInputError.
     """
     tol = _checked_tol(DEFAULT_EQUIVALENCE_TOL if tol is None else tol)
@@ -271,18 +270,19 @@ def gauge_equivalent(
         if not validate_cocycle(datum, tol).passed:
             raise InvalidInputError(f"{name} datum is not a cocycle at tolerance {tol:g}")
     k = first.level + 2
-    delta = second.data - first.data
-    if (0, k) in delta.parts:
-        delta = TotalCochain(k, {**delta.parts, (0, k): delta.parts[(0, k)].wrapped()})
     rows = _LayerBasis(first.cover, k, omit_top_form=False)
     cols = _LayerBasis(first.cover, k - 1, omit_top_form=True)
-    b = rows.vector_of(delta)
+    with np.errstate(over="ignore"):
+        b = rows.vector_of(second.data) - rows.vector_of(first.data)
     if not np.all(np.isfinite(b)):
         raise NumericError("the difference of the data is not finite")
+    angle_rows = rows.positions.get((0, k), ())
+    for i in angle_rows:
+        b[i] = wrap(float(b[i]))
     matrix = _coboundary_matrix(first.cover, cols, rows)
     x = _cgls(matrix, b)
     residual_vec = matrix.apply(x) - b
-    for i in rows.positions.get((0, k), ()):
+    for i in angle_rows:
         residual_vec[i] = wrap(float(residual_vec[i]))
     residual = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
     if residual <= tol:

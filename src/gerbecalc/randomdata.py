@@ -19,13 +19,13 @@ def random_complex(rng: Lcg64) -> SimplicialComplex:
     return two_cone_sphere(rng.randint(4, 9))
 
 
-def random_cover(complex: SimplicialComplex, rng: Lcg64, max_sets: int = 3) -> Cover:
+def random_cover(complex: SimplicialComplex, rng: Lcg64) -> Cover:
     """Random cover built by assigning top cells to sets, plus thickening.
 
     Every cell of the complex is a face of some top cell, so the assignment
     guarantees the cover refines the complex.
     """
-    nsets = rng.randint(2, max(2, max_sets))
+    nsets = rng.randint(2, 3)
     sets: list[set[int]] = [set() for _ in range(nsets)]
     tops = complex.cells(complex.top_dimension)
     for cell in tops:

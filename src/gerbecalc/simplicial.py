@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import InvalidInputError, StructuralError
 
 Simplex = tuple[int, ...]
@@ -28,6 +30,11 @@ __all__ = [
     "chain_boundary",
     "boundary_matrix",
 ]
+
+
+def _worst(magnitudes: Iterable[float]) -> float:
+    """The largest magnitude, 0.0 for none, NaN if any is NaN (max() can miss one)."""
+    return float(np.max(list(magnitudes), initial=0.0))
 
 
 def _deletion_sign(i: int) -> int:
@@ -199,7 +206,7 @@ class Cochain:
         return self.values.get(tuple(cell), 0.0)
 
     def sup_norm(self) -> float:
-        return max((abs(v) for v in self.values.values()), default=0.0)
+        return _worst(abs(v) for v in self.values.values())
 
     def scaled(self, factor: float) -> "Cochain":
         if factor == 0.0:

@@ -14,11 +14,8 @@ from gerbecalc import (
     big_d,
     cech_delta,
     dbar,
-    fundamental_cycle,
-    integrate,
     permutation_sign,
     wrap,
-    wrap_d,
 )
 from gerbecalc.bicomplex import _square_blocks
 from gerbecalc.builders import (
@@ -57,38 +54,6 @@ class TestWrap:
         assert abs(math.remainder(w - x, TWO_PI)) < 1e-9
 
 
-class TestWrapD:
-    def test_constant_gives_zero(self):
-        K = circle_complex(8)
-        f = Cochain(0, {(v,): 1.25 for v in range(8)})
-        assert wrap_d(f, K).values == {}
-
-    def test_winding_one_on_circle(self):
-        m = 12
-        K = circle_complex(m)
-        f = Cochain(0, {(v,): TWO_PI * v / m for v in range(m)})
-        df = wrap_d(f, K)
-        for k in range(m - 1):
-            assert df.values[(k, k + 1)] == pytest.approx(TWO_PI / m, abs=1e-15)
-        # oracle: winding = sum of m wrapped increments of 2*pi/m each
-        assert integrate(df, fundamental_cycle(K)) == pytest.approx(TWO_PI, abs=1e-12)
-
-    def test_invariant_under_2pi_shifts(self):
-        K = circle_complex(6)
-        base = {(v,): 0.3 * v for v in range(6)}
-        shifted = dict(base)
-        shifted[(2,)] += TWO_PI
-        shifted[(5,)] -= 2 * TWO_PI
-        a = wrap_d(Cochain(0, base), K)
-        b = wrap_d(Cochain(0, shifted), K)
-        assert (a - b).sup_norm() < 1e-12
-
-    def test_missing_vertex_rejected(self):
-        K = circle_complex(6)
-        with pytest.raises(InvalidInputError):
-            wrap_d(Cochain(0, {(0,): 1.0}), K)
-
-
 class TestAntisymmetry:
     def test_permutation_sign(self):
         assert permutation_sign((0, 1, 2)) == 1
@@ -113,6 +78,41 @@ def two_set_cover():
     K = two_cone_sphere(6)
     band = set(range(12))
     return Cover.build(K, [band | {12}, band | {13}])
+
+
+class TestSupNorm:
+    """A NaN anywhere makes the sup norm NaN; the built-in max() misses a NaN
+    that comes after a number."""
+
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_nan_in_any_position_at_every_level(self, position):
+        def nan_at(mapping, make_nan):
+            key = list(mapping)[position]
+            return {**mapping, key: make_nan(key)}
+
+        def part(key, value):
+            p, n = key
+            cochain = Cochain(p, {tuple(range(p + 1)): value})
+            return BigradedCochain(p, n, {tuple(range(n)): cochain})
+
+        cochain = Cochain(0, nan_at({(v,): 2.0 for v in range(4)}, lambda key: math.nan))
+        layer = BigradedCochain(
+            0,
+            1,
+            nan_at(
+                {(i,): Cochain(0, {(0,): 2.0}) for i in range(3)},
+                lambda key: Cochain(0, {(0,): math.nan}),
+            ),
+        )
+        total = TotalCochain(
+            2,
+            nan_at(
+                {(p, 2 - p): part((p, 2 - p), 2.0) for p in range(3)},
+                lambda key: part(key, math.nan),
+            ),
+        )
+        for x in (cochain, layer, total):
+            assert math.isnan(x.sup_norm())
 
 
 class TestCechDelta:

@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import gerbecalc
 
 from gerbecalc import GerbeDatum, TotalCochain, build_minus_one_gerbe, build_monopole
 from gerbecalc.cli import main
 from gerbecalc.serialize import datum_from_dict, datum_to_dict, load_datum, save_datum
+
+from conftest import sparse_transition_monopoles
 
 
 @pytest.fixture
@@ -94,6 +102,17 @@ class TestValidate:
         assert "residual (p=1,n=2): inf" in captured.out
         assert captured.out.splitlines()[-1].startswith("FAIL")
         assert "error" not in captured.err
+
+    @pytest.mark.parametrize("name", ["zeros-left-out", "shift-to-zero"])
+    def test_absent_transition_values_pass_and_stay_equivalent(
+        self, name, monopole_file, tmp_path, capsys
+    ):
+        path = tmp_path / "sparse.json"
+        save_datum(path, sparse_transition_monopoles()[1][name])
+        assert main(["validate", str(path)]) == 0
+        assert main(["equiv", str(monopole_file), str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "EQUIVALENT" in out
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -265,3 +284,18 @@ class TestRoundTrip:
         path2 = tmp_path / "datum2.json"
         save_datum(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy roughly doubled the time of every CLI call
+    code = (
+        "import sys, gerbecalc.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(gerbecalc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -34,7 +34,7 @@ from gerbecalc.deligne import _cgls, _coboundary_matrix, _LayerBasis
 from gerbecalc.randomdata import random_gauge_potential, random_total
 from gerbecalc.rng import Lcg64
 
-from conftest import closed_star_cover
+from conftest import closed_star_cover, sparse_transition_monopoles
 
 TWO_PI = 2.0 * math.pi
 
@@ -185,7 +185,7 @@ class TestValidate:
     def test_overflow_in_a_wrapped_row_fails_instead_of_raising(self, layer):
         # finite values whose residual in the (1, 2) row, which is wrapped,
         # overflows to inf: through delta of the connection, or through the
-        # wrapped edge difference of the transition on the band edge (0, 1)
+        # edge difference of the transition on the band edge (0, 1)
         datum = build_monopole(12)
         parts = dict(datum.data.parts)
         if layer == "connection":
@@ -394,6 +394,39 @@ class TestGaugeEquivalence:
         with pytest.raises(NumericError, match="not finite"):
             gauge_equivalent(first, second)
 
+    @pytest.mark.parametrize(
+        "build", [build_minus_one_gerbe, build_monopole, build_gerbopole],
+        ids=["minus1", "monopole", "gerbopole"],
+    )
+    def test_invariant_under_2pi_shifts_of_transition_values(self, build):
+        # D is linear, so the shifts reach the residual and the difference as
+        # multiples of 2*pi, which the wrapped rows absorb
+        datum = build(12)
+        k = datum.level + 2
+        layer = datum.transition_layer
+        turned = {
+            t: Cochain(
+                0, {c: v + TWO_PI * (i % 5 - 2) for i, (c, v) in enumerate(comp.values.items())}
+            )
+            for t, comp in layer.components.items()
+        }
+        parts = {**datum.data.parts, (0, k): BigradedCochain(0, k, turned, angle_valued=True)}
+        shifted = GerbeDatum(datum.level, TotalCochain(k, parts), datum.cover)
+        assert validate_cocycle(shifted, 1e-12).passed
+        for result in (gauge_equivalent(datum, shifted), gauge_equivalent(shifted, datum)):
+            assert result.equivalent
+            assert result.residual < 1e-12
+            assert result.witness.data.sup_norm() < 1e-12
+
+    @pytest.mark.parametrize("name", ["zeros-left-out", "shift-to-zero"])
+    def test_absent_transition_values_mean_zero(self, name):
+        datum, sparse = sparse_transition_monopoles()
+        report = validate_cocycle(sparse[name], 0.0)
+        assert report.passed and report.max_residual() == 0.0
+        result = gauge_equivalent(datum, sparse[name])
+        assert result.equivalent
+        assert result.residual < 1e-12
+
     def test_level_mismatch_rejected(self):
         datum = build_monopole(6)
         with pytest.raises(InvalidInputError):
@@ -480,6 +513,18 @@ class TestCoboundaryMatrix:
             dense = np.zeros(matrix.shape)
             dense[matrix.rows, matrix.cols] = matrix.signs
             np.testing.assert_allclose(matrix.apply_transpose(y), dense.T @ y, rtol=0.0, atol=1e-14)
+        # an angle-valued (0, k-1) part spread over several multiples of 2*pi:
+        # big_d stays linear on it, as the matrix is
+        x = np.array([rng.uniform(-1.0, 1.0) for _ in cols.entries])
+        angle = cols.positions.get((0, k - 1), range(0))
+        x[angle] += [TWO_PI * rng.randint(-3, 3) for _ in angle]
+        parts = dict(cols.total_of(x).parts)
+        if angle:
+            angles = parts[0, k - 1].components
+            parts[0, k - 1] = BigradedCochain(0, k - 1, angles, angle_valued=True)
+        expected = rows.vector_of(big_d(TotalCochain(k - 1, parts), cover))
+        # terms up to 7*pi in size, summed in another order
+        np.testing.assert_allclose(matrix.apply(x), expected, rtol=0.0, atol=1e-13)
 
     def test_solve_that_hits_the_iteration_cap_raises(self):
         datum = build_monopole(6)
