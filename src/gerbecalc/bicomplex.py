@@ -13,14 +13,16 @@ with each summand restricted to the deeper overlap.  The cellwise coboundary
 is twisted to dbar = (-1)^n d so that delta and dbar anticommute, and the
 total operator is D = delta - dbar, which squares to zero.
 
-Two representations, one module.  ``cech_delta``, ``dbar`` and ``big_d`` act
-on the dict cochains and touch only stored values, which suits validation
-and gauge shifts of sparse data.  ``_coboundary_matrix`` assembles D as a
-sparse integer matrix over flat bases (``_LayerBasis``: a block per overlap),
-for the equivalence solve and the exact check that D^2 = 0.  Both walk the
-targets in ``Cover.layer``: a cell reads the same cell at each parent tuple
-and its own faces, with the sign (-1)^a of ``simplicial._deletion_sign``, the
-twist (-1)^n of ``_twist`` and the minus of D = delta - dbar in ``_DBAR_IN_D``.
+Two representations, one walk.  ``_incidences`` lists the nonzeros of D
+block by block: a p-cell in the overlap of t reads its own faces (dbar) and
+the same cell at each parent tuple (delta), with the sign (-1)^a of
+``simplicial._deletion_sign``, the twist (-1)^n and the minus of
+D = delta - dbar in ``_DBAR_IN_D``.  ``cech_delta``, ``dbar`` and ``big_d``
+sum its runs over the stored values of dict cochains, for validation and
+gauge shifts; ``_coboundary_matrix`` turns them into a sparse integer matrix
+over flat bases (``_LayerBasis``: a block per overlap), for the equivalence
+solve and the exact check that D^2 = 0.  Both sum in one order, so they
+agree bit for bit.
 
 Angle-valued layers.  A (0, n) layer may be flagged angle-valued, meaning its
 values are defined only modulo 2*pi.  The flag declares a type; no operator
@@ -38,7 +40,7 @@ import numpy as np
 
 from .cover import Cover
 from .errors import InvalidInputError
-from .simplicial import Cochain, Simplex, _deletion_sign, _worst, exterior_derivative
+from .simplicial import Cochain, Simplex, _deletion_sign, _worst
 
 TWO_PI = 2.0 * math.pi
 
@@ -238,83 +240,95 @@ class GaugePotential:
                 )
 
 
-def _twist(n: int) -> int:
-    """(-1)^n, the factor of d in dbar at cech degree n."""
-    return -1 if n % 2 else 1
-
-
-def _check_indices(cochain: BigradedCochain, cover: Cover) -> None:
-    for t in cochain.components:
-        for i in t:
-            if i >= len(cover.sets):
+def _check_support(part: BigradedCochain, cover: Cover) -> None:
+    """Refuse a part that needs more sets than the cover has, a component
+    whose tuple does not index the cover, or a value outside its overlap."""
+    p, n, nsets = part.form_degree, part.cech_degree, len(cover.sets)
+    if n > nsets:
+        raise InvalidInputError(f"part at ({p},{n}) needs {n} cover sets, cover has {nsets}")
+    for t, comp in part.components.items():
+        if t and t[-1] >= nsets:
+            raise InvalidInputError(f"part ({p},{n}) component {t} does not fit {nsets} sets")
+        inside = cover.overlap(t).cell_positions(p)
+        for cell in comp.values:
+            if cell not in inside:
                 raise InvalidInputError(
-                    f"component {t} does not fit a cover with {len(cover.sets)} sets"
+                    f"part ({p},{n}) component {t} spills outside its overlap at {cell}"
                 )
 
 
-def cech_delta(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
-    """Index-deletion coboundary, raising the cover degree by one.
+def _incidences(cover: Cover, p: int, n: int, sources, *, _drop_twist: bool = False):
+    """The nonzeros of D into row block (p, n), in runs (t, cells, source, s,
+    read, sign): the row of ``cells[i]``, a p-cell of the overlap of t, holds
+    ``sign`` at ``read[i]`` in component s of the ``source`` bidegree.
 
-    Each target sums its parents' components restricted to its overlap; the
-    angle-valued flag propagates since sums of angles are still angles.
+    dbar reads face a of each cell at t, with (-1)^a (-1)^n times the minus of
+    D; then delta reads the cell at t less index a, with (-1)^a.  dbar comes
+    first so that a gauge shift's large dbar terms cancel before the small
+    delta terms join.  A block reading nothing in ``sources`` builds no layer.
+    ``_drop_twist`` drops (-1)^n, which breaks D^2 = 0; it exists only to show
+    that the self-check detects a wrong sign.
     """
-    _check_indices(cochain, cover)
+    from_dbar, from_delta = (p - 1, n) in sources, (p, n - 1) in sources
+    if not (from_dbar or from_delta):
+        return
+    dsign = _DBAR_IN_D * (-1 if n % 2 and not _drop_twist else 1)
+    for t, sub in cover.layer(n).items():
+        cells = sub.cells(p)
+        for a in range(p + 1 if from_dbar else 0):
+            faces = [cell[:a] + cell[a + 1 :] for cell in cells]
+            yield t, cells, (p - 1, n), t, faces, dsign * _deletion_sign(a)
+        for a in range(n if from_delta else 0):
+            yield t, cells, (p, n - 1), t[:a] + t[a + 1 :], cells, _deletion_sign(a)
+
+
+def _d_blocks(parts, cover: Cover, blocks) -> dict[tuple[int, int], dict[tuple, Cochain]]:
+    """The components of D(parts) in the given row blocks.  Each cell sums its
+    runs from 0.0 in the order of ``_incidences``, as ``_SparseD.apply`` does,
+    so the two representations agree bit for bit; absent values are zeros."""
+    parts = {key: part for key, part in parts.items() if part.components}
+    for part in parts.values():
+        _check_support(part, cover)
+    out = {}
+    for p, n in blocks:
+        acc: dict[tuple[int, ...], dict[Simplex, float]] = {}
+        for t, cells, source, s, read, sign in _incidences(cover, p, n, parts):
+            comp = parts[source].components.get(s)
+            if comp is None:
+                continue
+            row = acc.setdefault(t, {})
+            for cell, face in zip(cells, read):
+                v = comp.values.get(face)
+                if v is not None:
+                    row[cell] = row.get(cell, 0.0) + sign * v
+        rows = {t: {c: v for c, v in row.items() if v != 0.0} for t, row in acc.items()}
+        out[p, n] = {t: Cochain(p, values) for t, values in rows.items() if values}
+    return out
+
+
+def cech_delta(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
+    """Index-deletion coboundary, the (p, n + 1) block of D.  The angle-valued
+    flag propagates since sums of angles are still angles."""
     p, n = cochain.form_degree, cochain.cech_degree
-    out: dict[tuple[int, ...], Cochain] = {}
-    signs = [_deletion_sign(a) for a in range(n + 1)]
-    absent = Cochain.zero(p)
-    for target, overlap in cover.layer(n + 1).items():
-        inside = overlap.cell_positions(p)
-        acc: dict[Simplex, float] = {}
-        for a, sign in enumerate(signs):
-            comp = cochain.components.get(target[:a] + target[a + 1 :], absent)
-            for cell, value in comp.values.items():
-                if cell in inside:
-                    acc[cell] = acc.get(cell, 0.0) + sign * value
-        values = {cell: v for cell, v in acc.items() if v != 0.0}
-        if values:
-            out[target] = Cochain(p, values)
-    return BigradedCochain(p, n + 1, out, cochain.angle_valued)
+    comps = _d_blocks({(p, n): cochain}, cover, [(p, n + 1)])[p, n + 1]
+    return BigradedCochain(p, n + 1, comps, cochain.angle_valued)
 
 
 def dbar(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
-    """Sign-twisted cellwise coboundary (-1)^n d, taken inside each overlap.
-
-    Linear on angle-valued layers too, with absent values read as zero; the
-    output is an ordinary real-valued layer.
-    """
-    _check_indices(cochain, cover)
+    """Sign-twisted cellwise coboundary (-1)^n d inside each overlap: the
+    (p + 1, n) block of D times ``_DBAR_IN_D``, which undoes its minus.
+    Linear on angle-valued layers too; the output is real-valued."""
     p, n = cochain.form_degree, cochain.cech_degree
-    out: dict[tuple[int, ...], Cochain] = {}
-    for key in sorted(cochain.components):
-        comp = cochain.components[key]
-        sub = cover.overlap(key)
-        der = exterior_derivative(comp, sub)
-        if _twist(n) < 0:
-            der = der.scaled(-1.0)
-        if der.values:
-            out[key] = der
-    return BigradedCochain(p + 1, n, out, False)
+    comps = _d_blocks({(p, n): cochain}, cover, [(p + 1, n)])[p + 1, n]
+    return BigradedCochain(p + 1, n, comps).scaled(_DBAR_IN_D)
 
 
 def big_d(total: TotalCochain, cover: Cover) -> TotalCochain:
     """Total coboundary D = delta - dbar; D(D(x)) = 0 for real-valued x."""
-    acc: dict[tuple[int, int], BigradedCochain] = {}
-
-    def put(key: tuple[int, int], piece: BigradedCochain) -> None:
-        if not piece.components:
-            return
-        cur = acc.get(key)
-        acc[key] = piece if cur is None else cur + piece
-
-    for key in sorted(total.parts):
-        part = total.parts[key]
-        p, n = key
-        put((p, n + 1), cech_delta(part, cover))
-        put((p + 1, n), dbar(part, cover).scaled(_DBAR_IN_D))
-    return TotalCochain(
-        total.total_degree + 1, {k: v for k, v in acc.items() if v.components}
-    )
+    rows = {(p + dp, n + 1 - dp) for p, n in total.parts for dp in (0, 1)}
+    blocks = _d_blocks(total.parts, cover, sorted(rows)).items()
+    parts = {key: BigradedCochain(*key, comps) for key, comps in blocks if comps}
+    return TotalCochain(total.total_degree + 1, parts)
 
 
 class _LayerBasis:
@@ -398,36 +412,17 @@ class _SparseD:
 def _coboundary_matrix(
     cover: Cover, cols: _LayerBasis, rows: _LayerBasis, *, _drop_twist: bool = False
 ) -> _SparseD:
-    """Sparse D = delta - dbar from the column basis to the row basis.
-
-    Rows are walked as ``cech_delta`` and ``exterior_derivative`` walk them:
-    the row of p-cell c in the overlap of t reads, with sign (-1)^a, c in the
-    overlap of t less index a (delta) and face a of c (dbar).  Every lookup
-    hits, since overlaps are induced in their parents and closed under faces.
-    ``_drop_twist`` replaces dbar by the untwisted d, which breaks D^2 = 0; it
-    exists only to show that the self-check detects a wrong sign.
-    """
+    """Sparse D = delta - dbar from the column basis to the row basis: each run
+    of ``_incidences`` fills the rows of its target's block in ``rows`` and the
+    columns of the cells it reads in its source's block in ``cols``."""
     row_ids, col_ids, signs = [], [], []
     for p, n in rows.positions:
-        layer = cover.layer(n)
-        if (p, n - 1) in cols.positions:
-            parents = cover.layer(n - 1)
-            for t, sub in layer.items():
-                for i, cell in enumerate(sub.cells(p), rows.start[t]):
-                    for a in range(n):
-                        face = t[:a] + t[a + 1 :]
-                        row_ids.append(i)
-                        col_ids.append(cols.start[face] + parents[face].cell_positions(p)[cell])
-                        signs.append(_deletion_sign(a))
-        if (p - 1, n) in cols.positions:
-            dsign = _DBAR_IN_D * (1 if _drop_twist else _twist(n))
-            for t, sub in layer.items():
-                at, faces = cols.start[t], sub.cell_positions(p - 1)
-                for i, tau in enumerate(sub.cells(p), rows.start[t]):
-                    for a in range(p + 1):
-                        row_ids.append(i)
-                        col_ids.append(at + faces[tau[:a] + tau[a + 1 :]])
-                        signs.append(dsign * _deletion_sign(a))
+        runs = _incidences(cover, p, n, cols.positions, _drop_twist=_drop_twist)
+        for t, cells, (sp, sn), s, read, sign in runs:
+            at, inside = cols.start[s], cover.layer(sn)[s].cell_positions(sp)
+            row_ids.extend(range(rows.start[t], rows.start[t] + len(cells)))
+            col_ids.extend([at + inside[cell] for cell in read])
+            signs.extend([sign] * len(cells))
     return _SparseD(
         (len(rows.entries), len(cols.entries)),
         np.array(row_ids, dtype=np.intp),

@@ -28,6 +28,7 @@ from .bicomplex import (
     BigradedCochain,
     GaugePotential,
     TotalCochain,
+    _check_support,
     _coboundary_matrix,
     _LayerBasis,
     _SparseD,
@@ -40,7 +41,6 @@ from .errors import InvalidInputError, NumericError
 from .simplicial import (
     Cochain,
     Simplex,
-    SimplicialComplex,
     _worst,
     fundamental_cycle,
     integrate,
@@ -87,23 +87,9 @@ class GerbeDatum:
                 f"level {self.level} needs total degree {k}, got {self.data.total_degree}"
             )
         for (p, n), part in self.data.parts.items():
-            if n > len(self.cover.sets):
-                raise InvalidInputError(
-                    f"part at ({p},{n}) needs {n} cover sets, cover has {len(self.cover.sets)}"
-                )
+            _check_support(part, self.cover)
             if (p, n) == (0, k) and not part.angle_valued:
                 raise InvalidInputError("the transition layer must be angle-valued")
-            for t, comp in part.components.items():
-                sub = self.cover.overlap(t)
-                for cell in comp.values:
-                    if not sub.has_cell(cell):
-                        raise InvalidInputError(
-                            f"part ({p},{n}) component {t} spills outside its overlap at {cell}"
-                        )
-
-    @property
-    def complex(self) -> SimplicialComplex:
-        return self.cover.complex
 
     @property
     def transition_layer(self) -> BigradedCochain | None:
@@ -222,25 +208,30 @@ def _cgls(matrix: _SparseD, b: np.ndarray, max_iterations: int | None = None) ->
     forming matrix^T matrix.  Starting from x = 0 keeps every iterate in the
     row space, so the limit is the minimum-norm solution.  Stops when
     |matrix^T r| <= 1e-15 max(1, |b|); raises NumericError if that takes
-    more than max_iterations (4 * columns by default).
+    more than max_iterations (4 * columns by default), or if a norm overflows.
     """
     limit = 4 * matrix.shape[1] if max_iterations is None else max_iterations
     x = np.zeros(matrix.shape[1])
-    r = b.copy()
-    s = matrix.apply_transpose(r)
-    direction = s.copy()
-    gamma = float(s @ s)
-    stop = 1e-30 * max(1.0, float(b @ b))  # (1e-15 max(1, |b|))^2
-    for _ in range(limit):
-        if gamma <= stop:
-            break
-        q = matrix.apply(direction)
-        alpha = gamma / float(q @ q)
-        x += alpha * direction
-        r -= alpha * q
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = b.copy()
         s = matrix.apply_transpose(r)
-        gamma, previous = float(s @ s), gamma
-        direction = s + (gamma / previous) * direction
+        direction = s.copy()
+        gamma = float(s @ s)
+        stop = 1e-30 * max(1.0, float(b @ b))  # (1e-15 max(1, |b|))^2
+        if not math.isfinite(stop):
+            raise NumericError("the right-hand side is too large for CGLS")
+        for _ in range(limit):
+            if not gamma > stop:  # converged, or NaN after an overflow
+                break
+            q = matrix.apply(direction)
+            alpha = gamma / float(q @ q)
+            x += alpha * direction
+            r -= alpha * q
+            s = matrix.apply_transpose(r)
+            gamma, previous = float(s @ s), gamma
+            direction = s + (gamma / previous) * direction
+    if math.isnan(gamma):
+        raise NumericError("CGLS overflowed")
     if gamma > stop:
         raise NumericError(f"CGLS did not converge in {limit} iterations")
     return x

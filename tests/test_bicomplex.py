@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from gerbecalc import (
     big_d,
     cech_delta,
     dbar,
+    exterior_derivative,
     permutation_sign,
     wrap,
 )
@@ -27,6 +29,8 @@ from gerbecalc.builders import (
 )
 from gerbecalc.randomdata import random_bigraded, random_complex_and_cover, random_total
 from gerbecalc.rng import Lcg64
+
+from conftest import closed_star_cover
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,6 +162,18 @@ class TestCechDelta:
         with pytest.raises(InvalidInputError):
             cech_delta(layer, cover)
 
+    @pytest.mark.parametrize(
+        "op",
+        [cech_delta, dbar, lambda layer, cover: big_d(TotalCochain(1, {(0, 1): layer}), cover)],
+        ids=["cech_delta", "dbar", "big_d"],
+    )
+    def test_value_outside_its_overlap_rejected(self, op):
+        # vertex 13, the south pole, lies outside set 0
+        layer = BigradedCochain(0, 1, {(0,): Cochain(0, {(13,): 1.0})})
+        spill = r"part \(0,1\) component \(0,\) spills outside its overlap at \(13,\)"
+        with pytest.raises(InvalidInputError, match=spill):
+            op(layer, two_set_cover())
+
 
 class TestOperatorIdentities:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -197,12 +213,60 @@ class TestOperatorIdentities:
         c1 = random_bigraded(cover, 0, 1, rng)
         d0 = dbar(c0, cover)
         d1 = dbar(c1, cover)
-        from gerbecalc import exterior_derivative
-
         raw0 = exterior_derivative(c0.components[()], cover.complex)
         assert (d0.components[()] - raw0).sup_norm() == 0.0
         raw1 = exterior_derivative(c1.components[(0,)], cover.overlap((0,)))
         assert (d1.components[(0,)] + raw1).sup_norm() == 0.0
+
+
+class TestIndependentReferences:
+    """cech_delta and dbar against references that share no code with the
+    walk of D, on thinned random layers at every (p, n) up to n = 3 on the
+    closed-star cover of the icosahedron."""
+
+    BIDEGREES = [(p, n) for n in range(4) for p in range(3)]
+
+    @pytest.fixture(scope="class")
+    def layers(self, icosahedron):
+        cover = closed_star_cover(icosahedron)
+        rng = Lcg64(71)
+        layers = {}
+        for p, n in self.BIDEGREES:
+            dense = random_bigraded(cover, p, n, rng)
+            # a third of the values absent, which both sides must read as zero
+            thinned = {
+                t: Cochain(p, {c: v for c, v in comp.values.items() if rng.uniform() < 0.67})
+                for t, comp in dense.components.items()
+            }
+            layers[p, n] = BigradedCochain(p, n, thinned)
+        return cover, layers
+
+    @pytest.mark.parametrize("p, n", BIDEGREES)
+    def test_cech_delta_is_the_alternating_sum_of_restrictions(self, layers, p, n):
+        cover, layer = layers[0], layers[1][p, n]
+        assert layer.components
+        expected = {}
+        for t in itertools.combinations(range(len(cover.sets)), n + 1):
+            overlap = cover.overlap(t)
+            total = Cochain.zero(p)
+            for a in range(n + 1):
+                term = layer.component(t[:a] + t[a + 1 :]).restricted_to(overlap)
+                total = total + term if a % 2 == 0 else total - term
+            if total.values:
+                expected[t] = total
+        assert cech_delta(layer, cover).components == expected
+
+    @pytest.mark.parametrize("p, n", BIDEGREES)
+    def test_dbar_is_the_twisted_exterior_derivative(self, layers, p, n):
+        cover, layer = layers[0], layers[1][p, n]
+        expected = {}
+        for t, comp in layer.components.items():
+            der = exterior_derivative(comp, cover.overlap(t))
+            if der.values:
+                expected[t] = der.scaled(-1.0 if n % 2 else 1.0)
+        got = dbar(layer, cover)
+        assert (got.form_degree, got.cech_degree) == (p + 1, n)
+        assert got.components == expected
 
 
 def star_cover(complex):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ class TestValidate:
         )
         parts = dict(datum.data.parts)
         parts[(0, 2)] = bad_phi
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"\(0,2\) component \(0, 1\) spills .* \(12,\)"):
             GerbeDatum(0, TotalCochain(2, parts), datum.cover)
 
     @pytest.mark.parametrize("position", [0, -1])
@@ -395,6 +396,31 @@ class TestGaugeEquivalence:
             gauge_equivalent(first, second)
 
     @pytest.mark.parametrize(
+        "exponent, reason",
+        # 2**510 overflows |D^T b|^2 inside the iteration; 2**520 overflows
+        # |b|^2, which sets the stopping threshold
+        [(510, "CGLS overflowed"), (520, "too large for CGLS")],
+    )
+    def test_overflow_inside_the_solve_raises_numeric_error(self, exponent, reason):
+        # a gauge shift by 2**exponent at the south pole on set 1: every edge
+        # of set 1 that touches the pole gains that much connection
+        datum = build_monopole(12)
+        south, g = 25, 2.0**exponent
+        conn = datum.data.part(1, 1)
+        values = dict(conn.components[(1,)].values)
+        for edge in datum.cover.overlap((1,)).cells(1):
+            if south in edge:
+                values[edge] = values.get(edge, 0.0) + g
+        components = {**conn.components, (1,): Cochain(1, values)}
+        parts = {**datum.data.parts, (1, 1): BigradedCochain(1, 1, components)}
+        shifted = GerbeDatum(0, TotalCochain(2, parts), datum.cover)
+        assert validate_cocycle(shifted).passed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=reason):
+                gauge_equivalent(datum, shifted)
+
+    @pytest.mark.parametrize(
         "build", [build_minus_one_gerbe, build_monopole, build_gerbopole],
         ids=["minus1", "monopole", "gerbopole"],
     )
@@ -506,8 +532,8 @@ class TestCoboundaryMatrix:
         for _ in range(3):
             x = np.array([rng.uniform(-1.0, 1.0) for _ in cols.entries])
             expected = rows.vector_of(big_d(cols.total_of(x), cover))
-            # each entry sums a few terms of size <= 1 in another order
-            np.testing.assert_allclose(matrix.apply(x), expected, rtol=0.0, atol=1e-14)
+            # both sum the nonzeros of one walk in the same order
+            np.testing.assert_array_equal(matrix.apply(x), expected)
             y = np.array([rng.uniform(-1.0, 1.0) for _ in rows.entries])
             # D^T y against the dense form of the same triples
             dense = np.zeros(matrix.shape)
@@ -523,8 +549,7 @@ class TestCoboundaryMatrix:
             angles = parts[0, k - 1].components
             parts[0, k - 1] = BigradedCochain(0, k - 1, angles, angle_valued=True)
         expected = rows.vector_of(big_d(TotalCochain(k - 1, parts), cover))
-        # terms up to 7*pi in size, summed in another order
-        np.testing.assert_allclose(matrix.apply(x), expected, rtol=0.0, atol=1e-13)
+        np.testing.assert_array_equal(matrix.apply(x), expected)
 
     def test_solve_that_hits_the_iteration_cap_raises(self):
         datum = build_monopole(6)
