@@ -96,6 +96,11 @@ class Cover:
             layers.append(grown)
         return layers[n] if 0 <= n < len(layers) else {}
 
+    @cached_property
+    def _operators(self) -> dict[tuple[str, int], object]:
+        """``bicomplex``'s flat bases and sparse D per total degree, built on first use."""
+        return {}
+
     def nerve(self) -> tuple[tuple[int, ...], ...]:
         """All increasing index tuples with a nonempty overlap, in lexicographic order.
 

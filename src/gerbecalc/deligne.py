@@ -5,10 +5,9 @@ part is the angle-valued transition layer, intermediate parts are connection
 layers, and the global (n+2, 0) part stores minus the curvature.  A bundle is
 the level-0 case and a gerbe the level-1 case; level -1 is allowed.
 
-Gauge equivalence is decided by a sparse minimum-norm solve: D is assembled
-by ``bicomplex._coboundary_matrix`` as a sparse integer matrix over flat
-bases of the potential and datum spaces, and conjugate gradients on the
-normal equations (CGLS) run without forming D^T D.
+Validation, shifts and equivalence all apply the cover's cached sparse D
+(``bicomplex._coboundary``).  Equivalence is a minimum-norm solve by
+conjugate gradients on the normal equations (CGLS), without forming D^T D.
 Two valid cocycles are accepted as equivalent when the difference is matched
 by the total coboundary of a potential without global top form part, with
 angle-layer rows compared modulo 2*pi.  Rejection means no such witness was
@@ -28,9 +27,9 @@ from .bicomplex import (
     BigradedCochain,
     GaugePotential,
     TotalCochain,
+    _basis,
     _check_support,
-    _coboundary_matrix,
-    _LayerBasis,
+    _coboundary,
     _SparseD,
     _wrap_finite,
     big_d,
@@ -112,12 +111,6 @@ def _checked_tol(tol: float, name: str = "tol") -> float:
     return tol
 
 
-def _peak_order(peak: ResidualPeak) -> tuple:
-    """NaN magnitudes first, since NaN compares false with everything; then the largest."""
-    nan = math.isnan(peak.magnitude)
-    return (not nan, 0.0 if nan else -peak.magnitude, peak.bidegree, peak.indices, peak.cell)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Per-bidegree cocycle residuals; pass iff all are finite and within tol."""
@@ -141,31 +134,37 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
     tolerance raises InvalidInputError.
     """
     tol = _checked_tol(DEFAULT_VALIDATION_TOL if tol is None else tol)
-    k = datum.level + 2
-    residual = big_d(datum.data, datum.cover)
-    wrap_rows = {(0, k + 1), (1, k)}
-    first_p = max(0, k + 1 - len(datum.cover.sets))
-    bidegrees = {(p, k + 1 - p) for p in range(first_p, k + 2)}
-    bidegrees.update(residual.parts)
+    return _residual_report(datum.data, datum.cover, tol)
+
+
+def _residual_report(data: TotalCochain, cover: Cover, tol: float) -> ValidationReport:
+    """The report of ``validate_cocycle`` for data that fit the cover: D(data)
+    through the cover's cached matrix, one maximum per bidegree, and peaks
+    built only for the 8 worst nonzero entries."""
+    k = data.total_degree
+    rows = _basis(cover, k + 1)
+    residual = _coboundary(cover, k).apply(_basis(cover, k).vector_of(data))
     residuals: dict[tuple[int, int], float] = {}
-    peaks: list[ResidualPeak] = []
-    for key in sorted(bidegrees):
-        part = residual.part(*key)
-        if part is None:
-            residuals[key] = 0.0
-            continue
-        start, wrapped = len(peaks), key in wrap_rows
-        for t, comp in part.components.items():
-            for cell, value in comp.values.items():
-                if wrapped:
-                    value = _wrap_finite(value)
-                if value != 0.0:
-                    peaks.append(ResidualPeak(key, t, cell, abs(value)))
-        residuals[key] = _worst(pk.magnitude for pk in peaks[start:])
-    peaks.sort(key=_peak_order)
+    nonzero = []
+    for key, span in sorted(rows.positions.items()):
+        at = span.start + np.flatnonzero(residual[span.start : span.stop])
+        if key in ((0, k + 1), (1, k)):
+            residual[at] = [_wrap_finite(v) for v in residual[at].tolist()]
+            at = at[residual[at] != 0.0]
+        residuals[key] = float(np.max(np.abs(residual[at]), initial=0.0))
+        nonzero.append(at)
+    at = np.concatenate(nonzero)
+    magnitudes = np.abs(residual[at])
+    nan = np.isnan(magnitudes)
+    # NaN first, since NaN compares false with everything; then the largest.  The
+    # sort is stable and ``at`` runs by bidegree, then by (indices, cell).
+    peaks = []
+    for i in np.lexsort((-np.where(nan, 0.0, magnitudes), ~nan))[:8]:
+        p, n, t, cell = rows.entry(int(at[i]))
+        peaks.append(ResidualPeak((p, n), t, cell, float(magnitudes[i])))
     worst = _worst(residuals.values())
     passed = math.isfinite(worst) and worst <= tol
-    return ValidationReport(tol, residuals, tuple(peaks[:8]), passed)
+    return ValidationReport(tol, residuals, tuple(peaks), passed)
 
 
 def curvature(datum: GerbeDatum) -> Cochain:
@@ -242,42 +241,42 @@ def gauge_equivalent(
 ) -> EquivalenceResult:
     """Search for a potential with D(potential) matching the difference.
 
-    D is assembled sparsely and the minimum-norm potential is found by CGLS,
-    whose cost grows with the nonzeros of D times the iterations; it never
-    forms D^T D, so the conditioning is that of D and not its square.
-    D is linear; only the (0, k) rows, which compare the transition layers,
-    hold modulo 2*pi.  They are wrapped cell by cell in the difference before
-    solving and in the residual before the tolerance test, which absorbs the
-    2*pi ambiguity for small winding differences.  Large relative windings
-    can defeat the wrapping; charges then separate the data anyway.
-    A NaN, infinite or negative tolerance raises InvalidInputError.
+    CGLS finds the minimum-norm potential on the cached D, at a cost of the
+    nonzeros of D times the iterations, with the conditioning of D and not
+    of D^T D.  Only the (0, k) rows, which compare the transition layers,
+    hold modulo 2*pi; they are wrapped in the difference before solving and
+    in the residual before the tolerance test, which absorbs small winding
+    differences.  Large relative windings can defeat the wrapping; charges
+    then separate the data anyway.  A NaN, infinite or negative tolerance
+    raises InvalidInputError.
     """
     tol = _checked_tol(DEFAULT_EQUIVALENCE_TOL if tol is None else tol)
     if first.level != second.level:
         raise InvalidInputError("data have different levels")
     if first.cover != second.cover:
         raise InvalidInputError("data live on different covers")
+    cover, k = first.cover, first.level + 2
+    # the covers are equal by value, so both data are checked on one cached D
     for name, datum in (("first", first), ("second", second)):
-        if not validate_cocycle(datum, tol).passed:
+        if not _residual_report(datum.data, cover, tol).passed:
             raise InvalidInputError(f"{name} datum is not a cocycle at tolerance {tol:g}")
-    k = first.level + 2
-    rows = _LayerBasis(first.cover, k, omit_top_form=False)
-    cols = _LayerBasis(first.cover, k - 1, omit_top_form=True)
+    rows, cols = _basis(cover, k), _basis(cover, k - 1)
     with np.errstate(over="ignore"):
         b = rows.vector_of(second.data) - rows.vector_of(first.data)
     if not np.all(np.isfinite(b)):
         raise NumericError("the difference of the data is not finite")
-    angle_rows = rows.positions.get((0, k), ())
-    for i in angle_rows:
-        b[i] = wrap(float(b[i]))
-    matrix = _coboundary_matrix(first.cover, cols, rows)
+    angle = rows.positions.get((0, k), range(0))
+    b[angle] = [wrap(v) for v in b[angle].tolist()]
+    # a potential has no global (k - 1, 0) part, the leading column block
+    omitted = len(cols.positions[k - 1, 0])
+    matrix = _coboundary(cover, k - 1).without_leading_columns(omitted)
     x = _cgls(matrix, b)
     residual_vec = matrix.apply(x) - b
-    for i in angle_rows:
-        residual_vec[i] = wrap(float(residual_vec[i]))
+    residual_vec[angle] = [wrap(v) for v in residual_vec[angle].tolist()]
     residual = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
     if residual <= tol:
-        return EquivalenceResult(True, residual, GaugePotential(cols.total_of(x)))
+        witness = cols.total_of(np.concatenate([np.zeros(omitted), x]))
+        return EquivalenceResult(True, residual, GaugePotential(witness))
     return EquivalenceResult(False, residual, None)
 
 
@@ -293,14 +292,10 @@ def higher_gauge_shift(datum: GerbeDatum, shift: TotalCochain) -> GerbeDatum:
             f"shift must have total degree {datum.level + 1}, got {shift.total_degree}"
         )
     k = datum.level + 2
-    shifted = datum.data + big_d(shift, datum.cover)
-    top = shifted.part(0, k)
-    if top is not None and not top.angle_valued:
-        # the datum had no transition layer: its shift becomes one
-        parts = dict(shifted.parts)
-        parts[(0, k)] = BigradedCochain(0, k, top.components, angle_valued=True)
-        shifted = TotalCochain(k, parts)
-    return GerbeDatum(datum.level, shifted, datum.cover)
+    # an empty angle-valued (0, k) part flags the shift's transition layer,
+    # also where the datum has none
+    image = TotalCochain(k, {(0, k): BigradedCochain.zero(0, k, True)}) + big_d(shift, datum.cover)
+    return GerbeDatum(datum.level, datum.data + image, datum.cover)
 
 
 def gauge_shift(datum: GerbeDatum, potential: GaugePotential) -> GerbeDatum:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gerbecalc import (
@@ -9,6 +11,7 @@ from gerbecalc import (
     SimplicialComplex,
     TotalCochain,
     build_monopole,
+    exterior_derivative,
     gauge_shift,
 )
 
@@ -43,6 +46,34 @@ def closed_star_cover(complex):
         for v in cell:
             stars[v].update(cell)
     return Cover.build(complex, stars)
+
+
+def reference_delta(layer, cover):
+    """The components of delta(layer): at every (n+1)-subset of the sets, the
+    alternating sum of the layer at the subset less one index, restricted to
+    the overlap.  It shares no code with the matrix of D."""
+    p, n = layer.form_degree, layer.cech_degree
+    out = {}
+    for t in itertools.combinations(range(len(cover.sets)), n + 1):
+        overlap = cover.overlap(t)
+        total = Cochain.zero(p)
+        for a in range(n + 1):
+            term = layer.component(t[:a] + t[a + 1 :]).restricted_to(overlap)
+            total = total + term if a % 2 == 0 else total - term
+        if total.values:
+            out[t] = total
+    return out
+
+
+def reference_dbar(layer, cover):
+    """The components of dbar(layer): (-1)^n times the exterior derivative of
+    each component inside its overlap."""
+    out = {}
+    for t, comp in layer.components.items():
+        der = exterior_derivative(comp, cover.overlap(t))
+        if der.values:
+            out[t] = der.scaled(-1.0 if layer.cech_degree % 2 else 1.0)
+    return out
 
 
 def sparse_transition_monopoles():

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import gerbecalc
 
-from gerbecalc import GerbeDatum, TotalCochain, build_minus_one_gerbe, build_monopole
+from gerbecalc import GerbeDatum, TotalCochain, bicomplex, build_minus_one_gerbe, build_monopole
 from gerbecalc.cli import main
 from gerbecalc.serialize import datum_from_dict, datum_to_dict, load_datum, save_datum
 
@@ -232,6 +233,37 @@ class TestEquiv:
         main(["charge", str(trivial)])
         out = capsys.readouterr().out.splitlines()
         assert out == ["1.000000000", "0.000000000"]
+
+    def test_two_files_build_the_validation_d_once(
+        self, monopole_file, tmp_path, capsys, monkeypatch
+    ):
+        # the two files load as two equal covers; both data are checked on the first
+        shifted = tmp_path / "shifted.json"
+        argv = ["demo", "monopole", "--m", "12", "--perturb-gauge", "4", "--out", str(shifted)]
+        assert main(argv) == 0
+        degrees = []
+        assemble = bicomplex._coboundary_matrix
+
+        def counted(cover, degree, **kwargs):
+            degrees.append(degree)
+            return assemble(cover, degree, **kwargs)
+
+        monkeypatch.setattr(bicomplex, "_coboundary_matrix", counted)
+        rc = main(["equiv", str(monopole_file), str(shifted)])
+        assert rc == 0 and "EQUIVALENT" in capsys.readouterr().out
+        # degree 2 validates both data, degree 1 is the solve's
+        assert sorted(degrees) == [1, 2]
+
+    def test_huge_level_pair_equivalent_in_bounded_time(self, tmp_path, capsys):
+        cover = build_monopole(6).cover
+        level = 10**12
+        path = tmp_path / "huge-level.json"
+        save_datum(path, GerbeDatum(level, TotalCochain(level + 2, {}), cover))
+        start = time.perf_counter()
+        rc = main(["equiv", str(path), str(path)])
+        assert time.perf_counter() - start < 5.0
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("EQUIVALENT")
 
 
 class TestSelfcheck:

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -31,11 +32,18 @@ from gerbecalc import (
 )
 from gerbecalc.builders import join_sphere3, two_cone_sphere
 from gerbecalc.cover import Cover
-from gerbecalc.deligne import _cgls, _coboundary_matrix, _LayerBasis
+from gerbecalc import bicomplex
+from gerbecalc.bicomplex import GaugePotential, _check_support, _coboundary_matrix, _LayerBasis
+from gerbecalc.deligne import _cgls
 from gerbecalc.randomdata import random_gauge_potential, random_total
 from gerbecalc.rng import Lcg64
 
-from conftest import closed_star_cover, sparse_transition_monopoles
+from conftest import (
+    closed_star_cover,
+    reference_dbar,
+    reference_delta,
+    sparse_transition_monopoles,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -520,45 +528,49 @@ class TestCoboundaryMatrix:
     @pytest.mark.parametrize("name", list(DATA))
     @pytest.mark.parametrize("omit_top_form", [False, True])
     def test_matches_big_d_on_random_vectors(self, name, omit_top_form, icosahedron):
+        # omit_top_form: the solve's columns, without the global (k-1, 0) block
         cover, level = self.DATA[name](icosahedron)
         k = level + 2
-        cols = _LayerBasis(cover, k - 1, omit_top_form=omit_top_form)
-        rows = _LayerBasis(cover, k, omit_top_form=False)
-        matrix = _coboundary_matrix(cover, cols, rows)
-        assert matrix.shape == (len(rows.entries), len(cols.entries))
+        cols, rows = _LayerBasis(cover, k - 1), _LayerBasis(cover, k)
+        omitted = len(cols.positions[k - 1, 0]) if omit_top_form else 0
+        matrix = _coboundary_matrix(cover, k - 1).without_leading_columns(omitted)
+        assert matrix.shape == (rows.size, cols.size - omitted)
         assert np.all(np.abs(matrix.signs) == 1.0)
         assert len(set(zip(matrix.rows.tolist(), matrix.cols.tolist()))) == len(matrix.signs)
         rng = Lcg64(53 + k)
+
+        def padded(x):
+            return np.concatenate([np.zeros(omitted), x])
+
         for _ in range(3):
-            x = np.array([rng.uniform(-1.0, 1.0) for _ in cols.entries])
-            expected = rows.vector_of(big_d(cols.total_of(x), cover))
+            x = np.array([rng.uniform(-1.0, 1.0) for _ in range(matrix.shape[1])])
+            expected = rows.vector_of(big_d(cols.total_of(padded(x)), cover))
             # both sum the nonzeros of one walk in the same order
             np.testing.assert_array_equal(matrix.apply(x), expected)
-            y = np.array([rng.uniform(-1.0, 1.0) for _ in rows.entries])
+            y = np.array([rng.uniform(-1.0, 1.0) for _ in range(rows.size)])
             # D^T y against the dense form of the same triples
             dense = np.zeros(matrix.shape)
             dense[matrix.rows, matrix.cols] = matrix.signs
             np.testing.assert_allclose(matrix.apply_transpose(y), dense.T @ y, rtol=0.0, atol=1e-14)
         # an angle-valued (0, k-1) part spread over several multiples of 2*pi:
         # big_d stays linear on it, as the matrix is
-        x = np.array([rng.uniform(-1.0, 1.0) for _ in cols.entries])
-        angle = cols.positions.get((0, k - 1), range(0))
+        x = padded(np.array([rng.uniform(-1.0, 1.0) for _ in range(matrix.shape[1])]))
+        angle = [i for i in cols.positions.get((0, k - 1), ()) if i >= omitted]
         x[angle] += [TWO_PI * rng.randint(-3, 3) for _ in angle]
         parts = dict(cols.total_of(x).parts)
         if angle:
             angles = parts[0, k - 1].components
             parts[0, k - 1] = BigradedCochain(0, k - 1, angles, angle_valued=True)
         expected = rows.vector_of(big_d(TotalCochain(k - 1, parts), cover))
-        np.testing.assert_array_equal(matrix.apply(x), expected)
+        np.testing.assert_array_equal(matrix.apply(x[omitted:]), expected)
 
     def test_solve_that_hits_the_iteration_cap_raises(self):
         datum = build_monopole(6)
         cover, k = datum.cover, datum.level + 2
-        cols = _LayerBasis(cover, k - 1, omit_top_form=True)
-        rows = _LayerBasis(cover, k, omit_top_form=False)
-        matrix = _coboundary_matrix(cover, cols, rows)
+        omitted = len(_LayerBasis(cover, k - 1).positions[k - 1, 0])
+        matrix = _coboundary_matrix(cover, k - 1).without_leading_columns(omitted)
         rng = Lcg64(59)
-        b = matrix.apply(np.array([rng.uniform(-1.0, 1.0) for _ in cols.entries]))
+        b = matrix.apply(np.array([rng.uniform(-1.0, 1.0) for _ in range(matrix.shape[1])]))
         with pytest.raises(NumericError):
             _cgls(matrix, b, max_iterations=2)
         x = _cgls(matrix, b)
@@ -570,43 +582,169 @@ class TestLayerBasis:
 
     @pytest.mark.parametrize("omit_top_form", [False, True])
     def test_round_trip(self, icosahedron, omit_top_form):
+        # omit_top_form: a potential's data, whose global block stays zero
         cover = closed_star_cover(icosahedron)
         for k in range(1, 5):
-            basis = _LayerBasis(cover, k, omit_top_form=omit_top_form)
+            basis = _LayerBasis(cover, k)
             if omit_top_form:
                 x = random_gauge_potential(cover, k, Lcg64(61 + k)).data
             else:
                 x = random_total(cover, k, Lcg64(61 + k))
             vec = basis.vector_of(x)
-            assert np.count_nonzero(vec) == len(basis.entries)
+            omitted = len(basis.positions[k, 0]) if omit_top_form else 0
+            assert not vec[:omitted].any()
+            assert np.count_nonzero(vec) == basis.size - omitted
             assert basis.total_of(vec) == x
 
     def test_blocks_follow_the_layers(self, icosahedron):
         cover = closed_star_cover(icosahedron)
-        basis = _LayerBasis(cover, 3, omit_top_form=False)
-        for j, (p, n, t, cell) in enumerate(basis.entries):
+        basis = _LayerBasis(cover, 3)
+        for j in range(basis.size):
+            p, n, t, cell = basis.entry(j)
             assert j in basis.positions[p, n]
             assert j == basis.start[t] + cover.layer(n)[t].cells(p).index(cell)
+        for key, span in basis.positions.items():
+            # sorted by (tuple index, cell id), the order the assembler searches
+            keys = list(zip(basis.tuple_ids[key].tolist(), basis.cell_ids[key].tolist()))
+            assert keys == sorted(set(keys)) and len(keys) == len(span)
 
     @pytest.mark.parametrize(
-        "part, omit_top_form",
+        "part, message",
         [
             # stars of opposite vertices 0 and 11 do not meet: (0, 11) is outside the nerve
-            (BigradedCochain(0, 2, {(0, 11): Cochain(0, {(0,): 1.0})}), False),
+            (BigradedCochain(0, 2, {(0, 11): Cochain(0, {(0,): 1.0})}), "spills outside"),
             # vertex 11 lies outside the overlap of the stars of 0 and 1
-            (BigradedCochain(0, 2, {(0, 1): Cochain(0, {(11,): 1.0})}), False),
-            # the global top-form part is omitted from a potential's basis
-            (BigradedCochain(2, 0, {(): Cochain(2, {(0, 1, 2): 1.0})}), True),
+            (BigradedCochain(0, 2, {(0, 1): Cochain(0, {(11,): 1.0})}), "spills outside"),
+            # the global top-form part lies outside a potential's coordinates
+            (BigradedCochain(2, 0, {(): Cochain(2, {(0, 1, 2): 1.0})}), "no global form part"),
         ],
         ids=["tuple-outside-nerve", "cell-outside-overlap", "omitted-top-form"],
     )
-    def test_value_outside_the_basis_raises(self, icosahedron, part, omit_top_form):
+    def test_value_outside_the_basis_raises(self, icosahedron, part, message):
+        # values reach the basis only through _check_support, as in big_d and GerbeDatum
         cover = closed_star_cover(icosahedron)
         assert (0, 11) not in cover.layer(2)
-        basis = _LayerBasis(cover, 2, omit_top_form=omit_top_form)
-        key = (part.form_degree, part.cech_degree)
-        with pytest.raises(InvalidInputError, match="outside the basis"):
-            basis.vector_of(TotalCochain(2, {key: part}))
+        basis = _LayerBasis(cover, 2)
+        total = TotalCochain(2, {(part.form_degree, part.cech_degree): part})
+        with pytest.raises(InvalidInputError, match=message):
+            _check_support(part, cover)
+            GaugePotential(basis.total_of(basis.vector_of(total)))
+
+
+class TestResidualAgainstIndependentReference:
+    """validate_cocycle against D(datum) summed from the references of
+    TestIndependentReferences: restrictions for delta, the twisted exterior
+    derivative for dbar."""
+
+    BUILDS = {
+        "minus1": lambda: build_minus_one_gerbe(12),
+        "monopole": lambda: build_monopole(12),
+        "gerbopole": lambda: build_gerbopole(6),
+    }
+
+    @staticmethod
+    def reference_residuals(datum):
+        k, cover = datum.level + 2, datum.cover
+        rows = {}
+        for (p, n), part in datum.data.parts.items():
+            for key, comps, sign in (
+                ((p, n + 1), reference_delta(part, cover), 1.0),
+                ((p + 1, n), reference_dbar(part, cover), -1.0),
+            ):
+                row = rows.setdefault(key, {})
+                for t, comp in comps.items():
+                    row[t] = row.get(t, Cochain.zero(key[0])) + comp.scaled(sign)
+        residuals = {}
+        for key, row in rows.items():
+            values = [v for comp in row.values() for v in comp.values.values()]
+            if not values:
+                continue
+            if key in ((0, k + 1), (1, k)):
+                values = [wrap(v) for v in values]
+            residuals[key] = max((abs(v) for v in values), default=0.0)
+        return residuals
+
+    def shifted(self, name):
+        datum = self.BUILDS[name]()
+        rng = Lcg64(sum(map(ord, name)))
+        return higher_gauge_shift(datum, random_total(datum.cover, datum.level + 1, rng, 0.5))
+
+    def check_against_reference(self, datum):
+        report, expected = validate_cocycle(datum), self.reference_residuals(datum)
+        assert set(expected) <= set(report.residuals)
+        for key, value in report.residuals.items():
+            assert abs(value - expected.get(key, 0.0)) <= 1e-12, key
+        failing = {key for key, value in expected.items() if value > report.tolerance}
+        assert report.passed == (not failing)
+        reported = {key for key, value in report.residuals.items() if value > report.tolerance}
+        assert reported == failing
+        return report, failing
+
+    @pytest.mark.parametrize("name", list(BUILDS))
+    def test_shifted_datum_passes_with_the_reference_residuals(self, name):
+        report, _ = self.check_against_reference(self.shifted(name))
+        assert report.passed
+
+    @pytest.mark.parametrize("name", list(BUILDS))
+    def test_moved_connection_value_fails_at_the_reference_bidegrees(self, name):
+        datum = self.shifted(name)
+        k = datum.level + 2
+        part = datum.data.part(1, k - 1)
         t, comp = next(iter(part.components.items()))
-        zero = BigradedCochain(*key, {t: Cochain(comp.degree, dict.fromkeys(comp.values, 0.0))})
-        assert not basis.vector_of(TotalCochain(2, {key: zero})).any()
+        cell = next(iter(comp.values))
+        moved = Cochain(1, {**comp.values, cell: comp.values[cell] + 0.1})
+        layer = BigradedCochain(1, k - 1, {**part.components, t: moved})
+        parts = {**datum.data.parts, (1, k - 1): layer}
+        report, failing = self.check_against_reference(
+            GerbeDatum(datum.level, TotalCochain(k, parts), datum.cover)
+        )
+        assert not report.passed
+        assert report.worst[0].bidegree in failing
+        assert report.worst[0].magnitude == pytest.approx(0.1, abs=1e-12)
+
+
+class TestOneCachedD:
+    """D is assembled once per (cover, degree) and kept on the cover."""
+
+    @pytest.fixture
+    def assemblies(self, monkeypatch):
+        calls = []
+        assemble = bicomplex._coboundary_matrix
+
+        def counted(cover, degree, **kwargs):
+            calls.append((id(cover), degree))
+            return assemble(cover, degree, **kwargs)
+
+        monkeypatch.setattr(bicomplex, "_coboundary_matrix", counted)
+        return calls
+
+    def test_shift_validate_and_two_equivalences_assemble_one_d_per_degree(self, assemblies):
+        datum = build_monopole(12)
+        potential = random_gauge_potential(datum.cover, 1, Lcg64(81), amplitude=0.5)
+        shifted = gauge_shift(datum, potential)
+        assert validate_cocycle(shifted).passed
+        for _ in range(2):
+            assert gauge_equivalent(datum, shifted).equivalent
+        assert sorted(assemblies) == [(id(datum.cover), 1), (id(datum.cover), 2)]
+
+    def test_an_equal_cover_builds_its_own_d(self, assemblies):
+        datum = build_monopole(12)
+        cover = datum.cover
+        twin = Cover.build(cover.complex, cover.sets)
+        assert twin == cover and twin is not cover
+        assert validate_cocycle(datum).passed
+        assert validate_cocycle(GerbeDatum(0, datum.data, twin)).passed
+        assert validate_cocycle(datum).passed
+        assert assemblies == [(id(cover), 2), (id(twin), 2)]
+
+    def test_huge_level_trivial_pair_is_equivalent_in_bounded_time(self):
+        # blocks of p-cells above the complex's dimension hold no rows, so no
+        # loop runs over their p + 1 faces
+        cover = build_monopole(6).cover
+        level = 10**12
+        datum = GerbeDatum(level, TotalCochain(level + 2, {}), cover)
+        start = time.perf_counter()
+        result = gauge_equivalent(datum, datum)
+        assert result.equivalent and result.residual == 0.0
+        assert not result.witness.data.parts
+        assert time.perf_counter() - start < 5.0
