@@ -1,15 +1,19 @@
 """Concrete charge-1 example data on small triangulated spheres.
 
-Three constructions, one per level:
+The paper's ladder of equations is the descent (tic-tac-toe) of the
+Cech-de Rham double complex.  ``_descend`` writes it once: from a winding
+transition on the deepest overlap of k sets, each row of D = delta - dbar
+fixes the next form one overlap shallower, down to the global curvature.
 
 * level -1 on a circle: a family of functions equal to the vertex angle on
-  each arc of a three-arc cover, with the winding 1-form as curvature;
+  each arc of a three-arc cover, with the winding 1-form as curvature; its
+  transition sits on three single sets, so it is written out directly;
 * level 0 on a 2-sphere (the monopole): two caps over an equatorial band,
-  transition equal to longitude on the band, curvature concentrated on the
+  descended from the longitude on the band, curvature concentrated on the
   polar cells of the second cap;
 * level 1 on a 3-sphere (the gerbopole): three patches built over a base
-  polygon joined to the fiber circle, transition equal to the fiber angle on
-  the triple overlap, curvature concentrated in the third patch.
+  polygon joined to the fiber circle, descended from the fiber angle on the
+  triple overlap, curvature concentrated in the third patch.
 
 Meshes are chosen as the smallest complexes on which the required cover
 combinatorics (which overlaps are nonempty, which are bands or shells) are
@@ -95,14 +99,12 @@ def _check_resolution(m: int, winding: int, minimum: int) -> None:
 
 
 def _wrapped_differences(edges, angle: dict[int, float], factor: int) -> dict:
-    """wrap(factor * (angle[b] - angle[a])) on the edges with both ends in
-    ``angle``; zero values are left out."""
+    """wrap(factor * (angle[b] - angle[a])) on the edges; zero values are left out."""
     out = {}
     for a, b in edges:
-        if a in angle and b in angle:
-            val = wrap(factor * (angle[b] - angle[a]))
-            if val != 0.0:
-                out[(a, b)] = val
+        val = wrap(factor * (angle[b] - angle[a]))
+        if val != 0.0:
+            out[(a, b)] = val
     return out
 
 
@@ -142,29 +144,27 @@ def build_minus_one_gerbe(m: int, winding: int = 1) -> GerbeDatum:
     return GerbeDatum(-1, data, cover)
 
 
-def _cap_bundle_data(cover: Cover, longitude: dict[int, float], winding: int) -> TotalCochain:
-    """Bundle data on a two-cap cover from longitudes on the band vertices.
+def _descend(cover: Cover, angle: dict[int, float], winding: int) -> TotalCochain:
+    """The ladder of a transition on the deepest overlap, down to a curvature.
 
-    The transition layer on the band is winding * longitude.  The
-    connection on the second cap takes wrapped longitude differences on band
-    edges and zero on edges touching the pole, which spreads the curvature
-    evenly over the polar cells; the first cap's connection is zero.
+    With k cover sets and T = (0, ..., k-1), c_0 = winding * angle on the
+    overlap of T is the angle-valued (0, k) part at T; c_1 is (-1)^k times its
+    wrapped differences on that overlap's edges, stored at T[1:]; and each
+    c_{j+1} = (-1)^(k-j) d c_j on the overlap of T[j:], stored at T[j+1:], so
+    row (j+1, k-j) of D = delta - dbar vanishes at T[j:].  The last is the
+    global (k, 0) curvature.
     """
-    band = cover.overlap((0, 1))
-    phi = Cochain(
-        0, {(v,): winding * longitude[v] for (v,) in band.cells(0)}
-    )
-    second = cover.overlap((1,))
-    connection = Cochain(1, _wrapped_differences(second.cells(1), longitude, winding))
-    field = exterior_derivative(connection, second)
-    return TotalCochain(
-        2,
-        {
-            (0, 2): BigradedCochain(0, 2, {(0, 1): phi}, angle_valued=True),
-            (1, 1): BigradedCochain(1, 1, {(1,): connection}),
-            (2, 0): BigradedCochain(2, 0, {(): field.scaled(-1.0)}),
-        },
-    )
+    k = len(cover.sets)
+    t = tuple(range(k))
+    deepest = cover.overlap(t)
+    layer = Cochain(0, {(v,): winding * angle[v] for (v,) in deepest.cells(0)})
+    parts = {(0, k): BigradedCochain(0, k, {t: layer}, angle_valued=True)}
+    layer = Cochain(1, _wrapped_differences(deepest.cells(1), angle, (-1) ** k * winding))
+    parts[(1, k - 1)] = BigradedCochain(1, k - 1, {t[1:]: layer})
+    for j in range(1, k):
+        layer = exterior_derivative(layer, cover.overlap(t[j:])).scaled((-1) ** (k - j))
+        parts[(j + 1, k - j - 1)] = BigradedCochain(j + 1, k - j - 1, {t[j + 1 :]: layer})
+    return TotalCochain(k, parts)
 
 
 def build_monopole(m: int, winding: int = 1) -> GerbeDatum:
@@ -179,8 +179,7 @@ def build_monopole(m: int, winding: int = 1) -> GerbeDatum:
     band = set(range(2 * m))
     cover = Cover.build(complex, [band | {2 * m}, band | {2 * m + 1}])
     longitude = {v: TWO_PI * (v % m) / m for v in band}
-    data = _cap_bundle_data(cover, longitude, winding)
-    return GerbeDatum(0, data, cover)
+    return GerbeDatum(0, _descend(cover, longitude, winding), cover)
 
 
 def build_gerbopole(m: int, winding: int = 1, base_segments: int = 8) -> GerbeDatum:
@@ -206,31 +205,7 @@ def build_gerbopole(m: int, winding: int = 1, base_segments: int = 8) -> GerbeDa
     cover = Cover.build(complex, [fiber | arc0, fiber | arc1, fiber | arc2])
 
     alpha = {k: TWO_PI * k / m for k in range(m)}
-    phi = Cochain(0, {(k,): winding * alpha[k] for k in range(m)})
-
-    # connection 1-form on the (1, 2) overlap: minus the wrapped derivative
-    # of the transition on ring edges, zero elsewhere, so the triple-overlap
-    # equation closes exactly
-    pair12 = cover.overlap((1, 2))
-    connection = Cochain(1, _wrapped_differences(pair12.cells(1), alpha, -winding))
-
-    # 2-form layer on the third patch: the derivative of that connection,
-    # which is supported on the mixed triangles of the (1, 2) overlap and
-    # extends by zero into the rest of the patch
-    two_form = exterior_derivative(connection, pair12)
-    third = cover.overlap((2,))
-    three_form = exterior_derivative(two_form, third)
-
-    data = TotalCochain(
-        3,
-        {
-            (0, 3): BigradedCochain(0, 3, {(0, 1, 2): phi}, angle_valued=True),
-            (1, 2): BigradedCochain(1, 2, {(1, 2): connection}),
-            (2, 1): BigradedCochain(2, 1, {(2,): two_form}),
-            (3, 0): BigradedCochain(3, 0, {(): three_form.scaled(-1.0)}),
-        },
-    )
-    return GerbeDatum(1, data, cover)
+    return GerbeDatum(1, _descend(cover, alpha, winding), cover)
 
 
 def build_trivial(cover: Cover, level: int) -> GerbeDatum:
@@ -294,5 +269,5 @@ def gerbopole_equator_pair(
     )
     # reading the transition at (0, 2, 1) negates it, hence -winding
     longitude = {k: TWO_PI * k / m for k in range(m)}
-    direct = GerbeDatum(0, _cap_bundle_data(cover, longitude, -winding), cover)
+    direct = GerbeDatum(0, _descend(cover, longitude, -winding), cover)
     return restricted, direct

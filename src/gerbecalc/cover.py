@@ -12,6 +12,7 @@ exact rational arithmetic, so its Betti numbers are over Q with no threshold.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -116,10 +117,15 @@ def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
     Each row becomes a {column: value} dict of its nonzeros and is reduced at
     its first nonzero column against the pivot row stored for that column,
     until it is zero or becomes the pivot row of a column that has none.
+    Nonzero entries must be Python or numpy integers.
     """
     pivots: dict[int, dict[int, int | Fraction]] = {}
-    for dense in matrix:
-        row = {c: int(v) for c, v in enumerate(dense) if v}
+    for r, dense in enumerate(matrix):
+        try:
+            row = {c: operator.index(v) for c, v in enumerate(dense) if v}
+        except TypeError:  # operator.index takes exactly the types with __index__
+            c, v = next((c, v) for c, v in enumerate(dense) if v and not hasattr(v, "__index__"))
+            raise InvalidInputError(f"matrix entry ({r}, {c}) is {v!r}, not an integer") from None
         while row:
             col = min(row)
             pivot = pivots.get(col)
@@ -183,7 +189,7 @@ def check_good_cover(cover: Cover) -> GoodCoverReport:
     """
     entries = []
     for t in cover.nerve():
-        overlap = cover.overlap(t)
+        overlap = cover.layer(len(t))[t]
         b = betti_numbers(overlap, max(2, overlap.top_dimension))
         entries.append(OverlapDiagnostic(t, b, b == (1,) + (0,) * (len(b) - 1)))
     return GoodCoverReport(tuple(entries))

@@ -137,18 +137,9 @@ class SimplicialComplex:
         )
 
     def _check_closed_manifold(self) -> None:
-        d = self.top_dimension
-        if d < 1:
+        if self.top_dimension < 1:
             raise StructuralError("a closed manifold needs top dimension >= 1")
-        counts: collections.Counter = collections.Counter()
-        for t in self.cells(d):
-            for i in range(d + 1):
-                counts[t[:i] + t[i + 1 :]] += 1
-        for face in self.cells(d - 1):
-            if counts[face] != 2:
-                raise StructuralError(
-                    f"cell {face} lies in {counts[face]} top cells; need exactly 2"
-                )
+        _top_cofaces(self)
 
     def cells(self, dim: int) -> tuple[Simplex, ...]:
         return self.simplices.get(dim, ())
@@ -297,6 +288,23 @@ def chain_boundary(chain: Chain, complex: SimplicialComplex) -> Chain:
     return Chain(chain.degree - 1, out)
 
 
+def _top_cofaces(complex: SimplicialComplex) -> dict[Simplex, list[tuple[Simplex, int]]]:
+    """Each codimension-1 cell mapped to its top cells, each with the sign of
+    the face; raises StructuralError unless every such cell lies in exactly two."""
+    d = complex.top_dimension
+    cofaces: dict[Simplex, list[tuple[Simplex, int]]] = collections.defaultdict(list)
+    signs = [_deletion_sign(i) for i in range(d + 1)]
+    for t in complex.cells(d):
+        for i, sign in enumerate(signs):
+            cofaces[t[:i] + t[i + 1 :]].append((t, sign))
+    faces = complex.cells(d - 1)
+    if len(cofaces) == len(faces) and all(len(pair) == 2 for pair in cofaces.values()):
+        return cofaces
+    face = next(f for f in faces if len(cofaces.get(f, ())) != 2)
+    count = len(cofaces.get(face, ()))
+    raise StructuralError(f"cell {face} lies in {count} top cells; need exactly 2")
+
+
 def fundamental_cycle(complex: SimplicialComplex) -> Chain:
     """A coherent top-degree cycle with coefficients +-1 and zero boundary.
 
@@ -309,16 +317,7 @@ def fundamental_cycle(complex: SimplicialComplex) -> Chain:
     if d < 1:
         raise StructuralError("complex has no top-dimensional cells to orient")
     tops = complex.cells(d)
-    cofaces: dict[Simplex, list[tuple[Simplex, int]]] = collections.defaultdict(list)
-    signs = [_deletion_sign(i) for i in range(d + 1)]
-    for t in tops:
-        for i, sign in enumerate(signs):
-            cofaces[t[:i] + t[i + 1 :]].append((t, sign))
-    for face, pair in cofaces.items():
-        if len(pair) != 2:
-            raise StructuralError(
-                f"cell {face} lies in {len(pair)} top cells; not a closed manifold"
-            )
+    cofaces = _top_cofaces(complex)
     coefficients = {tops[0]: 1}
     queue = collections.deque([tops[0]])
     while queue:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from gerbecalc import (
     wrap,
 )
 from gerbecalc.builders import gerbopole_equator_pair
+from gerbecalc.serialize import save_datum
 
 TWO_PI = 2.0 * math.pi
 
@@ -202,3 +204,55 @@ class TestEquatorRestriction:
         result = gauge_equivalent(restricted, shifted)
         assert result.equivalent
         assert result.residual < 1e-8
+
+
+def _build_for(key):
+    kind, *args = key
+    if kind == "equator":
+        *args, which = args
+        restricted, direct = gerbopole_equator_pair(*args)
+        return restricted if which == "restricted" else direct
+    builders = {
+        "minus1": build_minus_one_gerbe,
+        "monopole": build_monopole,
+        "gerbopole": build_gerbopole,
+    }
+    return builders[kind](*args)
+
+
+# sha256 of each builder's save_datum JSON as the hand-written layers that
+# _descend replaced wrote it, so any change to the descent's signs, order or
+# rounding shows here; monopole m=6 at winding 2 is rejected as too coarse
+PINNED_DIGESTS = {
+    ("minus1", 12, 1): "3c0f12465e1cbcc72e705e7dfb45829a26288cd76b240e67d4ec5cfbd5d74927",
+    ("minus1", 12, -1): "81ca0dc939ba0c0097cffb8903ac57274cb238baf156775b5c62c0f4e7e80e85",
+    ("minus1", 24, 1): "0c4689eb831d30d1de78a2f287acb982a36f5c382f3bc083e3d6e626d07fcc43",
+    ("minus1", 24, -1): "39f958d86d73e1c1904f046b3d69cd2d21c2bc4acbc77a4dc3cfadd3aec525c6",
+    ("monopole", 6, 1): "a393630168d3cf370232de1755ef4f620d23d679d150af06029779d120f3bdb2",
+    ("monopole", 6, -1): "c870aed028995126dda82d3f62fd8685b85ecf25a5aecc09abec1d1331b61c50",
+    ("monopole", 12, 1): "6ba830919eb90d9cb4bc369e4e650b2869add5fd51dea889aa41b8b4b27e6599",
+    ("monopole", 12, -1): "1c9e20bd35d8016251322bf19fa0a4410a7ececca3df5a4a526b7553bd398d73",
+    ("monopole", 12, 2): "bdb6fe98d50118b749be048dd5c6e28b405fb971ab75497c46886be9bdbf8b17",
+    ("monopole", 48, 1): "88ad76aaeb498876232462ad028036fe91f87cea84691c55fe5a78b7fe413b6c",
+    ("monopole", 48, -1): "1dde5691d52e2865bd23d694ba54b1f081c7dd1dbb8ed9bc1b16851076ae557d",
+    ("monopole", 48, 2): "7f331e2edfb883625a2b3226b0dc7489e78914c8e2f9b4f90b9ad7113093bb37",
+    ("gerbopole", 6, 1, 8): "ed4d5b9537037bd47228c39adf99e405125faa2936ed8038271a83a68cf6186f",
+    ("gerbopole", 6, 1, 16): "9433e3e6b6e3e70dd0f5e51dd007df67bacfc585446aacbe12bd72bd26c8ddbf",
+    ("gerbopole", 6, -1, 8): "5c9b5731c6c54cf49215b91bcc1b2f990c71b36d369ed62a6ed19dc9490d65d9",
+    ("gerbopole", 6, -1, 16): "2542a067f46059cd92b127d2834eb319bb2ce58db94357393fed2529b13f5a85",
+    ("gerbopole", 12, 1, 8): "678d52ea6ffd17f475e52f9107939c1ebf65a50d7f9111c27de649dd0f22eefe",
+    ("gerbopole", 12, 1, 16): "6719fce78bb47db506b0ea445cad892643af2cbccddfe274bfac0fa65862aaa2",
+    ("gerbopole", 12, -1, 8): "23134e365ca2050b430c1f02748c221f6fad6af6e26504fd9fa4a73f813e3f3f",
+    ("gerbopole", 12, -1, 16): "ee2a7ab1571368709d0679d5221a7eaae0645612f70d75b8e07aa461deeda46d",
+    ("equator", 6, "restricted"): "ae5a886fb8be838ef949a6d3e9899bd91d4c8df0e1aeed49f5a7c0e1e1d786dd",
+    ("equator", 6, "direct"): "ae5a886fb8be838ef949a6d3e9899bd91d4c8df0e1aeed49f5a7c0e1e1d786dd",
+    ("equator", 12, -1, "restricted"): "5ebdc24924b34c1147e859d0ee1b661a029308c3cebe9131ce6011c73abadf4b",
+    ("equator", 12, -1, "direct"): "5ebdc24924b34c1147e859d0ee1b661a029308c3cebe9131ce6011c73abadf4b",
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_DIGESTS))
+def test_builder_output_is_pinned_byte_for_byte(key, tmp_path):
+    path = tmp_path / "datum.json"
+    save_datum(path, _build_for(key))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[key]

@@ -215,6 +215,24 @@ class TestIntegerRank:
             m = boundary_matrix(icosahedron, q)
             assert integer_rank(m) == np.linalg.matrix_rank(np.array(m))
 
+    def test_numpy_integers_and_zero_padding_accepted(self):
+        assert integer_rank(np.array([[1, 2], [2, 4]])) == 1
+        assert integer_rank([[np.int64(3), 0.0], [0, np.int32(1)]]) == 2
+
+    @pytest.mark.parametrize(
+        "matrix,where",
+        [
+            ([[2.5, 1], [5, 2]], r"\(0, 0\) is 2\.5"),
+            ([[0.5], [1]], r"\(0, 0\) is 0\.5"),
+            ([[float("nan")]], r"\(0, 0\) is nan"),
+            ([[1, 0], [0, 2.0]], r"\(1, 1\) is 2\.0"),
+        ],
+        ids=["rational", "half", "nan", "integral-float"],
+    )
+    def test_non_integer_entry_rejected(self, matrix, where):
+        with pytest.raises(InvalidInputError, match=where):
+            integer_rank(matrix)
+
     def test_non_unit_pivots(self):
         assert integer_rank([[2, 3], [4, 6]]) == 1
         assert integer_rank([[2, 1], [1, 2]]) == 2

@@ -173,3 +173,13 @@ class TestFundamentalCycle:
         )
         with pytest.raises(StructuralError):
             fundamental_cycle(rp2)
+
+    def test_edge_outside_every_top_cell_rejected(self):
+        # a pole-to-pole edge of the two-cone sphere lies in no triangle
+        sphere = two_cone_sphere(6)
+        table = {q: list(cells) for q, cells in sphere.simplices.items()}
+        table[1].append((12, 13))
+        with pytest.raises(StructuralError, match=r"\(12, 13\) lies in 0 top cells"):
+            SimplicialComplex.build(14, table, closed_manifold=True)
+        with pytest.raises(StructuralError, match=r"\(12, 13\) lies in 0 top cells"):
+            fundamental_cycle(SimplicialComplex.build(14, table))
