@@ -16,10 +16,11 @@ total operator is D = delta - dbar, which squares to zero.
 One cached matrix.  ``_coboundary_matrix`` assembles D from numpy index
 arrays over flat bases (``_LayerBasis``: a block per overlap) and alone
 applies the sign (-1)^a of ``simplicial._deletion_sign``, the twist (-1)^n
-and the minus of D = delta - dbar in ``_DBAR_IN_D``.  Each cover keeps one
-basis and one D per total degree.  Validation, gauge shifts, the equivalence
-solve and the exact check that D^2 = 0 apply it; ``cech_delta``, ``dbar``
-and ``big_d`` are dict-cochain wrappers over it.
+and the minus of D = delta - dbar in ``_DBAR_IN_D``; its faces follow the
+one rule of ``simplicial._face_rows``.  Each cover keeps one basis and one D
+per total degree.  Validation, gauge shifts, the equivalence solve and the
+exact check that D^2 = 0 apply it; ``cech_delta``, ``dbar`` and ``big_d``
+are dict-cochain wrappers over it.
 
 Angle-valued layers.  A (0, n) layer may be flagged angle-valued, meaning its
 values are defined only modulo 2*pi.  The flag declares a type; no operator
@@ -29,7 +30,6 @@ modulo 2*pi, so ``deligne`` wraps the rows it compares with zero.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -38,7 +38,7 @@ import numpy as np
 
 from .cover import Cover
 from .errors import InvalidInputError
-from .simplicial import Cochain, Simplex, SimplicialComplex, _deletion_sign, _worst
+from .simplicial import Cochain, Simplex, _deletion_sign, _face_rows, _worst
 
 TWO_PI = 2.0 * math.pi
 
@@ -228,10 +228,11 @@ def _check_support(part: BigradedCochain, cover: Cover) -> None:
     p, n, nsets = part.form_degree, part.cech_degree, len(cover.sets)
     if n > nsets:
         raise InvalidInputError(f"part at ({p},{n}) needs {n} cover sets, cover has {nsets}")
+    layer = cover.layer(n)
     for t, comp in part.components.items():
         if t and t[-1] >= nsets:
             raise InvalidInputError(f"part ({p},{n}) component {t} does not fit {nsets} sets")
-        inside = cover.overlap(t).cell_positions(p)
+        inside = layer[t].cell_positions(p) if t in layer else {}
         for cell in comp.values:
             if cell not in inside:
                 raise InvalidInputError(
@@ -239,12 +240,22 @@ def _check_support(part: BigradedCochain, cover: Cover) -> None:
                 )
 
 
+def _image(total: TotalCochain, cover: Cover) -> np.ndarray:
+    """D(total) in coordinates, through the cover's cached D after the support check."""
+    for part in total.parts.values():
+        if part.components:
+            _check_support(part, cover)
+    k = total.total_degree
+    return _coboundary(cover, k).apply(_basis(cover, k).vector_of(total))
+
+
 def cech_delta(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
     """Index-deletion coboundary, the (p, n + 1) block of D.  The angle-valued
     flag propagates since sums of angles are still angles."""
     p, n = cochain.form_degree, cochain.cech_degree
-    image = big_d(TotalCochain(p + n, {(p, n): cochain}), cover).part(p, n + 1)
-    return BigradedCochain(p, n + 1, image.components if image else {}, cochain.angle_valued)
+    image = _image(TotalCochain(p + n, {(p, n): cochain}), cover)
+    comps = _basis(cover, p + n + 1).components_of(image, p, n + 1)
+    return BigradedCochain(p, n + 1, comps, cochain.angle_valued)
 
 
 def dbar(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
@@ -252,19 +263,15 @@ def dbar(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
     (p + 1, n) block of D times ``_DBAR_IN_D``, which undoes its minus.
     Linear on angle-valued layers too; the output is real-valued."""
     p, n = cochain.form_degree, cochain.cech_degree
-    image = big_d(TotalCochain(p + n, {(p, n): cochain}), cover).part(p + 1, n)
-    return BigradedCochain(p + 1, n, image.components if image else {}).scaled(_DBAR_IN_D)
+    image = _image(TotalCochain(p + n, {(p, n): cochain}), cover)
+    comps = _basis(cover, p + n + 1).components_of(image, p + 1, n)
+    return BigradedCochain(p + 1, n, comps).scaled(_DBAR_IN_D)
 
 
 def big_d(total: TotalCochain, cover: Cover) -> TotalCochain:
     """Total coboundary D = delta - dbar, applied through the cover's cached
     matrix after the support check; D(D(x)) = 0 for real-valued x."""
-    for part in total.parts.values():
-        if part.components:
-            _check_support(part, cover)
-    k = total.total_degree
-    x = _basis(cover, k).vector_of(total)
-    return _basis(cover, k + 1).total_of(_coboundary(cover, k).apply(x))
+    return _basis(cover, total.total_degree + 1).total_of(_image(total, cover))
 
 
 class _LayerBasis:
@@ -311,19 +318,22 @@ class _LayerBasis:
                     vec[[at + inside[cell] for cell in comp.values]] = list(comp.values.values())
         return vec
 
+    def components_of(self, vec: np.ndarray, p: int, n: int) -> dict[tuple[int, ...], Cochain]:
+        """Block (p, n) as components, looking up only its nonzero (t, cell)."""
+        span = self.positions.get((p, n), range(0))
+        at = np.flatnonzero(vec[span.start : span.stop])
+        if not at.size:
+            return {}
+        tuples, cells, grouped = list(self.cover.layer(n)), self.cover.complex.cells(p), {}
+        found = zip(self.tuple_ids[p, n][at].tolist(), self.cell_ids[p, n][at].tolist())
+        for (t, c), v in zip(found, vec[span.start + at].tolist()):
+            grouped.setdefault(tuples[t], {})[cells[c]] = v
+        return {t: Cochain(p, v) for t, v in grouped.items()}
+
     def total_of(self, vec: np.ndarray) -> TotalCochain:
-        """The total cochain of the nonzero coordinates; only their (t, cell)
-        are looked up."""
-        parts = {}
-        for (p, n), span in self.positions.items():
-            at = np.flatnonzero(vec[span.start : span.stop])
-            if not at.size:
-                continue
-            tuples, cells, grouped = list(self.cover.layer(n)), self.cover.complex.cells(p), {}
-            found = zip(self.tuple_ids[p, n][at].tolist(), self.cell_ids[p, n][at].tolist())
-            for (t, c), v in zip(found, vec[span.start + at].tolist()):
-                grouped.setdefault(tuples[t], {})[cells[c]] = v
-            parts[p, n] = BigradedCochain(p, n, {t: Cochain(p, v) for t, v in grouped.items()})
+        """The total cochain of the nonzero coordinates, block by block."""
+        blocks = ((p, n, self.components_of(vec, p, n)) for p, n in self.positions)
+        parts = {(p, n): BigradedCochain(p, n, comps) for p, n, comps in blocks if comps}
         return TotalCochain(self.degree, parts)
 
 
@@ -355,37 +365,20 @@ class _SparseD:
         return _SparseD((self.shape[0], self.shape[1] - count), rows, cols, self.signs[keep])
 
 
-def _face_ids(complex: SimplicialComplex) -> dict[int, np.ndarray]:
-    """For each dimension q >= 1, the id in ``cells(q - 1)`` of face a of
-    every q-cell, at [:, a].  The faces' vertices are found one column at a
-    time, by searchsorted among the sorted j-cells keyed by the id of their
-    first j vertices and their last one."""
-    v, keys, faces = complex.vertex_count, [], {}
-    for q in range(complex.top_dimension + 1):
-        flat = itertools.chain.from_iterable(complex.cells(q))
-        cells = np.fromiter(flat, np.intp).reshape(-1, q + 1)
-        if q:
-            face = cells[:, [[i for i in range(q + 1) if i != a] for a in range(q + 1)]]
-            faces[q] = np.searchsorted(keys[0], face[..., 0])
-            for j in range(1, q):
-                faces[q] = np.searchsorted(keys[j], faces[q] * v + face[..., j])
-        keys.append(faces[q][:, q] * v + cells[:, q] if q else cells[:, 0])
-    return faces
-
-
 def _coboundary_matrix(cover: Cover, degree: int, *, _drop_twist: bool = False) -> _SparseD:
     """Sparse D = delta - dbar from total degree ``degree`` to ``degree + 1``.
 
     Row block (p, n) reads its sources in runs over all of its rows, one per
-    index a: dbar reads face a of the cell at the same tuple, with (-1)^a
-    (-1)^n times the minus of D; then delta reads the cell at the tuple less
-    index a, with (-1)^a.  Each run is one searchsorted of (tuple index, cell
-    id) keys in the sorted source block.  ``apply`` sums a row in run order,
-    so a gauge shift's large dbar terms cancel before its delta terms join.
+    index a: dbar reads face a of the cell at the same tuple (``_faces``), with
+    (-1)^a (-1)^n times the minus of D; then delta reads the cell at the tuple
+    less index a (``_face_rows`` of layer n), with (-1)^a.  Each run is one
+    searchsorted of (tuple index, cell id) keys in the sorted source block.
+    ``apply`` sums a row in run order, so a gauge shift's large dbar terms
+    cancel before its delta terms join.
     ``_drop_twist`` drops (-1)^n, only to show that the self-check notices.
     """
     cols, rows = _basis(cover, degree), _basis(cover, degree + 1)
-    faces = _face_ids(cover.complex)
+    faces = cover.complex._faces
     row_ids, col_ids = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
     signs = [np.zeros(0, np.int8)]
     for (p, n), span in rows.positions.items():
@@ -395,9 +388,9 @@ def _coboundary_matrix(cover: Cover, degree: int, *, _drop_twist: bool = False) 
         dsign = _DBAR_IN_D * (-1 if n % 2 and not _drop_twist else 1)
         for a in range(p + 1 if p else 0):
             runs.append(((p - 1, n), tids, faces[p][cids, a], dsign * _deletion_sign(a)))
-        if n:  # the index in layer n - 1 of each tuple less index a, at [:, a]
+        if n:
             index = {t: i for i, t in enumerate(cover.layer(n - 1))}
-            less = np.array([[index[t[:a] + t[a + 1 :]] for a in range(n)] for t in cover.layer(n)])
+            less = np.array(_face_rows(tuple(cover.layer(n)), index))
             runs += [((p, n - 1), less[tids, a], cids, _deletion_sign(a)) for a in range(n)]
         for source, t_read, c_read, sign in runs:
             width = len(cover.complex.cells(source[0]))

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
-from .simplicial import SimplicialComplex, boundary_matrix
+from .simplicial import SimplicialComplex, _ids, boundary_matrix
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class Cover:
     def build(
         cls, complex: SimplicialComplex, sets: Sequence[Iterable[int]]
     ) -> "Cover":
-        fsets = tuple(frozenset(int(v) for v in s) for s in sets)
+        fsets = tuple(frozenset(_ids(s, f"cover set {i}")) for i, s in enumerate(sets))
         if not fsets:
             raise InvalidInputError("a cover needs at least one set")
         vertices = complex.vertices
@@ -58,7 +58,7 @@ class Cover:
         return cls(complex, fsets)
 
     def _canonical(self, indices: Iterable[int]) -> tuple[int, ...]:
-        t = tuple(int(i) for i in indices)
+        t = _ids(indices, "cover indices")
         if len(set(t)) != len(t):
             raise InvalidInputError(f"repeated cover index in {t}")
         for i in t:
@@ -144,12 +144,11 @@ def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
     return len(pivots)
 
 
-def betti_numbers(complex: SimplicialComplex, up_to: int = 2) -> tuple[int, ...]:
-    """Betti numbers b_0..b_{up_to} over Q from exact ranks of boundary maps."""
+def betti_numbers(complex: SimplicialComplex) -> tuple[int, ...]:
+    """Betti numbers b_0..b_max(2, top dimension) over Q from exact boundary ranks."""
+    up_to = max(2, complex.top_dimension)
     counts = [len(complex.cells(q)) for q in range(up_to + 2)]
-    ranks = [0] + [
-        integer_rank(boundary_matrix(complex, q)) for q in range(1, up_to + 2)
-    ]
+    ranks = [0] + [integer_rank(boundary_matrix(complex, q)) for q in range(1, up_to + 2)]
     return tuple(counts[q] - ranks[q] - ranks[q + 1] for q in range(up_to + 1))
 
 
@@ -189,7 +188,6 @@ def check_good_cover(cover: Cover) -> GoodCoverReport:
     """
     entries = []
     for t in cover.nerve():
-        overlap = cover.layer(len(t))[t]
-        b = betti_numbers(overlap, max(2, overlap.top_dimension))
+        b = betti_numbers(cover.layer(len(t))[t])
         entries.append(OverlapDiagnostic(t, b, b == (1,) + (0,) * (len(b) - 1)))
     return GoodCoverReport(tuple(entries))

@@ -86,9 +86,7 @@ def complex_from_dict(doc: Any, path: str = "complex") -> SimplicialComplex:
             raise FormatError(f"{path}.simplices: bad dimension key {key!r}") from None
         if not isinstance(cells, list):
             raise FormatError(f"{path}.simplices.{key}: expected a list")
-        table[q] = [
-            _int_list(c, f"{path}.simplices.{key}[{i}]") for i, c in enumerate(cells)
-        ]
+        table[q] = cells
     try:
         return SimplicialComplex.build(vertex_count, table)
     except Exception as exc:
@@ -105,9 +103,8 @@ def cover_from_dict(
     raw = _need(doc, "sets", path)
     if not isinstance(raw, list):
         raise FormatError(f"{path}.sets: expected a list")
-    sets = [_int_list(s, f"{path}.sets[{i}]") for i, s in enumerate(raw)]
     try:
-        return Cover.build(complex, sets)
+        return Cover.build(complex, raw)
     except Exception as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -4,14 +4,19 @@ Every simplex is stored as a strictly increasing tuple of vertex ids and
 carries the orientation induced by that order, so incidence signs are always
 derived from vertex positions and never stored.  Cochain and chain values are
 sparse maps keyed by simplex tuple; a missing key means the value is zero.
+
+The face rule is written once, in ``_face_rows``: face a of a cell or Cech index
+tuple drops entry a, with sign ``_deletion_sign(a)``.  Each complex keeps the
+rule's table, ``_faces``, which ``build`` computes as its closure check.
 """
 
 from __future__ import annotations
 
 import collections
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +45,27 @@ def _worst(magnitudes: Iterable[float]) -> float:
 def _deletion_sign(i: int) -> int:
     """(-1)^i, the sign of the face that deletes position i of a simplex or tuple."""
     return -1 if i % 2 else 1
+
+
+def _face_rows(tuples: Sequence[Simplex], position: Mapping[Simplex, int]) -> list[list[int]]:
+    """Row j holds, at index a, the position of ``tuples[j]`` less its entry a."""
+    try:
+        return [[position[s[:a] + s[a + 1 :]] for a in range(len(s))] for s in tuples]
+    except KeyError as missing:  # name the face and a tuple that needs it
+        face = missing.args[0]
+        cell = next(s for s in tuples if set(face) < set(s))
+        raise InvalidInputError(f"face {face} of {cell} is missing") from None
+
+
+def _ids(values: Iterable, owner: str) -> tuple[int, ...]:
+    """The values as Python ints; int() would truncate 0.5 and take '1' or True."""
+    values = tuple(values)
+    if bool not in map(type, values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:  # operator.index takes exactly the types with __index__
+            pass
+    raise InvalidInputError(f"{owner} {values}: ids must be integers")
 
 
 @dataclass(frozen=True)
@@ -74,13 +100,11 @@ class SimplicialComplex:
                 raise InvalidInputError("cell dimensions must be non-negative")
             norm: list[Simplex] = []
             for cell in cells:
-                s = tuple(int(v) for v in cell)
+                s = _ids(cell, "cell")
                 if len(s) != q + 1:
                     raise InvalidInputError(f"{s} is not a {q}-cell")
                 if any(a >= b for a, b in zip(s, s[1:])):
-                    raise InvalidInputError(
-                        f"cell {s}: vertex ids must be strictly increasing"
-                    )
+                    raise InvalidInputError(f"cell {s}: vertex ids must be strictly increasing")
                 if s[0] < 0 or s[-1] >= vertex_count:
                     raise InvalidInputError(f"cell {s}: vertex id out of range")
                 norm.append(s)
@@ -88,18 +112,12 @@ class SimplicialComplex:
                 raise InvalidInputError(f"duplicate {q}-cells")
             if norm:
                 table[q] = tuple(sorted(norm))
-        for q in sorted(table):
-            if q == 0:
-                continue
-            lower = set(table.get(q - 1, ()))
-            for s in table[q]:
-                for i in range(q + 1):
-                    face = s[:i] + s[i + 1 :]
-                    if face not in lower:
-                        raise InvalidInputError(f"face {face} of {s} is missing")
         complex = cls(vertex_count, table, max(table, default=-1))
+        complex._faces  # the closure check: a face that is not listed raises here
+        if closed_manifold and complex.top_dimension < 1:
+            raise StructuralError("a closed manifold needs top dimension >= 1")
         if closed_manifold:
-            complex._check_closed_manifold()
+            _top_cofaces(complex)  # raises unless each codimension-1 cell lies in two top cells
         return complex
 
     @classmethod
@@ -113,7 +131,7 @@ class SimplicialComplex:
         """Build the complex generated by the given cells and all their faces."""
         cells = []
         for cell in top_cells:
-            s = tuple(sorted(int(v) for v in cell))
+            s = tuple(sorted(_ids(cell, "cell")))
             if len(set(s)) != len(s):
                 raise InvalidInputError(f"cell {cell} has repeated vertices")
             cells.append(s)
@@ -125,21 +143,9 @@ class SimplicialComplex:
         top = dims.pop()
         table: dict[int, set[Simplex]] = {top: set(cells)}
         for q in range(top, 0, -1):
-            faces = set()
-            for s in table[q]:
-                for i in range(q + 1):
-                    faces.add(s[:i] + s[i + 1 :])
-            table[q - 1] = faces
-        return cls.build(
-            vertex_count,
-            {q: sorted(cs) for q, cs in table.items()},
-            closed_manifold=closed_manifold,
-        )
-
-    def _check_closed_manifold(self) -> None:
-        if self.top_dimension < 1:
-            raise StructuralError("a closed manifold needs top dimension >= 1")
-        _top_cofaces(self)
+            table[q - 1] = {s[:i] + s[i + 1 :] for s in table[q] for i in range(q + 1)}
+        table = {q: sorted(cs) for q, cs in table.items()}
+        return cls.build(vertex_count, table, closed_manifold=closed_manifold)
 
     def cells(self, dim: int) -> tuple[Simplex, ...]:
         return self.simplices.get(dim, ())
@@ -151,6 +157,14 @@ class SimplicialComplex:
     def cell_positions(self, dim: int) -> dict[Simplex, int]:
         """Each dim-cell mapped to its position in ``cells(dim)``."""
         return self._positions.get(dim, {})
+
+    @cached_property
+    def _faces(self) -> dict[int, np.ndarray]:
+        """For each q >= 1, ``_face_rows`` of ``cells(q)`` into ``cells(q - 1)``, in int32."""
+        return {
+            q: np.array(_face_rows(self.cells(q), self.cell_positions(q - 1)), np.int32)
+            for q in range(1, self.top_dimension + 1)
+        }
 
     def has_cell(self, simplex: Simplex) -> bool:
         return simplex in self._positions.get(len(simplex) - 1, ())
@@ -272,37 +286,37 @@ def integrate(cochain: Cochain, chain: Chain) -> float:
 
 def chain_boundary(chain: Chain, complex: SimplicialComplex) -> Chain:
     """Boundary of an integer chain, with alternating face signs."""
-    if chain.degree < 1:
-        return Chain(chain.degree - 1, {})
-    out: dict[Simplex, int] = {}
+    q = chain.degree
+    if q < 1:
+        return Chain(q - 1, {})
+    positions, lower, out = complex.cell_positions(q), complex.cells(q - 1), {}
     for cell, coeff in sorted(chain.coefficients.items()):
-        if not complex.has_cell(cell):
+        if cell not in positions:
             raise InvalidInputError(f"chain references unknown cell {cell}")
-        for i in range(chain.degree + 1):
-            face = cell[:i] + cell[i + 1 :]
+        for i, f in enumerate(complex._faces[q][positions[cell]].tolist()):
+            face = lower[f]
             total = out.get(face, 0) + _deletion_sign(i) * coeff
             if total == 0:
                 out.pop(face, None)
             else:
                 out[face] = total
-    return Chain(chain.degree - 1, out)
+    return Chain(q - 1, out)
 
 
-def _top_cofaces(complex: SimplicialComplex) -> dict[Simplex, list[tuple[Simplex, int]]]:
-    """Each codimension-1 cell mapped to its top cells, each with the sign of
-    the face; raises StructuralError unless every such cell lies in exactly two."""
+def _top_cofaces(complex: SimplicialComplex) -> np.ndarray:
+    """Entry e of ``_faces[d]`` (face e % (d + 1) of top cell e // (d + 1)) mapped to the
+    other entry of its face; StructuralError unless each such face lies in two top cells."""
     d = complex.top_dimension
-    cofaces: dict[Simplex, list[tuple[Simplex, int]]] = collections.defaultdict(list)
-    signs = [_deletion_sign(i) for i in range(d + 1)]
-    for t in complex.cells(d):
-        for i, sign in enumerate(signs):
-            cofaces[t[:i] + t[i + 1 :]].append((t, sign))
-    faces = complex.cells(d - 1)
-    if len(cofaces) == len(faces) and all(len(pair) == 2 for pair in cofaces.values()):
-        return cofaces
-    face = next(f for f in faces if len(cofaces.get(f, ())) != 2)
-    count = len(cofaces.get(face, ()))
-    raise StructuralError(f"cell {face} lies in {count} top cells; need exactly 2")
+    entries = complex._faces[d].ravel()
+    counts = np.bincount(entries, minlength=len(complex.cells(d - 1)))
+    if (counts != 2).any():
+        f = np.flatnonzero(counts != 2)[0]
+        face, count = complex.cells(d - 1)[f], counts[f]
+        raise StructuralError(f"cell {face} lies in {count} top cells; need exactly 2")
+    pairs = np.argsort(entries).reshape(-1, 2)
+    partner = np.empty(len(entries), np.intp)
+    partner[pairs] = pairs[:, ::-1]
+    return partner
 
 
 def fundamental_cycle(complex: SimplicialComplex) -> Chain:
@@ -313,20 +327,16 @@ def fundamental_cycle(complex: SimplicialComplex) -> Chain:
     must close up consistently.  The orientation is normalized so that the
     lexicographically smallest top cell carries +1.
     """
-    d = complex.top_dimension
+    d, tops = complex.top_dimension, complex.cells(complex.top_dimension)
     if d < 1:
         raise StructuralError("complex has no top-dimensional cells to orient")
-    tops = complex.cells(d)
-    cofaces = _top_cofaces(complex)
-    coefficients = {tops[0]: 1}
-    queue = collections.deque([tops[0]])
+    w, partner = d + 1, _top_cofaces(complex).tolist()
+    coefficients, queue = {0: 1}, collections.deque([0])  # by position in tops
     while queue:
         t = queue.popleft()
-        ct = coefficients[t]
-        for i in range(d + 1):
-            (a, sa), (b, sb) = cofaces[t[:i] + t[i + 1 :]]
-            other, s_other, s_this = (b, sb, sa) if a == t else (a, sa, sb)
-            want = -ct * s_this * s_other
+        for e in range(t * w, t * w + w):
+            other, b = divmod(partner[e], w)
+            want = -coefficients[t] * _deletion_sign(e % w + b)
             known = coefficients.get(other)
             if known is None:
                 coefficients[other] = want
@@ -335,16 +345,17 @@ def fundamental_cycle(complex: SimplicialComplex) -> Chain:
                 raise StructuralError("complex is not orientable")
     if len(coefficients) != len(tops):
         raise StructuralError("top cells are not connected")
-    return Chain(d, coefficients)
+    return Chain(d, {tops[t]: c for t, c in coefficients.items()})
 
 
 def boundary_matrix(complex: SimplicialComplex, dim: int) -> list[list[int]]:
     """Integer matrix of the boundary map from dim-cells to (dim-1)-cells."""
     rows = complex.cells(dim - 1)
     cols = complex.cells(dim)
-    row_index = {s: i for i, s in enumerate(rows)}
+    # not complex._faces: that would keep a table on every overlap ranked
+    faces = _face_rows(cols, {s: i for i, s in enumerate(rows)})
     matrix = [[0] * len(cols) for _ in rows]
-    for j, s in enumerate(cols):
-        for i in range(dim + 1):
-            matrix[row_index[s[:i] + s[i + 1 :]]][j] = _deletion_sign(i)
+    for j, row in enumerate(faces):
+        for i, f in enumerate(row):
+            matrix[f][j] = _deletion_sign(i)
     return matrix

@@ -77,6 +77,14 @@ class TestAntisymmetry:
         assert layer.component((1, 1)).values == {}
 
 
+# the three operators on a one-part (0, 1) input
+ONE_PART_OPS = pytest.mark.parametrize(
+    "op",
+    [cech_delta, dbar, lambda layer, cover: big_d(TotalCochain(1, {(0, 1): layer}), cover)],
+    ids=["cech_delta", "dbar", "big_d"],
+)
+
+
 def two_set_cover():
     K = two_cone_sphere(6)
     band = set(range(12))
@@ -161,15 +169,19 @@ class TestCechDelta:
         with pytest.raises(InvalidInputError):
             cech_delta(layer, cover)
 
-    @pytest.mark.parametrize(
-        "op",
-        [cech_delta, dbar, lambda layer, cover: big_d(TotalCochain(1, {(0, 1): layer}), cover)],
-        ids=["cech_delta", "dbar", "big_d"],
-    )
+    @ONE_PART_OPS
     def test_value_outside_its_overlap_rejected(self, op):
         # vertex 13, the south pole, lies outside set 0
         layer = BigradedCochain(0, 1, {(0,): Cochain(0, {(13,): 1.0})})
         spill = r"part \(0,1\) component \(0,\) spills outside its overlap at \(13,\)"
+        with pytest.raises(InvalidInputError, match=spill):
+            op(layer, two_set_cover())
+
+    @ONE_PART_OPS
+    def test_non_integer_index_rejected(self, op):
+        # no set has index 0.5; int() would read it as set 0, which holds vertex 0
+        layer = BigradedCochain(0, 1, {(0.5,): Cochain(0, {(0,): 1.0})})
+        spill = r"part \(0,1\) component \(0.5,\) spills outside its overlap at \(0,\)"
         with pytest.raises(InvalidInputError, match=spill):
             op(layer, two_set_cover())
 

@@ -128,6 +128,20 @@ class TestValidate:
         rc = main(["validate", str(path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", [0.5, True])
+    @pytest.mark.parametrize("section", ["complex", "cover"])
+    def test_non_integer_vertex_id_exits_2(self, monopole_file, tmp_path, capsys, section, bad):
+        doc = json.loads(monopole_file.read_text())
+        if section == "complex":
+            doc["complex"]["simplices"]["1"][0][1] = bad
+        else:
+            doc["cover"]["sets"][1][0] = bad
+        path = tmp_path / "bad-id.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert section in err and repr(bad) in err
+
     def test_missing_file_exits_2(self, tmp_path):
         rc = main(["validate", str(tmp_path / "nope.json")])
         assert rc == 2

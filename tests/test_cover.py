@@ -68,6 +68,11 @@ class TestCoverConstruction:
         with pytest.raises(InvalidInputError):
             Cover.build(K, [{0, 1, 2}, {3, 4, 5}, {5, 0}])
 
+    @pytest.mark.parametrize("bad", [0.7, "1", True])
+    def test_non_integer_member_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match=r"cover set 0 .*ids must be integers"):
+            Cover.build(circle_complex(6), [[bad, 1, 2, 3], [3, 4, 5, 0]])
+
     def test_unknown_vertex_rejected(self):
         K = circle_complex(6)
         with pytest.raises(InvalidInputError):
@@ -98,6 +103,12 @@ class TestOverlap:
         cover = Cover.build(K, [set(range(6))])
         with pytest.raises(InvalidInputError):
             cover.overlap((0, 3))
+
+    @pytest.mark.parametrize("bad", [0.5, "0", True])
+    def test_non_integer_index_rejected(self, bad):
+        cover = Cover.build(circle_complex(6), [set(range(6)), {0, 1}])
+        with pytest.raises(InvalidInputError, match="ids must be integers"):
+            cover.overlap((bad,))
 
     def test_repeated_index(self):
         K = circle_complex(6)

@@ -156,6 +156,16 @@ class TestValidate:
         with pytest.raises(InvalidInputError, match=r"\(0,2\) component \(0, 1\) spills .* \(12,\)"):
             GerbeDatum(0, TotalCochain(2, parts), datum.cover)
 
+    def test_non_integer_component_index_rejected(self):
+        # int() in a lookup would read (1.5,) as set 1's component
+        datum = build_monopole(6)
+        parts = dict(datum.data.parts)
+        comps = dict(parts[(1, 1)].components)
+        comps[(1.5,)] = comps.pop((1,))
+        parts[(1, 1)] = BigradedCochain(1, 1, comps)
+        with pytest.raises(InvalidInputError, match=r"\(1,1\) component \(1.5,\) spills"):
+            validate_cocycle(GerbeDatum(0, TotalCochain(2, parts), datum.cover))
+
     @pytest.mark.parametrize("position", [0, -1])
     def test_non_finite_curvature_fails(self, position):
         datum = build_monopole(6)

@@ -45,6 +45,14 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             SimplicialComplex.build(2, {0: [(0,), (2,)]})
 
+    @pytest.mark.parametrize("bad", [0.5, "1", True])
+    def test_non_integer_vertex_id_rejected(self, bad):
+        # int() would truncate 0.5 and take "1" or True as vertex 1
+        with pytest.raises(InvalidInputError, match="ids must be integers"):
+            SimplicialComplex.build(3, {0: [(0,), (bad,), (2,)]})
+        with pytest.raises(InvalidInputError, match="ids must be integers"):
+            SimplicialComplex.from_top_cells(3, [(0, bad, 2)])
+
     def test_manifold_flag_rejects_open_disk(self, single_triangle):
         with pytest.raises(StructuralError):
             SimplicialComplex.from_top_cells(
