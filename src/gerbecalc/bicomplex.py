@@ -38,7 +38,7 @@ import numpy as np
 
 from .cover import Cover
 from .errors import InvalidInputError
-from .simplicial import Cochain, Simplex, _deletion_sign, _face_rows, _worst
+from .simplicial import Cochain, Simplex, _deletion_sign, _face_rows, _ids, _worst
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,7 +123,7 @@ class BigradedCochain:
 
     def component(self, indices: Iterable[int]) -> Cochain:
         """Evaluate at any index tuple, applying the antisymmetry sign."""
-        t = tuple(int(i) for i in indices)
+        t = _ids(indices, "component indices")
         if len(t) != self.cech_degree:
             raise InvalidInputError(f"expected {self.cech_degree} indices, got {len(t)}")
         sign = permutation_sign(t)
@@ -389,8 +389,7 @@ def _coboundary_matrix(cover: Cover, degree: int, *, _drop_twist: bool = False) 
         for a in range(p + 1 if p else 0):
             runs.append(((p - 1, n), tids, faces[p][cids, a], dsign * _deletion_sign(a)))
         if n:
-            index = {t: i for i, t in enumerate(cover.layer(n - 1))}
-            less = np.array(_face_rows(tuple(cover.layer(n)), index))
+            less = _nerve_faces(cover, n)
             runs += [((p, n - 1), less[tids, a], cids, _deletion_sign(a)) for a in range(n)]
         for source, t_read, c_read, sign in runs:
             width = len(cover.complex.cells(source[0]))
@@ -402,6 +401,15 @@ def _coboundary_matrix(cover: Cover, degree: int, *, _drop_twist: bool = False) 
             signs.append(np.full(len(span), sign, dtype=np.int8))
     arrays = (np.concatenate(row_ids), np.concatenate(col_ids), np.concatenate(signs))
     return _SparseD((rows.size, cols.size), *arrays)
+
+
+def _nerve_faces(cover: Cover, n: int) -> np.ndarray:
+    """``_face_rows`` of ``cover.layer(n)`` into ``cover.layer(n - 1)``, for n >= 1."""
+    upper, lower = (
+        np.array(list(layer), np.int64).reshape(len(layer), k)
+        for k, layer in ((n, cover.layer(n)), (n - 1, cover.layer(n - 1)))
+    )
+    return _face_rows(upper, lower)
 
 
 def _basis(cover: Cover, degree: int) -> _LayerBasis:

@@ -12,11 +12,14 @@ exact rational arithmetic, so its Betti numbers are over Q with no threshold.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvalidInputError
 from .simplicial import SimplicialComplex, _ids, boundary_matrix
@@ -51,10 +54,19 @@ class Cover:
         missing = vertices - frozenset().union(*fsets)
         if missing:
             raise InvalidInputError(f"vertices {sorted(missing)} are not covered")
-        for q in sorted(complex.simplices):
-            for cell in complex.cells(q):
-                if not any(s.issuperset(cell) for s in fsets):
-                    raise InvalidInputError(f"cell {cell} lies in no cover set")
+        # bit i of the packed row member[v] says whether set i holds vertex v, so
+        # a cell lies in a set iff the AND of its vertices' rows is nonzero
+        member = np.zeros((complex.vertex_count, (len(fsets) + 7) // 8), np.uint8)
+        held = np.repeat(np.arange(len(fsets)), [len(s) for s in fsets])
+        vertex = np.fromiter(itertools.chain.from_iterable(fsets), np.intp, len(held))
+        np.bitwise_or.at(member, (vertex, held // 8), (128 >> held % 8).astype(np.uint8))
+        for q, rows in complex._rows.items():
+            common = member[rows[:, 0]]
+            for c in range(1, q + 1):
+                common &= member[rows[:, c]]
+            outside = np.flatnonzero(~common.any(axis=1))
+            if outside.size:
+                raise InvalidInputError(f"cell {complex.cells(q)[outside[0]]} lies in no cover set")
         return cls(complex, fsets)
 
     def _canonical(self, indices: Iterable[int]) -> tuple[int, ...]:

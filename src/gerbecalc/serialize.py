@@ -51,8 +51,12 @@ def _need(doc: Any, key: str, path: str) -> Any:
     return doc[key]
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise FormatError(f"{path}: expected an integer, got {value!r}")
     return value
 
@@ -60,7 +64,10 @@ def _int(value: Any, path: str) -> int:
 def _int_list(value: Any, path: str) -> list[int]:
     if not isinstance(value, list):
         raise FormatError(f"{path}: expected a list")
-    return [_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if not all(map(_is_int, value)):  # name the first bad entry; paths only on failure
+        for i, v in enumerate(value):
+            _int(v, f"{path}[{i}]")
+    return list(value)
 
 
 def complex_to_dict(complex: SimplicialComplex) -> dict:

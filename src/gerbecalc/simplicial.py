@@ -6,23 +6,35 @@ derived from vertex positions and never stored.  Cochain and chain values are
 sparse maps keyed by simplex tuple; a missing key means the value is zero.
 
 The face rule is written once, in ``_face_rows``: face a of a cell or Cech index
-tuple drops entry a, with sign ``_deletion_sign(a)``.  Each complex keeps the
-rule's table, ``_faces``, which ``build`` computes as its closure check.
+tuple drops entry a, with sign ``_deletion_sign(a)``.  It works on arrays:
+``build`` checks and sorts each dimension as one (N, q + 1) int64 array, and
+the table of a dimension or nerve layer comes from one stable sort of its faces
+with the rows below.  Each complex keeps the rule's table, ``_faces``, which
+``build`` computes as its closure check.
+
+``boundary_matrix`` and ``induced`` stay per-tuple Python.  The good-cover
+check runs them once per overlap, 41,472 and 13,824 times per pass on the
+144-set star cover of a 12x12 torus, and such an overlap holds a few cells, so
+one numpy pass costs more than the dict lookups: 3.6 against 1.8 us per
+``boundary_matrix`` call, and 17.7 against 7.7 us per ``induced`` call.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import InvalidInputError, StructuralError
 
 Simplex = tuple[int, ...]
+
+_INT64_END = 2**63  # ids from here on do not fit an int64 array
 
 __all__ = [
     "Simplex",
@@ -47,14 +59,45 @@ def _deletion_sign(i: int) -> int:
     return -1 if i % 2 else 1
 
 
-def _face_rows(tuples: Sequence[Simplex], position: Mapping[Simplex, int]) -> list[list[int]]:
-    """Row j holds, at index a, the position of ``tuples[j]`` less its entry a."""
-    try:
-        return [[position[s[:a] + s[a + 1 :]] for a in range(len(s))] for s in tuples]
-    except KeyError as missing:  # name the face and a tuple that needs it
-        face = missing.args[0]
-        cell = next(s for s in tuples if set(face) < set(s))
-        raise InvalidInputError(f"face {face} of {cell} is missing") from None
+def _faces_of(rows: np.ndarray) -> np.ndarray:
+    """Row j * k + a is ``rows[j]`` less its entry a, for an (N, k) array."""
+    n, k = rows.shape
+    drop = np.array([[b for b in range(k) if b != a] for a in range(k)], np.intp)
+    return rows[:, drop.reshape(k, k - 1)].reshape(n * k, k - 1)
+
+
+def _lex_sorted(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in lexicographic order, and where each equals the row before it."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    repeats = np.zeros(len(rows), bool)
+    repeats[1:] = (rows[1:] == rows[:-1]).all(axis=1)
+    return rows, repeats
+
+
+def _face_rows(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Row j holds, at index a, the position in ``lower`` of ``upper[j]`` less its entry a.
+
+    ``upper`` is an (N, k) and ``lower`` an (M, k - 1) integer array whose rows are
+    distinct and in lexicographic order.  One stable sort of the rows of ``lower``
+    followed by the faces puts each face after the lower row equal to it, so the
+    last lower row at or before a face is the only one it can equal.  A face that
+    is not a row of ``lower`` raises, named with the first row of ``upper`` that
+    needs it.
+    """
+    faces, m = _faces_of(upper), len(lower)
+    both = np.concatenate([lower, faces])
+    # lexsort needs a key; rows of no entries are all equal, already in order
+    order = np.lexsort(both.T[::-1]) if both.shape[1] else np.arange(len(both))
+    found = np.empty(len(both), np.intp)
+    found[order] = np.maximum.accumulate(np.where(order < m, order, -1))
+    found = found[m:]
+    equal = found >= 0
+    equal[equal] = (lower[found[equal]] == faces[equal]).all(axis=1)
+    missing = np.flatnonzero(~equal)
+    if missing.size:
+        face, cell = faces[missing[0]], upper[missing[0] // upper.shape[1]]
+        raise InvalidInputError(f"face {tuple(face.tolist())} of {tuple(cell.tolist())} is missing")
+    return found.astype(np.int32).reshape(upper.shape)
 
 
 def _ids(values: Iterable, owner: str) -> tuple[int, ...]:
@@ -66,6 +109,69 @@ def _ids(values: Iterable, owner: str) -> tuple[int, ...]:
         except TypeError:  # operator.index takes exactly the types with __index__
             pass
     raise InvalidInputError(f"{owner} {values}: ids must be integers")
+
+
+def _are_ids(values: Iterable) -> bool:
+    """Whether ``_ids`` takes the values."""
+    try:
+        _ids(values, "")
+    except InvalidInputError:
+        return False
+    return True
+
+
+def _first_non_ids(cells: list[tuple], flat: list) -> int:
+    """The position of the first cell ``_ids`` refuses, or len(cells); ``flat``
+    holds the ids of all cells in order.
+
+    The type rule is a rule on types, so one id of each type decides whether
+    any cell is refused; only then are the cells walked one by one.
+    """
+    if _are_ids(dict(zip(map(type, flat), flat)).values()):
+        return len(cells)
+    return next(i for i, cell in enumerate(cells) if not _are_ids(cell))
+
+
+def _id_array(flat: list, count: int, width: int) -> np.ndarray:
+    """The first ``count`` cells of ``width`` ids each, from their ids in order,
+    as a (count, width) array: int64, or Python ints if an id does not fit."""
+    flat = flat[: count * width]
+    try:
+        return np.array(flat, np.int64).reshape(count, width)
+    except OverflowError:
+        return np.array(flat, object).reshape(count, width)
+
+
+def _checked_rows(cells: Iterable[Iterable[int]], q: int, vertex_count: int) -> np.ndarray:
+    """The q-cells as one (N, q + 1) int64 array in lexicographic order.
+
+    One pass over the ids applies ``_ids``'s type rule; array checks then cover
+    length, strictly increasing ids, range and duplicates.  A refusal names
+    the first bad cell in input order, with the first rule it breaks in that
+    order; an id too large for int64 is out of range.
+    """
+    cells = list(map(tuple, cells))
+    flat = list(itertools.chain.from_iterable(cells))
+    end = _first_non_ids(cells, flat)
+    lengths = np.fromiter(map(len, cells[:end]), np.intp, end)
+    short = np.flatnonzero(lengths != q + 1)
+    end = int(short[0]) if short.size else end
+    rows = _id_array(flat, end, q + 1)
+    increasing = (rows[:, 1:] > rows[:, :-1]).all(axis=1)
+    inside = (rows[:, 0] >= 0) & (rows[:, -1] < min(vertex_count, _INT64_END))
+    bad = np.flatnonzero(~(increasing & inside))
+    if bad.size:
+        s = _ids(cells[bad[0]], "cell")
+        if not increasing[bad[0]]:
+            raise InvalidInputError(f"cell {s}: vertex ids must be strictly increasing")
+        raise InvalidInputError(f"cell {s}: vertex id out of range")
+    if end < len(cells):
+        s = _ids(cells[end], "cell")  # refuses a cell whose ids are not integers
+        raise InvalidInputError(f"{s} is not a {q}-cell")
+    rows, repeats = _lex_sorted(rows)
+    if repeats.any():
+        raise InvalidInputError(f"duplicate {q}-cells")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -93,26 +199,20 @@ class SimplicialComplex:
         vertex_count = int(vertex_count)
         if vertex_count < 0:
             raise InvalidInputError("vertex_count must be non-negative")
-        table: dict[int, tuple[Simplex, ...]] = {}
+        rows: dict[int, np.ndarray] = {}
         for q, cells in simplices_by_dim.items():
             q = int(q)
             if q < 0:
                 raise InvalidInputError("cell dimensions must be non-negative")
-            norm: list[Simplex] = []
-            for cell in cells:
-                s = _ids(cell, "cell")
-                if len(s) != q + 1:
-                    raise InvalidInputError(f"{s} is not a {q}-cell")
-                if any(a >= b for a, b in zip(s, s[1:])):
-                    raise InvalidInputError(f"cell {s}: vertex ids must be strictly increasing")
-                if s[0] < 0 or s[-1] >= vertex_count:
-                    raise InvalidInputError(f"cell {s}: vertex id out of range")
-                norm.append(s)
-            if len(set(norm)) != len(norm):
-                raise InvalidInputError(f"duplicate {q}-cells")
-            if norm:
-                table[q] = tuple(sorted(norm))
+            found = _checked_rows(cells, q, vertex_count)
+            if len(found):
+                rows[q] = found
+        table = {q: tuple(map(tuple, r.tolist())) for q, r in rows.items()}
         complex = cls(vertex_count, table, max(table, default=-1))
+        # the cached property, filled with the arrays just checked
+        vars(complex)["_rows"] = {
+            q: rows.get(q, np.zeros((0, q + 1), np.int64)) for q in range(complex.top_dimension + 1)
+        }
         complex._faces  # the closure check: a face that is not listed raises here
         if closed_manifold and complex.top_dimension < 1:
             raise StructuralError("a closed manifold needs top dimension >= 1")
@@ -129,23 +229,30 @@ class SimplicialComplex:
         closed_manifold: bool = False,
     ) -> "SimplicialComplex":
         """Build the complex generated by the given cells and all their faces."""
-        cells = []
-        for cell in top_cells:
-            s = tuple(sorted(_ids(cell, "cell")))
-            if len(set(s)) != len(s):
-                raise InvalidInputError(f"cell {cell} has repeated vertices")
-            cells.append(s)
+        top_cells = list(top_cells)
+        cells = list(map(tuple, top_cells))
+        flat = list(itertools.chain.from_iterable(cells))
+        end = _first_non_ids(cells, flat)
+        lengths = np.fromiter(map(len, cells), np.intp, len(cells))
+        distinct = np.fromiter(map(len, map(set, cells[:end])), np.intp, end)
+        repeated = np.flatnonzero(distinct != lengths[:end])
+        if repeated.size:
+            raise InvalidInputError(f"cell {top_cells[repeated[0]]} has repeated vertices")
+        if end < len(cells):
+            _ids(cells[end], "cell")  # refuses a cell whose ids are not integers
         if not cells:
             return cls.build(vertex_count, {})
-        dims = {len(s) - 1 for s in cells}
-        if len(dims) != 1:
+        if (lengths != lengths[0]).any():
             raise InvalidInputError("top cells must all share one dimension")
-        top = dims.pop()
-        table: dict[int, set[Simplex]] = {top: set(cells)}
+        top = int(lengths[0]) - 1
+        rows, repeats = _lex_sorted(np.sort(_id_array(flat, len(cells), top + 1), axis=1))
+        table = {top: rows[~repeats]}
         for q in range(top, 0, -1):
-            table[q - 1] = {s[:i] + s[i + 1 :] for s in table[q] for i in range(q + 1)}
-        table = {q: sorted(cs) for q, cs in table.items()}
-        return cls.build(vertex_count, table, closed_manifold=closed_manifold)
+            rows, repeats = _lex_sorted(_faces_of(table[q]))
+            table[q - 1] = rows[~repeats]
+        return cls.build(
+            vertex_count, {q: r.tolist() for q, r in table.items()}, closed_manifold=closed_manifold
+        )
 
     def cells(self, dim: int) -> tuple[Simplex, ...]:
         return self.simplices.get(dim, ())
@@ -159,12 +266,40 @@ class SimplicialComplex:
         return self._positions.get(dim, {})
 
     @cached_property
+    def _rows(self) -> dict[int, np.ndarray]:
+        """For each q up to the top dimension, ``cells(q)`` as an (N, q + 1) int64 array."""
+        return {
+            q: np.array(self.cells(q), np.int64).reshape(-1, q + 1)
+            for q in range(self.top_dimension + 1)
+        }
+
+    @cached_property
     def _faces(self) -> dict[int, np.ndarray]:
         """For each q >= 1, ``_face_rows`` of ``cells(q)`` into ``cells(q - 1)``, in int32."""
-        return {
-            q: np.array(_face_rows(self.cells(q), self.cell_positions(q - 1)), np.int32)
-            for q in range(1, self.top_dimension + 1)
-        }
+        return {q: _face_rows(self._rows[q], self._rows[q - 1]) for q in range(1, self.top_dimension + 1)}
+
+    @cached_property
+    def _cycle(self) -> Chain:
+        """``fundamental_cycle``'s chain; a StructuralError is not kept, so it recurs."""
+        d, tops = self.top_dimension, self.cells(self.top_dimension)
+        if d < 1:
+            raise StructuralError("complex has no top-dimensional cells to orient")
+        w, partner = d + 1, _top_cofaces(self).tolist()
+        coefficients, queue = {0: 1}, collections.deque([0])  # by position in tops
+        while queue:
+            t = queue.popleft()
+            for e in range(t * w, t * w + w):
+                other, b = divmod(partner[e], w)
+                want = -coefficients[t] * _deletion_sign(e % w + b)
+                known = coefficients.get(other)
+                if known is None:
+                    coefficients[other] = want
+                    queue.append(other)
+                elif known != want:
+                    raise StructuralError("complex is not orientable")
+        if len(coefficients) != len(tops):
+            raise StructuralError("top cells are not connected")
+        return Chain(d, {tops[t]: c for t, c in coefficients.items()})
 
     def has_cell(self, simplex: Simplex) -> bool:
         return simplex in self._positions.get(len(simplex) - 1, ())
@@ -178,7 +313,7 @@ class SimplicialComplex:
 
         Vertex ids are kept global, so cochains restrict by key filtering.
         """
-        keep = frozenset(int(v) for v in vertex_subset)
+        keep = frozenset(_ids(vertex_subset, "vertex subset"))
         table = {}
         for q, cs in self.simplices.items():
             kept = tuple(s for s in cs if keep.issuperset(s))
@@ -325,37 +460,23 @@ def fundamental_cycle(complex: SimplicialComplex) -> Chain:
     Requires a connected, closed, orientable complex: every codimension-1
     cell must lie in exactly two top cells and the propagated orientation
     must close up consistently.  The orientation is normalized so that the
-    lexicographically smallest top cell carries +1.
+    lexicographically smallest top cell carries +1.  The complex keeps it
+    once found; each call returns a fresh chain.
     """
-    d, tops = complex.top_dimension, complex.cells(complex.top_dimension)
-    if d < 1:
-        raise StructuralError("complex has no top-dimensional cells to orient")
-    w, partner = d + 1, _top_cofaces(complex).tolist()
-    coefficients, queue = {0: 1}, collections.deque([0])  # by position in tops
-    while queue:
-        t = queue.popleft()
-        for e in range(t * w, t * w + w):
-            other, b = divmod(partner[e], w)
-            want = -coefficients[t] * _deletion_sign(e % w + b)
-            known = coefficients.get(other)
-            if known is None:
-                coefficients[other] = want
-                queue.append(other)
-            elif known != want:
-                raise StructuralError("complex is not orientable")
-    if len(coefficients) != len(tops):
-        raise StructuralError("top cells are not connected")
-    return Chain(d, {tops[t]: c for t, c in coefficients.items()})
+    cycle = complex._cycle
+    return Chain(cycle.degree, dict(cycle.coefficients))
 
 
 def boundary_matrix(complex: SimplicialComplex, dim: int) -> list[list[int]]:
     """Integer matrix of the boundary map from dim-cells to (dim-1)-cells."""
     rows = complex.cells(dim - 1)
     cols = complex.cells(dim)
-    # not complex._faces: that would keep a table on every overlap ranked
-    faces = _face_rows(cols, {s: i for i, s in enumerate(rows)})
+    # Per-tuple slicing, not complex._faces or the array _face_rows: the
+    # good-cover check calls this on every overlap, most of them a few cells,
+    # where one numpy pass costs more than these dict lookups.
+    position = {s: i for i, s in enumerate(rows)}
     matrix = [[0] * len(cols) for _ in rows]
-    for j, row in enumerate(faces):
-        for i, f in enumerate(row):
-            matrix[f][j] = _deletion_sign(i)
+    for j, s in enumerate(cols):
+        for a in range(dim + 1):
+            matrix[position[s[:a] + s[a + 1 :]]][j] = _deletion_sign(a)
     return matrix

@@ -76,6 +76,13 @@ class TestAntisymmetry:
         layer = BigradedCochain(0, 2, {(0, 1): c})
         assert layer.component((1, 1)).values == {}
 
+    @pytest.mark.parametrize("bad", [0.5, "0", True])
+    def test_component_refuses_non_integer_indices(self, bad):
+        # int() would read 0.5 as set 0 and return the (0,) component
+        layer = BigradedCochain(0, 1, {(0,): Cochain(0, {(0,): 2.0})})
+        with pytest.raises(InvalidInputError, match="ids must be integers"):
+            layer.component((bad,))
+
 
 # the three operators on a one-part (0, 1) input
 ONE_PART_OPS = pytest.mark.parametrize(

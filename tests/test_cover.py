@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -65,8 +66,22 @@ class TestCoverConstruction:
     def test_every_cell_in_some_set(self):
         K = circle_complex(6)
         # vertices covered, but edge (2, 3) straddles the two sets
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^cell \(2, 3\) lies in no cover set$"):
             Cover.build(K, [{0, 1, 2}, {3, 4, 5}, {5, 0}])
+
+    @pytest.mark.parametrize(
+        "complex, sets, cell",
+        [
+            # each edge in a set, the triangle in none: the lowest dimension is read first
+            (SimplicialComplex.from_top_cells(3, [(0, 1, 2)]), [{0, 1}, {1, 2}, {0, 2}], (0, 1, 2)),
+            # eleven sets fill two bytes of each vertex's row; the edge (9, 10) has none
+            (circle_complex(12), [{k, (k + 1) % 12} for k in range(12) if k != 9], (9, 10)),
+            (circle_complex(12), [{k, (k + 1) % 12} for k in range(11)], (0, 11)),
+        ],
+    )
+    def test_the_first_cell_in_no_set_is_named(self, complex, sets, cell):
+        with pytest.raises(InvalidInputError, match=f"^cell {re.escape(str(cell))} lies in no cover set$"):
+            Cover.build(complex, sets)
 
     @pytest.mark.parametrize("bad", [0.7, "1", True])
     def test_non_integer_member_rejected(self, bad):

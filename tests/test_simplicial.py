@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,16 @@ from gerbecalc import (
     fundamental_cycle,
     integrate,
 )
-from gerbecalc.builders import circle_complex, two_cone_sphere
+from gerbecalc.bicomplex import _nerve_faces
+from gerbecalc.builders import (
+    build_gerbopole,
+    build_minus_one_gerbe,
+    build_monopole,
+    circle_complex,
+    two_cone_sphere,
+)
+from gerbecalc.randomdata import random_complex_and_cover
+from gerbecalc.rng import Lcg64
 
 
 def naive_boundary_coefficients(chain, dim):
@@ -53,6 +64,65 @@ class TestConstruction:
         with pytest.raises(InvalidInputError, match="ids must be integers"):
             SimplicialComplex.from_top_cells(3, [(0, bad, 2)])
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            # the first bad cell in input order, by the first rule it breaks
+            ({1: [(0, 1), (2, 1), (0, 5)]}, "cell (2, 1): vertex ids must be strictly increasing"),
+            ({1: [(0, 1), (0, 5), (2, 1)]}, "cell (0, 5): vertex id out of range"),
+            ({0: [(0,), (7,), (0.5,)]}, "cell (7,): vertex id out of range"),
+            ({1: [(0, 1), (0.5, 1), (0, 1, 2)]}, "cell (0.5, 1): ids must be integers"),
+            ({1: [(0,), (0.5, 1)]}, "(0,) is not a 1-cell"),
+            ({1: [(1, 0), (0,)]}, "cell (1, 0): vertex ids must be strictly increasing"),
+            ({0: [(0,), (-1,)]}, "cell (-1,): vertex id out of range"),
+            ({0: [(0,), (2**70,)]}, f"cell ({2**70},): vertex id out of range"),
+            ({1: [(2**70, 1)]}, f"cell ({2**70}, 1): vertex ids must be strictly increasing"),
+            ({0: [(np.True_,)]}, "cell (np.True_,): ids must be integers"),
+            ({0: [(0,), (1,)], 1: [(0, 1), (0, 1)]}, "duplicate 1-cells"),
+            # a dimension is checked whole before the next one is read
+            ({0: [(0,), (0,)], 1: [(0, 9)]}, "duplicate 0-cells"),
+            # the closure check names the face and the first cell that needs it
+            ({0: [(0,)], 1: [(0, 1)]}, "face (1,) of (0, 1) is missing"),
+            (
+                {0: [(0,), (1,), (2,)], 1: [(1, 2), (0, 1)], 2: [(0, 1, 2)]},
+                "face (0, 2) of (0, 1, 2) is missing",
+            ),
+        ],
+    )
+    def test_build_refusal_messages(self, table, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            SimplicialComplex.build(3, table)
+
+    def test_ids_beyond_int64_are_out_of_range_whatever_the_vertex_count(self):
+        with pytest.raises(InvalidInputError, match="vertex id out of range"):
+            SimplicialComplex.build(2**80, {0: [(0,), (2**70,)]})
+
+    @pytest.mark.parametrize(
+        "top_cells, message",
+        [
+            ([(0, 1, 2), [3, 3, 1], (0.5, 1, 2)], "cell [3, 3, 1] has repeated vertices"),
+            ([(0, 1, 2), (0.5, 1, 2), (3, 3, 1)], "cell (0.5, 1, 2): ids must be integers"),
+            ([(0, 1, 2), (np.True_, 1, 2)], "cell (np.True_, 1, 2): ids must be integers"),
+            ([(0, 1, 2), (1, 3)], "top cells must all share one dimension"),
+            # range refusals come from build, which reads the sorted top cells
+            ([(3, 1, 2), (2, 1, -1)], "cell (-1, 1, 2): vertex id out of range"),
+            ([(0, 1, 2**70), (0, 1, 2)], f"cell (0, 1, {2**70}): vertex id out of range"),
+        ],
+    )
+    def test_from_top_cells_refusal_messages(self, top_cells, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            SimplicialComplex.from_top_cells(4, top_cells)
+
+    def test_numpy_integer_ids_are_taken_as_python_ints(self):
+        by_table = SimplicialComplex.build(
+            3, {0: [np.array([0]), (np.int64(1),), (np.int32(2),)], 1: [np.array([0, 1])]}
+        )
+        by_tops = SimplicialComplex.from_top_cells(3, np.array([[2, 0, 1]], np.int64))
+        assert by_table.simplices == {0: ((0,), (1,), (2,)), 1: ((0, 1),)}
+        assert by_tops.cells(2) == ((0, 1, 2),)
+        for complex in (by_table, by_tops):
+            assert {type(v) for cells in complex.simplices.values() for c in cells for v in c} == {int}
+
     def test_manifold_flag_rejects_open_disk(self, single_triangle):
         with pytest.raises(StructuralError):
             SimplicialComplex.from_top_cells(
@@ -64,6 +134,44 @@ class TestConstruction:
         assert sub.cells(2) == ((0, 1, 2),)
         assert sub.cells(1) == ((0, 1), (0, 2), (1, 2))
         assert sub.top_dimension == 2
+
+    @pytest.mark.parametrize("bad", [0.5, "1", True])
+    def test_induced_refuses_non_integer_ids(self, bad):
+        # int() would read 0.5 or True as vertex 0 or 1 and keep the edge (0, 1)
+        with pytest.raises(InvalidInputError, match="ids must be integers"):
+            circle_complex(6).induced({bad, 1})
+
+
+def face_table_reference(tuples, lower):
+    """Row j: the position in ``lower`` of ``tuples[j]`` less entry a, by tuple slicing."""
+    position = {t: i for i, t in enumerate(lower)}
+    return [[position[t[:a] + t[a + 1 :]] for a in range(len(t))] for t in tuples]
+
+
+class TestFaceTable:
+    """The array face rule against tuple slicing, on cells and on nerve layers."""
+
+    @staticmethod
+    def check(cover):
+        complex = cover.complex
+        assert sorted(complex._faces) == list(range(1, complex.top_dimension + 1))
+        for q, table in complex._faces.items():
+            assert table.dtype == np.int32
+            assert table.tolist() == face_table_reference(complex.cells(q), complex.cells(q - 1))
+        n = 1
+        while cover.layer(n):
+            expected = face_table_reference(list(cover.layer(n)), list(cover.layer(n - 1)))
+            assert _nerve_faces(cover, n).tolist() == expected
+            n += 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_random_complexes_and_covers(self, seed):
+        self.check(random_complex_and_cover(Lcg64(seed))[1])
+
+    @pytest.mark.parametrize("build", [build_minus_one_gerbe, build_monopole, build_gerbopole])
+    def test_builders(self, build):
+        self.check(build(12).cover)
 
 
 class TestExteriorDerivative:
@@ -181,6 +289,19 @@ class TestFundamentalCycle:
         )
         with pytest.raises(StructuralError):
             fundamental_cycle(rp2)
+
+    def test_each_call_returns_a_fresh_chain(self):
+        sphere = two_cone_sphere(6)
+        first = fundamental_cycle(sphere)
+        first.coefficients.clear()
+        again = fundamental_cycle(sphere)
+        assert len(again.coefficients) == 24 and naive_boundary_coefficients(again, 2) == {}
+
+    def test_a_refusal_is_raised_again(self):
+        bad = SimplicialComplex.from_top_cells(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+        for _ in range(2):
+            with pytest.raises(StructuralError, match=r"lies in 3 top cells"):
+                fundamental_cycle(bad)
 
     def test_edge_outside_every_top_cell_rejected(self):
         # a pole-to-pole edge of the two-cone sphere lies in no triangle
