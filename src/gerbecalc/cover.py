@@ -3,8 +3,14 @@
 The open set U_i is the subcomplex induced on a vertex subset; the overlap of
 several sets is the subcomplex induced on their intersection.  A p-cochain
 "on an overlap" is supported on cells all of whose vertices lie inside it.
-``Cover.layer(n)`` owns the nerve: the nonempty overlaps of n sets, each built
-inside its parent overlap of n - 1 sets, and only as deep as a caller reads.
+``Cover.layer(n)`` owns the nerve: the nonempty overlaps of n sets, built only
+as deep as a caller reads.  A tuple grows only by its siblings, the tuples of
+its layer that differ from it in the last index alone, since a larger tuple
+whose faces are not all in the nerve cannot be in it either.  An overlap
+depends only on its vertex set, so the cover keeps one complex per distinct
+set, induced inside the parent overlap of the tuple that first meets it, and
+the good-cover check ranks each once: the 13,824 nerve entries of the 144-set
+star cover of a 12x12 torus share 1,440 overlaps.
 
 The good-cover check ranks boundary matrices by sparse Gaussian elimination in
 exact rational arithmetic, so its Betti numbers are over Q with no threshold.
@@ -89,25 +95,62 @@ class Cover:
     def _layers(self) -> list[dict[tuple[int, ...], SimplicialComplex]]:
         return [{(): self.complex}]
 
+    @cached_property
+    def _overlaps(self) -> dict[frozenset[int], SimplicialComplex]:
+        """Each overlap built so far, the complex included, keyed by its vertex
+        set: the nerve tuples whose sets meet in the same vertices share one
+        complex, and a tuple whose sibling leaves its vertices as they are
+        shares its own."""
+        return {self.complex.vertices: self.complex}
+
     def layer(self, n: int) -> dict[tuple[int, ...], SimplicialComplex]:
         """The increasing n-tuples of cover indices with a nonempty overlap,
         each mapped to its overlap, in lexicographic order; {(): complex} for 0.
 
-        Layers are built on first use, each from the one below: the overlap of
-        t + (j,) is induced inside the overlap of t, so an operation that reads
-        tuples of up to n sets never builds a deeper layer.
+        Layers are built on first use, each from the one below, so an operation
+        that reads tuples of up to n sets never builds a deeper layer.  A tuple
+        t + (j,) can be in the nerve only if its face t[:-1] + (j,) is, so t
+        grows only by its later siblings: the tuples after t in its layer that
+        share t[:-1], a run in lexicographic order (() grows by every set).
+        The overlap of t + (j,) lies on the intersection of the vertex sets of
+        t and its sibling, and tuples with one intersection share one overlap:
+        t's own when the intersection is all of t's vertices, else one induced
+        inside t's overlap.
         """
         layers = self._layers
         while len(layers) <= n and layers[-1]:
-            grown = {}
-            for t, parent in layers[-1].items():
-                inter = {v for (v,) in parent.cells(0)}
-                for j in range(t[-1] + 1 if t else 0, len(self.sets)):
-                    common = inter & self.sets[j]
-                    if common:
-                        grown[t + (j,)] = parent.induced(common)
+            if len(layers) == 1:
+                grown = self._grow((), self.complex, list(enumerate(self.sets)))
+            else:
+                grown = {}
+                for _, run in itertools.groupby(layers[-1].items(), lambda item: item[0][:-1]):
+                    run = list(run)
+                    later = [(t[-1], sub.vertices) for t, sub in run]
+                    for i, (t, sub) in enumerate(run):
+                        grown.update(self._grow(t, sub, later[i + 1 :]))
             layers.append(grown)
         return layers[n] if 0 <= n < len(layers) else {}
+
+    def _grow(
+        self,
+        t: tuple[int, ...],
+        parent: SimplicialComplex,
+        siblings: list[tuple[int, frozenset[int]]],
+    ) -> dict[tuple[int, ...], SimplicialComplex]:
+        """t + (j,) mapped to its overlap, for each (j, vertex set) of the
+        siblings that meets the parent overlap of t; an overlap not built yet
+        is induced inside the parent."""
+        shared, grown, vertices = self._overlaps, {}, parent.vertices
+        for j, other in siblings:
+            common = vertices & other
+            if common:
+                sub = shared.get(common)
+                if sub is None:
+                    sub = shared[common] = parent.induced(common)
+                    # the cached property, filled with the key: common lies in the parent
+                    vars(sub)["vertices"] = common
+                grown[t + (j,)] = sub
+        return grown
 
     @cached_property
     def _operators(self) -> dict[tuple[str, int], object]:
@@ -118,7 +161,10 @@ class Cover:
         """All increasing index tuples with a nonempty overlap, in lexicographic order.
 
         It builds every layer, exponential in the number of sets sharing a
-        vertex; only ``demo`` and ``check_good_cover`` read it whole.
+        vertex; only ``demo`` and ``check_good_cover`` read it whole.  The
+        work grows with the nerve, not with the number of sets: each tuple
+        is tried against its later siblings only, and each distinct overlap
+        is induced once.
         """
         return tuple(sorted(t for n in range(1, len(self.sets) + 1) for t in self.layer(n)))
 
@@ -198,8 +244,11 @@ def check_good_cover(cover: Cover) -> GoodCoverReport:
     overlaps still carry usable data, they just fall outside the good-cover
     setting.
     """
-    entries = []
+    entries, known = [], {}
     for t in cover.nerve():
-        b = betti_numbers(cover.layer(len(t))[t])
+        overlap = cover.layer(len(t))[t]
+        b = known.get(overlap.vertices)
+        if b is None:
+            b = known[overlap.vertices] = betti_numbers(overlap)
         entries.append(OverlapDiagnostic(t, b, b == (1,) + (0,) * (len(b) - 1)))
     return GoodCoverReport(tuple(entries))

@@ -51,6 +51,9 @@ def _need(doc: Any, key: str, path: str) -> Any:
     return doc[key]
 
 
+_PLAIN_INTS = frozenset({int})  # the set of types in a list of plain ints
+
+
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -132,6 +135,29 @@ def _parts_to_list(total: TotalCochain) -> list[dict]:
     return parts
 
 
+def _plain_entry(entry: Any) -> tuple[tuple[int, ...] | None, float]:
+    """The simplex and value of an entry made of plain JSON ints and a finite
+    float, or (None, 0.0) for any other entry; it builds no path."""
+    if type(entry) is dict:
+        cell, value = entry.get("simplex"), entry.get("value")
+        if type(cell) is list and type(value) is float and math.isfinite(value):
+            if {*map(type, cell)} == _PLAIN_INTS:
+                return tuple(cell), value
+    return None, 0.0
+
+
+def _checked_entry(entry: Any, path: str) -> tuple[tuple[int, ...], float]:
+    """The simplex and value of an entry, or the FormatError that names its fault."""
+    cell = tuple(_int_list(_need(entry, "simplex", path), f"{path}.simplex"))
+    value = _need(entry, "value", path)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"{path}.value: expected a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise FormatError(f"{path}.value: must be finite")
+    return cell, value
+
+
 def _parts_from_list(raw: Any, degree: int, angle_part, path: str) -> TotalCochain:
     if not isinstance(raw, list):
         raise FormatError(f"{path}: expected a list")
@@ -156,16 +182,11 @@ def _parts_from_list(raw: Any, degree: int, angle_part, path: str) -> TotalCocha
             if not isinstance(raw_entries, list):
                 raise FormatError(f"{cpath}.entries: expected a list")
             for k, entry in enumerate(raw_entries):
-                epath = f"{cpath}.entries[{k}]"
-                cell = tuple(_int_list(_need(entry, "simplex", epath), f"{epath}.simplex"))
-                value = _need(entry, "value", epath)
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise FormatError(f"{epath}.value: expected a number")
-                value = float(value)
-                if not math.isfinite(value):
-                    raise FormatError(f"{epath}.value: must be finite")
+                cell, value = _plain_entry(entry)
+                if cell is None:
+                    cell, value = _checked_entry(entry, f"{cpath}.entries[{k}]")
                 if cell in values:
-                    raise FormatError(f"{epath}: duplicate simplex {cell}")
+                    raise FormatError(f"{cpath}.entries[{k}]: duplicate simplex {cell}")
                 values[cell] = value
             try:
                 components[indices] = Cochain(p, values)

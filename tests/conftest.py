@@ -39,6 +39,19 @@ ICOSAHEDRON_FACES = [
 ]
 
 
+def torus_grid(n):
+    """The n-by-n grid on the torus, each square cut along one diagonal: vertex
+    i * n + j sits at (i, j), and the square at (i, j) is cut from (i, j) to
+    (i + 1, j + 1)."""
+    vid = lambda i, j: (i % n) * n + (j % n)
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            triangles.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
+            triangles.append((vid(i, j), vid(i, j + 1), vid(i + 1, j + 1)))
+    return SimplicialComplex.from_top_cells(n * n, triangles, closed_manifold=True)
+
+
 def closed_star_cover(complex):
     """One set per vertex: the vertices of the top cells around it."""
     stars = [{v} for v in range(complex.vertex_count)]

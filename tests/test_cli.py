@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import pytest
 
 import gerbecalc
 
-from gerbecalc import GerbeDatum, TotalCochain, bicomplex, build_minus_one_gerbe, build_monopole
+from gerbecalc import FormatError, GerbeDatum, TotalCochain, bicomplex, build_minus_one_gerbe, build_monopole
 from gerbecalc.cli import main
 from gerbecalc.serialize import datum_from_dict, datum_to_dict, load_datum, save_datum
 
@@ -330,6 +331,50 @@ class TestRoundTrip:
         path2 = tmp_path / "datum2.json"
         save_datum(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+
+# where the messages point: the fourth entry of the third component of part 0
+# of build_minus_one_gerbe(12), whose entries hold 0-cells
+ENTRY = "datum.parts[0].components[2].entries[3]"
+
+
+def _with_entry(change):
+    doc = json.loads(json.dumps(datum_to_dict(build_minus_one_gerbe(12))))
+    entries = doc["datum"]["parts"][0]["components"][2]["entries"]
+    change(entries)
+    return doc
+
+
+class TestEntryErrors:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda es: es[3].pop("simplex"), f"{ENTRY}: missing key 'simplex'"),
+            (lambda es: es[3].pop("value"), f"{ENTRY}: missing key 'value'"),
+            (lambda es: es.__setitem__(3, [[10], 0.5]), f"{ENTRY}: expected an object"),
+            (lambda es: es[3].__setitem__("simplex", 10), f"{ENTRY}.simplex: expected a list"),
+            (lambda es: es[3]["simplex"].__setitem__(0, 0.5), f"{ENTRY}.simplex[0]: expected an integer, got 0.5"),
+            (lambda es: es[3].__setitem__("value", "0.5"), f"{ENTRY}.value: expected a number"),
+            (lambda es: es[3].__setitem__("value", True), f"{ENTRY}.value: expected a number"),
+            (lambda es: es[3].__setitem__("value", float("nan")), f"{ENTRY}.value: must be finite"),
+            (lambda es: es[3].__setitem__("value", float("inf")), f"{ENTRY}.value: must be finite"),
+            (lambda es: es[3].__setitem__("simplex", [1]), f"{ENTRY}: duplicate simplex (1,)"),
+            # a repeated simplex with a bad value is named for the value
+            (lambda es: es.__setitem__(3, {"simplex": [1], "value": None}), f"{ENTRY}.value: expected a number"),
+        ],
+        ids=[
+            "no-simplex", "no-value", "not-an-object", "simplex-not-a-list", "non-integer-id",
+            "string-value", "bool-value", "nan", "infinity", "duplicate", "duplicate-non-number",
+        ],
+    )
+    def test_message_names_the_entry(self, change, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            datum_from_dict(_with_entry(change))
+
+    def test_integer_value_is_a_number(self):
+        doc = _with_entry(lambda es: es[3].__setitem__("value", 5))
+        values = datum_from_dict(doc).data.parts[0, 1].components[(2,)].values
+        assert values[(10,)] == 5.0 and type(values[(10,)]) is float
 
 
 def test_cli_import_loads_no_scipy():

@@ -33,7 +33,7 @@ from gerbecalc.builders import (
 from gerbecalc.randomdata import random_gauge_potential
 from gerbecalc.rng import Lcg64
 
-from conftest import closed_star_cover
+from conftest import closed_star_cover, torus_grid
 
 # the minimal triangulation of the real projective plane: 6 vertices, 15 edges
 RP2_TRIANGLES = [
@@ -175,6 +175,7 @@ COVERS = {
     "monopole": lambda ico: build_monopole(12).cover,
     "gerbopole": lambda ico: build_gerbopole(6).cover,
     "icosahedron stars": closed_star_cover,
+    "torus 6x6 stars": lambda ico: closed_star_cover(torus_grid(6)),
 }
 
 
@@ -194,14 +195,15 @@ class TestLayer:
         assert cover.layer(-1) == {}
 
     def test_nerve_is_every_index_tuple_with_a_common_vertex(self, any_cover):
+        # the tuples with vertex v in common are the subsets of the sets holding v;
+        # walking all subsets of the sets instead would take 2**36 steps on the torus
         cover = any_cover
-        expected = sorted(
-            t
-            for n in range(1, len(cover.sets) + 1)
-            for t in itertools.combinations(range(len(cover.sets)), n)
-            if frozenset.intersection(*(cover.sets[i] for i in t))
-        )
-        assert list(cover.nerve()) == expected
+        expected = set()
+        for v in cover.complex.vertices:
+            holding = [i for i, s in enumerate(cover.sets) if v in s]
+            for n in range(1, len(holding) + 1):
+                expected.update(itertools.combinations(holding, n))
+        assert list(cover.nerve()) == sorted(expected)
 
     def test_overlaps_match_the_whole_complex_induced_on_the_intersection(self, any_cover):
         cover = any_cover
@@ -210,6 +212,33 @@ class TestLayer:
                 reference = cover.complex.induced(frozenset.intersection(*(cover.sets[i] for i in t)))
                 assert sub == reference
                 assert cover.overlap(t) is sub
+
+    def test_tuples_with_one_intersection_share_one_overlap(self, any_cover):
+        cover = any_cover
+        by_vertices = {}
+        for n in range(1, len(cover.sets) + 1):
+            for t, sub in cover.layer(n).items():
+                common = frozenset.intersection(*(cover.sets[i] for i in t))
+                by_vertices.setdefault(common, []).append((t, sub))
+                if n > 1 and common == cover.layer(n - 1)[t[:-1]].vertices:
+                    assert sub is cover.layer(n - 1)[t[:-1]]
+        for common, found in by_vertices.items():
+            assert all(sub is found[0][1] for _, sub in found), common
+            assert found[0][1].vertices == common
+
+    def test_torus_nerve_induces_each_distinct_overlap_once(self, monkeypatch):
+        complex = torus_grid(12)
+        cover = closed_star_cover(complex)
+        calls, plain = [], SimplicialComplex.induced
+
+        def counted(self, vertex_subset):
+            calls.append(vertex_subset)
+            return plain(self, vertex_subset)
+
+        monkeypatch.setattr(SimplicialComplex, "induced", counted)
+        # one overlap per nerve tuple would be 13,824 calls
+        assert len(cover.nerve()) == 13_824
+        assert len(calls) <= 1_440
 
     def test_star_cover_with_a_vertex_in_25_sets_round_trips_in_bounded_time(self):
         # the full nerve has more than 2**25 entries; a level-0 datum reads only 3 layers
@@ -311,6 +340,28 @@ class TestGoodCover:
         ] + [0]
         expected = tuple(counts[q] - ranks[q] - ranks[q + 1] for q in range(3))
         assert betti_numbers(icosahedron) == expected == (1, 0, 1)
+
+    def test_entries_match_unshared_overlaps(self, any_cover):
+        cover = any_cover
+        report = check_good_cover(cover)
+        assert [e.indices for e in report.entries] == list(cover.nerve())
+        for e in report.entries:
+            common = frozenset.intersection(*(cover.sets[i] for i in e.indices))
+            betti = betti_numbers(cover.complex.induced(common))
+            assert e.betti == betti
+            assert e.contractible == (betti == (1,) + (0,) * (len(betti) - 1))
+
+    def test_overlaps_of_one_size_are_ranked_apart(self):
+        # a 4-cycle and a 4-vertex path: as many vertices, different Betti numbers
+        edges = [[0, 1], [1, 2], [2, 3], [0, 3], [4, 5], [5, 6], [6, 7]]
+        K = SimplicialComplex.build(8, {0: [[v] for v in range(8)], 1: edges})
+        report = check_good_cover(Cover.build(K, [{0, 1, 2, 3}, {4, 5, 6, 7}, {0, 3}]))
+        assert [(e.indices, e.betti, e.status) for e in report.entries] == [
+            ((0,), (1, 1, 0), "WARN"),
+            ((0, 2), (1, 0, 0), "OK"),
+            ((1,), (1, 0, 0), "OK"),
+            ((2,), (1, 0, 0), "OK"),
+        ]
 
     def test_closed_three_manifold_overlap_warns(self):
         sphere3 = join_sphere3(6)
