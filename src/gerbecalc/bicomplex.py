@@ -18,9 +18,15 @@ arrays over flat bases (``_LayerBasis``: a block per overlap) and alone
 applies the sign (-1)^a of ``simplicial._deletion_sign``, the twist (-1)^n
 and the minus of D = delta - dbar in ``_DBAR_IN_D``; its faces follow the
 one rule of ``simplicial._face_rows``.  Each cover keeps one basis and one D
-per total degree.  Validation, gauge shifts, the equivalence solve and the
-exact check that D^2 = 0 apply it; ``cech_delta``, ``dbar`` and ``big_d``
-are dict-cochain wrappers over it.
+per total degree.
+
+Coordinates.  Cochains meet D as vectors on those bases.
+``_LayerBasis.locate`` places a part's values with one search of (tuple,
+cell) keys, the search the assembler runs, and is the one support check: a
+value it cannot place lies outside its overlap.  A ``deligne.GerbeDatum``
+keeps its vector, so validation, gauge shifts, the equivalence solve and the
+exact check that D^2 = 0 work on vectors alone; ``cech_delta``, ``dbar`` and
+``big_d`` locate a dict cochain, apply D and decode the image.
 
 Angle-valued layers.  A (0, n) layer may be flagged angle-valued, meaning its
 values are defined only modulo 2*pi.  The flag declares a type; no operator
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
@@ -72,6 +79,17 @@ def wrap(x: float) -> float:
 def _wrap_finite(x: float) -> float:
     """wrap(x) for finite x; anything else stays as it is, so an overflow still shows."""
     return wrap(x) if math.isfinite(x) else x
+
+
+def _wrapped(values: np.ndarray, scalar=wrap) -> np.ndarray:
+    """``scalar`` (``wrap`` or ``_wrap_finite``) of each value, called only on
+    the values outside (-pi, pi] and on NaN: wrap gives back a finite value
+    inside bit for bit, since math.remainder by 2 pi has quotient 0 there
+    (pi and -0.0 included)."""
+    out = values.copy()
+    outside = np.flatnonzero(~((values > -math.pi) & (values <= math.pi)))
+    out[outside] = [scalar(v) for v in values[outside].tolist()]
+    return out
 
 
 def permutation_sign(indices: Iterable[int]) -> int:
@@ -222,31 +240,16 @@ class GaugePotential:
                 raise InvalidInputError("gauge potentials carry no global form part")
 
 
-def _check_support(part: BigradedCochain, cover: Cover) -> None:
-    """Refuse a part that needs more sets than the cover has, a component
-    whose tuple does not index the cover, or a value outside its overlap."""
-    p, n, nsets = part.form_degree, part.cech_degree, len(cover.sets)
-    if n > nsets:
-        raise InvalidInputError(f"part at ({p},{n}) needs {n} cover sets, cover has {nsets}")
-    layer = cover.layer(n)
-    for t, comp in part.components.items():
-        if t and t[-1] >= nsets:
-            raise InvalidInputError(f"part ({p},{n}) component {t} does not fit {nsets} sets")
-        inside = layer[t].cell_positions(p) if t in layer else {}
-        for cell in comp.values:
-            if cell not in inside:
-                raise InvalidInputError(
-                    f"part ({p},{n}) component {t} spills outside its overlap at {cell}"
-                )
-
-
 def _image(total: TotalCochain, cover: Cover) -> np.ndarray:
-    """D(total) in coordinates, through the cover's cached D after the support check."""
+    """D(total) in coordinates: the cover's cached D applied to the coordinates
+    of the nonempty parts, which ``locate`` places."""
+    basis = _basis(cover, total.total_degree)
+    vec = np.zeros(basis.size)
     for part in total.parts.values():
         if part.components:
-            _check_support(part, cover)
-    k = total.total_degree
-    return _coboundary(cover, k).apply(_basis(cover, k).vector_of(total))
+            at, values = basis.locate(part)
+            vec[at] = values
+    return _coboundary(cover, total.total_degree).apply(vec)
 
 
 def cech_delta(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
@@ -270,61 +273,116 @@ def dbar(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
 
 def big_d(total: TotalCochain, cover: Cover) -> TotalCochain:
     """Total coboundary D = delta - dbar, applied through the cover's cached
-    matrix after the support check; D(D(x)) = 0 for real-valued x."""
+    matrix to the coordinates ``locate`` finds; D(D(x)) = 0 for real-valued x."""
     return _basis(cover, total.total_degree + 1).total_of(_image(total, cover))
 
 
 class _LayerBasis:
     """Flat real coordinates for one total-cochain space over a cover.
 
-    Bidegree (p, n) fills ``positions[p, n]``: overlap t of ``cover.layer(n)``
-    from ``start[t]``, its ``cells(p)`` in order.  Entry i is the cell
-    ``cell_ids[p, n][i]`` of the complex in the overlap of layer tuple
-    ``tuple_ids[p, n][i]``, so a block is sorted by those two ids.  A block of
-    p-cells above the complex's dimension is empty and reads no layer.
+    Bidegree (p, n) fills ``positions[p, n]``: overlap t of ``cover.layer(n)``,
+    the tuple at ``index[t]`` of its layer, from ``start[t]``, its ``cells(p)``
+    in order.  Entry i is the cell ``cell_ids[p, n][i]`` of the complex in the
+    overlap of layer tuple ``tuple_ids[p, n][i]``, so a block is sorted by
+    those two ids and by its ``keys``, which join them.  A block of p-cells
+    above the complex's dimension is empty and reads no layer.
+
+    The basis keeps the complex, the set count and the layers it reads, not
+    the cover: the cover keeps the basis, and a reference back would leave
+    every dropped cover to the cycle collector.
     """
 
     def __init__(self, cover: Cover, degree: int):
-        self.cover, self.degree, self.size = cover, degree, 0
+        self.complex, self.set_count = cover.complex, len(cover.sets)
+        self.degree, self.size = degree, 0
+        self.layers: dict[int, dict] = {}
         self.positions: dict[tuple[int, int], range] = {}
         self.start: dict[tuple[int, ...], int] = {}
-        self.tuple_ids, self.cell_ids = {}, {}
-        for n in range(min(degree, len(cover.sets)) + 1):
-            p, first, counts, cells = degree - n, self.size, [], []
-            if p <= cover.complex.top_dimension:
-                ids = cover.complex.cell_positions(p)
-                for t, sub in cover.layer(n).items():
-                    self.start[t] = first + len(cells)
-                    cells.extend(map(ids.__getitem__, sub.cells(p)))
-                    counts.append(first + len(cells) - self.start[t])
-            self.size = first + len(cells)
-            self.positions[p, n] = range(first, self.size)
-            self.tuple_ids[p, n] = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
-            self.cell_ids[p, n] = np.array(cells, dtype=np.int32)
+        self.index: dict[tuple[int, ...], int] = {}
+        self.tuple_ids, self.cell_ids, self.keys = {}, {}, {}
+        for n in range(min(degree, self.set_count) + 1):
+            p = degree - n
+            layer = cover.layer(n) if p <= self.complex.top_dimension else {}
+            cells = [sub.cells(p) for sub in layer.values()]
+            counts = np.fromiter(map(len, cells), np.intp, len(cells))
+            first, self.size = self.size, self.size + int(counts.sum())
+            self.layers[n], self.positions[p, n] = layer, range(first, self.size)
+            self.start.update(zip(layer, (first + np.cumsum(counts) - counts).tolist()))
+            self.index.update(zip(layer, range(len(layer))))
+            if n:
+                ids = map(self.complex.cell_positions(p).__getitem__, chain.from_iterable(cells))
+                self.cell_ids[p, n] = np.fromiter(ids, np.int32, self.size - first)
+            else:  # the one overlap of no sets is the complex, whose cells are ids 0, 1, ...
+                self.cell_ids[p, n] = np.arange(self.size - first, dtype=np.int32)
+            self.tuple_ids[p, n] = np.repeat(np.arange(len(layer), dtype=np.int32), counts)
+            self.keys[p, n] = self._key(p, self.tuple_ids[p, n], self.cell_ids[p, n])
+
+    def _key(self, p: int, tuple_ids: np.ndarray, cell_ids: np.ndarray) -> np.ndarray:
+        """(tuple index, cell id) pairs as one integer each, in the pairs' order;
+        a cell id of ``len(cells(p))`` stands for a cell the complex lacks."""
+        return tuple_ids.astype(np.intp) * (len(self.complex.cells(p)) + 1) + cell_ids
+
+    def find(self, p: int, n: int, tuple_ids: np.ndarray, cell_ids: np.ndarray) -> np.ndarray:
+        """The coordinate of each (layer tuple index, cell id) pair in block
+        (p, n), or -1 where the block has no such pair: one searchsorted of the
+        pairs' keys in the block's sorted ``keys``."""
+        keys, wanted = self.keys[p, n], self._key(p, tuple_ids, cell_ids)
+        at = np.searchsorted(keys, wanted)
+        hit = at < len(keys)
+        hit[hit] = keys[at[hit]] == wanted[hit]
+        return np.where(hit, self.positions[p, n].start + at, -1)
+
+    def locate(self, part: BigradedCochain) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates of the part's values and the values, both in input order.
+
+        ``find`` places them all at once.  A part that needs more sets than the
+        cover has is refused, and so is a component whose tuple does not index
+        the cover or a value that ``find`` does not place, outside its overlap:
+        the refusal names the first such component or value in input order.
+        """
+        p, n, nsets = part.form_degree, part.cech_degree, self.set_count
+        if n > nsets:
+            raise InvalidInputError(f"part at ({p},{n}) needs {n} cover sets, cover has {nsets}")
+        comps = part.components
+        counts = [len(comp.values) for comp in comps.values()]
+        tuples = np.fromiter(map(self.index.get, comps, repeat(-1)), np.intp, len(comps))
+        cells = chain.from_iterable(comp.values for comp in comps.values())
+        ids, lacking = self.complex.cell_positions(p), len(self.complex.cells(p))
+        cell_ids = np.fromiter(map(ids.get, cells, repeat(lacking)), np.intp, sum(counts))
+        at = self.find(p, n, np.repeat(tuples, counts), cell_ids)
+        if (tuples < 0).any() or (at < 0).any():  # walk to the first fault, if any
+            end = 0
+            for (t, comp), count in zip(comps.items(), counts):
+                if t and t[-1] >= nsets:
+                    raise InvalidInputError(
+                        f"part ({p},{n}) component {t} does not fit {nsets} sets"
+                    )
+                spilled = np.flatnonzero(at[end : end + count] < 0)
+                if spilled.size:
+                    cell = list(comp.values)[spilled[0]]
+                    raise InvalidInputError(
+                        f"part ({p},{n}) component {t} spills outside its overlap at {cell}"
+                    )
+                end += count
+        values = chain.from_iterable(comp.values.values() for comp in comps.values())
+        return at, np.fromiter(values, float, len(at))
 
     def entry(self, j: int) -> tuple[int, int, tuple[int, ...], Simplex]:
         """(p, n, t, cell) of coordinate j."""
         (p, n), span = next(item for item in self.positions.items() if j in item[1])
         t, c = self.tuple_ids[p, n][j - span.start], self.cell_ids[p, n][j - span.start]
-        return p, n, list(self.cover.layer(n))[t], self.cover.complex.cells(p)[c]
+        return p, n, list(self.layers[n])[t], self.complex.cells(p)[c]
 
-    def vector_of(self, total: TotalCochain) -> np.ndarray:
-        """The coordinates of a total cochain whose parts pass ``_check_support``."""
-        vec = np.zeros(self.size)
-        for (p, n), part in total.parts.items():
-            for t, comp in part.components.items():
-                if comp.values:
-                    at, inside = self.start[t], self.cover.layer(n)[t].cell_positions(p)
-                    vec[[at + inside[cell] for cell in comp.values]] = list(comp.values.values())
-        return vec
-
-    def components_of(self, vec: np.ndarray, p: int, n: int) -> dict[tuple[int, ...], Cochain]:
-        """Block (p, n) as components, looking up only its nonzero (t, cell)."""
+    def components_of(
+        self, vec: np.ndarray, p: int, n: int, stored: np.ndarray | None = None
+    ) -> dict[tuple[int, ...], Cochain]:
+        """Block (p, n) as components, looking up only the (t, cell) that
+        ``stored`` marks, or without it the nonzero ones."""
         span = self.positions.get((p, n), range(0))
-        at = np.flatnonzero(vec[span.start : span.stop])
+        at = np.flatnonzero((vec if stored is None else stored)[span.start : span.stop])
         if not at.size:
             return {}
-        tuples, cells, grouped = list(self.cover.layer(n)), self.cover.complex.cells(p), {}
+        tuples, cells, grouped = list(self.layers[n]), self.complex.cells(p), {}
         found = zip(self.tuple_ids[p, n][at].tolist(), self.cell_ids[p, n][at].tolist())
         for (t, c), v in zip(found, vec[span.start + at].tolist()):
             grouped.setdefault(tuples[t], {})[cells[c]] = v
@@ -372,7 +430,7 @@ def _coboundary_matrix(cover: Cover, degree: int, *, _drop_twist: bool = False) 
     index a: dbar reads face a of the cell at the same tuple (``_faces``), with
     (-1)^a (-1)^n times the minus of D; then delta reads the cell at the tuple
     less index a (``_face_rows`` of layer n), with (-1)^a.  Each run is one
-    searchsorted of (tuple index, cell id) keys in the sorted source block.
+    ``_LayerBasis.find`` of (tuple index, cell id) pairs in the source block.
     ``apply`` sums a row in run order, so a gauge shift's large dbar terms
     cancel before its delta terms join.
     ``_drop_twist`` drops (-1)^n, only to show that the self-check notices.
@@ -392,11 +450,7 @@ def _coboundary_matrix(cover: Cover, degree: int, *, _drop_twist: bool = False) 
             less = _nerve_faces(cover, n)
             runs += [((p, n - 1), less[tids, a], cids, _deletion_sign(a)) for a in range(n)]
         for source, t_read, c_read, sign in runs:
-            width = len(cover.complex.cells(source[0]))
-            keys = cols.tuple_ids[source].astype(np.intp) * width + cols.cell_ids[source]
-            wanted = t_read.astype(np.intp) * width + c_read
-            found = cols.positions[source].start + np.searchsorted(keys, wanted)
-            col_ids.append(found.astype(np.int32))
+            col_ids.append(cols.find(*source, t_read, c_read).astype(np.int32))
             row_ids.append(np.arange(span.start, span.stop, dtype=np.int32))
             signs.append(np.full(len(span), sign, dtype=np.int8))
     arrays = (np.concatenate(row_ids), np.concatenate(col_ids), np.concatenate(signs))

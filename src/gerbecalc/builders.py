@@ -208,9 +208,8 @@ def build_gerbopole(m: int, winding: int = 1, base_segments: int = 8) -> GerbeDa
     return GerbeDatum(1, _descend(cover, alpha, winding), cover)
 
 
-def build_trivial(cover: Cover, level: int) -> GerbeDatum:
-    """The zero datum at the given level: all parts absent."""
-    return GerbeDatum(level, TotalCochain.zero(level + 2), cover)
+# the zero datum at a level, under its older name
+build_trivial = GerbeDatum.zero
 
 
 def gerbopole_equator_pair(

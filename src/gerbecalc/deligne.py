@@ -5,20 +5,23 @@ part is the angle-valued transition layer, intermediate parts are connection
 layers, and the global (n+2, 0) part stores minus the curvature.  A bundle is
 the level-0 case and a gerbe the level-1 case; level -1 is allowed.
 
-Validation, shifts and equivalence all apply the cover's cached sparse D
-(``bicomplex._coboundary``).  Equivalence is a minimum-norm solve by
-conjugate gradients on the normal equations (CGLS), without forming D^T D.
-Two valid cocycles are accepted as equivalent when the difference is matched
-by the total coboundary of a potential without global top form part, with
-angle-layer rows compared modulo 2*pi.  Rejection means no such witness was
-found at tolerance; it is numeric evidence, not a certificate.  The charge is
-the reliable separator.
+A datum keeps its coordinates on the cover's basis, and validation, the
+charge, shifts and equivalence read them; all but the charge apply the
+cover's cached sparse D (``bicomplex._coboundary``) to vectors.  A shift
+adds D of the potential to the datum's vector and builds no dicts; the dict
+form is decoded when ``data`` is first read.  Equivalence is a minimum-norm
+solve by conjugate gradients on the normal equations (CGLS), without forming
+D^T D.  Two valid cocycles are accepted as equivalent when the difference is
+matched by the total coboundary of a potential without global top form part,
+with angle-layer rows compared modulo 2*pi.  Rejection means no such witness
+was found at tolerance; it is numeric evidence, not a certificate.  The
+charge is the reliable separator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -28,22 +31,15 @@ from .bicomplex import (
     GaugePotential,
     TotalCochain,
     _basis,
-    _check_support,
     _coboundary,
+    _image,
     _SparseD,
     _wrap_finite,
-    big_d,
-    wrap,
+    _wrapped,
 )
 from .cover import Cover
 from .errors import InvalidInputError, NumericError
-from .simplicial import (
-    Cochain,
-    Simplex,
-    _worst,
-    fundamental_cycle,
-    integrate,
-)
+from .simplicial import Cochain, Simplex, _worst, fundamental_cycle
 
 DEFAULT_VALIDATION_TOL = 1e-9
 DEFAULT_EQUIVALENCE_TOL = 1e-8
@@ -64,35 +60,117 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GerbeDatum:
     """Local data of a level-n object over a fixed cover.
 
     Parts may be absent (absent means zero).  The (0, n+2) part, when
     present, must be flagged angle-valued and every component must be
     supported inside its overlap.
+
+    A datum keeps its coordinates on the cover's basis of total degree n + 2,
+    placed by ``_LayerBasis.locate``; validation, equivalence, the charge and
+    the shifts read them.  A shift computes coordinates only, and ``data``
+    decodes them when it is first read.  So that the decoded form is the dict
+    sum ``data + image`` exactly, ``_stored`` marks the coordinates that the
+    dict form holds, a stored 0.0 included, and ``_kept`` maps each part that
+    the dict form holds even without values to the tuples of its components
+    without values.  Instances are immutable values, equal when level, data
+    and cover are.
     """
 
-    level: int
-    data: TotalCochain
-    cover: Cover
-
-    def __post_init__(self):
-        if self.level < -1:
+    def __init__(self, level: int, data: TotalCochain, cover: Cover):
+        if level < -1:
             raise InvalidInputError("level must be at least -1")
-        k = self.level + 2
-        if self.data.total_degree != k:
+        k = level + 2
+        if data.total_degree != k:
             raise InvalidInputError(
-                f"level {self.level} needs total degree {k}, got {self.data.total_degree}"
+                f"level {level} needs total degree {k}, got {data.total_degree}"
             )
-        for (p, n), part in self.data.parts.items():
-            _check_support(part, self.cover)
+        basis = _basis(cover, k)
+        vector, stored = np.zeros(basis.size), np.zeros(basis.size, bool)
+        for (p, n), part in data.parts.items():
+            at, values = basis.locate(part)
             if (p, n) == (0, k) and not part.angle_valued:
                 raise InvalidInputError("the transition layer must be angle-valued")
+            vector[at], stored[at] = values, True
+        kept = {
+            key: frozenset(t for t, comp in part.components.items() if not comp.values)
+            for key, part in data.parts.items()
+        }
+        vars(self).update(
+            level=level, cover=cover, _data=data, _vector=vector, _stored=stored, _kept=kept
+        )
+
+    @classmethod
+    def zero(cls, cover: Cover, level: int) -> "GerbeDatum":
+        """The zero datum at the given level: all parts absent."""
+        return cls(level, TotalCochain.zero(level + 2), cover)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def data(self) -> TotalCochain:
+        if self._data is None:
+            vars(self)["_data"] = self._decoded()
+        return self._data
 
     @property
     def transition_layer(self) -> BigradedCochain | None:
         return self.data.part(0, self.level + 2)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.data, self.cover) == (other.level, other.data, other.cover)
+
+    __hash__ = None  # the data are dicts
+
+    def __repr__(self) -> str:
+        return f"GerbeDatum(level={self.level!r}, data={self.data!r}, cover={self.cover!r})"
+
+    def _decoded(self) -> TotalCochain:
+        """The dict form of the coordinates: each block's stored values, the
+        kept components without values, and each part that holds either or
+        is kept."""
+        k, parts = self.level + 2, {}
+        basis = _basis(self.cover, k)
+        for p, n in basis.positions:
+            comps = basis.components_of(self._vector, p, n, self._stored)
+            kept = self._kept.get((p, n))
+            for t in kept or ():
+                comps.setdefault(t, Cochain.zero(p))
+            if comps or kept is not None:
+                parts[p, n] = BigradedCochain(p, n, comps, (p, n) == (0, k))
+        return TotalCochain(k, parts)
+
+    def _plus(self, image: np.ndarray) -> "GerbeDatum":
+        """This datum plus an image of D, as the dict sum ``data + image`` of
+        the image's nonzero blocks and an empty angle-valued (0, k) part.
+
+        A nonzero image value is added to its coordinate, which the sum
+        stores unless it is 0.0.  A part that the image reaches, the (0, k)
+        part always, is held only while it has components; a component it
+        reaches, only while it has values.
+        """
+        k = self.level + 2
+        basis = _basis(self.cover, k)
+        vector, stored = self._vector.copy(), self._stored.copy()
+        at = np.flatnonzero(image)
+        vector[at] += image[at]
+        stored[at] = vector[at] != 0.0
+        kept = {}
+        for (p, n), empty in self._kept.items():
+            span = basis.positions[p, n]
+            reached = at[(at >= span.start) & (at < span.stop)] - span.start
+            if reached.size and empty:
+                layer = list(self.cover.layer(n))
+                empty -= {layer[i] for i in basis.tuple_ids[p, n][reached].tolist()}
+            if empty or not reached.size and (p, n) != (0, k):
+                kept[p, n] = empty
+        datum = object.__new__(GerbeDatum)
+        vars(datum).update(vars(self), _data=None, _vector=vector, _stored=stored, _kept=kept)
+        return datum
 
 
 @dataclass(frozen=True)
@@ -134,22 +212,21 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
     tolerance raises InvalidInputError.
     """
     tol = _checked_tol(DEFAULT_VALIDATION_TOL if tol is None else tol)
-    return _residual_report(datum.data, datum.cover, tol)
+    return _residual_report(datum._vector, datum.cover, datum.level + 2, tol)
 
 
-def _residual_report(data: TotalCochain, cover: Cover, tol: float) -> ValidationReport:
-    """The report of ``validate_cocycle`` for data that fit the cover: D(data)
-    through the cover's cached matrix, one maximum per bidegree, and peaks
-    built only for the 8 worst nonzero entries."""
-    k = data.total_degree
+def _residual_report(vector: np.ndarray, cover: Cover, k: int, tol: float) -> ValidationReport:
+    """The report of ``validate_cocycle`` for the coordinates of a degree-k
+    datum: D of them through the cover's cached matrix, one maximum per
+    bidegree, and peaks built only for the 8 worst nonzero entries."""
     rows = _basis(cover, k + 1)
-    residual = _coboundary(cover, k).apply(_basis(cover, k).vector_of(data))
+    residual = _coboundary(cover, k).apply(vector)
     residuals: dict[tuple[int, int], float] = {}
     nonzero = []
     for key, span in sorted(rows.positions.items()):
         at = span.start + np.flatnonzero(residual[span.start : span.stop])
         if key in ((0, k + 1), (1, k)):
-            residual[at] = [_wrap_finite(v) for v in residual[at].tolist()]
+            residual[at] = _wrapped(residual[at], _wrap_finite)
             at = at[residual[at] != 0.0]
         residuals[key] = float(np.max(np.abs(residual[at]), initial=0.0))
         nonzero.append(at)
@@ -181,16 +258,22 @@ def charge(datum: GerbeDatum) -> float:
     """Integral of curvature / 2*pi over the fundamental cycle.
 
     An integer, up to round-off, for any valid cocycle on a closed oriented
-    manifold of dimension level + 2.
+    manifold of dimension level + 2.  It sums the datum's global (k, 0)
+    coordinates, the k-cells in order, in ``integrate``'s sorted order, so the
+    float is the one ``integrate(curvature(datum), cycle)`` gives.
     """
-    complex = datum.cover.complex
-    if complex.top_dimension != datum.level + 2:
+    complex, k = datum.cover.complex, datum.level + 2
+    if complex.top_dimension != k:
         raise InvalidInputError(
-            f"charge needs a closed ({datum.level + 2})-manifold; "
-            f"top dimension is {complex.top_dimension}"
+            f"charge needs a closed ({k})-manifold; top dimension is {complex.top_dimension}"
         )
     cycle = fundamental_cycle(complex)
-    return integrate(curvature(datum), cycle) / TWO_PI
+    span = _basis(datum.cover, k).positions[k, 0]
+    # curvature() holds minus the values; where none is stored, the term -0.0 or
+    # 0.0 leaves the running sum as integrate's 0.0 for an absent cell does
+    values = (-datum._vector[span.start : span.stop]).tolist()
+    coefficients = map(cycle.coefficients.__getitem__, complex.cells(k))
+    return float(sum(c * v for c, v in zip(coefficients, values))) / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -256,23 +339,25 @@ def gauge_equivalent(
     if first.cover != second.cover:
         raise InvalidInputError("data live on different covers")
     cover, k = first.cover, first.level + 2
-    # the covers are equal by value, so both data are checked on one cached D
+    # the covers are equal by value, so both data are checked on one cached D,
+    # and their coordinates lie on bases of one layout
     for name, datum in (("first", first), ("second", second)):
-        if not _residual_report(datum.data, cover, tol).passed:
+        if not _residual_report(datum._vector, cover, k, tol).passed:
             raise InvalidInputError(f"{name} datum is not a cocycle at tolerance {tol:g}")
     rows, cols = _basis(cover, k), _basis(cover, k - 1)
     with np.errstate(over="ignore"):
-        b = rows.vector_of(second.data) - rows.vector_of(first.data)
+        b = second._vector - first._vector
     if not np.all(np.isfinite(b)):
         raise NumericError("the difference of the data is not finite")
-    angle = rows.positions.get((0, k), range(0))
-    b[angle] = [wrap(v) for v in b[angle].tolist()]
+    span = rows.positions.get((0, k), range(0))
+    angle = slice(span.start, span.stop)
+    b[angle] = _wrapped(b[angle])
     # a potential has no global (k - 1, 0) part, the leading column block
     omitted = len(cols.positions[k - 1, 0])
     matrix = _coboundary(cover, k - 1).without_leading_columns(omitted)
     x = _cgls(matrix, b)
     residual_vec = matrix.apply(x) - b
-    residual_vec[angle] = [wrap(v) for v in residual_vec[angle].tolist()]
+    residual_vec[angle] = _wrapped(residual_vec[angle])
     residual = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
     if residual <= tol:
         witness = cols.total_of(np.concatenate([np.zeros(omitted), x]))
@@ -291,11 +376,7 @@ def higher_gauge_shift(datum: GerbeDatum, shift: TotalCochain) -> GerbeDatum:
         raise InvalidInputError(
             f"shift must have total degree {datum.level + 1}, got {shift.total_degree}"
         )
-    k = datum.level + 2
-    # an empty angle-valued (0, k) part flags the shift's transition layer,
-    # also where the datum has none
-    image = TotalCochain(k, {(0, k): BigradedCochain.zero(0, k, True)}) + big_d(shift, datum.cover)
-    return GerbeDatum(datum.level, datum.data + image, datum.cover)
+    return datum._plus(_image(shift, datum.cover))
 
 
 def gauge_shift(datum: GerbeDatum, potential: GaugePotential) -> GerbeDatum:

@@ -1,5 +1,7 @@
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from gerbecalc import (
     permutation_sign,
     wrap,
 )
-from gerbecalc.bicomplex import _square_blocks
+from gerbecalc.bicomplex import _square_blocks, _wrap_finite, _wrapped
 from gerbecalc.builders import (
     build_gerbopole,
     build_minus_one_gerbe,
@@ -55,6 +57,37 @@ class TestWrap:
         w = wrap(x)
         assert -math.pi < w <= math.pi
         assert abs(math.remainder(w - x, TWO_PI)) < 1e-9
+
+    EDGES = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 1e6, -1e6]
+    EDGES += [math.nextafter(x, d) for x in (math.pi, -math.pi) for d in (-math.inf, math.inf)]
+
+    @staticmethod
+    def bits(values):
+        return [struct.pack("<d", v) for v in values]
+
+    def test_array_helper_matches_wrap_bit_for_bit(self):
+        values = np.array(self.EDGES)
+        expected = [wrap(x) for x in self.EDGES]
+        for scalar in (wrap, _wrap_finite):
+            assert self.bits(_wrapped(values, scalar).tolist()) == self.bits(expected)
+        # the values it keeps, wrap keeps bit for bit too
+        inside = [x for x in self.EDGES if -math.pi < x <= math.pi]
+        assert self.bits([wrap(x) for x in inside]) == self.bits(inside)
+        assert len(inside) == 5  # 0.0, -0.0, pi and the values one ulp inside +-pi
+
+    @given(st.floats(-50.0, 50.0, allow_nan=False))
+    def test_array_helper_matches_wrap_on_any_finite_value(self, x):
+        assert self.bits(_wrapped(np.array([x])).tolist()) == self.bits([wrap(x)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_array_helper_passes_non_finite_values_to_the_scalar(self, bad):
+        values = np.array([4.0, bad, 1.0])
+        with pytest.raises(InvalidInputError, match="cannot wrap non-finite value"):
+            _wrapped(values)
+        out = _wrapped(values, _wrap_finite)
+        assert out[0] == wrap(4.0) and out[2] == 1.0
+        assert out[1] == bad or (math.isnan(bad) and math.isnan(out[1]))
+        assert values[0] == 4.0  # the input is left as it was
 
 
 class TestAntisymmetry:

@@ -1,6 +1,10 @@
+import gc
 import math
+import struct
 import time
 import warnings
+import weakref
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from gerbecalc import (
     GerbecalcError,
     InvalidInputError,
     NumericError,
+    SimplicialComplex,
     TotalCochain,
     ValidationReport,
     big_d,
@@ -31,14 +36,16 @@ from gerbecalc import (
     wrap,
 )
 from gerbecalc.builders import join_sphere3, two_cone_sphere
+from gerbecalc.serialize import save_datum
 from gerbecalc.cover import Cover
 from gerbecalc import bicomplex
-from gerbecalc.bicomplex import GaugePotential, _check_support, _coboundary_matrix, _LayerBasis
+from gerbecalc.bicomplex import GaugePotential, _coboundary_matrix, _LayerBasis
 from gerbecalc.deligne import _cgls
 from gerbecalc.randomdata import random_gauge_potential, random_total
 from gerbecalc.rng import Lcg64
 
 from conftest import (
+    ICOSAHEDRON_FACES,
     closed_star_cover,
     reference_dbar,
     reference_delta,
@@ -46,6 +53,15 @@ from conftest import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def coordinates(basis, total):
+    """The vector of a total cochain on the basis, each part placed by locate."""
+    vec = np.zeros(basis.size)
+    for part in total.parts.values():
+        at, values = basis.locate(part)
+        vec[at] = values
+    return vec
 
 
 def bundle_equations_oracle(datum):
@@ -554,7 +570,7 @@ class TestCoboundaryMatrix:
 
         for _ in range(3):
             x = np.array([rng.uniform(-1.0, 1.0) for _ in range(matrix.shape[1])])
-            expected = rows.vector_of(big_d(cols.total_of(padded(x)), cover))
+            expected = coordinates(rows, big_d(cols.total_of(padded(x)), cover))
             # both sum the nonzeros of one walk in the same order
             np.testing.assert_array_equal(matrix.apply(x), expected)
             y = np.array([rng.uniform(-1.0, 1.0) for _ in range(rows.size)])
@@ -571,7 +587,7 @@ class TestCoboundaryMatrix:
         if angle:
             angles = parts[0, k - 1].components
             parts[0, k - 1] = BigradedCochain(0, k - 1, angles, angle_valued=True)
-        expected = rows.vector_of(big_d(TotalCochain(k - 1, parts), cover))
+        expected = coordinates(rows, big_d(TotalCochain(k - 1, parts), cover))
         np.testing.assert_array_equal(matrix.apply(x[omitted:]), expected)
 
     def test_solve_that_hits_the_iteration_cap_raises(self):
@@ -600,7 +616,7 @@ class TestLayerBasis:
                 x = random_gauge_potential(cover, k, Lcg64(61 + k)).data
             else:
                 x = random_total(cover, k, Lcg64(61 + k))
-            vec = basis.vector_of(x)
+            vec = coordinates(basis, x)
             omitted = len(basis.positions[k, 0]) if omit_top_form else 0
             assert not vec[:omitted].any()
             assert np.count_nonzero(vec) == basis.size - omitted
@@ -613,10 +629,14 @@ class TestLayerBasis:
             p, n, t, cell = basis.entry(j)
             assert j in basis.positions[p, n]
             assert j == basis.start[t] + cover.layer(n)[t].cells(p).index(cell)
+            assert basis.index[t] == list(cover.layer(n)).index(t)
         for key, span in basis.positions.items():
             # sorted by (tuple index, cell id), the order the assembler searches
             keys = list(zip(basis.tuple_ids[key].tolist(), basis.cell_ids[key].tolist()))
             assert keys == sorted(set(keys)) and len(keys) == len(span)
+            assert np.all(np.diff(basis.keys[key]) > 0)
+            found = basis.find(*key, basis.tuple_ids[key], basis.cell_ids[key])
+            assert found.tolist() == list(span)
 
     @pytest.mark.parametrize(
         "part, message",
@@ -631,14 +651,55 @@ class TestLayerBasis:
         ids=["tuple-outside-nerve", "cell-outside-overlap", "omitted-top-form"],
     )
     def test_value_outside_the_basis_raises(self, icosahedron, part, message):
-        # values reach the basis only through _check_support, as in big_d and GerbeDatum
+        # values reach the basis only through locate, as in big_d and GerbeDatum
         cover = closed_star_cover(icosahedron)
         assert (0, 11) not in cover.layer(2)
         basis = _LayerBasis(cover, 2)
         total = TotalCochain(2, {(part.form_degree, part.cech_degree): part})
         with pytest.raises(InvalidInputError, match=message):
-            _check_support(part, cover)
-            GaugePotential(basis.total_of(basis.vector_of(total)))
+            GaugePotential(basis.total_of(coordinates(basis, total)))
+
+    @pytest.mark.parametrize(
+        "components, named",
+        [
+            # two cells outside the overlap of the stars of 0 and 1, {0, 1, 2, 5}
+            ({(0, 1): {(0,): 1.0, (11,): 1.0, (10,): 1.0}}, r"\(0, 1\) spills .* at \(11,\)"),
+            ({(0, 1): {(10,): 1.0, (0,): 1.0, (11,): 1.0}}, r"\(0, 1\) spills .* at \(10,\)"),
+            # a tuple outside the nerve, and a cell outside a tuple's overlap
+            ({(0, 11): {(0,): 1.0}, (0, 1): {(11,): 1.0}}, r"\(0, 11\) spills .* at \(0,\)"),
+            ({(0, 1): {(11,): 1.0}, (0, 11): {(0,): 1.0}}, r"\(0, 1\) spills .* at \(11,\)"),
+            # a tuple past the last set, with or without values, after a spill
+            ({(0, 1): {(11,): 1.0}, (0, 12): {}}, r"\(0, 1\) spills .* at \(11,\)"),
+            ({(0, 12): {}, (0, 1): {(11,): 1.0}}, r"\(0, 12\) does not fit 12 sets"),
+        ],
+        ids=["cells", "cells-reordered", "tuple-first", "cell-first", "spill-first", "fit-first"],
+    )
+    def test_two_faults_name_the_first_in_input_order(self, icosahedron, components, named):
+        cover = closed_star_cover(icosahedron)
+        part = BigradedCochain(
+            0, 2, {t: Cochain(0, values) for t, values in components.items()}
+        )
+        with pytest.raises(InvalidInputError, match=named):
+            _LayerBasis(cover, 2).locate(part)
+
+    def test_locate_gives_the_positions_and_values_in_input_order(self, icosahedron):
+        cover = closed_star_cover(icosahedron)
+        basis = _LayerBasis(cover, 2)
+        comps = {(1, 5): {(6,): 0.5, (0,): -0.0}, (0, 1): {(5,): 2.0, (11,): 1.0}}
+        part = BigradedCochain(0, 2, {t: Cochain(0, v) for t, v in comps.items()})
+        with pytest.raises(InvalidInputError, match=r"\(0, 1\) spills .* at \(11,\)"):
+            basis.locate(part)
+        del comps[0, 1][11,]
+        part = BigradedCochain(0, 2, {t: Cochain(0, v) for t, v in comps.items()})
+        at, values = basis.locate(part)
+        expected = [
+            basis.start[t] + cover.layer(2)[t].cells(0).index(cell)
+            for t, comp in comps.items()
+            for cell in comp
+        ]
+        assert at.tolist() == expected
+        assert values.tolist() == [0.5, -0.0, 2.0]
+        assert math.copysign(1.0, values[1]) == -1.0
 
 
 class TestResidualAgainstIndependentReference:
@@ -713,6 +774,151 @@ class TestResidualAgainstIndependentReference:
         assert report.worst[0].magnitude == pytest.approx(0.1, abs=1e-12)
 
 
+class TestDataAsCoordinates:
+    """A datum keeps its coordinates; a shift adds D of the potential to them,
+    and ``data`` decodes them into the dict sum the public API gives."""
+
+    BUILDS = {
+        "minus1": lambda: build_minus_one_gerbe(12),
+        "monopole": lambda: build_monopole(12),
+        "monopole-winding-1": lambda: build_monopole(12, -1),
+        "gerbopole": lambda: build_gerbopole(6),
+        "icosahedron-stars": lambda: GerbeDatum.zero(
+            closed_star_cover(
+                SimplicialComplex.from_top_cells(12, ICOSAHEDRON_FACES, closed_manifold=True)
+            ),
+            0,
+        ),
+    }
+
+    @staticmethod
+    def dict_sum(datum, shift):
+        """``datum.data`` plus the image of the shift, through the dict operators:
+        D(shift) with an empty angle-valued (0, k) part, which flags the image's
+        transition layer also where the datum has none.  The flag joins D(shift)
+        first; added to the datum first, it would fall away with an empty part."""
+        k = datum.level + 2
+        flag = TotalCochain(k, {(0, k): BigradedCochain.zero(0, k, True)})
+        return datum.data + (flag + big_d(shift, datum.cover))
+
+    @staticmethod
+    def saved(tmp_path, name, datum):
+        path = tmp_path / f"{name}.json"
+        save_datum(path, datum)
+        return path.read_bytes()
+
+    @staticmethod
+    def stored_zeros(datum):
+        return [
+            (key, t, cell, math.copysign(1.0, v))
+            for key, part in datum.data.parts.items()
+            for t, comp in part.components.items()
+            for cell, v in comp.values.items()
+            if v == 0.0
+        ]
+
+    def test_builders_store_zeros(self):
+        # the monopole's transition is winding * longitude, 0.0 or -0.0 at longitude 0
+        assert [z[3] for z in self.stored_zeros(build_monopole(12))] == [1.0, 1.0]
+        assert [z[3] for z in self.stored_zeros(build_monopole(12, -1))] == [-1.0, -1.0]
+
+    @pytest.mark.parametrize("name", list(BUILDS))
+    @pytest.mark.parametrize("amplitude", [0.5, 3.0])
+    def test_shifted_data_is_the_dict_sum(self, tmp_path, name, amplitude):
+        datum = self.BUILDS[name]()
+        rng = Lcg64(sum(map(ord, name)) + int(amplitude))
+        potential = random_gauge_potential(datum.cover, datum.level + 1, rng, amplitude)
+        shifted = gauge_shift(datum, potential)
+        expected = self.dict_sum(datum, potential.data)
+        by_dicts = GerbeDatum(datum.level, expected, datum.cover)
+        assert shifted.data == expected and shifted == by_dicts
+        assert self.stored_zeros(shifted) == self.stored_zeros(by_dicts)
+        assert self.saved(tmp_path, "shifted", shifted) == self.saved(tmp_path, "dicts", by_dicts)
+        # a second shift starts from coordinates that were never decoded
+        again = random_gauge_potential(datum.cover, datum.level + 1, rng, 0.5)
+        twice = gauge_shift(gauge_shift(datum, potential), again)
+        assert twice.data == self.dict_sum(by_dicts, again.data)
+
+    @pytest.mark.parametrize("vertex", [13, 12], ids=["elsewhere", "on-the-zero"])
+    def test_stored_negative_zeros_keep_their_sign_until_reached(self, tmp_path, vertex):
+        # the band vertices 0 and 12 hold -0.0; a potential on set 0 at one
+        # band vertex moves the transition there only
+        datum = build_monopole(12, -1)
+        comps = {(0,): Cochain(0, {(vertex,): 0.25})}
+        shift = TotalCochain(1, {(0, 1): BigradedCochain(0, 1, comps)})
+        shifted = higher_gauge_shift(datum, shift)
+        by_dicts = GerbeDatum(0, self.dict_sum(datum, shift), datum.cover)
+        assert shifted == by_dicts
+        zeros = self.stored_zeros(shifted)
+        assert zeros == self.stored_zeros(by_dicts)
+        assert [z[2] for z in zeros] == ([(0,), (12,)] if vertex == 13 else [(0,)])
+        assert self.saved(tmp_path, "a", shifted) == self.saved(tmp_path, "b", by_dicts)
+
+    def test_empty_parts_and_components_follow_the_dict_sum(self):
+        datum = build_monopole(12)
+        k, cover = 2, datum.cover
+        empty = {
+            # an empty transition layer, an empty global part, and empty components
+            # inside and outside the shift's reach
+            (0, 2): BigradedCochain(0, 2, {}, angle_valued=True),
+            (2, 0): BigradedCochain.zero(2, 0),
+            (1, 1): BigradedCochain(1, 1, {(0,): Cochain.zero(1), (1,): Cochain.zero(1)}),
+        }
+        bare = GerbeDatum(0, TotalCochain(k, empty), cover)
+        # a potential on set i at one band vertex reaches component (i,) of the
+        # (1, 1) part and leaves the other without values
+        shifts = [
+            TotalCochain(1, {(0, 1): BigradedCochain(0, 1, {(i,): Cochain(0, {(v,): 0.5})})})
+            for i, v in ((0, 12), (1, 13))
+        ]
+        for shift in shifts + [TotalCochain.zero(1)]:
+            shifted = higher_gauge_shift(bare, shift)
+            assert shifted.data == self.dict_sum(bare, shift)
+            assert shifted.data.parts.keys() == self.dict_sum(bare, shift).parts.keys()
+
+    def test_a_value_that_cancels_is_dropped(self):
+        datum = build_monopole(12)
+        phi = datum.transition_layer.components[(0, 1)].values
+        comps = {(0,): Cochain(0, {(1,): phi[(1,)]})}
+        shift = TotalCochain(1, {(0, 1): BigradedCochain(0, 1, comps)})
+        shifted = higher_gauge_shift(datum, shift)
+        assert shifted.data == self.dict_sum(datum, shift)
+        assert (1,) not in shifted.transition_layer.components[(0, 1)].values
+
+    @pytest.mark.parametrize("name", ["minus1", "monopole", "monopole-winding-1", "gerbopole"])
+    def test_charge_is_the_integral_of_the_curvature_bit_for_bit(self, name):
+        datum = self.BUILDS[name]()
+        rng = Lcg64(sum(map(ord, name)))
+        shifted = higher_gauge_shift(datum, random_total(datum.cover, datum.level + 1, rng, 0.5))
+        for d in (datum, shifted):
+            cycle = fundamental_cycle(d.cover.complex)
+            expected = integrate(curvature(d), cycle) / TWO_PI
+            assert struct.pack("<d", charge(d)) == struct.pack("<d", expected)
+
+    def test_zero_datum_shifted_on_a_star_cover_is_equivalent_to_it(self, icosahedron):
+        cover = closed_star_cover(icosahedron)
+        zero = GerbeDatum.zero(cover, 0)
+        assert build_trivial == GerbeDatum.zero
+        assert zero == build_trivial(cover, 0) and not zero.data.parts
+        potential = random_gauge_potential(cover, 1, Lcg64(97), amplitude=0.5)
+        shifted = gauge_shift(zero, potential)
+        assert shifted.transition_layer.angle_valued
+        assert validate_cocycle(shifted).passed
+        result = gauge_equivalent(zero, shifted)
+        assert result.equivalent and result.residual < 1e-12
+
+    def test_datum_is_an_immutable_value(self):
+        datum = build_monopole(6)
+        with pytest.raises(FrozenInstanceError):
+            datum.level = 1
+        shifted = gauge_shift(datum, GaugePotential(TotalCochain.zero(1)))
+        assert shifted == datum and shifted is not datum
+        assert datum != GerbeDatum.zero(datum.cover, 0) and datum != datum.data
+        assert repr(shifted).startswith("GerbeDatum(level=0, data=TotalCochain(total_degree=2")
+        with pytest.raises(TypeError):
+            hash(datum)
+
+
 class TestOneCachedD:
     """D is assembled once per (cover, degree) and kept on the cover."""
 
@@ -746,6 +952,24 @@ class TestOneCachedD:
         assert validate_cocycle(GerbeDatum(0, datum.data, twin)).passed
         assert validate_cocycle(datum).passed
         assert assemblies == [(id(cover), 2), (id(twin), 2)]
+
+    def test_a_dropped_cover_is_freed_without_the_cycle_collector(self):
+        # the cover keeps its bases and D; nothing they hold refers back to it
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            datum = build_monopole(12)
+            potential = random_gauge_potential(datum.cover, 1, Lcg64(83), amplitude=0.5)
+            shifted = gauge_shift(datum, potential)
+            assert validate_cocycle(shifted).passed and charge(shifted) == pytest.approx(1.0)
+            assert gauge_equivalent(datum, shifted).equivalent
+            assert shifted.data.parts
+            dropped = weakref.ref(datum.cover)
+            del datum, potential, shifted
+            assert dropped() is None
+        finally:
+            if collecting:
+                gc.enable()
 
     def test_huge_level_trivial_pair_is_equivalent_in_bounded_time(self):
         # blocks of p-cells above the complex's dimension hold no rows, so no
