@@ -12,12 +12,13 @@ the table of a dimension or nerve layer comes from one stable sort of its faces
 with the rows below.  Each complex keeps the rule's table, ``_faces``, which
 ``build`` computes as its closure check.
 
-``boundary_matrix`` and ``induced`` stay per-tuple Python.  The good-cover
-check runs them once per distinct overlap, 4,320 and at most 1,440 times per
-pass on the 144-set star cover of a 12x12 torus, and such an overlap holds a
-few cells, so one numpy pass costs more than the dict lookups: 3.6 against
-1.8 us per ``boundary_matrix`` call, and 17.7 against 7.7 us per ``induced``
-call.
+``induced`` stays per-tuple Python.  The nerve runs it once per distinct
+overlap, at most 1,440 times on the 144-set star cover of a 12x12 torus, and
+such an overlap holds a few cells, so one numpy pass costs more than the dict
+lookups: 17.7 against 7.7 us per call.  ``boundary_matrix`` is the dense
+reference the tests rank with ``cover.integer_rank``; the good-cover check
+never builds it, and ranks each boundary from sparse rows instead (see
+``cover.betti_numbers``).
 """
 
 from __future__ import annotations
@@ -472,10 +473,9 @@ def boundary_matrix(complex: SimplicialComplex, dim: int) -> list[list[int]]:
     """Integer matrix of the boundary map from dim-cells to (dim-1)-cells."""
     rows = complex.cells(dim - 1)
     cols = complex.cells(dim)
-    # Per-tuple slicing, not complex._faces or the array _face_rows: the
-    # good-cover check calls this on every distinct overlap (4,320 calls on
-    # the 12x12 torus star cover), most of them a few cells, where one numpy
-    # pass costs more than these dict lookups.
+    # Faces by per-tuple slicing, not complex._faces or _face_rows: this dense
+    # matrix is the reference the tests compare the good-cover check's sparse
+    # ranks with, so it shares no face lookup with them.
     position = {s: i for i, s in enumerate(rows)}
     matrix = [[0] * len(cols) for _ in rows]
     for j, s in enumerate(cols):

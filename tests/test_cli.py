@@ -167,6 +167,19 @@ class TestValidate:
         assert lines[-1].startswith("PASS")
 
 
+    def test_vertex_ids_far_apart_load_without_a_row_per_id(self, tmp_path, capsys):
+        # a legal file: 10**13 possible ids, 6 of them used; the cover's
+        # membership rows follow the 0-cells, so nothing is sized by the count
+        doc = datum_to_dict(build_monopole(6))
+        doc["complex"]["vertex_count"] = 10**13
+        path = tmp_path / "sparse-ids.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("PASS")
+        assert main(["charge", str(path)]) == 0
+        assert capsys.readouterr().out == "1.000000000\n"
+
+
 class TestTolerance:
     @pytest.mark.parametrize("value", ["inf", "nan", "-1e-3"])
     def test_flag_must_be_finite_and_non_negative(self, monopole_file, capsys, value):

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 import time
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gerbecalc import cover as cover_module
 from gerbecalc import (
     BigradedCochain,
     Cover,
@@ -40,6 +42,32 @@ RP2_TRIANGLES = [
     (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
     (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
 ]
+
+
+def dense_betti(complex):
+    """Betti numbers from the dense reference: ``integer_rank`` of every
+    ``boundary_matrix`` up to one above max(2, top dimension)."""
+    up_to = max(2, complex.top_dimension)
+    counts = [len(complex.cells(q)) for q in range(up_to + 2)]
+    ranks = [0] + [integer_rank(boundary_matrix(complex, q)) for q in range(1, up_to + 2)]
+    return tuple(counts[q] - ranks[q] - ranks[q + 1] for q in range(up_to + 1))
+
+
+def random_closed_complex(seed):
+    """Random cells of dimension up to a random top of 0 to 3 on up to 9
+    vertices, closed under faces: often disconnected, often with isolated
+    vertices, vertices only when the top is 0."""
+    rng = random.Random(seed)
+    vertex_count, top = rng.randint(1, 9), rng.randint(0, 3)
+    cells = set()
+    for _ in range(rng.randint(0, 8)):
+        cell = sorted(rng.sample(range(vertex_count), min(rng.randint(1, top + 1), vertex_count)))
+        for k in range(1, len(cell) + 1):
+            cells.update(itertools.combinations(cell, k))
+    table = {}
+    for cell in cells:
+        table.setdefault(len(cell) - 1, []).append(cell)
+    return SimplicialComplex.build(vertex_count, table)
 
 
 @st.composite
@@ -87,6 +115,13 @@ class TestCoverConstruction:
     def test_non_integer_member_rejected(self, bad):
         with pytest.raises(InvalidInputError, match=r"cover set 0 .*ids must be integers"):
             Cover.build(circle_complex(6), [[bad, 1, 2, 3], [3, 4, 5, 0]])
+
+    def test_sparse_vertex_ids_far_beyond_the_cells(self):
+        # membership rows follow the three 0-cells, not the ids up to 10**13
+        K = SimplicialComplex.build(10**13, {0: [[0], [5], [10**12]], 1: [[0, 5], [5, 10**12]]})
+        assert Cover.build(K, [{0, 5}, {5, 10**12}]).sets == (frozenset({0, 5}), frozenset({5, 10**12}))
+        with pytest.raises(InvalidInputError, match=rf"^cell \(5, {10**12}\) lies in no cover set$"):
+            Cover.build(K, [{0, 5}, {10**12}])
 
     def test_unknown_vertex_rejected(self):
         K = circle_complex(6)
@@ -288,6 +323,31 @@ class TestIntegerRank:
         with pytest.raises(InvalidInputError, match=where):
             integer_rank(matrix)
 
+    @pytest.mark.parametrize(
+        "rows,where",
+        [
+            ([{0: 2.5, 1: 1}, {0: 5, 1: 2}], r"\(0, 0\) is 2\.5"),
+            ([{3: 1}, {0: 1, 7: 0.5}], r"\(1, 7\) is 0\.5"),
+            ([{2: 1}, [0, 2.0]], r"\(1, 1\) is 2\.0"),
+        ],
+        ids=["rational", "half-at-column-key", "dense-after-mapping"],
+    )
+    def test_non_integer_mapping_entry_rejected(self, rows, where):
+        with pytest.raises(InvalidInputError, match=where):
+            integer_rank(rows)
+
+    def test_mapping_rows_may_hold_zeros_and_numpy_integers(self):
+        assert integer_rank([{0: 1, 1: 0, 5: -1}, {0: np.int64(2), 5: np.int32(-2)}, {}]) == 1
+        assert integer_rank([{0: 1}, [0, 1], {1: 1, 2: 1}]) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_integer_matrices())
+    def test_mapping_rows_match_dense_rows(self, m):
+        rows = [{c: v for c, v in enumerate(row) if v} for row in m]
+        assert integer_rank(rows) == integer_rank(m)
+        transpose = [dict(enumerate(col)) for col in zip(*m)]  # zeros kept as entries
+        assert integer_rank(transpose) == integer_rank(m)
+
     def test_non_unit_pivots(self):
         assert integer_rank([[2, 3], [4, 6]]) == 1
         assert integer_rank([[2, 1], [1, 2]]) == 2
@@ -347,7 +407,7 @@ class TestGoodCover:
         assert [e.indices for e in report.entries] == list(cover.nerve())
         for e in report.entries:
             common = frozenset.intersection(*(cover.sets[i] for i in e.indices))
-            betti = betti_numbers(cover.complex.induced(common))
+            betti = dense_betti(cover.complex.induced(common))
             assert e.betti == betti
             assert e.contractible == (betti == (1,) + (0,) * (len(betti) - 1))
 
@@ -369,3 +429,58 @@ class TestGoodCover:
         assert report.entries[0].betti == (1, 0, 0, 1)
         assert not report.entries[0].contractible
         assert not report.all_contractible
+
+
+class TestSparseBettiNumbers:
+    """``betti_numbers`` ranks 1-boundaries by components and higher ones by
+    sparse face rows; the dense reference ranks ``boundary_matrix``."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_complexes_match_the_dense_reference(self, seed):
+        K = random_closed_complex(seed)
+        assert betti_numbers(K) == dense_betti(K)
+
+    def test_random_complexes_cover_the_cases(self):
+        # the seeds above reach disconnected complexes, isolated vertices and
+        # complexes of vertices only, and cells of every dimension up to 3
+        complexes = [random_closed_complex(seed) for seed in range(60)]
+        assert any(betti_numbers(K)[0] > 1 for K in complexes)
+        assert any(K.top_dimension == 0 and len(K.cells(0)) > 1 for K in complexes)
+        assert any(
+            K.top_dimension >= 1 and {v for e in K.cells(1) for v in e} != K.vertices for K in complexes
+        )
+        assert {K.top_dimension for K in complexes} >= {0, 1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "complex, betti",
+        [
+            (SimplicialComplex.build(0, {}), (0, 0, 0)),
+            (SimplicialComplex.build(7, {}), (0, 0, 0)),
+            (SimplicialComplex.build(4, {0: [[0], [1], [3]]}), (3, 0, 0)),
+            # two triangles' boundaries, one filled, an edge and an isolated vertex
+            (
+                SimplicialComplex.build(
+                    9,
+                    {
+                        0: [[v] for v in range(9)],
+                        1: [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5], [6, 7]],
+                        2: [[3, 4, 5]],
+                    },
+                ),
+                (4, 1, 0),
+            ),
+            (SimplicialComplex.from_top_cells(6, RP2_TRIANGLES), (1, 0, 0)),
+            (join_sphere3(6), (1, 0, 0, 1)),
+        ],
+        ids=["empty", "no-cells", "vertices-only", "disconnected", "rp2-rational-pivots", "sphere3"],
+    )
+    def test_named_complexes_match_the_dense_reference(self, complex, betti):
+        assert betti_numbers(complex) == dense_betti(complex) == betti
+
+    def test_no_rank_call_below_dimension_two_or_above_the_top(self, monkeypatch):
+        calls, plain = [], cover_module.integer_rank
+        monkeypatch.setattr(cover_module, "integer_rank", lambda rows: calls.append(rows) or plain(rows))
+        assert betti_numbers(circle_complex(6)) == (1, 1, 0)
+        assert calls == []
+        assert betti_numbers(join_sphere3(6)) == (1, 0, 0, 1)
+        assert len(calls) == 2  # the 2- and 3-boundaries, nothing above
