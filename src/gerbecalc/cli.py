@@ -8,11 +8,16 @@ variable GERBECALC_TOL overrides the default tolerances when the --tol flag
 is not given; either must be a finite non-negative number.  selfcheck
 assembles D as a sparse integer matrix on seeded random covers and checks
 that D^2 = 0 holds exactly.
+
+``main`` builds the argument parser once per process and reuses it.  equiv
+loads its two files with ``load_pair``, so files with the same complex and
+cover share one Cover, and with it one basis and one D.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +37,7 @@ from .deligne import (
 from .errors import FormatError, GerbecalcError, InvalidInputError
 from .randomdata import random_complex_and_cover, random_gauge_potential
 from .rng import Lcg64
-from .serialize import load_datum, save_datum, save_witness
+from .serialize import load_datum, load_pair, save_datum, save_witness
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -115,8 +120,7 @@ def cmd_charge(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    first = load_datum(args.a)
-    second = load_datum(args.b)
+    first, second = load_pair(args.a, args.b)
     tol = _resolve_tol(args.tol, DEFAULT_EQUIVALENCE_TOL)
     result = gauge_equivalent(first, second, tol)
     if result.equivalent:
@@ -216,8 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FormatError, json.JSONDecodeError, OSError) as exc:

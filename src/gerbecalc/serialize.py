@@ -16,6 +16,12 @@ Top-level document, format_version 1:
 Floats are emitted as shortest round-trip decimals (Python repr), so
 serialize/parse round-trips are bit-exact.  Witness files replace "datum"
 with a "witness" object of the same parts shape plus a "degree" key.
+
+Files are written as ``json.dump(doc, handle, indent=1)`` and a newline
+would write them, byte for byte, but through the C encoder: the compact text
+of each bulk array is laid out at its depth by string replacement
+(``_laid_out``).  ``load_pair`` loads two files and puts the second datum on
+the first file's cover when both files hold the same complex and cover.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ __all__ = [
     "datum_from_dict",
     "save_datum",
     "load_datum",
+    "load_pair",
     "save_witness",
 ]
 
@@ -152,7 +159,10 @@ def _checked_entry(entry: Any, path: str) -> tuple[tuple[int, ...], float]:
     value = _need(entry, "value", path)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{path}.value: expected a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise FormatError(f"{path}.value: too large for a float") from None
     if not math.isfinite(value):
         raise FormatError(f"{path}.value: must be finite")
     return cell, value
@@ -216,12 +226,20 @@ def datum_to_dict(datum: GerbeDatum) -> dict:
     }
 
 
-def datum_from_dict(doc: Any) -> GerbeDatum:
+def _check_version(doc: Any) -> None:
     version = _int(_need(doc, "format_version", "document"), "format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {version}")
+
+
+def datum_from_dict(doc: Any) -> GerbeDatum:
+    _check_version(doc)
     complex = complex_from_dict(_need(doc, "complex", "document"))
     cover = cover_from_dict(_need(doc, "cover", "document"), complex)
+    return _datum_on(cover, doc)
+
+
+def _datum_on(cover: Cover, doc: Any) -> GerbeDatum:
     datum_doc = _need(doc, "datum", "document")
     level = _int(_need(datum_doc, "level", "datum"), "datum.level")
     angle_part = datum_doc.get("angle_part")
@@ -238,15 +256,88 @@ def datum_from_dict(doc: Any) -> GerbeDatum:
         raise FormatError(f"datum: {exc}") from exc
 
 
-def save_datum(path: str | os.PathLike, datum: GerbeDatum) -> None:
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
+def _int_rows(rows: list, depth: int) -> str:
+    """A non-empty list of int lists as indent=1 lays it out at ``depth``."""
+    i1, i2 = "\n" + " " * (depth + 1), "\n" + " " * (depth + 2)
+    return "[" + i1 + (  # "[]" is an empty row; "]," and "\0," end a row, other commas an id
+        _compact(rows)[1:-1].replace("[]", "\0").replace(",", "," + i2)
+        .replace("]," + i2, "]," + i1).replace("\0," + i2, "\0," + i1)
+        .replace("[", "[" + i2).replace("]", i1 + "]").replace("\0", "[]")
+    ) + i1[:-1] + "]"
+
+
+def _entries(entries: list, depth: int) -> str:
+    """A non-empty list of entries, each {"simplex": [ids...], "value": x}
+    with at least one id, as indent=1 lays it out at ``depth``."""
+    i1, i2, i3 = ("\n" + " " * (depth + k) for k in (1, 2, 3))
+    return "[" + i1 + (  # "\0" parts two entries and "\1" a simplex from its value
+        _compact(entries)[1:-1].replace("},{", "}\0{").replace('],"value":', "\1")
+        .replace(",", "," + i3).replace('{"simplex":[', "{" + i2 + '"simplex": [' + i3)
+        .replace("\1", i2 + "]," + i2 + '"value": ').replace("}", i1 + "}")
+        .replace("\0", "," + i1)
+    ) + i1[:-1] + "]"
+
+
+def _laid_out(value: Any, depth: int) -> str:
+    """``value`` as ``json.dumps(value, indent=1)`` lays it out at ``depth``.
+
+    That encoder is pure Python.  Here the bulk arrays, the complex's cells,
+    the cover's sets and each component's entries, are the C encoder's
+    compact text laid out by string replacement, with no Python per element;
+    only the small skeleton around them is walked.
+    """
+    if not value or not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    if isinstance(value, list) and isinstance(value[0], list):
+        return _int_rows(value, depth)
+    if isinstance(value, list) and isinstance(value[0], dict) and "simplex" in value[0]:
+        return _entries(value, depth)
+    inner = "\n" + " " * (depth + 1)
+    if isinstance(value, dict):
+        items, ends = [json.dumps(k) + ": " + _laid_out(v, depth + 1) for k, v in value.items()], "{}"
+    else:
+        items, ends = [_laid_out(v, depth + 1) for v in value], "[]"
+    return ends[0] + inner + ("," + inner).join(items) + inner[:-1] + ends[1]
+
+
+def _write(path: str | os.PathLike, doc: dict) -> None:
+    """Write ``doc`` byte for byte as ``json.dump(doc, handle, indent=1)`` and
+    a newline would."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(datum_to_dict(datum), handle, indent=1)
-        handle.write("\n")
+        handle.write(_laid_out(doc, 0) + "\n")
+
+
+def save_datum(path: str | os.PathLike, datum: GerbeDatum) -> None:
+    _write(path, datum_to_dict(datum))
+
+
+def _read(path: str | os.PathLike) -> Any:
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def load_datum(path: str | os.PathLike) -> GerbeDatum:
-    with open(path, "r", encoding="utf-8") as handle:
-        return datum_from_dict(json.load(handle))
+    return datum_from_dict(_read(path))
+
+
+def load_pair(first: str | os.PathLike, second: str | os.PathLike) -> tuple[GerbeDatum, GerbeDatum]:
+    """``load_datum`` of each file, in order, with the same errors.  When the
+    second file's "complex" and "cover" encode to the same JSON text as the
+    first's (so 1, 1.0 and true differ), its datum goes on the first's Cover,
+    and one complex, cover, basis and D serve both."""
+    doc = _read(first)
+    datum = datum_from_dict(doc)
+    other = _read(second)
+    if isinstance(other, dict) and all(
+        key in other and _compact(other[key]) == _compact(doc[key])
+        for key in ("complex", "cover")
+    ):
+        _check_version(other)
+        return datum, _datum_on(datum.cover, other)
+    return datum, datum_from_dict(other)
 
 
 def save_witness(
@@ -261,6 +352,4 @@ def save_witness(
             "parts": _parts_to_list(potential.data),
         },
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=1)
-        handle.write("\n")
+    _write(path, doc)

@@ -10,9 +10,20 @@ import pytest
 
 import gerbecalc
 
-from gerbecalc import FormatError, GerbeDatum, TotalCochain, bicomplex, build_minus_one_gerbe, build_monopole
+from gerbecalc import (
+    Cover,
+    FormatError,
+    GerbeDatum,
+    TotalCochain,
+    bicomplex,
+    build_minus_one_gerbe,
+    build_monopole,
+    cli,
+    gauge_equivalent,
+)
 from gerbecalc.cli import main
-from gerbecalc.serialize import datum_from_dict, datum_to_dict, load_datum, save_datum
+from gerbecalc.deligne import DEFAULT_EQUIVALENCE_TOL
+from gerbecalc.serialize import datum_from_dict, datum_to_dict, load_datum, load_pair, save_datum, save_witness
 
 from conftest import sparse_transition_monopoles
 
@@ -293,6 +304,168 @@ class TestEquiv:
         assert rc == 0
         assert capsys.readouterr().out.startswith("EQUIVALENT")
 
+    def _pair(self, tmp_path, kind):
+        """Files A and B: A is build_monopole(12), B is named by ``kind``."""
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        datum = build_monopole(12)
+        save_datum(a, datum)
+        argv = {
+            "perturbed": ["--perturb-gauge", "5"],
+            "winding-2": ["--winding", "2"],
+            "same": [],
+        }[kind]
+        assert main(["demo", "monopole", "--m", "12", "--out", str(b), *argv]) == 0
+        return a, b
+
+    @pytest.mark.parametrize("kind", ["perturbed", "winding-2", "same"])
+    def test_shared_cover_answers_as_two_loads(self, tmp_path, capsys, kind):
+        a, b = self._pair(tmp_path, kind)
+        witness = tmp_path / "witness.json"
+        capsys.readouterr()
+        rc = main(["equiv", str(a), str(b), "--out", str(witness)])
+        out = capsys.readouterr().out
+        # the reference: two independent loads, each on its own cover
+        first, second = load_datum(a), load_datum(b)
+        assert first.cover is not second.cover
+        result = gauge_equivalent(first, second, DEFAULT_EQUIVALENCE_TOL)
+        verdict = "EQUIVALENT" if result.equivalent else "NOT-FOUND"
+        assert out == f"{verdict} (residual {result.residual:.3e})\n"
+        assert rc == (0 if result.equivalent else 1)
+        assert result.equivalent == (kind != "winding-2")
+        if result.equivalent:
+            expected = tmp_path / "expected.json"
+            save_witness(expected, first.cover, result.witness)
+            assert witness.read_bytes() == expected.read_bytes()
+        else:
+            assert not witness.exists()
+        # B's datum lands on A's cover with the coordinates of its own load
+        shared = load_pair(a, b)
+        assert shared[1].cover is shared[0].cover
+        assert shared[1].data == second.data
+        assert shared[1]._vector.tobytes() == second._vector.tobytes()
+
+    def test_different_covers_of_one_complex_are_refused(self, monopole_file, tmp_path, capsys):
+        cover = load_datum(monopole_file).cover
+        swapped = Cover.build(cover.complex, cover.sets[::-1])
+        other = tmp_path / "swapped.json"
+        save_datum(other, GerbeDatum.zero(swapped, 0))
+        assert main(["equiv", str(monopole_file), str(other)]) == 1
+        assert capsys.readouterr().err == "error: data live on different covers\n"
+
+    def test_different_complexes_are_refused(self, monopole_file, tmp_path, capsys):
+        other = tmp_path / "m24.json"
+        save_datum(other, build_monopole(24))
+        assert main(["equiv", str(monopole_file), str(other)]) == 1
+        assert capsys.readouterr().err == "error: data live on different covers\n"
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda doc: doc["datum"]["parts"][0]["components"][0]["entries"][0].__setitem__("value", "x"),
+            lambda doc: doc.__setitem__("format_version", 2),
+            lambda doc: doc["datum"].pop("level"),
+            # numerically equal to A's ids but not integers: B's own check names them
+            lambda doc: doc["complex"]["simplices"]["0"][1].__setitem__(0, True),
+            lambda doc: doc["cover"]["sets"][1].__setitem__(0, float(doc["cover"]["sets"][1][0])),
+        ],
+        ids=["bad-value", "format-version", "no-level", "bool-vertex", "float-cover-id"],
+    )
+    def test_malformed_b_with_a_complex_and_cover_exits_2(
+        self, monopole_file, tmp_path, capsys, change
+    ):
+        doc = json.loads(monopole_file.read_text())
+        original = json.loads(monopole_file.read_text())
+        change(doc)
+        assert doc["complex"] == original["complex"] and doc["cover"] == original["cover"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as info:
+            load_datum(bad)
+        assert main(["equiv", str(monopole_file), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {info.value}\n"
+
+    def test_malformed_json_b_exits_2(self, monopole_file, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main(["equiv", str(monopole_file), str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def _call(capsys, argv, *files):
+    """Exit code, stdout, stderr of main(argv), and the bytes of each file
+    (None if absent), which are removed before the call."""
+    for path in files:
+        path.unlink(missing_ok=True)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err, [p.read_bytes() if p.exists() else None for p in files]
+
+
+def _alone(capsys, argv, *files):
+    """_call on a newly built parser, as in a new process."""
+    cli._parser.cache_clear()
+    return _call(capsys, argv, *files)
+
+
+class TestOneParser:
+    def test_main_builds_the_parser_once(self, monopole_file, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert main(["charge", str(monopole_file)]) == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("case", ["validate-tol", "equiv-out", "demo-flags"])
+    def test_a_call_with_flags_leaves_the_next_unchanged(self, tmp_path, capsys, case):
+        a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "out.json"
+        save_datum(a, build_monopole(12))
+        assert main(["demo", "monopole", "--m", "12", "--perturb-gauge", "3", "--out", str(b)]) == 0
+        capsys.readouterr()
+        flagged, plain = {
+            "validate-tol": (["validate", str(b), "--tol", "1e-3"], ["validate", str(b)]),
+            "equiv-out": (["equiv", str(a), str(b), "--out", str(out)], ["equiv", str(a), str(b)]),
+            "demo-flags": (
+                ["demo", "monopole", "--perturb-gauge", "5", "--winding", "2", "--out", str(out)],
+                ["demo", "monopole", "--out", str(out)],
+            ),
+        }[case]
+        alone = [_alone(capsys, argv, out) for argv in (flagged, plain)]
+        cli._parser.cache_clear()
+        together = [_call(capsys, argv, out) for argv in (flagged, plain)]
+        assert together == alone
+        assert alone[0] != alone[1]
+
+    def test_environment_tolerance_for_one_call_only(self, monopole_file, capsys, monkeypatch):
+        argv = ["validate", str(monopole_file)]
+        monkeypatch.setenv("GERBECALC_TOL", "1e-3")
+        with_env = _alone(capsys, argv)
+        monkeypatch.delenv("GERBECALC_TOL")
+        without = _alone(capsys, argv)
+        assert "tol=0.001" in with_env[1] and "tol=0.001" not in without[1]
+        cli._parser.cache_clear()
+        monkeypatch.setenv("GERBECALC_TOL", "1e-3")
+        assert _call(capsys, argv) == with_env
+        monkeypatch.delenv("GERBECALC_TOL")
+        assert _call(capsys, argv) == without
+
+    @pytest.mark.parametrize(
+        "usage", [["validate"], ["demo", "nonsense"], ["validate", "x.json", "--tol", "abc"], []]
+    )
+    def test_usage_error_leaves_the_next_call_unaffected(self, monopole_file, capsys, usage):
+        argv = ["validate", str(monopole_file)]
+        expected = _alone(capsys, argv)
+        cli._parser.cache_clear()
+        rc, out, err, _ = _call(capsys, usage)
+        assert rc == 2 and out == "" and err.startswith("usage: gerbecalc")
+        assert _call(capsys, argv) == expected
+
 
 class TestSelfcheck:
     def test_default_run_passes(self, capsys):
@@ -371,13 +544,15 @@ class TestEntryErrors:
             (lambda es: es[3].__setitem__("value", True), f"{ENTRY}.value: expected a number"),
             (lambda es: es[3].__setitem__("value", float("nan")), f"{ENTRY}.value: must be finite"),
             (lambda es: es[3].__setitem__("value", float("inf")), f"{ENTRY}.value: must be finite"),
+            (lambda es: es[3].__setitem__("value", 10**400), f"{ENTRY}.value: too large for a float"),
             (lambda es: es[3].__setitem__("simplex", [1]), f"{ENTRY}: duplicate simplex (1,)"),
             # a repeated simplex with a bad value is named for the value
             (lambda es: es.__setitem__(3, {"simplex": [1], "value": None}), f"{ENTRY}.value: expected a number"),
         ],
         ids=[
             "no-simplex", "no-value", "not-an-object", "simplex-not-a-list", "non-integer-id",
-            "string-value", "bool-value", "nan", "infinity", "duplicate", "duplicate-non-number",
+            "string-value", "bool-value", "nan", "infinity", "huge-integer", "duplicate",
+            "duplicate-non-number",
         ],
     )
     def test_message_names_the_entry(self, change, message):
@@ -388,6 +563,16 @@ class TestEntryErrors:
         doc = _with_entry(lambda es: es[3].__setitem__("value", 5))
         values = datum_from_dict(doc).data.parts[0, 1].components[(2,)].values
         assert values[(10,)] == 5.0 and type(values[(10,)]) is float
+
+    @pytest.mark.parametrize("command", ["validate", "charge"])
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, capsys, command):
+        # 1 followed by 400 zeros: float() overflows, which is a format error
+        path = tmp_path / "huge-value.json"
+        path.write_text(json.dumps(_with_entry(lambda es: es[3].__setitem__("value", 10**400))))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {ENTRY}.value: too large for a float\n"
 
 
 def test_cli_import_loads_no_scipy():

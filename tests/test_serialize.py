@@ -1,0 +1,116 @@
+"""The file writer: save_datum and save_witness write exactly the bytes of
+``json.dumps(doc, indent=1) + "\\n"`` of the document dict they describe."""
+
+import json
+
+import pytest
+
+from gerbecalc import (
+    BigradedCochain,
+    Cochain,
+    Cover,
+    GerbeDatum,
+    TotalCochain,
+    build_gerbopole,
+    build_minus_one_gerbe,
+    build_monopole,
+    gauge_equivalent,
+    gauge_shift,
+)
+from gerbecalc.randomdata import random_gauge_potential
+from gerbecalc.rng import Lcg64
+from gerbecalc.serialize import (
+    FORMAT_VERSION,
+    _parts_to_list,
+    complex_to_dict,
+    cover_to_dict,
+    datum_from_dict,
+    datum_to_dict,
+    save_datum,
+    save_witness,
+)
+
+from conftest import closed_star_cover
+
+BUILDERS = {"minus1": build_minus_one_gerbe, "monopole": build_monopole, "gerbopole": build_gerbopole}
+
+
+def _written_datum(tmp_path, datum) -> str:
+    path = tmp_path / "datum.json"
+    save_datum(path, datum)
+    text = path.read_bytes().decode("utf-8")
+    assert text == json.dumps(datum_to_dict(datum), indent=1) + "\n"
+    return text
+
+
+def _perturbed(datum, seed):
+    """The demo's --perturb-gauge shift."""
+    potential = random_gauge_potential(datum.cover, datum.level + 1, Lcg64(seed), amplitude=0.5)
+    return gauge_shift(datum, potential)
+
+
+@pytest.mark.parametrize("winding", [1, -1, 2])
+@pytest.mark.parametrize("name,m", [("minus1", 12), ("minus1", 24), ("monopole", 12), ("gerbopole", 12)])
+def test_builders(tmp_path, name, m, winding):
+    text = _written_datum(tmp_path, BUILDERS[name](m, winding))
+    # a winding -1 builder stores -0.0, which the layout must keep
+    assert ("-0.0" in text) == (winding == -1)
+
+
+@pytest.mark.parametrize("name,m,seed", [("minus1", 24, 3), ("monopole", 24, 5), ("gerbopole", 12, 9)])
+def test_perturbed_demos(tmp_path, name, m, seed):
+    _written_datum(tmp_path, _perturbed(BUILDERS[name](m), seed))
+
+
+def test_zero_datum_writes_empty_parts(tmp_path):
+    text = _written_datum(tmp_path, GerbeDatum.zero(build_monopole(6).cover, 0))
+    assert '"parts": []' in text
+
+
+def test_part_with_an_empty_component(tmp_path):
+    datum = build_monopole(6)
+    part = BigradedCochain(1, 1, {(0,): Cochain(1, {}), (1,): Cochain(1, {(0, 1): 0.25})})
+    parts = {**datum.data.parts, (1, 1): part}
+    text = _written_datum(tmp_path, GerbeDatum(0, TotalCochain(2, parts), datum.cover))
+    assert '"entries": []' in text
+
+
+def test_witness_of_gauge_equivalent(tmp_path):
+    datum = build_monopole(12)
+    result = gauge_equivalent(datum, _perturbed(datum, 4))
+    assert result.equivalent
+    path = tmp_path / "witness.json"
+    save_witness(path, datum.cover, result.witness)
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "complex": complex_to_dict(datum.cover.complex),
+        "cover": cover_to_dict(datum.cover),
+        "witness": {
+            "degree": result.witness.data.total_degree,
+            "parts": _parts_to_list(result.witness.data),
+        },
+    }
+    assert path.read_bytes().decode("utf-8") == json.dumps(doc, indent=1) + "\n"
+
+
+def test_icosahedron_star_cover(tmp_path, icosahedron):
+    zero = GerbeDatum.zero(closed_star_cover(icosahedron), 0)
+    _written_datum(tmp_path, _perturbed(zero, 11))
+
+
+def test_vertex_count_far_above_the_ids(tmp_path):
+    doc = datum_to_dict(build_monopole(6))
+    doc["complex"]["vertex_count"] = 10**13
+    text = _written_datum(tmp_path, datum_from_dict(doc))
+    assert '"vertex_count": 10000000000000,' in text
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [[[], "all", []], [[], "all"], ["all", []], [[], [], "all", [0, 1], [], []]],
+    ids=["first-and-last", "first", "last", "runs"],
+)
+def test_cover_with_empty_sets(tmp_path, icosahedron, sets):
+    cover = Cover.build(icosahedron, [range(12) if s == "all" else s for s in sets])
+    text = _written_datum(tmp_path, _perturbed(GerbeDatum.zero(cover, 0), 2))
+    assert text.count(" []") >= sets.count([])
