@@ -400,7 +400,9 @@ class _SparseD:
     """D = delta - dbar in coordinate form: D[rows[e], cols[e]] = signs[e].
 
     Each (row, column) pair occurs once and every sign is +1 or -1, in one
-    byte; D x and D^T y are weighted bincounts over the nonzeros.  The cached
+    byte; D x and D^T y are weighted bincounts over the nonzeros.  Only the
+    column-scaled copy that ``_cgls`` solves with carries float64 weights in
+    ``signs``, so that its products convert nothing.  The cached
     D has 32-bit indices; ``without_leading_columns`` gives the solve
     machine-word ones, which numpy gathers about twice as fast.
     """

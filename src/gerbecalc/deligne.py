@@ -9,11 +9,13 @@ A datum keeps its coordinates on the cover's basis, and validation, the
 charge, shifts and equivalence read them; all but the charge apply the
 cover's cached sparse D (``bicomplex._coboundary``) to vectors.  A shift
 adds D of the potential to the datum's vector and builds no dicts; the dict
-form is decoded when ``data`` is first read.  Equivalence is a minimum-norm
+form is decoded when ``data`` is first read.  Equivalence is a least-squares
 solve by conjugate gradients on the normal equations (CGLS), without forming
-D^T D.  Two valid cocycles are accepted as equivalent when the difference is
-matched by the total coboundary of a potential without global top form part,
-with angle-layer rows compared modulo 2*pi.  Rejection means no such witness
+D^T D, on D S, where S = diag(1 / |D e_j|) scales each column of D to unit
+norm; the witness x = S z is minimum in the column-scaled norm |S^-1 x|.
+Two valid cocycles are accepted as equivalent when the difference is matched
+by the total coboundary of a potential without global top form part, with
+angle-layer rows compared modulo 2*pi.  Rejection means no such witness
 was found at tolerance; it is numeric evidence, not a certificate.  The
 charge is the reliable separator.
 """
@@ -212,13 +214,24 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
     tolerance raises InvalidInputError.
     """
     tol = _checked_tol(DEFAULT_VALIDATION_TOL if tol is None else tol)
-    return _residual_report(datum._vector, datum.cover, datum.level + 2, tol)
+    cover, k = datum.cover, datum.level + 2
+    residual, at, residuals, passed = _residual_maxima(datum._vector, cover, k, tol)
+    magnitudes = np.abs(residual[at])
+    nan = np.isnan(magnitudes)
+    # NaN first, since NaN compares false with everything; then the largest.  The
+    # sort is stable and ``at`` runs by bidegree, then by (indices, cell).
+    peaks, rows = [], _basis(cover, k + 1)
+    for i in np.lexsort((-np.where(nan, 0.0, magnitudes), ~nan))[:8]:
+        p, n, t, cell = rows.entry(int(at[i]))
+        peaks.append(ResidualPeak((p, n), t, cell, float(magnitudes[i])))
+    return ValidationReport(tol, residuals, tuple(peaks), passed)
 
 
-def _residual_report(vector: np.ndarray, cover: Cover, k: int, tol: float) -> ValidationReport:
-    """The report of ``validate_cocycle`` for the coordinates of a degree-k
-    datum: D of them through the cover's cached matrix, one maximum per
-    bidegree, and peaks built only for the 8 worst nonzero entries."""
+def _residual_maxima(vector: np.ndarray, cover: Cover, k: int, tol: float):
+    """The residual of the coordinates of a degree-k datum: D of them through
+    the cover's cached matrix, with the (0, k+1) and (1, k) rows wrapped; the
+    positions of its nonzero values, by bidegree; the largest |value| per
+    bidegree; and whether every maximum is finite and within tol."""
     rows = _basis(cover, k + 1)
     residual = _coboundary(cover, k).apply(vector)
     residuals: dict[tuple[int, int], float] = {}
@@ -230,18 +243,8 @@ def _residual_report(vector: np.ndarray, cover: Cover, k: int, tol: float) -> Va
             at = at[residual[at] != 0.0]
         residuals[key] = float(np.max(np.abs(residual[at]), initial=0.0))
         nonzero.append(at)
-    at = np.concatenate(nonzero)
-    magnitudes = np.abs(residual[at])
-    nan = np.isnan(magnitudes)
-    # NaN first, since NaN compares false with everything; then the largest.  The
-    # sort is stable and ``at`` runs by bidegree, then by (indices, cell).
-    peaks = []
-    for i in np.lexsort((-np.where(nan, 0.0, magnitudes), ~nan))[:8]:
-        p, n, t, cell = rows.entry(int(at[i]))
-        peaks.append(ResidualPeak((p, n), t, cell, float(magnitudes[i])))
     worst = _worst(residuals.values())
-    passed = math.isfinite(worst) and worst <= tol
-    return ValidationReport(tol, residuals, tuple(peaks), passed)
+    return residual, np.concatenate(nonzero), residuals, math.isfinite(worst) and worst <= tol
 
 
 def curvature(datum: GerbeDatum) -> Cochain:
@@ -284,16 +287,22 @@ class EquivalenceResult:
 
 
 def _cgls(matrix: _SparseD, b: np.ndarray, max_iterations: int | None = None) -> np.ndarray:
-    """Minimum-norm least-squares solution of matrix x = b by CGLS.
+    """Least-squares solution of matrix x = b by CGLS on unit-norm columns.
 
     Conjugate gradients on the normal equations (Hestenes-Stiefel), never
-    forming matrix^T matrix.  Starting from x = 0 keeps every iterate in the
-    row space, so the limit is the minimum-norm solution.  Stops when
-    |matrix^T r| <= 1e-15 max(1, |b|); raises NumericError if that takes
+    forming matrix^T matrix, on (matrix S) z = b with x = S z, where
+    S = diag(1 / |matrix e_j|) scales each column to unit norm (an empty
+    column keeps scale 1).  Starting from z = 0 keeps every iterate in the
+    row space of matrix S, so the limit is the solution of least norm
+    |S^-1 x|, a fixed linear map of b.  Stops when
+    |S matrix^T r| <= 1e-15 max(1, |b|); raises NumericError if that takes
     more than max_iterations (4 * columns by default), or if a norm overflows.
     """
     limit = 4 * matrix.shape[1] if max_iterations is None else max_iterations
-    x = np.zeros(matrix.shape[1])
+    # the entries are +-1, so |matrix e_j|^2 is the column's count
+    scale = 1.0 / np.sqrt(np.maximum(np.bincount(matrix.cols, minlength=matrix.shape[1]), 1))
+    matrix = _SparseD(matrix.shape, matrix.rows, matrix.cols, matrix.signs * scale[matrix.cols])
+    z = np.zeros(matrix.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         r = b.copy()
         s = matrix.apply_transpose(r)
@@ -307,7 +316,7 @@ def _cgls(matrix: _SparseD, b: np.ndarray, max_iterations: int | None = None) ->
                 break
             q = matrix.apply(direction)
             alpha = gamma / float(q @ q)
-            x += alpha * direction
+            z += alpha * direction
             r -= alpha * q
             s = matrix.apply_transpose(r)
             gamma, previous = float(s @ s), gamma
@@ -316,7 +325,7 @@ def _cgls(matrix: _SparseD, b: np.ndarray, max_iterations: int | None = None) ->
         raise NumericError("CGLS overflowed")
     if gamma > stop:
         raise NumericError(f"CGLS did not converge in {limit} iterations")
-    return x
+    return scale * z
 
 
 def gauge_equivalent(
@@ -324,14 +333,16 @@ def gauge_equivalent(
 ) -> EquivalenceResult:
     """Search for a potential with D(potential) matching the difference.
 
-    CGLS finds the minimum-norm potential on the cached D, at a cost of the
-    nonzeros of D times the iterations, with the conditioning of D and not
-    of D^T D.  Only the (0, k) rows, which compare the transition layers,
-    hold modulo 2*pi; they are wrapped in the difference before solving and
-    in the residual before the tolerance test, which absorbs small winding
-    differences.  Large relative windings can defeat the wrapping; charges
-    then separate the data anyway.  A NaN, infinite or negative tolerance
-    raises InvalidInputError.
+    CGLS finds the potential x that is minimum in the column-scaled norm
+    |S^-1 x| on the cached D, where S = diag(1 / |D e_j|) scales each column
+    of D to unit norm.  It costs the nonzeros of D times the iterations,
+    with the conditioning of D S and not of its normal matrix.  Only the
+    (0, k) rows, which compare the transition layers, hold modulo 2*pi; they
+    are wrapped in the difference before solving and in the residual before
+    the tolerance test, which absorbs small winding differences.  Large
+    relative windings can defeat the wrapping; charges then separate the
+    data anyway.  A NaN, infinite or negative tolerance raises
+    InvalidInputError.
     """
     tol = _checked_tol(DEFAULT_EQUIVALENCE_TOL if tol is None else tol)
     if first.level != second.level:
@@ -342,7 +353,8 @@ def gauge_equivalent(
     # the covers are equal by value, so both data are checked on one cached D,
     # and their coordinates lie on bases of one layout
     for name, datum in (("first", first), ("second", second)):
-        if not _residual_report(datum._vector, cover, k, tol).passed:
+        *_, passed = _residual_maxima(datum._vector, cover, k, tol)
+        if not passed:
             raise InvalidInputError(f"{name} datum is not a cocycle at tolerance {tol:g}")
     rows, cols = _basis(cover, k), _basis(cover, k - 1)
     with np.errstate(over="ignore"):

@@ -1,6 +1,7 @@
 import gc
 import math
 import struct
+import sys
 import time
 import warnings
 import weakref
@@ -363,6 +364,39 @@ class TestGaugeEquivalence:
         total = forward.witness.data + backward.witness.data
         assert total.sup_norm() < 1e-8
 
+    @pytest.mark.parametrize("case", ["monopole", "gerbopole", "icosahedron-stars"])
+    def test_witness_matches_a_dense_column_scaled_least_squares(self, case, icosahedron):
+        # the witness is S z for the minimum-norm z of (D S) z = b, where
+        # S = diag(1 / |D e_j|) scales each column of D to unit norm
+        datum = {
+            "monopole": lambda: build_monopole(12),
+            "gerbopole": lambda: build_gerbopole(6),
+            "icosahedron-stars": lambda: GerbeDatum.zero(closed_star_cover(icosahedron), 0),
+        }[case]()
+        cover, k = datum.cover, datum.level + 2
+        shifted = gauge_shift(datum, random_gauge_potential(cover, k - 1, Lcg64(67), 0.5))
+        result = gauge_equivalent(datum, shifted)
+        assert result.equivalent
+        rows, cols = _LayerBasis(cover, k), _LayerBasis(cover, k - 1)
+        angle = list(rows.positions.get((0, k), ()))
+        b = coordinates(rows, shifted.data) - coordinates(rows, datum.data)
+        b[angle] = [wrap(v) for v in b[angle]]
+        matrix = _coboundary_matrix(cover, k - 1)
+        dense = np.zeros(matrix.shape)
+        dense[matrix.rows, matrix.cols] = matrix.signs
+        omitted = len(cols.positions[k - 1, 0])
+        dense = dense[:, omitted:]
+        norms = np.linalg.norm(dense, axis=0)
+        scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
+        z = np.linalg.lstsq(dense * scale, b, rcond=None)[0]
+        witness = coordinates(cols, result.witness.data)
+        assert not witness[:omitted].any()
+        np.testing.assert_allclose(witness[omitted:], scale * z, rtol=0.0, atol=1e-9)
+        # D(W) = B - A through the dict operator, angle rows modulo 2*pi
+        residual = coordinates(rows, big_d(result.witness.data, cover)) - b
+        residual[angle] = [wrap(v) for v in residual[angle]]
+        assert np.max(np.abs(residual)) <= 1e-8
+
     def test_monopole_not_equivalent_to_trivial(self):
         datum = build_monopole(12)
         trivial = build_trivial(datum.cover, 0)
@@ -430,16 +464,20 @@ class TestGaugeEquivalence:
             gauge_equivalent(first, second)
 
     @pytest.mark.parametrize(
-        "exponent, reason",
-        # 2**510 overflows |D^T b|^2 inside the iteration; 2**520 overflows
-        # |b|^2, which sets the stopping threshold
-        [(510, "CGLS overflowed"), (520, "too large for CGLS")],
+        "g, reason",
+        # b is g on the 12 pole edges, so |b|^2 = 12 g^2.  On unit-norm columns
+        # the first |S D^T b|^2 is 14 g^2: 12 g^2 from the pole's column, of
+        # count 12, and g^2 / 6 from each ring vertex's, of count 6.  At
+        # g^2 = max / 13 only that overflows, inside the iteration; at
+        # g = 2**520 |b|^2 overflows, which sets the stopping threshold
+        [(math.sqrt(sys.float_info.max / 13), "CGLS overflowed"), (2.0**520, "too large for CGLS")],
+        ids=["max_over_13-CGLS overflowed", "520-too large for CGLS"],
     )
-    def test_overflow_inside_the_solve_raises_numeric_error(self, exponent, reason):
-        # a gauge shift by 2**exponent at the south pole on set 1: every edge
-        # of set 1 that touches the pole gains that much connection
+    def test_overflow_inside_the_solve_raises_numeric_error(self, g, reason):
+        # a gauge shift by g at the south pole on set 1: every edge of set 1
+        # that touches the pole gains that much connection
         datum = build_monopole(12)
-        south, g = 25, 2.0**exponent
+        south = 25
         conn = datum.data.part(1, 1)
         values = dict(conn.components[(1,)].values)
         for edge in datum.cover.overlap((1,)).cells(1):
