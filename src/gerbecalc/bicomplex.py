@@ -25,8 +25,9 @@ Coordinates.  Cochains meet D as vectors on those bases.
 cell) keys, the search the assembler runs, and is the one support check: a
 value it cannot place lies outside its overlap.  A ``deligne.GerbeDatum``
 keeps its vector, so validation, gauge shifts, the equivalence solve and the
-exact check that D^2 = 0 work on vectors alone; ``cech_delta``, ``dbar`` and
-``big_d`` locate a dict cochain, apply D and decode the image.
+exact check that D^2 = 0 work on vectors alone.  ``cech_delta``, ``dbar``
+and ``big_d`` locate a dict cochain, apply D and decode the image; a shifted
+datum's ``data`` adds such images to its dicts with ``+``.
 
 Angle-valued layers.  A (0, n) layer may be flagged angle-valued, meaning its
 values are defined only modulo 2*pi.  The flag declares a type; no operator
@@ -281,7 +282,7 @@ class _LayerBasis:
     """Flat real coordinates for one total-cochain space over a cover.
 
     Bidegree (p, n) fills ``positions[p, n]``: overlap t of ``cover.layer(n)``,
-    the tuple at ``index[t]`` of its layer, from ``start[t]``, its ``cells(p)``
+    the tuple at ``index[t]`` of its layer, in layer order, its ``cells(p)``
     in order.  Entry i is the cell ``cell_ids[p, n][i]`` of the complex in the
     overlap of layer tuple ``tuple_ids[p, n][i]``, so a block is sorted by
     those two ids and by its ``keys``, which join them.  A block of p-cells
@@ -297,7 +298,6 @@ class _LayerBasis:
         self.degree, self.size = degree, 0
         self.layers: dict[int, dict] = {}
         self.positions: dict[tuple[int, int], range] = {}
-        self.start: dict[tuple[int, ...], int] = {}
         self.index: dict[tuple[int, ...], int] = {}
         self.tuple_ids, self.cell_ids, self.keys = {}, {}, {}
         for n in range(min(degree, self.set_count) + 1):
@@ -307,7 +307,6 @@ class _LayerBasis:
             counts = np.fromiter(map(len, cells), np.intp, len(cells))
             first, self.size = self.size, self.size + int(counts.sum())
             self.layers[n], self.positions[p, n] = layer, range(first, self.size)
-            self.start.update(zip(layer, (first + np.cumsum(counts) - counts).tolist()))
             self.index.update(zip(layer, range(len(layer))))
             if n:
                 ids = map(self.complex.cell_positions(p).__getitem__, chain.from_iterable(cells))
@@ -373,13 +372,10 @@ class _LayerBasis:
         t, c = self.tuple_ids[p, n][j - span.start], self.cell_ids[p, n][j - span.start]
         return p, n, list(self.layers[n])[t], self.complex.cells(p)[c]
 
-    def components_of(
-        self, vec: np.ndarray, p: int, n: int, stored: np.ndarray | None = None
-    ) -> dict[tuple[int, ...], Cochain]:
-        """Block (p, n) as components, looking up only the (t, cell) that
-        ``stored`` marks, or without it the nonzero ones."""
+    def components_of(self, vec: np.ndarray, p: int, n: int) -> dict[tuple[int, ...], Cochain]:
+        """Block (p, n) as components of its nonzero coordinates."""
         span = self.positions.get((p, n), range(0))
-        at = np.flatnonzero((vec if stored is None else stored)[span.start : span.stop])
+        at = np.flatnonzero(vec[span.start : span.stop])
         if not at.size:
             return {}
         tuples, cells, grouped = list(self.layers[n]), self.complex.cells(p), {}

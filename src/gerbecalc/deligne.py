@@ -8,8 +8,8 @@ the level-0 case and a gerbe the level-1 case; level -1 is allowed.
 A datum keeps its coordinates on the cover's basis, and validation, the
 charge, shifts and equivalence read them; all but the charge apply the
 cover's cached sparse D (``bicomplex._coboundary``) to vectors.  A shift
-adds D of the potential to the datum's vector and builds no dicts; the dict
-form is decoded when ``data`` is first read.  Equivalence is a least-squares
+adds D of the potential to the datum's vector and builds no dicts; ``data``
+adds the images to its dicts on first read.  Equivalence is a least-squares
 solve by conjugate gradients on the normal equations (CGLS), without forming
 D^T D, on D S, where S = diag(1 / |D e_j|) scales each column of D to unit
 norm; the witness x = S z is minimum in the column-scaled norm |S^-1 x|.
@@ -71,13 +71,11 @@ class GerbeDatum:
 
     A datum keeps its coordinates on the cover's basis of total degree n + 2,
     placed by ``_LayerBasis.locate``; validation, equivalence, the charge and
-    the shifts read them.  A shift computes coordinates only, and ``data``
-    decodes them when it is first read.  So that the decoded form is the dict
-    sum ``data + image`` exactly, ``_stored`` marks the coordinates that the
-    dict form holds, a stored 0.0 included, and ``_kept`` maps each part that
-    the dict form holds even without values to the tuples of its components
-    without values.  Instances are immutable values, equal when level, data
-    and cover are.
+    the shifts read them.  A shift adds the image of D to the coordinates and
+    records it in ``_shifts``; ``data`` adds the recorded images to the dict
+    form when it is first read, one dict sum per shift, so a chain of k
+    shifts costs k dict sums there.  Instances are immutable values, equal
+    when level, data and cover are.
     """
 
     def __init__(self, level: int, data: TotalCochain, cover: Cover):
@@ -89,19 +87,13 @@ class GerbeDatum:
                 f"level {level} needs total degree {k}, got {data.total_degree}"
             )
         basis = _basis(cover, k)
-        vector, stored = np.zeros(basis.size), np.zeros(basis.size, bool)
+        vector = np.zeros(basis.size)
         for (p, n), part in data.parts.items():
             at, values = basis.locate(part)
             if (p, n) == (0, k) and not part.angle_valued:
                 raise InvalidInputError("the transition layer must be angle-valued")
-            vector[at], stored[at] = values, True
-        kept = {
-            key: frozenset(t for t, comp in part.components.items() if not comp.values)
-            for key, part in data.parts.items()
-        }
-        vars(self).update(
-            level=level, cover=cover, _data=data, _vector=vector, _stored=stored, _kept=kept
-        )
+            vector[at] = values
+        vars(self).update(level=level, cover=cover, _data=data, _vector=vector, _shifts=())
 
     @classmethod
     def zero(cls, cover: Cover, level: int) -> "GerbeDatum":
@@ -113,8 +105,15 @@ class GerbeDatum:
 
     @property
     def data(self) -> TotalCochain:
-        if self._data is None:
-            vars(self)["_data"] = self._decoded()
+        if self._shifts:
+            # the empty angle-valued (0, k) part flags the image's transition
+            # layer; joined to the data first, it would fall away with an empty part
+            k, data = self.level + 2, self._data
+            flag = TotalCochain(k, {(0, k): BigradedCochain.zero(0, k, True)})
+            basis = _basis(self.cover, k)
+            for image in self._shifts:
+                data = data + (flag + basis.total_of(image))
+            vars(self).update(_data=data, _shifts=())
         return self._data
 
     @property
@@ -131,47 +130,14 @@ class GerbeDatum:
     def __repr__(self) -> str:
         return f"GerbeDatum(level={self.level!r}, data={self.data!r}, cover={self.cover!r})"
 
-    def _decoded(self) -> TotalCochain:
-        """The dict form of the coordinates: each block's stored values, the
-        kept components without values, and each part that holds either or
-        is kept."""
-        k, parts = self.level + 2, {}
-        basis = _basis(self.cover, k)
-        for p, n in basis.positions:
-            comps = basis.components_of(self._vector, p, n, self._stored)
-            kept = self._kept.get((p, n))
-            for t in kept or ():
-                comps.setdefault(t, Cochain.zero(p))
-            if comps or kept is not None:
-                parts[p, n] = BigradedCochain(p, n, comps, (p, n) == (0, k))
-        return TotalCochain(k, parts)
-
     def _plus(self, image: np.ndarray) -> "GerbeDatum":
-        """This datum plus an image of D, as the dict sum ``data + image`` of
-        the image's nonzero blocks and an empty angle-valued (0, k) part.
-
-        A nonzero image value is added to its coordinate, which the sum
-        stores unless it is 0.0.  A part that the image reaches, the (0, k)
-        part always, is held only while it has components; a component it
-        reaches, only while it has values.
-        """
-        k = self.level + 2
-        basis = _basis(self.cover, k)
-        vector, stored = self._vector.copy(), self._stored.copy()
+        """This datum plus an image of D: the image joins the coordinates, and
+        ``data`` adds it to the dict form when it is first read."""
+        vector = self._vector.copy()
         at = np.flatnonzero(image)
         vector[at] += image[at]
-        stored[at] = vector[at] != 0.0
-        kept = {}
-        for (p, n), empty in self._kept.items():
-            span = basis.positions[p, n]
-            reached = at[(at >= span.start) & (at < span.stop)] - span.start
-            if reached.size and empty:
-                layer = list(self.cover.layer(n))
-                empty -= {layer[i] for i in basis.tuple_ids[p, n][reached].tolist()}
-            if empty or not reached.size and (p, n) != (0, k):
-                kept[p, n] = empty
         datum = object.__new__(GerbeDatum)
-        vars(datum).update(vars(self), _data=None, _vector=vector, _stored=stored, _kept=kept)
+        vars(datum).update(vars(self), _vector=vector, _shifts=self._shifts + (image,))
         return datum
 
 

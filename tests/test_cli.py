@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -73,6 +74,40 @@ class TestDemo:
         captured = capsys.readouterr()
         assert rc == 0
         assert "EQUIVALENT" in captured.out
+
+
+    # sha256 of --perturb-gauge files: a shifted datum's dict form is defined
+    # by the dict sum, so its bytes are pinned apart from that sum here;
+    # winding -1 stores -0.0
+    PERTURBED_DIGESTS = {
+        "monopole --m 24 --perturb-gauge 5": (
+            "edbd535866b46268aa6b962d090d91870118c85548940a1e3c7f776871ace372"
+        ),
+        "monopole --m 12 --winding -1 --perturb-gauge 2": (
+            "af41d090b58c264bc9edfae60b6b756e0f438b421709d62f3fae25b4c1052806"
+        ),
+        "gerbopole --m 12 --perturb-gauge 9": (
+            "153157098a78115b01b3ce3d6c09b5133b30c78831bf3fa83e605892f5c30977"
+        ),
+    }
+
+    @pytest.mark.parametrize("args", list(PERTURBED_DIGESTS))
+    def test_perturbed_files_are_pinned(self, tmp_path, capsys, args):
+        out = tmp_path / "shifted.json"
+        assert main(["demo", *args.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PERTURBED_DIGESTS[args]
+
+    def test_perturbing_level_minus_one_leaves_the_file_as_it_is(self, tmp_path, capsys):
+        # every gauge potential at level -1 is empty, so the file is the
+        # unperturbed one, the builder pin of ("minus1", 24, 1)
+        plain, shifted = tmp_path / "plain.json", tmp_path / "shifted.json"
+        assert main(["demo", "minus1", "--m", "24", "--out", str(plain)]) == 0
+        argv = ["demo", "minus1", "--m", "24", "--perturb-gauge", "3", "--out", str(shifted)]
+        assert main(argv) == 0
+        assert shifted.read_bytes() == plain.read_bytes()
+        assert hashlib.sha256(shifted.read_bytes()).hexdigest() == (
+            "0c4689eb831d30d1de78a2f287acb982a36f5c382f3bc083e3d6e626d07fcc43"
+        )
 
 
 class TestValidate:

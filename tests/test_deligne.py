@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import struct
 import sys
@@ -666,7 +667,10 @@ class TestLayerBasis:
         for j in range(basis.size):
             p, n, t, cell = basis.entry(j)
             assert j in basis.positions[p, n]
-            assert j == basis.start[t] + cover.layer(n)[t].cells(p).index(cell)
+            # overlap t's block starts at the first coordinate of its tuple index
+            first = np.searchsorted(basis.tuple_ids[p, n], basis.index[t])
+            start = basis.positions[p, n].start + int(first)
+            assert j == start + cover.layer(n)[t].cells(p).index(cell)
             assert basis.index[t] == list(cover.layer(n)).index(t)
         for key, span in basis.positions.items():
             # sorted by (tuple index, cell id), the order the assembler searches
@@ -730,8 +734,12 @@ class TestLayerBasis:
         del comps[0, 1][11,]
         part = BigradedCochain(0, 2, {t: Cochain(0, v) for t, v in comps.items()})
         at, values = basis.locate(part)
+        first = basis.positions[0, 2].start
+        tuple_ids = basis.tuple_ids[0, 2]
         expected = [
-            basis.start[t] + cover.layer(2)[t].cells(0).index(cell)
+            first
+            + int(np.searchsorted(tuple_ids, basis.index[t]))
+            + cover.layer(2)[t].cells(0).index(cell)
             for t, comp in comps.items()
             for cell in comp
         ]
@@ -922,6 +930,23 @@ class TestDataAsCoordinates:
         shifted = higher_gauge_shift(datum, shift)
         assert shifted.data == self.dict_sum(datum, shift)
         assert (1,) not in shifted.transition_layer.components[(0, 1)].values
+
+    def test_a_long_chain_of_shifts_decodes_at_the_default_recursion_limit(self, tmp_path):
+        # 1,500 shifts are decoded in one loop, past the depth a recursion
+        # through each parent's data would reach; the digest pins the bytes
+        # apart from the dict sum that defines them
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            datum, rng = build_monopole(12, -1), Lcg64(20)
+            for _ in range(1500):
+                potential = random_gauge_potential(datum.cover, 1, rng, amplitude=0.5)
+                datum = gauge_shift(datum, potential)
+            assert validate_cocycle(datum).passed
+            digest = hashlib.sha256(self.saved(tmp_path, "chain", datum)).hexdigest()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert digest == "5d27e0d8b07342b893b4d20bb33da8b640b3c11b87b7e72dd6dea9323b84a546"
 
     @pytest.mark.parametrize("name", ["minus1", "monopole", "monopole-winding-1", "gerbopole"])
     def test_charge_is_the_integral_of_the_curvature_bit_for_bit(self, name):
