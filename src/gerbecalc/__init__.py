@@ -4,8 +4,9 @@ Cochain data lives on the overlaps of a cover of a triangulated manifold,
 graded by form degree and overlap depth.  The total coboundary combines the
 index-deletion coboundary with a sign-twisted cellwise coboundary; its
 cocycles encode bundles (level 0), gerbes (level 1), and the neighbouring
-levels, with gauge equivalence decided by a sparse column-scaled least-squares
-witness solve and topological charges computed as exact telescoping sums.
+levels, with gauge equivalence decided by a Cech descent of the difference
+to a witness potential and topological charges computed as exact telescoping
+sums.
 """
 
 from .bicomplex import (

@@ -20,14 +20,22 @@ and the minus of D = delta - dbar in ``_DBAR_IN_D``; its faces follow the
 one rule of ``simplicial._face_rows``.  Each cover keeps one basis and one D
 per total degree.
 
+The contraction.  K lowers the Cech degree cell by cell: (K c)_s(cell) =
+c_{(j,) + s}(cell), with j the lowest set that holds the cell, and
+delta K + K delta = 1 on Cech degree n >= 1, K delta = 1 on n = 0 (Bott and
+Tu, Ch. II).  Its nonzeros are D's a = 0 delta run, transposed, on the rows
+whose tuple starts at j, with sign +1, so it adds no sign; each cover keeps
+one K per total degree beside D.
+
 Coordinates.  Cochains meet D as vectors on those bases.
 ``_LayerBasis.locate`` places a part's values with one search of (tuple,
 cell) keys, the search the assembler runs, and is the one support check: a
 value it cannot place lies outside its overlap.  A ``deligne.GerbeDatum``
-keeps its vector, so validation, gauge shifts, the equivalence solve and the
-exact check that D^2 = 0 work on vectors alone.  ``cech_delta``, ``dbar``
-and ``big_d`` locate a dict cochain, apply D and decode the image; a shifted
-datum's ``data`` adds such images to its dicts with ``+``.
+keeps its vector, so validation, gauge shifts, the equivalence descent and
+the exact checks of D^2 = 0 and of K work on vectors alone.
+``cech_delta``, ``dbar`` and ``big_d`` locate a dict cochain, apply D and
+decode the image; a shifted datum's ``data`` adds such images to its dicts
+with ``+``.
 
 Angle-valued layers.  A (0, n) layer may be flagged angle-valued, meaning its
 values are defined only modulo 2*pi.  The flag declares a type; no operator
@@ -38,7 +46,7 @@ modulo 2*pi, so ``deligne`` wraps the rows it compares with zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Iterable
 
@@ -393,32 +401,24 @@ class _LayerBasis:
 
 @dataclass(frozen=True)
 class _SparseD:
-    """D = delta - dbar in coordinate form: D[rows[e], cols[e]] = signs[e].
+    """D, K or a block of D in coordinate form: M[rows[e], cols[e]] = signs[e].
 
     Each (row, column) pair occurs once and every sign is +1 or -1, in one
-    byte; D x and D^T y are weighted bincounts over the nonzeros.  Only the
-    column-scaled copy that ``_cgls`` solves with carries float64 weights in
-    ``signs``, so that its products convert nothing.  The cached
-    D has 32-bit indices; ``without_leading_columns`` gives the solve
-    machine-word ones, which numpy gathers about twice as fast.
+    byte; M x and M^T y are weighted bincounts over the nonzeros.  D keeps
+    the a = 0 delta run into each block (p, n), n >= 1, in ``leading``.
     """
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
     signs: np.ndarray
+    leading: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, repr=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, weights=self.signs * x[self.cols], minlength=self.shape[0])
 
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
         return np.bincount(self.cols, weights=self.signs * y[self.rows], minlength=self.shape[1])
-
-    def without_leading_columns(self, count: int) -> "_SparseD":
-        """The columns from ``count`` on, renumbered from 0."""
-        keep = self.cols >= count
-        rows, cols = self.rows[keep].astype(np.intp), self.cols[keep].astype(np.intp) - count
-        return _SparseD((self.shape[0], self.shape[1] - count), rows, cols, self.signs[keep])
 
 
 def _coboundary_matrix(cover: Cover, degree: int, *, _drop_twist: bool = False) -> _SparseD:
@@ -436,7 +436,7 @@ def _coboundary_matrix(cover: Cover, degree: int, *, _drop_twist: bool = False) 
     cols, rows = _basis(cover, degree), _basis(cover, degree + 1)
     faces = cover.complex._faces
     row_ids, col_ids = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)]
-    signs = [np.zeros(0, np.int8)]
+    signs, leading = [np.zeros(0, np.int8)], {}
     for (p, n), span in rows.positions.items():
         if not span:  # before any loop over faces: p may exceed every cell dimension
             continue
@@ -451,8 +451,39 @@ def _coboundary_matrix(cover: Cover, degree: int, *, _drop_twist: bool = False) 
             col_ids.append(cols.find(*source, t_read, c_read).astype(np.int32))
             row_ids.append(np.arange(span.start, span.stop, dtype=np.int32))
             signs.append(np.full(len(span), sign, dtype=np.int8))
+        if n:  # the delta runs came last, a = 0 first
+            leading[p, n] = col_ids[-n]
     arrays = (np.concatenate(row_ids), np.concatenate(col_ids), np.concatenate(signs))
-    return _SparseD((rows.size, cols.size), *arrays)
+    return _SparseD((rows.size, cols.size), *arrays, leading)
+
+
+def _contraction(cover: Cover, degree: int) -> _SparseD:
+    """K from total degree ``degree`` to ``degree - 1``, built once per cover from
+    D's a = 0 delta run.  j(cell) is the lowest t[0] among a block's rows with
+    the cell, since every n-subset of the sets that hold it is one of them."""
+    if ("K", degree) not in cover._operators:
+        rows, k_rows, k_cols = _basis(cover, degree), [np.zeros(0, np.int32)], [np.zeros(0, int)]
+        for (p, n), targets in _coboundary(cover, degree - 1).leading.items():
+            first = np.fromiter((t[0] for t in rows.layers[n]), np.int32)[rows.tuple_ids[p, n]]
+            cells, lowest = rows.cell_ids[p, n], np.full(len(rows.complex.cells(p)), rows.set_count)
+            np.minimum.at(lowest, cells, first)
+            keep = np.flatnonzero(first == lowest[cells])
+            k_rows.append(targets[keep])
+            k_cols.append(rows.positions[p, n].start + keep)
+        shape, k_rows = (_basis(cover, degree - 1).size, rows.size), np.concatenate(k_rows)
+        signs = np.ones(len(k_rows), np.int8)
+        cover._operators["K", degree] = _SparseD(shape, k_rows, np.concatenate(k_cols), signs)
+    return cover._operators["K", degree]
+
+
+def _global_d(complex, q: int) -> _SparseD:
+    """D from the global q-forms to the global (q + 1)-forms: face a of each
+    (q + 1)-cell in run a, with the assembler's sign."""
+    faces = complex._faces[q + 1]
+    count, width = faces.shape
+    signs = np.repeat([_DBAR_IN_D * _deletion_sign(a) for a in range(width)], count)
+    rows = np.tile(np.arange(count), width)
+    return _SparseD((count, len(complex.cells(q))), rows, faces.T.ravel(), signs.astype(np.int8))
 
 
 def _nerve_faces(cover: Cover, n: int) -> np.ndarray:
@@ -478,6 +509,24 @@ def _coboundary(cover: Cover, degree: int) -> _SparseD:
     return cover._operators["D", degree]
 
 
+def _integer_product(first: _SparseD, second: _SparseD) -> dict[tuple[int, int], int]:
+    """The entries of second @ first in Python integers, by (row, column)."""
+    by_col: dict[int, list[tuple[int, int]]] = {}  # column of second -> [(row, sign)]
+    for i, j, s in zip(second.rows.tolist(), second.cols.tolist(), second.signs.tolist()):
+        by_col.setdefault(j, []).append((i, s))
+    product: dict[tuple[int, int], int] = {}
+    for i, j, s in zip(first.rows.tolist(), first.cols.tolist(), first.signs.tolist()):
+        for row, s2 in by_col.get(i, ()):
+            product[row, j] = product.get((row, j), 0) + s2 * s
+    return product
+
+
+def _cech_degrees(cover: Cover, degree: int) -> np.ndarray:
+    """The Cech degree n of each coordinate of total degree ``degree``."""
+    positions = _basis(cover, degree).positions
+    return np.repeat([n for _, n in positions], [len(span) for span in positions.values()])
+
+
 def _square_blocks(
     cover: Cover, degrees: Iterable[int], *, _drop_twist: bool = False
 ) -> dict[str, int]:
@@ -493,23 +542,30 @@ def _square_blocks(
     names = {2: "delta2", 0: "d2", 1: "anticommute"}
     blocks = dict.fromkeys(names.values(), 0)
     for degree in degrees:
-        first, second = (
-            _coboundary_matrix(cover, k, _drop_twist=_drop_twist) for k in (degree, degree + 1)
+        product = _integer_product(
+            *(_coboundary_matrix(cover, k, _drop_twist=_drop_twist) for k in (degree, degree + 1))
         )
-        # column of the second factor -> [(its row, sign)]
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for i, j, s in zip(second.rows.tolist(), second.cols.tolist(), second.signs.tolist()):
-            by_col.setdefault(j, []).append((i, s))
-        product: dict[tuple[int, int], int] = {}
-        for i, j, s in zip(first.rows.tolist(), first.cols.tolist(), first.signs.tolist()):
-            for row, s2 in by_col.get(i, ()):
-                product[row, j] = product.get((row, j), 0) + s2 * s
-        row_n, col_n = (
-            [n for (_, n), span in _basis(cover, k).positions.items() for _ in span]
-            for k in (degree + 2, degree)
-        )
+        row_n, col_n = (_cech_degrees(cover, k).tolist() for k in (degree + 2, degree))
         for (row, col), value in product.items():
             name = names[row_n[row] - col_n[col]]
             blocks[name] = max(blocks[name], abs(value))
     blocks["D2"] = max(blocks.values())
     return blocks
+
+
+def _homotopy_defect(cover: Cover, degrees: Iterable[int]) -> int:
+    """Largest |entry| of delta K + K delta - 1 on total degree k over the
+    degrees k, in Python integers from the cached D and K; 0 iff it holds.
+    In D K + K D the delta terms keep the Cech degree and the dbar terms
+    lower it, so delta K + K delta is the part that keeps it."""
+    worst = 0
+    for k in degrees:
+        n = _cech_degrees(cover, k).tolist()
+        total = {(i, i): -1 for i in range(len(n))}
+        into, out = _coboundary(cover, k - 1), _coboundary(cover, k)
+        for pair in ((_contraction(cover, k), into), (out, _contraction(cover, k + 1))):
+            for (row, col), value in _integer_product(*pair).items():
+                if n[row] == n[col]:
+                    total[row, col] = total.get((row, col), 0) + value
+        worst = max(worst, max(map(abs, total.values()), default=0))
+    return worst

@@ -7,7 +7,7 @@ errors.  Results go to stdout, diagnostics to stderr.  The environment
 variable GERBECALC_TOL overrides the default tolerances when the --tol flag
 is not given; either must be a finite non-negative number.  selfcheck
 assembles D as a sparse integer matrix on seeded random covers and checks
-that D^2 = 0 holds exactly.
+that D^2 = 0 and delta K + K delta = 1 hold exactly.
 
 ``main`` builds the argument parser once per process and reuses it.  equiv
 loads its two files with ``load_pair``, so files with the same complex and
@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .bicomplex import _square_blocks
+from .bicomplex import _homotopy_defect, _square_blocks
 from .builders import build_gerbopole, build_minus_one_gerbe, build_monopole
 from .cover import check_good_cover
 from .deligne import (
@@ -143,7 +143,8 @@ def cmd_selfcheck(args) -> int:
         complex, cover = random_complex_and_cover(rng)
         degrees = range(complex.top_dimension + 2)
         residuals = _square_blocks(cover, degrees, _drop_twist=args.break_sign)
-        if residuals["D2"] == 0:
+        residuals["homotopy"] = _homotopy_defect(cover, degrees)
+        if residuals["D2"] == residuals["homotopy"] == 0:
             passed += 1
         elif failure is None:
             failure = (trial, complex, cover, residuals)
@@ -207,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     selfcheck = sub.add_parser(
         "selfcheck",
-        help="check that D^2 = 0 exactly on the integer matrix of D over seeded random covers",
+        help="check that D^2 = 0 and delta K + K delta = 1 exactly on the integer "
+        "matrices of D and K over seeded random covers",
     )
     selfcheck.add_argument("--seed", type=int, default=42)
     selfcheck.add_argument("--trials", type=int, default=100)

@@ -9,15 +9,16 @@ A datum keeps its coordinates on the cover's basis, and validation, the
 charge, shifts and equivalence read them; all but the charge apply the
 cover's cached sparse D (``bicomplex._coboundary``) to vectors.  A shift
 adds D of the potential to the datum's vector and builds no dicts; ``data``
-adds the images to its dicts on first read.  Equivalence is a least-squares
-solve by conjugate gradients on the normal equations (CGLS), without forming
-D^T D, on D S, where S = diag(1 / |D e_j|) scales each column of D to unit
-norm; the witness x = S z is minimum in the column-scaled norm |S^-1 x|.
-Two valid cocycles are accepted as equivalent when the difference is matched
-by the total coboundary of a potential without global top form part, with
-angle-layer rows compared modulo 2*pi.  Rejection means no such witness
-was found at tolerance; it is numeric evidence, not a certificate.  The
-charge is the reliable separator.
+adds the images to its dicts on first read.  Equivalence descends the
+difference by the Cech contraction K of ``bicomplex``, one sparse apply of K
+and one of D per Cech degree, and solves for the global form that is left on
+the manifold alone: by a spanning-forest walk at level 0, and above by
+conjugate gradients on the normal equations (CGLS) of the exterior
+derivative.  Two valid cocycles are accepted as equivalent when the
+difference is matched by the total coboundary of a potential without global
+top form part, with angle-layer rows compared modulo 2*pi.  Rejection means
+no such witness was found at tolerance; it is numeric evidence, not a
+certificate.  The charge is the reliable separator.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .bicomplex import (
     TotalCochain,
     _basis,
     _coboundary,
+    _contraction,
+    _global_d,
     _image,
     _SparseD,
     _wrap_finite,
@@ -294,21 +297,69 @@ def _cgls(matrix: _SparseD, b: np.ndarray, max_iterations: int | None = None) ->
     return scale * z
 
 
+def _walk(d: _SparseD, target: np.ndarray) -> np.ndarray:
+    """eta on the 0-cells with d eta = target on the edges of a breadth-first
+    spanning forest, 0 at the first 0-cell of each component, where d is
+    ``_global_d`` of the 0-forms.  Exact on every edge when target is d of
+    something; a fixed linear map of target, with no iteration."""
+    edges, count = d.shape
+    ends, signs = d.cols.reshape(2, edges).T.tolist(), d.signs.reshape(2, edges).T.tolist()
+    around: list[list[tuple]] = [[] for _ in range(count)]
+    for e, ((u, v), (su, sv)) in enumerate(zip(ends, signs)):
+        around[u].append((v, sv, su, e))
+        around[v].append((u, su, sv, e))
+    eta, target = [None] * count, target.tolist()
+    for root in range(count):
+        if eta[root] is None:
+            eta[root], queue = 0.0, [root]
+            for u in queue:
+                for v, sv, su, e in around[u]:
+                    if eta[v] is None:
+                        eta[v] = sv * (target[e] - su * eta[u])
+                        queue.append(v)
+    return np.array(eta, float)
+
+
+def _descent(cover: Cover, k: int, b: np.ndarray) -> np.ndarray:
+    """The zig-zag of K: a potential x of degree k - 1 without global part, a
+    fixed linear map of b, with D x = b when b is D of one.
+
+    From the top Cech degree down to n = 2, y = K r on block (k - n, n) of r
+    joins x and D y leaves r.  By delta K + K delta = 1 the (k - 1, 1) block
+    left is delta omega, omega = K r global; and delta eta, the (k - 2, 1)
+    block of D eta, has D of it equal to delta omega when D eta = -omega on
+    block (k - 1, 0), which ``_walk`` solves for k = 2 and ``_cgls`` above.
+    """
+    rows, cols = _basis(cover, k), _basis(cover, k - 1)
+    d, contraction = _coboundary(cover, k - 1), _contraction(cover, k)
+    x, r = np.zeros(cols.size), b.copy()
+    for (p, n), span in reversed(rows.positions.items()):  # n falls to 0
+        if not (n and span):
+            continue
+        part = np.zeros(rows.size)
+        part[span.start : span.stop] = r[span.start : span.stop]
+        y = contraction.apply(part)
+        if n > 1:
+            x, r = x + y, r - d.apply(y)
+            continue
+        target, global_d = -y[cols.positions[k - 1, 0]], _global_d(cover.complex, k - 2)
+        eta = _walk(global_d, target) if k == 2 else _cgls(global_d, target)
+        # delta restricts eta to each set: (t, cell) takes eta(cell)
+        at = cols.positions[k - 2, 1]
+        x[at.start : at.stop] += eta[cols.cell_ids[k - 2, 1]]
+    return x
+
+
 def gauge_equivalent(
     first: GerbeDatum, second: GerbeDatum, tol: float | None = None
 ) -> EquivalenceResult:
-    """Search for a potential with D(potential) matching the difference.
-
-    CGLS finds the potential x that is minimum in the column-scaled norm
-    |S^-1 x| on the cached D, where S = diag(1 / |D e_j|) scales each column
-    of D to unit norm.  It costs the nonzeros of D times the iterations,
-    with the conditioning of D S and not of its normal matrix.  Only the
-    (0, k) rows, which compare the transition layers, hold modulo 2*pi; they
-    are wrapped in the difference before solving and in the residual before
-    the tolerance test, which absorbs small winding differences.  Large
-    relative windings can defeat the wrapping; charges then separate the
-    data anyway.  A NaN, infinite or negative tolerance raises
-    InvalidInputError.
+    """Search for a potential with D(potential) matching the difference: its
+    ``_descent``.  Only the (0, k) rows, which compare the transition layers,
+    hold modulo 2*pi; they are wrapped in the difference before the descent
+    and in the residual before the tolerance test, which absorbs small
+    winding differences.  Large relative windings can defeat the wrapping;
+    charges then separate the data anyway.  A NaN, infinite or negative
+    tolerance raises InvalidInputError.
     """
     tol = _checked_tol(DEFAULT_EQUIVALENCE_TOL if tol is None else tol)
     if first.level != second.level:
@@ -330,16 +381,13 @@ def gauge_equivalent(
     span = rows.positions.get((0, k), range(0))
     angle = slice(span.start, span.stop)
     b[angle] = _wrapped(b[angle])
-    # a potential has no global (k - 1, 0) part, the leading column block
-    omitted = len(cols.positions[k - 1, 0])
-    matrix = _coboundary(cover, k - 1).without_leading_columns(omitted)
-    x = _cgls(matrix, b)
-    residual_vec = matrix.apply(x) - b
+    # at level -1 a potential, having no global part, is empty
+    x = _descent(cover, k, b) if k > 1 else np.zeros(cols.size)
+    residual_vec = _coboundary(cover, k - 1).apply(x) - b
     residual_vec[angle] = _wrapped(residual_vec[angle])
     residual = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
     if residual <= tol:
-        witness = cols.total_of(np.concatenate([np.zeros(omitted), x]))
-        return EquivalenceResult(True, residual, GaugePotential(witness))
+        return EquivalenceResult(True, residual, GaugePotential(cols.total_of(x)))
     return EquivalenceResult(False, residual, None)
 
 

@@ -89,6 +89,34 @@ def reference_dbar(layer, cover):
     return out
 
 
+def reference_contraction(cover, rows, cols):
+    """The nonzeros of K from the basis ``rows`` of total degree k to ``cols``
+    of degree k - 1, as (target, source) coordinate pairs, each with value 1.
+
+    It follows the definition, (K c)_s(cell) = c_{(j,) + s}(cell) with j the
+    lowest set that holds the cell, read from the sets and ``cover.overlap``;
+    it shares no code with the arrays of D.
+    """
+
+    def coordinates(basis):
+        index = {}
+        for (p, n), span in basis.positions.items():
+            tuples, cells = list(basis.layers[n]), basis.complex.cells(p)
+            for i, t, c in zip(span, basis.tuple_ids[p, n], basis.cell_ids[p, n]):
+                index[p, n, tuples[t], cells[c]] = i
+        return index
+
+    sources, pairs = coordinates(rows), []
+    for (p, n, s, cell), target in coordinates(cols).items():
+        j = min(i for i, members in enumerate(cover.sets) if members.issuperset(cell))
+        if s and s[0] == j:
+            continue  # (j,) + s repeats j
+        t = (j,) + s
+        assert cell in cover.overlap(t).cells(p)
+        pairs.append((target, sources[p, n + 1, t, cell]))
+    return pairs
+
+
 def sparse_transition_monopoles():
     """build_monopole(12), and data equivalent to it whose transition layer
     leaves out band vertices, where the value 0.0 is meant.

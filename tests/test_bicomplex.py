@@ -20,7 +20,15 @@ from gerbecalc import (
     permutation_sign,
     wrap,
 )
-from gerbecalc.bicomplex import _square_blocks, _wrap_finite, _wrapped
+from gerbecalc.bicomplex import (
+    _basis,
+    _contraction,
+    _homotopy_defect,
+    _SparseD,
+    _square_blocks,
+    _wrap_finite,
+    _wrapped,
+)
 from gerbecalc.builders import (
     build_gerbopole,
     build_minus_one_gerbe,
@@ -31,7 +39,13 @@ from gerbecalc.builders import (
 from gerbecalc.randomdata import random_bigraded, random_complex_and_cover, random_total
 from gerbecalc.rng import Lcg64
 
-from conftest import closed_star_cover, reference_dbar, reference_delta
+from conftest import (
+    closed_star_cover,
+    reference_contraction,
+    reference_dbar,
+    reference_delta,
+    torus_grid,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -342,6 +356,50 @@ class TestExactSquare:
         assert blocks["D2"] == blocks["anticommute"]
         # delta^2 and d^2 do not involve the twist
         assert blocks["delta2"] == blocks["d2"] == 0
+
+
+class TestContraction:
+    """K, (K c)_s(cell) = c_{(j(cell),) + s}(cell), against its definition and
+    through delta K + K delta = 1 in integer products, with no tolerance."""
+
+    COVERS = {
+        "minus1": lambda ico: build_minus_one_gerbe(12).cover,
+        "monopole": lambda ico: build_monopole(12).cover,
+        "gerbopole": lambda ico: build_gerbopole(6).cover,
+        "icosahedron-stars": closed_star_cover,
+        "torus-6-stars": lambda ico: closed_star_cover(torus_grid(6)),
+        "torus-12-stars": lambda ico: closed_star_cover(torus_grid(12)),
+    }
+
+    @pytest.mark.parametrize("name", list(COVERS))
+    def test_homotopy_identity_holds_exactly(self, name, icosahedron):
+        cover = self.COVERS[name](icosahedron)
+        assert _homotopy_defect(cover, range(cover.complex.top_dimension + 2)) == 0
+
+    def test_homotopy_identity_on_the_selfcheck_covers(self):
+        rng = Lcg64(42)
+        for _ in range(25):
+            complex, cover = random_complex_and_cover(rng)
+            assert _homotopy_defect(cover, range(complex.top_dimension + 2)) == 0
+
+    @pytest.mark.parametrize("name", ["minus1", "monopole", "gerbopole", "icosahedron-stars"])
+    def test_matches_its_definition(self, name, icosahedron):
+        cover = self.COVERS[name](icosahedron)
+        for k in range(1, cover.complex.top_dimension + 2):
+            rows, cols = _basis(cover, k), _basis(cover, k - 1)
+            contraction = _contraction(cover, k)
+            assert contraction.shape == (cols.size, rows.size)
+            assert np.all(contraction.signs == 1)
+            pairs = sorted(zip(contraction.rows.tolist(), contraction.cols.tolist()))
+            assert pairs == sorted(reference_contraction(cover, rows, cols))
+
+    def test_a_missing_entry_is_noticed(self):
+        cover = build_monopole(12).cover
+        kept = _contraction(cover, 2)
+        cut = _SparseD(kept.shape, kept.rows[1:], kept.cols[1:], kept.signs[1:])
+        cover._operators["K", 2] = cut
+        # K_2 acts in delta K on degree 2 and in K delta on degree 1
+        assert _homotopy_defect(cover, (1,)) == _homotopy_defect(cover, (2,)) == 1
 
 
 class TestStructuralValidation:

@@ -521,8 +521,9 @@ class TestSelfcheck:
         captured = capsys.readouterr()
         assert rc == 1
         assert "counterexample" in captured.err
-        # the broken composition has an O(1) residual
+        # the broken composition has an O(1) residual; K does not read the twist
         assert "D2 residual" in captured.err
+        assert "homotopy residual: 0" in captured.err
 
 
 class TestRoundTrip:

@@ -41,17 +41,20 @@ from gerbecalc.builders import join_sphere3, two_cone_sphere
 from gerbecalc.serialize import save_datum
 from gerbecalc.cover import Cover
 from gerbecalc import bicomplex
-from gerbecalc.bicomplex import GaugePotential, _coboundary_matrix, _LayerBasis
-from gerbecalc.deligne import _cgls
+from gerbecalc.bicomplex import GaugePotential, _coboundary_matrix, _LayerBasis, _SparseD
+from gerbecalc import deligne
+from gerbecalc.deligne import DEFAULT_EQUIVALENCE_TOL, _cgls, _descent
 from gerbecalc.randomdata import random_gauge_potential, random_total
 from gerbecalc.rng import Lcg64
 
 from conftest import (
     ICOSAHEDRON_FACES,
     closed_star_cover,
+    reference_contraction,
     reference_dbar,
     reference_delta,
     sparse_transition_monopoles,
+    torus_grid,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -64,6 +67,34 @@ def coordinates(basis, total):
         at, values = basis.locate(part)
         vec[at] = values
     return vec
+
+
+def without_leading_columns(matrix, count):
+    """The matrix less its first ``count`` columns, renumbered from 0: the D of a
+    potential, which has no global (k - 1, 0) block."""
+    keep = matrix.cols >= count
+    shape = (matrix.shape[0], matrix.shape[1] - count)
+    return _SparseD(shape, matrix.rows[keep], matrix.cols[keep] - count, matrix.signs[keep])
+
+
+def dense_of(matrix):
+    out = np.zeros(matrix.shape)
+    out[matrix.rows, matrix.cols] = matrix.signs
+    return out
+
+
+def pole_shift(datum, g):
+    """build_monopole(m) shifted by g at the south pole on set 1: every edge of
+    set 1 that touches the pole gains that much connection."""
+    south = datum.cover.complex.vertex_count - 1
+    conn = datum.data.part(1, 1)
+    values = dict(conn.components[(1,)].values)
+    for edge in datum.cover.overlap((1,)).cells(1):
+        if south in edge:
+            values[edge] = values.get(edge, 0.0) + g
+    components = {**conn.components, (1,): Cochain(1, values)}
+    parts = {**datum.data.parts, (1, 1): BigradedCochain(1, 1, components)}
+    return GerbeDatum(0, TotalCochain(2, parts), datum.cover)
 
 
 def bundle_equations_oracle(datum):
@@ -366,9 +397,11 @@ class TestGaugeEquivalence:
         assert total.sup_norm() < 1e-8
 
     @pytest.mark.parametrize("case", ["monopole", "gerbopole", "icosahedron-stars"])
-    def test_witness_matches_a_dense_column_scaled_least_squares(self, case, icosahedron):
-        # the witness is S z for the minimum-norm z of (D S) z = b, where
-        # S = diag(1 / |D e_j|) scales each column of D to unit norm
+    def test_witness_matches_a_dense_zig_zag(self, case, icosahedron):
+        # the witness is the zig-zag of K from the top Cech degree down, then
+        # D eta = -omega on the global forms: a walk that puts eta = 0 at the
+        # first vertex at level 0, CGLS's minimum of |S^-1 eta| above, where
+        # S = diag(1 / |A e_j|) scales each column of that block A to unit norm
         datum = {
             "monopole": lambda: build_monopole(12),
             "gerbopole": lambda: build_gerbopole(6),
@@ -378,25 +411,44 @@ class TestGaugeEquivalence:
         shifted = gauge_shift(datum, random_gauge_potential(cover, k - 1, Lcg64(67), 0.5))
         result = gauge_equivalent(datum, shifted)
         assert result.equivalent
-        rows, cols = _LayerBasis(cover, k), _LayerBasis(cover, k - 1)
+        rows, cols, below = (_LayerBasis(cover, j) for j in (k, k - 1, k - 2))
         angle = list(rows.positions.get((0, k), ()))
         b = coordinates(rows, shifted.data) - coordinates(rows, datum.data)
         b[angle] = [wrap(v) for v in b[angle]]
-        matrix = _coboundary_matrix(cover, k - 1)
-        dense = np.zeros(matrix.shape)
-        dense[matrix.rows, matrix.cols] = matrix.signs
-        omitted = len(cols.positions[k - 1, 0])
-        dense = dense[:, omitted:]
-        norms = np.linalg.norm(dense, axis=0)
-        scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
-        z = np.linalg.lstsq(dense * scale, b, rcond=None)[0]
         witness = coordinates(cols, result.witness.data)
-        assert not witness[:omitted].any()
-        np.testing.assert_allclose(witness[omitted:], scale * z, rtol=0.0, atol=1e-9)
         # D(W) = B - A through the dict operator, angle rows modulo 2*pi
         residual = coordinates(rows, big_d(result.witness.data, cover)) - b
         residual[angle] = [wrap(v) for v in residual[angle]]
         assert np.max(np.abs(residual)) <= 1e-8
+
+        contraction = np.zeros((cols.size, rows.size))
+        for target, source in reference_contraction(cover, rows, cols):
+            contraction[target, source] = 1.0
+        d, d_below = (dense_of(_coboundary_matrix(cover, j)) for j in (k - 1, k - 2))
+
+        def contracted(r, span):
+            part = np.zeros(rows.size)
+            part[list(span)] = r[list(span)]
+            return contraction @ part
+
+        x, r = np.zeros(cols.size), b.copy()
+        for n in range(k, 1, -1):
+            y = contracted(r, rows.positions[k - n, n])
+            x, r = x + y, r - d @ y
+        omega = contracted(r, rows.positions[k - 1, 1])[list(cols.positions[k - 1, 0])]
+        forms = list(below.positions[k - 2, 0])
+        block = d_below[np.ix_(list(cols.positions[k - 1, 0]), forms)]
+        if k == 2:
+            eta = np.linalg.lstsq(block, -omega, rcond=None)[0]
+            eta -= eta[0]
+        else:
+            scale = 1.0 / np.maximum(np.linalg.norm(block, axis=0), 1.0)
+            eta = scale * np.linalg.lstsq(block * scale, -omega, rcond=None)[0]
+        restricted = list(cols.positions[k - 2, 1])
+        x[restricted] += (d_below[:, forms] @ eta)[restricted]
+        np.testing.assert_allclose(witness, x, rtol=0.0, atol=1e-12)
+        # a fixed linear map of b
+        np.testing.assert_array_equal(_descent(cover, k, -b), -_descent(cover, k, b))
 
     def test_monopole_not_equivalent_to_trivial(self):
         datum = build_monopole(12)
@@ -464,6 +516,23 @@ class TestGaugeEquivalence:
         with pytest.raises(NumericError, match="not finite"):
             gauge_equivalent(first, second)
 
+    @pytest.mark.parametrize("g", [2.0**20, 2.0**27, 2.0**30, 2.0**40, 1.2345e8, 1.2345e9])
+    def test_large_gauge_shift_at_the_pole_is_accepted(self, g):
+        # the walk is exact: the witness is g at the pole, where a least-squares
+        # solve left an error of about machine epsilon times g
+        datum = build_monopole(12)
+        shifted = pole_shift(datum, g)
+        assert validate_cocycle(shifted).passed
+        result = gauge_equivalent(datum, shifted)
+        assert result.equivalent
+        rows = _LayerBasis(datum.cover, 2)
+        angle = list(rows.positions[0, 2])
+        residual = coordinates(rows, big_d(result.witness.data, datum.cover)) - (
+            shifted._vector - datum._vector
+        )
+        residual[angle] = [wrap(v) for v in residual[angle]]
+        assert np.max(np.abs(residual)) <= DEFAULT_EQUIVALENCE_TOL
+
     @pytest.mark.parametrize(
         "g, reason",
         # b is g on the 12 pole edges, so |b|^2 = 12 g^2.  On unit-norm columns
@@ -475,23 +544,41 @@ class TestGaugeEquivalence:
         ids=["max_over_13-CGLS overflowed", "520-too large for CGLS"],
     )
     def test_overflow_inside_the_solve_raises_numeric_error(self, g, reason):
-        # a gauge shift by g at the south pole on set 1: every edge of set 1
-        # that touches the pole gains that much connection
+        # the descent takes these shifts exactly and runs no CGLS at level 0;
+        # CGLS on the D of a potential, without its global columns, overflows
         datum = build_monopole(12)
-        south = 25
-        conn = datum.data.part(1, 1)
-        values = dict(conn.components[(1,)].values)
-        for edge in datum.cover.overlap((1,)).cells(1):
-            if south in edge:
-                values[edge] = values.get(edge, 0.0) + g
-        components = {**conn.components, (1,): Cochain(1, values)}
-        parts = {**datum.data.parts, (1, 1): BigradedCochain(1, 1, components)}
-        shifted = GerbeDatum(0, TotalCochain(2, parts), datum.cover)
+        shifted = pole_shift(datum, g)
         assert validate_cocycle(shifted).passed
+        result = gauge_equivalent(datum, shifted)
+        assert result.equivalent and result.residual == 0.0
+        omitted = len(_LayerBasis(datum.cover, 1).positions[1, 0])
+        matrix = without_leading_columns(_coboundary_matrix(datum.cover, 1), omitted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=reason):
-                gauge_equivalent(datum, shifted)
+                _cgls(matrix, shifted._vector - datum._vector)
+
+    @pytest.mark.parametrize(
+        "build, m, solved_degree",
+        [(build_minus_one_gerbe, 12, None), (build_monopole, 12, None), (build_gerbopole, 6, 1)],
+        ids=["minus1", "monopole", "gerbopole"],
+    )
+    def test_cgls_runs_only_on_the_global_forms_above_level_0(
+        self, monkeypatch, build, m, solved_degree
+    ):
+        seen, solve = [], deligne._cgls
+
+        def recorded(matrix, b, *args):
+            seen.append(matrix.shape)
+            return solve(matrix, b, *args)
+
+        monkeypatch.setattr(deligne, "_cgls", recorded)
+        datum = build(m)
+        potential = random_gauge_potential(datum.cover, datum.level + 1, Lcg64(71), 0.5)
+        assert gauge_equivalent(datum, gauge_shift(datum, potential)).equivalent
+        q, complex = solved_degree, datum.cover.complex
+        # eta of degree q, against the (q + 1)-cells
+        assert seen == ([] if q is None else [(len(complex.cells(q + 1)), len(complex.cells(q)))])
 
     @pytest.mark.parametrize(
         "build", [build_minus_one_gerbe, build_monopole, build_gerbopole],
@@ -542,6 +629,45 @@ class TestGaugeEquivalence:
         broken = GerbeDatum(0, TotalCochain(2, parts), datum.cover)
         with pytest.raises(InvalidInputError):
             gauge_equivalent(datum, broken)
+
+
+class TestTorusStarCovers:
+    """The closed-star covers of the n-by-n torus grids, where H^1 is not zero:
+    the walk meets closed 1-forms that are not exact."""
+
+    @pytest.fixture(scope="class", params=[6, 12], ids=["torus-6", "torus-12"])
+    def zero(self, request):
+        return GerbeDatum.zero(closed_star_cover(torus_grid(request.param)), 0)
+
+    def test_small_gauge_shifts_are_equivalent(self, zero):
+        # omega is exact on these shifts, so it integrates consistently around
+        # every edge off the spanning forest
+        for seed in range(3):
+            potential = random_gauge_potential(zero.cover, 1, Lcg64(seed), amplitude=0.5)
+            shifted = gauge_shift(zero, potential)
+            result = gauge_equivalent(zero, shifted)
+            assert result.equivalent and result.residual <= 1e-12
+            residual = big_d(result.witness.data, zero.cover) - shifted.data
+            assert residual.sup_norm() <= 1e-12
+
+    def test_a_winding_shift_is_not_found(self, zero):
+        # the potential 2 pi i_w / n at vertex w of the star of v, with row i_w
+        # lifted next to the row of v: a gauge shift, whose wrapped difference
+        # leaves a closed 1-form with period 2 pi around the torus
+        cover = zero.cover
+        n = math.isqrt(cover.complex.vertex_count)
+        components = {}
+        for v in range(n * n):
+            lifted = {}
+            for (w,) in cover.overlap((v,)).cells(0):
+                row = w // n
+                lifted[(w,)] = TWO_PI * (row + n * round((v // n - row) / n)) / n
+            components[(v,)] = Cochain(0, lifted)
+        potential = GaugePotential(TotalCochain(1, {(0, 1): BigradedCochain(0, 1, components)}))
+        shifted = gauge_shift(zero, potential)
+        assert validate_cocycle(shifted).passed
+        assert charge(shifted) == pytest.approx(0.0, abs=1e-12)
+        assert not gauge_equivalent(zero, shifted).equivalent
 
 
 class TestHigherGaugeShift:
@@ -598,7 +724,7 @@ class TestCoboundaryMatrix:
         k = level + 2
         cols, rows = _LayerBasis(cover, k - 1), _LayerBasis(cover, k)
         omitted = len(cols.positions[k - 1, 0]) if omit_top_form else 0
-        matrix = _coboundary_matrix(cover, k - 1).without_leading_columns(omitted)
+        matrix = without_leading_columns(_coboundary_matrix(cover, k - 1), omitted)
         assert matrix.shape == (rows.size, cols.size - omitted)
         assert np.all(np.abs(matrix.signs) == 1.0)
         assert len(set(zip(matrix.rows.tolist(), matrix.cols.tolist()))) == len(matrix.signs)
@@ -633,7 +759,7 @@ class TestCoboundaryMatrix:
         datum = build_monopole(6)
         cover, k = datum.cover, datum.level + 2
         omitted = len(_LayerBasis(cover, k - 1).positions[k - 1, 0])
-        matrix = _coboundary_matrix(cover, k - 1).without_leading_columns(omitted)
+        matrix = without_leading_columns(_coboundary_matrix(cover, k - 1), omitted)
         rng = Lcg64(59)
         b = matrix.apply(np.array([rng.uniform(-1.0, 1.0) for _ in range(matrix.shape[1])]))
         with pytest.raises(NumericError):
