@@ -12,9 +12,9 @@ adds D of the potential to the datum's vector and builds no dicts; ``data``
 adds the images to its dicts on first read.  Equivalence descends the
 difference by the Cech contraction K of ``bicomplex``, one sparse apply of K
 and one of D per Cech degree, and solves for the global form that is left on
-the manifold alone: by a spanning-forest walk at level 0, and above by
-conjugate gradients on the normal equations (CGLS) of the exterior
-derivative.  Two valid cocycles are accepted as equivalent when the
+the manifold alone: at level 0 by ``simplicial._walk``, the walk that orients
+the manifold, and above by conjugate gradients on the normal equations
+(CGLS) of the exterior derivative.  Two valid cocycles are equivalent when the
 difference is matched by the total coboundary of a potential without global
 top form part, with angle-layer rows compared modulo 2*pi.  Rejection means
 no such witness was found at tolerance; it is numeric evidence, not a
@@ -44,7 +44,7 @@ from .bicomplex import (
 )
 from .cover import Cover
 from .errors import InvalidInputError, NumericError
-from .simplicial import Cochain, Simplex, _worst, fundamental_cycle
+from .simplicial import Cochain, Simplex, _walk, _worst, fundamental_cycle
 
 DEFAULT_VALIDATION_TOL = 1e-9
 DEFAULT_EQUIVALENCE_TOL = 1e-8
@@ -297,29 +297,6 @@ def _cgls(matrix: _SparseD, b: np.ndarray, max_iterations: int | None = None) ->
     return scale * z
 
 
-def _walk(d: _SparseD, target: np.ndarray) -> np.ndarray:
-    """eta on the 0-cells with d eta = target on the edges of a breadth-first
-    spanning forest, 0 at the first 0-cell of each component, where d is
-    ``_global_d`` of the 0-forms.  Exact on every edge when target is d of
-    something; a fixed linear map of target, with no iteration."""
-    edges, count = d.shape
-    ends, signs = d.cols.reshape(2, edges).T.tolist(), d.signs.reshape(2, edges).T.tolist()
-    around: list[list[tuple]] = [[] for _ in range(count)]
-    for e, ((u, v), (su, sv)) in enumerate(zip(ends, signs)):
-        around[u].append((v, sv, su, e))
-        around[v].append((u, su, sv, e))
-    eta, target = [None] * count, target.tolist()
-    for root in range(count):
-        if eta[root] is None:
-            eta[root], queue = 0.0, [root]
-            for u in queue:
-                for v, sv, su, e in around[u]:
-                    if eta[v] is None:
-                        eta[v] = sv * (target[e] - su * eta[u])
-                        queue.append(v)
-    return np.array(eta, float)
-
-
 def _descent(cover: Cover, k: int, b: np.ndarray) -> np.ndarray:
     """The zig-zag of K: a potential x of degree k - 1 without global part, a
     fixed linear map of b, with D x = b when b is D of one.
@@ -328,7 +305,7 @@ def _descent(cover: Cover, k: int, b: np.ndarray) -> np.ndarray:
     joins x and D y leaves r.  By delta K + K delta = 1 the (k - 1, 1) block
     left is delta omega, omega = K r global; and delta eta, the (k - 2, 1)
     block of D eta, has D of it equal to delta omega when D eta = -omega on
-    block (k - 1, 0), which ``_walk`` solves for k = 2 and ``_cgls`` above.
+    block (k - 1, 0), solved by ``simplicial._walk`` for k = 2, ``_cgls`` above.
     """
     rows, cols = _basis(cover, k), _basis(cover, k - 1)
     d, contraction = _coboundary(cover, k - 1), _contraction(cover, k)
@@ -343,7 +320,11 @@ def _descent(cover: Cover, k: int, b: np.ndarray) -> np.ndarray:
             x, r = x + y, r - d.apply(y)
             continue
         target, global_d = -y[cols.positions[k - 1, 0]], _global_d(cover.complex, k - 2)
-        eta = _walk(global_d, target) if k == 2 else _cgls(global_d, target)
+        if k == 2:  # d's first run holds face 0 of each edge, its second face 1
+            ends, signs = (a.reshape(2, -1).T.tolist() for a in (global_d.cols, global_d.signs))
+            eta = np.array(_walk(global_d.shape[1], ends, signs, target.tolist(), 0.0)[0])
+        else:
+            eta = _cgls(global_d, target)
         # delta restricts eta to each set: (t, cell) takes eta(cell)
         at = cols.positions[k - 2, 1]
         x[at.start : at.stop] += eta[cols.cell_ids[k - 2, 1]]

@@ -320,15 +320,6 @@ class TestIndependentReferences:
         assert got.components == reference_dbar(layer, cover)
 
 
-def star_cover(complex):
-    """One set per vertex: the vertex and its neighbours."""
-    stars = [{v} for v in range(complex.vertex_count)]
-    for a, b in complex.cells(1):
-        stars[a].add(b)
-        stars[b].add(a)
-    return Cover.build(complex, stars)
-
-
 class TestExactSquare:
     """D_{k+1} D_k on the integer matrix of D, with no tolerance."""
 
@@ -338,7 +329,7 @@ class TestExactSquare:
     )
     def cover_and_level(self, request, icosahedron):
         if request.param is None:
-            return star_cover(icosahedron), 0
+            return closed_star_cover(icosahedron), 0
         build, m = request.param
         datum = build(m)
         return datum.cover, datum.level

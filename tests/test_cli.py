@@ -293,6 +293,20 @@ class TestEquiv:
         doc = json.loads(witness.read_text())
         assert doc["witness"]["degree"] == 1
 
+    def test_level_zero_witness_is_pinned(self, tmp_path, capsys):
+        # the level-0 descent ends in an exact spanning-forest walk, so the
+        # witness bytes are those of its arithmetic on every machine; a
+        # gerbopole witness comes from CGLS, whose dot products go through BLAS
+        names = ("mono.json", "mono-shifted.json", "witness.json")
+        plain, shifted, witness = (tmp_path / name for name in names)
+        assert main(["demo", "monopole", "--m", "24", "--out", str(plain)]) == 0
+        argv = ["demo", "monopole", "--m", "24", "--perturb-gauge", "5", "--out", str(shifted)]
+        assert main(argv) == 0
+        assert main(["equiv", str(plain), str(shifted), "--out", str(witness)]) == 0
+        assert hashlib.sha256(witness.read_bytes()).hexdigest() == (
+            "e25f00bb63ee61168fe5f026e9be665fb2aa45279c78c4bf6236ba1bea699c25"
+        )
+
     def test_monopole_vs_trivial_not_found(self, monopole_file, tmp_path, capsys):
         doc = datum_to_dict(build_monopole(12))
         doc["datum"]["parts"] = []

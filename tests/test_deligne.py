@@ -19,6 +19,7 @@ from gerbecalc import (
     InvalidInputError,
     NumericError,
     SimplicialComplex,
+    StructuralError,
     TotalCochain,
     ValidationReport,
     big_d,
@@ -668,6 +669,27 @@ class TestTorusStarCovers:
         assert validate_cocycle(shifted).passed
         assert charge(shifted) == pytest.approx(0.0, abs=1e-12)
         assert not gauge_equivalent(zero, shifted).equivalent
+
+
+class TestTwoSpheres:
+    """The closed-star cover of two disjoint two-cone spheres, vertices 0-13 and
+    14-27: the level-0 walk starts a tree at the lowest vertex of each sphere."""
+
+    @pytest.fixture(scope="class")
+    def zero(self):
+        triangles = two_cone_sphere(6).cells(2)
+        both = triangles + tuple(tuple(v + 14 for v in t) for t in triangles)
+        return GerbeDatum.zero(closed_star_cover(SimplicialComplex.from_top_cells(28, both)), 0)
+
+    def test_small_gauge_shifts_are_equivalent(self, zero):
+        for seed in range(3):
+            potential = random_gauge_potential(zero.cover, 1, Lcg64(seed), amplitude=0.5)
+            result = gauge_equivalent(zero, gauge_shift(zero, potential))
+            assert result.equivalent and result.residual <= 1e-12
+
+    def test_charge_is_refused(self, zero):
+        with pytest.raises(StructuralError, match="top cells are not connected"):
+            charge(zero)
 
 
 class TestHigherGaugeShift:

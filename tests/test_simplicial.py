@@ -23,10 +23,26 @@ from gerbecalc.builders import (
     build_minus_one_gerbe,
     build_monopole,
     circle_complex,
+    join_sphere3,
     two_cone_sphere,
 )
 from gerbecalc.randomdata import random_complex_and_cover
 from gerbecalc.rng import Lcg64
+from gerbecalc.simplicial import _walk
+
+# minimal 6-vertex triangulation of the projective plane (euler = 1)
+RP2_TRIANGLES = [
+    (0, 1, 2),
+    (0, 1, 3),
+    (0, 2, 4),
+    (0, 3, 5),
+    (0, 4, 5),
+    (1, 2, 5),
+    (1, 3, 4),
+    (1, 4, 5),
+    (2, 3, 4),
+    (2, 3, 5),
+]
 
 
 def naive_boundary_coefficients(chain, dim):
@@ -260,35 +276,37 @@ class TestFundamentalCycle:
         two_circles = SimplicialComplex.from_top_cells(
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
         )
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="top cells are not connected"):
             fundamental_cycle(two_circles)
 
     def test_non_manifold_rejected(self):
         # three triangles sharing one edge
         bad = SimplicialComplex.from_top_cells(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=r"\(0, 1\) lies in 3 top cells"):
             fundamental_cycle(bad)
 
     def test_non_orientable_rejected(self):
-        # minimal 6-vertex triangulation of the projective plane (euler = 1)
-        rp2 = SimplicialComplex.from_top_cells(
-            6,
-            [
-                (0, 1, 2),
-                (0, 1, 3),
-                (0, 2, 4),
-                (0, 3, 5),
-                (0, 4, 5),
-                (1, 2, 5),
-                (1, 3, 4),
-                (1, 4, 5),
-                (2, 3, 4),
-                (2, 3, 5),
-            ],
-            closed_manifold=True,
-        )
-        with pytest.raises(StructuralError):
+        rp2 = SimplicialComplex.from_top_cells(6, RP2_TRIANGLES, closed_manifold=True)
+        with pytest.raises(StructuralError, match="complex is not orientable"):
             fundamental_cycle(rp2)
+
+    def test_a_second_component_is_refused_before_orientability(self):
+        # RP^2 on vertices 0-5 holds the first top cells, the tetrahedron
+        # boundary on 6-9 the rest: the components are counted first
+        tetrahedron = [(6, 7, 8), (6, 7, 9), (6, 8, 9), (7, 8, 9)]
+        both = SimplicialComplex.from_top_cells(
+            10, RP2_TRIANGLES + tetrahedron, closed_manifold=True
+        )
+        with pytest.raises(StructuralError, match="top cells are not connected"):
+            fundamental_cycle(both)
+
+    @pytest.mark.parametrize("segments", [(6,), (12, 8)])
+    def test_three_sphere(self, segments):
+        sphere = join_sphere3(*segments)
+        cycle = fundamental_cycle(sphere)
+        assert len(cycle.coefficients) == len(sphere.cells(3))
+        assert set(map(abs, cycle.coefficients.values())) == {1}
+        assert naive_boundary_coefficients(cycle, 3) == {}
 
     def test_each_call_returns_a_fresh_chain(self):
         sphere = two_cone_sphere(6)
@@ -312,3 +330,19 @@ class TestFundamentalCycle:
             SimplicialComplex.build(14, table, closed_manifold=True)
         with pytest.raises(StructuralError, match=r"\(12, 13\) lies in 0 top cells"):
             fundamental_cycle(SimplicialComplex.build(14, table))
+
+
+class TestWalk:
+    def test_one_root_per_component_and_exact_forest_rows(self):
+        # a triangle on 0-2 with one row off the forest, and an edge on 3-4
+        ends = [(0, 1), (1, 2), (0, 2), (3, 4)]
+        signs = [(1, -1), (-1, 1), (1, 1), (1, -1)]
+        target = [0.5, 2.0, 7.0, -1.5]
+        x, components = _walk(5, ends, signs, target, 0.25)
+        assert components == 2
+        assert x[0] == x[3] == 0.25
+        rows = [signs[e][0] * x[u] + signs[e][1] * x[v] for e, (u, v) in enumerate(ends)]
+        # rows 0 and 2 reach 1 and 2 from 0, and row 3 reaches 4 from 3; row 1
+        # closes the triangle, off the forest, and the walk leaves it as it is
+        assert [rows[0], rows[2], rows[3]] == [target[0], target[2], target[3]]
+        assert rows[1] != target[1]
