@@ -25,14 +25,15 @@ c_{(j,) + s}(cell), with j the lowest set that holds the cell, and
 delta K + K delta = 1 on Cech degree n >= 1, K delta = 1 on n = 0 (Bott and
 Tu, Ch. II).  Its nonzeros are D's a = 0 delta run, transposed, on the rows
 whose tuple starts at j, with sign +1, so it adds no sign; each cover keeps
-one K per total degree beside D.
+one K per total degree beside D.  ``_exact_defects`` checks D^2 = 0 and
+delta K + K delta = 1 on the cached D and K; ``break_sign`` negates a copy of D.
 
 Coordinates.  Cochains meet D as vectors on those bases.
 ``_LayerBasis.locate`` places a part's values with one search of (tuple,
 cell) keys, the search the assembler runs, and is the one support check: a
 value it cannot place lies outside its overlap.  A ``deligne.GerbeDatum``
-keeps its vector, so validation, gauge shifts, the equivalence descent and
-the exact checks of D^2 = 0 and of K work on vectors alone.
+keeps its vector, so validation, gauge shifts and the equivalence descent
+work on vectors alone.
 ``cech_delta``, ``dbar`` and ``big_d`` locate a dict cochain, apply D and
 decode the image; a shifted datum's ``data`` adds such images to its dicts
 with ``+``.
@@ -46,7 +47,7 @@ modulo 2*pi, so ``deligne`` wraps the rows it compares with zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from typing import Iterable
 
@@ -85,20 +86,15 @@ def wrap(x: float) -> float:
     return r
 
 
-def _wrap_finite(x: float) -> float:
-    """wrap(x) for finite x; anything else stays as it is, so an overflow still shows."""
-    return wrap(x) if math.isfinite(x) else x
-
-
-def _wrapped(values: np.ndarray, scalar=wrap) -> np.ndarray:
-    """``scalar`` (``wrap`` or ``_wrap_finite``) of each value, called only on
-    the values outside (-pi, pi] and on NaN: wrap gives back a finite value
-    inside bit for bit, since math.remainder by 2 pi has quotient 0 there
-    (pi and -0.0 included)."""
-    out = values.copy()
-    outside = np.flatnonzero(~((values > -math.pi) & (values <= math.pi)))
-    out[outside] = [scalar(v) for v in values[outside].tolist()]
-    return out
+def _wrapped(values: np.ndarray) -> np.ndarray:
+    """``wrap`` of each finite value in one array pass, bit for bit: fmod by 2 pi
+    is exact, and so is the one step of 2 pi into (-pi, pi] (Sterbenz's lemma).
+    A value that is not finite stays as it is, so an overflow still shows."""
+    with np.errstate(invalid="ignore"):
+        r = np.fmod(values, TWO_PI)
+    r[r > math.pi] -= TWO_PI
+    r[r <= -math.pi] += TWO_PI
+    return np.where(np.isfinite(values), r, values)
 
 
 def permutation_sign(indices: Iterable[int]) -> int:
@@ -421,7 +417,7 @@ class _SparseD:
         return np.bincount(self.cols, weights=self.signs * y[self.rows], minlength=self.shape[1])
 
 
-def _coboundary_matrix(cover: Cover, degree: int, *, _drop_twist: bool = False) -> _SparseD:
+def _coboundary_matrix(cover: Cover, degree: int) -> _SparseD:
     """Sparse D = delta - dbar from total degree ``degree`` to ``degree + 1``.
 
     Row block (p, n) reads its sources in runs over all of its rows, one per
@@ -431,7 +427,6 @@ def _coboundary_matrix(cover: Cover, degree: int, *, _drop_twist: bool = False) 
     ``_LayerBasis.find`` of (tuple index, cell id) pairs in the source block.
     ``apply`` sums a row in run order, so a gauge shift's large dbar terms
     cancel before its delta terms join.
-    ``_drop_twist`` drops (-1)^n, only to show that the self-check notices.
     """
     cols, rows = _basis(cover, degree), _basis(cover, degree + 1)
     faces = cover.complex._faces
@@ -441,7 +436,7 @@ def _coboundary_matrix(cover: Cover, degree: int, *, _drop_twist: bool = False) 
         if not span:  # before any loop over faces: p may exceed every cell dimension
             continue
         tids, cids, runs = rows.tuple_ids[p, n], rows.cell_ids[p, n], []
-        dsign = _DBAR_IN_D * (-1 if n % 2 and not _drop_twist else 1)
+        dsign = _DBAR_IN_D * (-1) ** n
         for a in range(p + 1 if p else 0):
             runs.append(((p - 1, n), tids, faces[p][cids, a], dsign * _deletion_sign(a)))
         if n:
@@ -527,45 +522,40 @@ def _cech_degrees(cover: Cover, degree: int) -> np.ndarray:
     return np.repeat([n for _, n in positions], [len(span) for span in positions.values()])
 
 
-def _square_blocks(
-    cover: Cover, degrees: Iterable[int], *, _drop_twist: bool = False
+def _exact_defects(
+    cover: Cover, degrees: Iterable[int], *, break_sign: bool = False
 ) -> dict[str, int]:
-    """Largest |entry| of the integer product D_{k+1} D_k over the degrees k.
+    """Largest |entry| of D_{k+1} D_k by row block, and of delta K + K delta - 1,
+    on total degree k over the degrees k, in Python integers from the cover's
+    cached D_k and K_k; both identities hold iff every value returned is 0.
 
-    D_k leaves total degree k.  The product takes (p, n) to three disjoint
-    row blocks: delta^2 lands in (p, n + 2), dbar^2 in (p + 2, n) and the
-    anticommutator delta dbar + dbar delta in (p + 1, n + 1).  Python
-    integers keep every entry exact, so D^2 = 0 holds iff every value
-    returned is 0.
+    D^2 takes (p, n) to three disjoint blocks: delta^2 to (p, n + 2), dbar^2 to
+    (p + 2, n) and delta dbar + dbar delta to (p + 1, n + 1).  In D K + K D the
+    delta terms keep the Cech degree and the dbar terms lower it.
+    ``break_sign`` negates, in a copy of D, the entries whose row and column
+    share an odd Cech degree: the dbar entries of odd n, undoing their twist.
     """
-    # the block of an entry is fixed by how far it raises the cech degree
-    names = {2: "delta2", 0: "d2", 1: "anticommute"}
-    blocks = dict.fromkeys(names.values(), 0)
-    for degree in degrees:
-        product = _integer_product(
-            *(_coboundary_matrix(cover, k, _drop_twist=_drop_twist) for k in (degree, degree + 1))
-        )
-        row_n, col_n = (_cech_degrees(cover, k).tolist() for k in (degree + 2, degree))
-        for (row, col), value in product.items():
-            name = names[row_n[row] - col_n[col]]
-            blocks[name] = max(blocks[name], abs(value))
-    blocks["D2"] = max(blocks.values())
-    return blocks
+    names = {2: "delta2", 0: "d2", 1: "anticommute"}  # by how far n rises
+    worst = dict.fromkeys([*names.values(), "D2", "homotopy"], 0)
 
+    def d(k: int) -> _SparseD:
+        matrix = _coboundary(cover, k)
+        if break_sign:
+            row_n = _cech_degrees(cover, k + 1)[matrix.rows]
+            odd_dbar = (row_n == _cech_degrees(cover, k)[matrix.cols]) & (row_n % 2 == 1)
+            matrix = replace(matrix, signs=np.where(odd_dbar, -matrix.signs, matrix.signs))
+        return matrix
 
-def _homotopy_defect(cover: Cover, degrees: Iterable[int]) -> int:
-    """Largest |entry| of delta K + K delta - 1 on total degree k over the
-    degrees k, in Python integers from the cached D and K; 0 iff it holds.
-    In D K + K D the delta terms keep the Cech degree and the dbar terms
-    lower it, so delta K + K delta is the part that keeps it."""
-    worst = 0
     for k in degrees:
-        n = _cech_degrees(cover, k).tolist()
+        n, n_above = (_cech_degrees(cover, j).tolist() for j in (k, k + 2))
+        for (row, col), value in _integer_product(d(k), d(k + 1)).items():
+            name = names[n_above[row] - n[col]]
+            worst[name] = max(worst[name], abs(value))
         total = {(i, i): -1 for i in range(len(n))}
-        into, out = _coboundary(cover, k - 1), _coboundary(cover, k)
-        for pair in ((_contraction(cover, k), into), (out, _contraction(cover, k + 1))):
+        for pair in ((_contraction(cover, k), d(k - 1)), (d(k), _contraction(cover, k + 1))):
             for (row, col), value in _integer_product(*pair).items():
                 if n[row] == n[col]:
                     total[row, col] = total.get((row, col), 0) + value
-        worst = max(worst, max(map(abs, total.values()), default=0))
+        worst["homotopy"] = max(worst["homotopy"], max(map(abs, total.values()), default=0))
+    worst["D2"] = max(worst[name] for name in names.values())
     return worst

@@ -6,8 +6,8 @@ equivalence not found, precondition violations), 2 for usage and parse
 errors.  Results go to stdout, diagnostics to stderr.  The environment
 variable GERBECALC_TOL overrides the default tolerances when the --tol flag
 is not given; either must be a finite non-negative number.  selfcheck
-assembles D as a sparse integer matrix on seeded random covers and checks
-that D^2 = 0 and delta K + K delta = 1 hold exactly.
+checks D^2 = 0 and delta K + K delta = 1 exactly on seeded random covers, on
+the cached integer D and K the solver applies; --break-sign negates a copy of D.
 
 ``main`` builds the argument parser once per process and reuses it.  equiv
 loads its two files with ``load_pair``, so files with the same complex and
@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .bicomplex import _homotopy_defect, _square_blocks
+from .bicomplex import _exact_defects
 from .builders import build_gerbopole, build_minus_one_gerbe, build_monopole
 from .cover import check_good_cover
 from .deligne import (
@@ -142,8 +142,7 @@ def cmd_selfcheck(args) -> int:
     for trial in range(args.trials):
         complex, cover = random_complex_and_cover(rng)
         degrees = range(complex.top_dimension + 2)
-        residuals = _square_blocks(cover, degrees, _drop_twist=args.break_sign)
-        residuals["homotopy"] = _homotopy_defect(cover, degrees)
+        residuals = _exact_defects(cover, degrees, break_sign=args.break_sign)
         if residuals["D2"] == residuals["homotopy"] == 0:
             passed += 1
         elif failure is None:
@@ -216,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     selfcheck.add_argument(
         "--break-sign",
         action="store_true",
-        help="test hook: drop the alternating sign twist to force a failure",
+        help="test hook: undo the sign twist of dbar in a copy of D to force a failure",
     )
     selfcheck.set_defaults(func=cmd_selfcheck)
     return parser

@@ -39,7 +39,6 @@ from .bicomplex import (
     _global_d,
     _image,
     _SparseD,
-    _wrap_finite,
     _wrapped,
 )
 from .cover import Cover
@@ -208,7 +207,7 @@ def _residual_maxima(vector: np.ndarray, cover: Cover, k: int, tol: float):
     for key, span in sorted(rows.positions.items()):
         at = span.start + np.flatnonzero(residual[span.start : span.stop])
         if key in ((0, k + 1), (1, k)):
-            residual[at] = _wrapped(residual[at], _wrap_finite)
+            residual[at] = _wrapped(residual[at])
             at = at[residual[at] != 0.0]
         residuals[key] = float(np.max(np.abs(residual[at]), initial=0.0))
         nonzero.append(at)

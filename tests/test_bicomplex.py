@@ -22,11 +22,10 @@ from gerbecalc import (
 )
 from gerbecalc.bicomplex import (
     _basis,
+    _coboundary,
     _contraction,
-    _homotopy_defect,
+    _exact_defects,
     _SparseD,
-    _square_blocks,
-    _wrap_finite,
     _wrapped,
 )
 from gerbecalc.builders import (
@@ -74,6 +73,8 @@ class TestWrap:
 
     EDGES = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 1e6, -1e6]
     EDGES += [math.nextafter(x, d) for x in (math.pi, -math.pi) for d in (-math.inf, math.inf)]
+    EDGES += [k * math.pi for k in range(-99, 100, 2)]  # odd multiples up to +-99 pi
+    EDGES += [1.7e308, -1.7e308, float(2**53 + 1), 1e-320, -1e-320]
 
     @staticmethod
     def bits(values):
@@ -82,23 +83,16 @@ class TestWrap:
     def test_array_helper_matches_wrap_bit_for_bit(self):
         values = np.array(self.EDGES)
         expected = [wrap(x) for x in self.EDGES]
-        for scalar in (wrap, _wrap_finite):
-            assert self.bits(_wrapped(values, scalar).tolist()) == self.bits(expected)
-        # the values it keeps, wrap keeps bit for bit too
-        inside = [x for x in self.EDGES if -math.pi < x <= math.pi]
-        assert self.bits([wrap(x) for x in inside]) == self.bits(inside)
-        assert len(inside) == 5  # 0.0, -0.0, pi and the values one ulp inside +-pi
+        assert self.bits(_wrapped(values).tolist()) == self.bits(expected)
 
-    @given(st.floats(-50.0, 50.0, allow_nan=False))
+    @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_array_helper_matches_wrap_on_any_finite_value(self, x):
         assert self.bits(_wrapped(np.array([x])).tolist()) == self.bits([wrap(x)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_array_helper_passes_non_finite_values_to_the_scalar(self, bad):
+    def test_array_helper_leaves_non_finite_values_unchanged(self, bad):
         values = np.array([4.0, bad, 1.0])
-        with pytest.raises(InvalidInputError, match="cannot wrap non-finite value"):
-            _wrapped(values)
-        out = _wrapped(values, _wrap_finite)
+        out = _wrapped(values)
         assert out[0] == wrap(4.0) and out[2] == 1.0
         assert out[1] == bad or (math.isnan(bad) and math.isnan(out[1]))
         assert values[0] == 4.0  # the input is left as it was
@@ -321,7 +315,7 @@ class TestIndependentReferences:
 
 
 class TestExactSquare:
-    """D_{k+1} D_k on the integer matrix of D, with no tolerance."""
+    """D_{k+1} D_k on the cached integer matrix of D, with no tolerance."""
 
     @pytest.fixture(
         params=[(build_minus_one_gerbe, 12), (build_monopole, 12), (build_gerbopole, 6), None],
@@ -337,16 +331,29 @@ class TestExactSquare:
     def test_square_is_exactly_zero(self, cover_and_level):
         cover, level = cover_and_level
         k = level + 2
-        blocks = _square_blocks(cover, (k - 1, k, k + 1))
-        assert blocks == {"delta2": 0, "d2": 0, "anticommute": 0, "D2": 0}
+        blocks = _exact_defects(cover, (k - 1, k, k + 1))
+        assert blocks == {"delta2": 0, "d2": 0, "anticommute": 0, "D2": 0, "homotopy": 0}
 
     def test_dropped_twist_breaks_anticommutation(self, cover_and_level):
         cover, level = cover_and_level
-        blocks = _square_blocks(cover, (level + 1,), _drop_twist=True)
+        blocks = _exact_defects(cover, (level + 1,), break_sign=True)
         assert blocks["anticommute"] != 0
         assert blocks["D2"] == blocks["anticommute"]
-        # delta^2 and d^2 do not involve the twist
-        assert blocks["delta2"] == blocks["d2"] == 0
+        # delta^2, d^2 and delta K + K delta do not involve the twist
+        assert blocks["delta2"] == blocks["d2"] == blocks["homotopy"] == 0
+        # the twist was undone in a copy: the cached D still squares to zero
+        assert _exact_defects(cover, (level + 1,))["D2"] == 0
+
+    def test_a_sign_flipped_in_the_cached_d_is_noticed(self):
+        cover = build_monopole(12).cover
+        kept = _coboundary(cover, 2)
+        signs = kept.signs.copy()
+        signs[0] = -signs[0]  # a dbar entry: the first run of row block (2, 1)
+        cover._operators["D", 2] = _SparseD(kept.shape, kept.rows, kept.cols, signs, kept.leading)
+        blocks = _exact_defects(cover, range(cover.complex.top_dimension + 2))
+        assert blocks["D2"] != 0
+        # K reads D's delta runs only, so the homotopy does not see a dbar sign
+        assert blocks["homotopy"] == 0
 
 
 class TestContraction:
@@ -365,13 +372,13 @@ class TestContraction:
     @pytest.mark.parametrize("name", list(COVERS))
     def test_homotopy_identity_holds_exactly(self, name, icosahedron):
         cover = self.COVERS[name](icosahedron)
-        assert _homotopy_defect(cover, range(cover.complex.top_dimension + 2)) == 0
+        assert _exact_defects(cover, range(cover.complex.top_dimension + 2))["homotopy"] == 0
 
     def test_homotopy_identity_on_the_selfcheck_covers(self):
         rng = Lcg64(42)
         for _ in range(25):
             complex, cover = random_complex_and_cover(rng)
-            assert _homotopy_defect(cover, range(complex.top_dimension + 2)) == 0
+            assert _exact_defects(cover, range(complex.top_dimension + 2))["homotopy"] == 0
 
     @pytest.mark.parametrize("name", ["minus1", "monopole", "gerbopole", "icosahedron-stars"])
     def test_matches_its_definition(self, name, icosahedron):
@@ -390,7 +397,8 @@ class TestContraction:
         cut = _SparseD(kept.shape, kept.rows[1:], kept.cols[1:], kept.signs[1:])
         cover._operators["K", 2] = cut
         # K_2 acts in delta K on degree 2 and in K delta on degree 1
-        assert _homotopy_defect(cover, (1,)) == _homotopy_defect(cover, (2,)) == 1
+        assert _exact_defects(cover, (1,))["homotopy"] == 1
+        assert _exact_defects(cover, (2,))["homotopy"] == 1
 
 
 class TestStructuralValidation:
