@@ -7,6 +7,9 @@ mesh resolutions, demonstrating that the charge is an exact integer
 independent of the discretization.  It then runs a gauge-equivalence round
 trip: shift a datum by a random potential, recover a witness, and check the
 witness reproduces the shift.
+
+Exits 1, naming each failure on stderr, when a charge is more than 1e-9 from
+the winding or a round trip is rejected; 0 otherwise.
 """
 
 import argparse
@@ -30,7 +33,10 @@ from gerbecalc.randomdata import random_gauge_potential
 from gerbecalc.rng import Lcg64
 
 
-def survey(name, build, resolutions, winding):
+CHARGE_TOL = 1e-9
+
+
+def survey(name, build, resolutions, winding, failures):
     print(f"== {name} ==")
     for m in resolutions:
         t0 = time.perf_counter()
@@ -42,6 +48,8 @@ def survey(name, build, resolutions, winding):
             f"  m={m:3d}  max residual {report.max_residual():.2e}  "
             f"charge {q:+.12f}  ({dt * 1e3:.1f} ms)"
         )
+        if not abs(q - winding) <= CHARGE_TOL:
+            failures.append(f"{name} m={m}: charge {q!r}, winding {winding}")
     datum = build(resolutions[0], winding=winding)
     for entry in check_good_cover(datum.cover).entries:
         flag = "" if entry.contractible else "   <- not contractible"
@@ -49,11 +57,15 @@ def survey(name, build, resolutions, winding):
     return datum
 
 
-def equivalence_round_trip(datum, seed):
+def equivalence_round_trip(datum, seed, failures):
     rng = Lcg64(seed)
     potential = random_gauge_potential(datum.cover, datum.level + 1, rng)
     shifted = gauge_shift(datum, potential)
     result = gauge_equivalent(datum, shifted)
+    if not result.equivalent:
+        print(f"  level {datum.level}: rejected, residual {result.residual:.2e}")
+        failures.append(f"level {datum.level} round trip rejected at residual {result.residual!r}")
+        return
     delta = shifted.data - datum.data
     pushed = big_d(result.witness.data, datum.cover)
     print(
@@ -69,16 +81,24 @@ def main():
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
+    failures = []
     minus1 = survey(
-        "level -1 on the circle", build_minus_one_gerbe, [12, 24, 48], args.winding
+        "level -1 on the circle", build_minus_one_gerbe, [12, 24, 48], args.winding, failures
     )
-    monopole = survey("monopole on the 2-sphere", build_monopole, [6, 12, 24, 48], args.winding)
-    gerbopole = survey("gerbopole on the 3-sphere", build_gerbopole, [6, 12, 24], args.winding)
+    monopole = survey(
+        "monopole on the 2-sphere", build_monopole, [6, 12, 24, 48], args.winding, failures
+    )
+    gerbopole = survey(
+        "gerbopole on the 3-sphere", build_gerbopole, [6, 12, 24], args.winding, failures
+    )
 
     print("== gauge-equivalence round trips ==")
     for datum in (minus1, monopole, gerbopole):
-        equivalence_round_trip(datum, args.seed)
+        equivalence_round_trip(datum, args.seed, failures)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

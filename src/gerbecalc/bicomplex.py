@@ -16,9 +16,9 @@ total operator is D = delta - dbar, which squares to zero.
 One cached matrix.  ``_coboundary_matrix`` assembles D from numpy index
 arrays over flat bases (``_LayerBasis``: a block per overlap) and alone
 applies the sign (-1)^a of ``simplicial._deletion_sign``, the twist (-1)^n
-and the minus of D = delta - dbar in ``_DBAR_IN_D``; its faces follow the
-one rule of ``simplicial._face_rows``.  Each cover keeps one basis and one D
-per total degree.
+and the minus of D = delta - dbar in ``_DBAR_IN_D`` (which ``dbar`` undoes);
+its faces follow the one rule of ``simplicial._face_rows``.  Each cover keeps
+one basis and one D per total degree; ``_global_d`` is the plain d.
 
 The contraction.  K lowers the Cech degree cell by cell: (K c)_s(cell) =
 c_{(j,) + s}(cell), with j the lowest set that holds the cell, and
@@ -55,7 +55,7 @@ import numpy as np
 
 from .cover import Cover
 from .errors import InvalidInputError
-from .simplicial import Cochain, Simplex, _deletion_sign, _face_rows, _ids, _worst
+from .simplicial import Cochain, Simplex, _deletion_sign, _face_rows, _ids, _merged, _worst
 
 TWO_PI = 2.0 * math.pi
 
@@ -166,13 +166,7 @@ class BigradedCochain:
     def __add__(self, other: "BigradedCochain") -> "BigradedCochain":
         if (self.form_degree, self.cech_degree) != (other.form_degree, other.cech_degree):
             raise InvalidInputError("bidegrees differ")
-        comps = dict(self.components)
-        for t, c in other.components.items():
-            merged = comps[t] + c if t in comps else c
-            if merged.values:
-                comps[t] = merged
-            else:
-                comps.pop(t, None)
+        comps = _merged(self.components, other.components, lambda c: not c.values)
         angle = self.angle_valued or other.angle_valued
         return BigradedCochain(self.form_degree, self.cech_degree, comps, angle)
 
@@ -182,7 +176,8 @@ class TotalCochain:
     """Element of the direct sum of all (p, n) layers with p + n fixed.
 
     At most one part may be angle-valued and it must sit at (0, total_degree):
-    the transition layer of a cocycle datum.
+    the transition layer of a cocycle datum.  Only a 0-form layer can be
+    angle-valued, so the degree check alone keeps it there.
     """
 
     total_degree: int
@@ -196,10 +191,6 @@ class TotalCochain:
                 )
             if (part.form_degree, part.cech_degree) != (p, n):
                 raise InvalidInputError(f"part stored under wrong bidegree ({p},{n})")
-            if part.angle_valued and (p, n) != (0, self.total_degree):
-                raise InvalidInputError(
-                    "only the (0, k) part of a degree-k total cochain may be angle-valued"
-                )
 
     @classmethod
     def zero(cls, total_degree: int) -> "TotalCochain":
@@ -219,13 +210,7 @@ class TotalCochain:
     def __add__(self, other: "TotalCochain") -> "TotalCochain":
         if self.total_degree != other.total_degree:
             raise InvalidInputError("total degrees differ")
-        parts = dict(self.parts)
-        for key, part in other.parts.items():
-            merged = parts[key] + part if key in parts else part
-            if merged.components:
-                parts[key] = merged
-            else:
-                parts.pop(key, None)
+        parts = _merged(self.parts, other.parts, lambda part: not part.components)
         return TotalCochain(self.total_degree, parts)
 
     def __sub__(self, other: "TotalCochain") -> "TotalCochain":
@@ -472,11 +457,11 @@ def _contraction(cover: Cover, degree: int) -> _SparseD:
 
 
 def _global_d(complex, q: int) -> _SparseD:
-    """D from the global q-forms to the global (q + 1)-forms: face a of each
-    (q + 1)-cell in run a, with the assembler's sign."""
+    """The plain d from the global q-forms to the (q + 1)-forms: face a of each
+    (q + 1)-cell in run a, with (-1)^a; D's twist and minus are the assembler's."""
     faces = complex._faces[q + 1]
     count, width = faces.shape
-    signs = np.repeat([_DBAR_IN_D * _deletion_sign(a) for a in range(width)], count)
+    signs = np.repeat(_deletion_sign(np.arange(width)), count)
     rows = np.tile(np.arange(count), width)
     return _SparseD((count, len(complex.cells(q))), rows, faces.T.ravel(), signs.astype(np.int8))
 

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Mapping  # isinstance on typing.Mapping costs about twice as much
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 

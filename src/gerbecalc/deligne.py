@@ -7,14 +7,15 @@ the level-0 case and a gerbe the level-1 case; level -1 is allowed.
 
 A datum keeps its coordinates on the cover's basis, and validation, the
 charge, shifts and equivalence read them; all but the charge apply the
-cover's cached sparse D (``bicomplex._coboundary``) to vectors.  A shift
-adds D of the potential to the datum's vector and builds no dicts; ``data``
-adds the images to its dicts on first read.  Equivalence descends the
-difference by the Cech contraction K of ``bicomplex``, one sparse apply of K
-and one of D per Cech degree, and solves for the global form that is left on
-the manifold alone: at level 0 by ``simplicial._walk``, the walk that orients
-the manifold, and above by conjugate gradients on the normal equations
-(CGLS) of the exterior derivative.  Two valid cocycles are equivalent when the
+cover's cached sparse D (``bicomplex._coboundary``) to vectors, and the
+charge zips them with the complex's +-1 orientation list.  A shift adds D of
+the potential to the datum's vector and builds no dicts; ``data`` adds the
+images to its dicts on first read.  Equivalence descends the difference by
+the Cech contraction K of ``bicomplex``, one sparse apply of K and one of D
+per Cech degree, and solves d eta = omega for the global form omega left on
+the manifold alone: at level 0 by ``simplicial._walk`` over the edge face
+table, and above by conjugate gradients on the normal equations (CGLS) of
+``bicomplex._global_d``.  Two valid cocycles are equivalent when the
 difference is matched by the total coboundary of a potential without global
 top form part, with angle-layer rows compared modulo 2*pi.  Rejection means
 no such witness was found at tolerance; it is numeric evidence, not a
@@ -43,7 +44,7 @@ from .bicomplex import (
 )
 from .cover import Cover
 from .errors import InvalidInputError, NumericError
-from .simplicial import Cochain, Simplex, _walk, _worst, fundamental_cycle
+from .simplicial import Cochain, Simplex, _walk, _worst
 
 DEFAULT_VALIDATION_TOL = 1e-9
 DEFAULT_EQUIVALENCE_TOL = 1e-8
@@ -229,22 +230,20 @@ def charge(datum: GerbeDatum) -> float:
     """Integral of curvature / 2*pi over the fundamental cycle.
 
     An integer, up to round-off, for any valid cocycle on a closed oriented
-    manifold of dimension level + 2.  It sums the datum's global (k, 0)
-    coordinates, the k-cells in order, in ``integrate``'s sorted order, so the
-    float is the one ``integrate(curvature(datum), cycle)`` gives.
+    manifold of dimension level + 2.  It zips the walk's +-1 orientation with
+    the global (k, 0) coordinates, both in ``cells(k)`` order, ``integrate``'s
+    sorted order, so the float is ``integrate(curvature(datum), cycle)``'s.
     """
     complex, k = datum.cover.complex, datum.level + 2
     if complex.top_dimension != k:
         raise InvalidInputError(
             f"charge needs a closed ({k})-manifold; top dimension is {complex.top_dimension}"
         )
-    cycle = fundamental_cycle(complex)
     span = _basis(datum.cover, k).positions[k, 0]
     # curvature() holds minus the values; where none is stored, the term -0.0 or
     # 0.0 leaves the running sum as integrate's 0.0 for an absent cell does
     values = (-datum._vector[span.start : span.stop]).tolist()
-    coefficients = map(cycle.coefficients.__getitem__, complex.cells(k))
-    return float(sum(c * v for c, v in zip(coefficients, values))) / TWO_PI
+    return float(sum(c * v for c, v in zip(complex._cycle, values))) / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -303,8 +302,8 @@ def _descent(cover: Cover, k: int, b: np.ndarray) -> np.ndarray:
     From the top Cech degree down to n = 2, y = K r on block (k - n, n) of r
     joins x and D y leaves r.  By delta K + K delta = 1 the (k - 1, 1) block
     left is delta omega, omega = K r global; and delta eta, the (k - 2, 1)
-    block of D eta, has D of it equal to delta omega when D eta = -omega on
-    block (k - 1, 0), solved by ``simplicial._walk`` for k = 2, ``_cgls`` above.
+    block of D eta, has D of it equal to delta omega when d eta = omega (D's
+    global block is -d): ``simplicial._walk`` on the edge faces for k = 2, CGLS above.
     """
     rows, cols = _basis(cover, k), _basis(cover, k - 1)
     d, contraction = _coboundary(cover, k - 1), _contraction(cover, k)
@@ -318,15 +317,15 @@ def _descent(cover: Cover, k: int, b: np.ndarray) -> np.ndarray:
         if n > 1:
             x, r = x + y, r - d.apply(y)
             continue
-        target, global_d = -y[cols.positions[k - 1, 0]], _global_d(cover.complex, k - 2)
-        if k == 2:  # d's first run holds face 0 of each edge, its second face 1
-            ends, signs = (a.reshape(2, -1).T.tolist() for a in (global_d.cols, global_d.signs))
-            eta = np.array(_walk(global_d.shape[1], ends, signs, target.tolist(), 0.0)[0])
+        omega, complex = y[cols.positions[k - 1, 0]], cover.complex
+        if k == 2:  # (d eta)(edge) = eta(face 0) - eta(face 1)
+            ends = complex._faces[1].tolist()
+            eta = _walk(len(complex.cells(0)), ends, [(1, -1)] * len(ends), omega.tolist(), 0.0)[0]
         else:
-            eta = _cgls(global_d, target)
+            eta = _cgls(_global_d(complex, k - 2), omega)
         # delta restricts eta to each set: (t, cell) takes eta(cell)
         at = cols.positions[k - 2, 1]
-        x[at.start : at.stop] += eta[cols.cell_ids[k - 2, 1]]
+        x[at.start : at.stop] += np.asarray(eta)[cols.cell_ids[k - 2, 1]]
     return x
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -415,3 +416,58 @@ class TestStructuralValidation:
     def test_angle_only_on_functions(self):
         with pytest.raises(InvalidInputError):
             BigradedCochain(1, 1, {}, angle_valued=True)
+
+    def test_bigraded_refusals(self):
+        one = Cochain(0, {(0,): 1.0})
+        with pytest.raises(InvalidInputError, match="^bidegrees must be non-negative$"):
+            BigradedCochain(0, -1, {})
+        wrong_length = r"^component key \(0,\) has wrong length for cech degree 2$"
+        with pytest.raises(InvalidInputError, match=wrong_length):
+            BigradedCochain(0, 2, {(0,): one})
+        for key in [(1, 0), (0, 0), (-1, 0)]:
+            unordered = f"^component key {re.escape(str(key))} is not strictly increasing$"
+            with pytest.raises(InvalidInputError, match=unordered):
+                BigradedCochain(0, 2, {key: one})
+        with pytest.raises(InvalidInputError, match=r"^component at \(0, 1\) has degree 0, expected 1$"):
+            BigradedCochain(1, 2, {(0, 1): one})
+        with pytest.raises(InvalidInputError, match="^expected 2 indices, got 1$"):
+            BigradedCochain(0, 2, {}).component((0,))
+        with pytest.raises(InvalidInputError, match="^bidegrees differ$"):
+            BigradedCochain(0, 2, {}) + BigradedCochain(0, 1, {})
+
+    def test_total_refusals(self):
+        with pytest.raises(InvalidInputError, match=r"^part stored under wrong bidegree \(1,1\)$"):
+            TotalCochain(2, {(1, 1): BigradedCochain(2, 0, {})})
+        # an angle-valued part is a 0-form layer, so the degree check keeps it at (0, k)
+        angle = BigradedCochain(0, 1, {}, angle_valued=True)
+        assert TotalCochain(1, {(0, 1): angle}).parts == {(0, 1): angle}
+        with pytest.raises(InvalidInputError, match=r"^part at \(0,1\) does not match total degree 2$"):
+            TotalCochain(2, {(0, 1): angle})
+        with pytest.raises(InvalidInputError, match="^total degrees differ$"):
+            TotalCochain(2, {}) + TotalCochain(1, {})
+
+
+class TestSparseSums:
+    """BigradedCochain and TotalCochain add by the one sparse dict sum."""
+
+    def test_bigraded_sum_drops_an_incoming_empty_component_and_ors_the_flags(self):
+        plain = BigradedCochain(0, 1, {(0,): Cochain(0, {(0,): 1.0})})
+        angle = BigradedCochain(0, 1, {(1,): Cochain(0, {}), (0,): Cochain(0, {(1,): 2.0})}, True)
+        total = plain + angle
+        assert total.components == {(0,): Cochain(0, {(0,): 1.0, (1,): 2.0})}
+        assert total.angle_valued and (angle + plain).angle_valued
+        assert not (plain + plain).angle_valued
+        assert (plain + plain.scaled(-1.0)).components == {}
+        # the left operand's components are copied as they are, an empty one too
+        assert (angle + BigradedCochain.zero(0, 1)).components == angle.components
+
+    def test_total_sum_drops_a_part_that_cancels_to_empty(self):
+        conn = BigradedCochain(1, 1, {(0,): Cochain(1, {(0, 1): 0.5})})
+        form = BigradedCochain(2, 0, {(): Cochain(2, {(0, 1, 2): 1.0})})
+        total = TotalCochain(2, {(1, 1): conn, (2, 0): form})
+        assert (total + TotalCochain(2, {(1, 1): conn.scaled(-1.0)})).parts == {(2, 0): form}
+        assert (total - total).parts == {}
+        # an incoming empty part falls away, so a flag part must join a nonempty one first
+        flag = TotalCochain(2, {(0, 2): BigradedCochain.zero(0, 2, True)})
+        assert (total + flag).parts == total.parts
+        assert (flag + total).parts == {**flag.parts, **total.parts}

@@ -17,7 +17,7 @@ from gerbecalc import (
     validate_cocycle,
     wrap,
 )
-from gerbecalc.builders import gerbopole_equator_pair
+from gerbecalc.builders import circle_complex, gerbopole_equator_pair, join_sphere3, two_cone_sphere
 from gerbecalc.serialize import datum_to_dict, save_datum
 
 TWO_PI = 2.0 * math.pi
@@ -257,3 +257,21 @@ def test_builder_output_is_pinned_byte_for_byte(key, tmp_path):
     path = tmp_path / "datum.json"
     save_datum(path, _build_for(key))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[key]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: circle_complex(2), "^a circle needs at least 3 segments$"),
+        (lambda: two_cone_sphere(2), "^a sphere band needs at least 3 segments$"),
+        (lambda: join_sphere3(6, 2), "^both polygons need at least 3 segments$"),
+        (lambda: build_monopole(12, 0), "^winding must be a nonzero integer, got 0$"),
+        (lambda: build_monopole(12, 1.0), "^winding must be a nonzero integer, got 1.0$"),
+        (lambda: build_gerbopole(6, base_segments=6), "^the base polygon needs an even count >= 8$"),
+        (lambda: build_gerbopole(6, base_segments=9), "^the base polygon needs an even count >= 8$"),
+    ],
+    ids=["circle", "sphere-band", "join", "winding-0", "winding-float", "base-6", "base-odd"],
+)
+def test_refusals(build, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build()

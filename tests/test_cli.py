@@ -248,6 +248,12 @@ class TestTolerance:
         assert "EQUIVALENT" not in captured.out
         assert main(["validate", str(one)]) == 2
 
+    def test_env_must_be_a_number(self, monopole_file, capsys, monkeypatch):
+        monkeypatch.setenv("GERBECALC_TOL", "tiny")
+        assert main(["validate", str(monopole_file)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: GERBECALC_TOL is not a number: 'tiny'\n")
+
     def test_zero_is_accepted(self, monopole_file, capsys):
         # the builder's residuals are exactly zero
         rc = main(["validate", str(monopole_file), "--tol", "0"])
@@ -529,6 +535,11 @@ class TestSelfcheck:
         assert rc == 0
         assert "0/0 passed" in captured.out
         assert "warning" in captured.err
+
+    def test_negative_trials_are_a_usage_error(self, capsys):
+        assert main(["selfcheck", "--trials", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --trials must be non-negative\n")
 
     def test_break_sign_hook_fails(self, capsys):
         rc = main(["selfcheck", "--trials", "5", "--break-sign"])

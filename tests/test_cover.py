@@ -86,6 +86,10 @@ def small_integer_matrices(draw):
 
 
 class TestCoverConstruction:
+    def test_at_least_one_set(self):
+        with pytest.raises(InvalidInputError, match="^a cover needs at least one set$"):
+            Cover.build(circle_complex(6), [])
+
     def test_must_cover_all_vertices(self):
         K = circle_complex(6)
         with pytest.raises(InvalidInputError):

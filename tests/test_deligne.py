@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import math
-import struct
 import sys
 import time
 import warnings
@@ -42,7 +41,7 @@ from gerbecalc.builders import join_sphere3, two_cone_sphere
 from gerbecalc.serialize import save_datum
 from gerbecalc.cover import Cover
 from gerbecalc import bicomplex
-from gerbecalc.bicomplex import GaugePotential, _coboundary_matrix, _LayerBasis, _SparseD
+from gerbecalc.bicomplex import GaugePotential, _coboundary_matrix, _global_d, _LayerBasis, _SparseD
 from gerbecalc import deligne
 from gerbecalc.deligne import DEFAULT_EQUIVALENCE_TOL, _cgls, _descent
 from gerbecalc.randomdata import random_gauge_potential, random_total
@@ -789,6 +788,24 @@ class TestCoboundaryMatrix:
         x = _cgls(matrix, b)
         assert np.max(np.abs(matrix.apply(x) - b)) < 1e-13
 
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_global_d_is_the_plain_d_and_d_holds_its_minus(self, q):
+        # the equivalence solve's d against exterior_derivative, and D's global
+        # block against -d: the minus of D = delta - dbar is the assembler's alone
+        cover = build_gerbopole(6).cover
+        complex, rng = cover.complex, Lcg64(61 + q)
+        c = Cochain(q, {cell: rng.uniform(-1.0, 1.0) for cell in complex.cells(q)})
+        x = np.array(list(c.values.values()))
+        expected = exterior_derivative(c, complex).values
+        plain = _global_d(complex, q).apply(x)
+        assert plain.tolist() == [expected.get(cell, 0.0) for cell in complex.cells(q + 1)]
+        cols, rows = _LayerBasis(cover, q), _LayerBasis(cover, q + 1)
+        padded = np.zeros(cols.size)
+        padded[cols.positions[q, 0].start : cols.positions[q, 0].stop] = x
+        span = rows.positions[q + 1, 0]
+        image = _coboundary_matrix(cover, q).apply(padded)
+        np.testing.assert_array_equal(image[span.start : span.stop], -plain)
+
 
 class TestLayerBasis:
     """Flat coordinates: one block per overlap, cells in ``cells(p)`` order."""
@@ -871,6 +888,16 @@ class TestLayerBasis:
         )
         with pytest.raises(InvalidInputError, match=named):
             _LayerBasis(cover, 2).locate(part)
+
+    def test_a_part_that_needs_more_sets_than_the_cover_has_is_refused(self):
+        # the monopole's cover has two sets, and a (0, 3) part needs three
+        cover = build_monopole(6).cover
+        part = BigradedCochain(0, 3, {(0, 1, 2): Cochain(0, {(0,): 1.0})}, angle_valued=True)
+        message = r"^part at \(0,3\) needs 3 cover sets, cover has 2$"
+        with pytest.raises(InvalidInputError, match=message):
+            _LayerBasis(cover, 3).locate(part)
+        with pytest.raises(InvalidInputError, match=message):
+            GerbeDatum(1, TotalCochain(3, {(0, 3): part}), cover)
 
     def test_locate_gives_the_positions_and_values_in_input_order(self, icosahedron):
         cover = closed_star_cover(icosahedron)
@@ -1096,15 +1123,29 @@ class TestDataAsCoordinates:
             sys.setrecursionlimit(limit)
         assert digest == "5d27e0d8b07342b893b4d20bb33da8b640b3c11b87b7e72dd6dea9323b84a546"
 
+    # the BUILDS builders as (builder, m, sign of the winding)
+    WOUND = {
+        "minus1": (build_minus_one_gerbe, 12, 1),
+        "monopole": (build_monopole, 12, 1),
+        "monopole-winding-1": (build_monopole, 12, -1),
+        "gerbopole": (build_gerbopole, 12, 1),  # winding 2 needs m >= 12
+    }
+
     @pytest.mark.parametrize("name", ["minus1", "monopole", "monopole-winding-1", "gerbopole"])
     def test_charge_is_the_integral_of_the_curvature_bit_for_bit(self, name):
-        datum = self.BUILDS[name]()
-        rng = Lcg64(sum(map(ord, name)))
-        shifted = higher_gauge_shift(datum, random_total(datum.cover, datum.level + 1, rng, 0.5))
-        for d in (datum, shifted):
-            cycle = fundamental_cycle(d.cover.complex)
-            expected = integrate(curvature(d), cycle) / TWO_PI
-            assert struct.pack("<d", charge(d)) == struct.pack("<d", expected)
+        # charge zips the orientation list with the coordinates; the reference
+        # pairs the curvature dict with a fresh fundamental_cycle chain
+        build, m, sign = self.WOUND[name]
+        for winding in (sign, -sign, 2 * sign, -2 * sign):
+            datum = build(m, winding)
+            rng = Lcg64(sum(map(ord, name)) + winding)
+            potential = random_gauge_potential(datum.cover, datum.level + 1, rng, 0.5)
+            shifted = higher_gauge_shift(datum, random_total(datum.cover, datum.level + 1, rng, 0.5))
+            for d in (datum, gauge_shift(datum, potential), shifted):
+                cycle = fundamental_cycle(d.cover.complex)
+                expected = integrate(curvature(d), cycle) / TWO_PI
+                assert charge(d).hex() == expected.hex()
+                assert round(charge(d)) == winding
 
     def test_zero_datum_shifted_on_a_star_cover_is_equivalent_to_it(self, icosahedron):
         cover = closed_star_cover(icosahedron)
@@ -1117,6 +1158,13 @@ class TestDataAsCoordinates:
         assert validate_cocycle(shifted).passed
         result = gauge_equivalent(zero, shifted)
         assert result.equivalent and result.residual < 1e-12
+
+    def test_level_and_total_degree_refusals(self):
+        cover = build_monopole(6).cover
+        with pytest.raises(InvalidInputError, match="^level must be at least -1$"):
+            GerbeDatum(-2, TotalCochain.zero(0), cover)
+        with pytest.raises(InvalidInputError, match="^level 0 needs total degree 2, got 3$"):
+            GerbeDatum(0, TotalCochain.zero(3), cover)
 
     def test_datum_is_an_immutable_value(self):
         datum = build_monopole(6)

@@ -9,6 +9,7 @@ from gerbecalc import (
     BigradedCochain,
     Cochain,
     Cover,
+    FormatError,
     GerbeDatum,
     TotalCochain,
     build_gerbopole,
@@ -114,3 +115,74 @@ def test_cover_with_empty_sets(tmp_path, icosahedron, sets):
     cover = Cover.build(icosahedron, [range(12) if s == "all" else s for s in sets])
     text = _written_datum(tmp_path, _perturbed(GerbeDatum.zero(cover, 0), 2))
     assert text.count(" []") >= sets.count([])
+
+
+def _broken(change):
+    """The document of ``build_monopole(6)`` after ``change``.  Its parts are
+    (0, 2) on (0, 1), (1, 1) on (1,) and (2, 0) on (), in that order."""
+    doc = datum_to_dict(build_monopole(6))
+    change(doc)
+    return doc
+
+
+def _components(doc, i):
+    return doc["datum"]["parts"][i]["components"]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d["complex"].__setitem__("simplices", []), "complex.simplices: expected an object"),
+        (
+            lambda d: d["complex"]["simplices"].__setitem__("x", []),
+            "complex.simplices: bad dimension key 'x'",
+        ),
+        (
+            lambda d: d["complex"]["simplices"].__setitem__("0", {}),
+            "complex.simplices.0: expected a list",
+        ),
+        (lambda d: d["cover"].__setitem__("sets", {}), "cover.sets: expected a list"),
+        (lambda d: d["datum"].__setitem__("parts", {}), "datum.parts: expected a list"),
+        (
+            lambda d: d["datum"]["parts"].append(d["datum"]["parts"][0]),
+            r"datum.parts\[3\]: duplicate bidegree \(0,2\)",
+        ),
+        (
+            lambda d: d["datum"]["parts"][1].__setitem__("components", {}),
+            r"datum.parts\[1\].components: expected a list",
+        ),
+        (
+            lambda d: _components(d, 1).append(_components(d, 1)[0]),
+            r"datum.parts\[1\].components\[1\]: duplicate indices \(1,\)",
+        ),
+        (
+            lambda d: _components(d, 1)[0].__setitem__("entries", {}),
+            r"datum.parts\[1\].components\[0\].entries: expected a list",
+        ),
+        # the Cochain, BigradedCochain and TotalCochain refusals, each wrapped with its path
+        (
+            lambda d: _components(d, 1)[0]["entries"][0].__setitem__("simplex", [0]),
+            r"datum.parts\[1\].components\[0\]: key \(0,\) is not a 1-cell",
+        ),
+        (
+            lambda d: _components(d, 0)[0].__setitem__("indices", [1, 0]),
+            r"datum.parts\[0\]: component key \(1, 0\) is not strictly increasing",
+        ),
+        (
+            lambda d: d["datum"]["parts"].append({"p": 0, "n": 1, "components": []}),
+            r"datum.parts: part at \(0,1\) does not match total degree 2",
+        ),
+        (
+            lambda d: d["datum"].__setitem__("angle_part", [0, 2, 0]),
+            r"datum.angle_part: expected \[p, n\]",
+        ),
+    ],
+    ids=[
+        "simplices-not-object", "dimension-key", "cells-not-list", "sets-not-list", "parts-not-list",
+        "duplicate-bidegree", "components-not-list", "duplicate-indices", "entries-not-list",
+        "simplex-length", "indices-order", "total-degree", "angle-part-length",
+    ],
+)
+def test_malformed_documents_are_refused_with_their_path(change, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        datum_from_dict(_broken(change))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -56,6 +57,14 @@ def naive_boundary_coefficients(chain, dim):
 
 
 class TestConstruction:
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(InvalidInputError, match="^vertex_count must be non-negative$"):
+            SimplicialComplex.build(-1, {})
+
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(InvalidInputError, match="^cell dimensions must be non-negative$"):
+            SimplicialComplex.build(2, {-1: []})
+
     def test_faces_must_be_listed(self):
         with pytest.raises(InvalidInputError):
             SimplicialComplex.build(3, {1: [(0, 1)], 2: [(0, 1, 2)]})
@@ -164,6 +173,38 @@ def face_table_reference(tuples, lower):
     return [[position[t[:a] + t[a + 1 :]] for a in range(len(t))] for t in tuples]
 
 
+class TestCochain:
+    def test_refusals(self):
+        with pytest.raises(InvalidInputError, match="^cochain degree must be non-negative$"):
+            Cochain(-1, {})
+        with pytest.raises(InvalidInputError, match=r"^key \(0, 1\) is not a 0-cell$"):
+            Cochain(0, {(0, 1): 1.0})
+        with pytest.raises(InvalidInputError, match="^cochain degrees differ$"):
+            Cochain(0, {}) + Cochain(1, {})
+
+    def test_exact_cancellation_drops_the_key(self):
+        left = Cochain(1, {(0, 1): 0.1, (1, 2): 2.0})
+        total = left + Cochain(1, {(2, 3): 3.0, (0, 1): -0.1})
+        # the left keys keep their order and new keys follow in the right's order
+        assert list(total.values.items()) == [((1, 2), 2.0), ((2, 3), 3.0)]
+        assert left.values == {(0, 1): 0.1, (1, 2): 2.0}
+        assert (left - left).values == {}
+
+    def test_a_sum_of_negative_zero_is_dropped(self):
+        lefts = [{}, {(0,): -0.0}, {(0,): 0.0}]
+        for left, right in itertools.product(lefts, [-0.0, 0.0]):
+            assert (Cochain(0, left) + Cochain(0, {(0,): right})).values == {}
+        # a stored -0.0 that meets no value is copied as it is
+        kept = (Cochain(0, {(0,): -0.0}) + Cochain(0, {(1,): 1.0})).values
+        assert math.copysign(1.0, kept[(0,)]) == -1.0 and kept[(1,)] == 1.0
+
+    def test_nan_is_kept(self):
+        for left in [{}, {(0,): 1.0}, {(0,): math.nan}]:
+            assert math.isnan((Cochain(0, left) + Cochain(0, {(0,): math.nan})).values[(0,)])
+        assert math.isnan((Cochain(0, {(0,): math.nan}) + Cochain(0, {(0,): 1.0})).values[(0,)])
+        assert math.isnan((Cochain(0, {(0,): math.inf}) + Cochain(0, {(0,): -math.inf})).values[(0,)])
+
+
 class TestFaceTable:
     """The array face rule against tuple slicing, on cells and on nerve layers."""
 
@@ -246,6 +287,12 @@ class TestIntegrate:
             integrate(Cochain.zero(1), Chain(2, {}))
 
 
+class TestChainBoundary:
+    def test_unknown_cell_rejected(self, single_triangle):
+        with pytest.raises(InvalidInputError, match=r"^chain references unknown cell \(0, 3\)$"):
+            chain_boundary(Chain(1, {(0, 1): 1, (0, 3): 1}), single_triangle)
+
+
 class TestFundamentalCycle:
     def test_tetrahedron_boundary_is_a_cycle(self, tetrahedron_boundary):
         cycle = fundamental_cycle(tetrahedron_boundary)
@@ -307,6 +354,19 @@ class TestFundamentalCycle:
         assert len(cycle.coefficients) == len(sphere.cells(3))
         assert set(map(abs, cycle.coefficients.values())) == {1}
         assert naive_boundary_coefficients(cycle, 3) == {}
+
+    def test_a_complex_of_points_has_no_top_cells_to_orient(self):
+        points = SimplicialComplex.build(3, {0: [[0], [1], [2]]})
+        with pytest.raises(StructuralError, match="^complex has no top-dimensional cells to orient$"):
+            fundamental_cycle(points)
+        with pytest.raises(StructuralError, match="^a closed manifold needs top dimension >= 1$"):
+            SimplicialComplex.build(3, {0: [[0], [1], [2]]}, closed_manifold=True)
+
+    @pytest.mark.parametrize("complex", [two_cone_sphere(6), join_sphere3(6), circle_complex(7)])
+    def test_coefficients_are_plain_ints_in_top_cell_order(self, complex):
+        cycle = fundamental_cycle(complex)
+        assert list(cycle.coefficients) == list(complex.cells(complex.top_dimension))
+        assert {type(c) for c in cycle.coefficients.values()} == {int}
 
     def test_each_call_returns_a_fresh_chain(self):
         sphere = two_cone_sphere(6)
