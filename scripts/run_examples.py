@@ -8,8 +8,11 @@ independent of the discretization.  It then runs a gauge-equivalence round
 trip: shift a datum by a random potential, recover a witness, and check the
 witness reproduces the shift.
 
-Exits 1, naming each failure on stderr, when a charge is more than 1e-9 from
-the winding or a round trip is rejected; 0 otherwise.
+A resolution too coarse for the winding is skipped with a note; the
+surveys and round trips use the resolutions that remain.  A winding of 0 is
+a usage error (exit 2).  Exits 1, naming each failure on stderr, when a
+charge is more than 1e-9 from the winding, a round trip is rejected or no
+resolution of a construction is fine enough; 0 otherwise.
 """
 
 import argparse
@@ -19,6 +22,7 @@ import time
 sys.path.insert(0, "src")
 
 from gerbecalc import (
+    InvalidInputError,
     big_d,
     build_gerbopole,
     build_minus_one_gerbe,
@@ -37,10 +41,18 @@ CHARGE_TOL = 1e-9
 
 
 def survey(name, build, resolutions, winding, failures):
+    """The datum at the first resolution the builder accepts, or None."""
     print(f"== {name} ==")
+    first = None
     for m in resolutions:
         t0 = time.perf_counter()
-        datum = build(m, winding=winding)
+        try:
+            datum = build(m, winding=winding)
+        except InvalidInputError as exc:  # the resolution is too coarse for the winding
+            print(f"  m={m:3d}  skipped: {exc}")
+            continue
+        if first is None:
+            first = datum
         report = validate_cocycle(datum)
         q = charge(datum)
         dt = time.perf_counter() - t0
@@ -50,11 +62,20 @@ def survey(name, build, resolutions, winding, failures):
         )
         if not abs(q - winding) <= CHARGE_TOL:
             failures.append(f"{name} m={m}: charge {q!r}, winding {winding}")
-    datum = build(resolutions[0], winding=winding)
-    for entry in check_good_cover(datum.cover).entries:
+    if first is None:
+        failures.append(f"{name}: no resolution in {resolutions} is fine enough for winding {winding}")
+        return None
+    for entry in check_good_cover(first.cover).entries:
         flag = "" if entry.contractible else "   <- not contractible"
         print(f"  overlap {entry.indices}: betti {entry.betti}{flag}")
-    return datum
+    return first
+
+
+def nonzero_winding(text):
+    winding = int(text)
+    if winding == 0:
+        raise argparse.ArgumentTypeError("winding must be a nonzero integer")
+    return winding
 
 
 def equivalence_round_trip(datum, seed, failures):
@@ -77,7 +98,7 @@ def equivalence_round_trip(datum, seed, failures):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--winding", type=int, default=1)
+    parser.add_argument("--winding", type=nonzero_winding, default=1)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
@@ -94,7 +115,8 @@ def main():
 
     print("== gauge-equivalence round trips ==")
     for datum in (minus1, monopole, gerbopole):
-        equivalence_round_trip(datum, args.seed, failures)
+        if datum is not None:
+            equivalence_round_trip(datum, args.seed, failures)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -14,7 +14,7 @@ is twisted to dbar = (-1)^n d so that delta and dbar anticommute, and the
 total operator is D = delta - dbar, which squares to zero.
 
 One cached matrix.  ``_coboundary_matrix`` assembles D from numpy index
-arrays over flat bases (``_LayerBasis``: a block per overlap) and alone
+arrays over flat bases (``_LayerBasis``: the cover's blocks) and alone
 applies the sign (-1)^a of ``simplicial._deletion_sign``, the twist (-1)^n
 and the minus of D = delta - dbar in ``_DBAR_IN_D`` (which ``dbar`` undoes);
 its faces follow the one rule of ``simplicial._face_rows``.  Each cover keeps
@@ -270,14 +270,14 @@ def big_d(total: TotalCochain, cover: Cover) -> TotalCochain:
 class _LayerBasis:
     """Flat real coordinates for one total-cochain space over a cover.
 
-    Bidegree (p, n) fills ``positions[p, n]``: overlap t of ``cover.layer(n)``,
-    the tuple at ``index[t]`` of its layer, in layer order, its ``cells(p)``
-    in order.  Entry i is the cell ``cell_ids[p, n][i]`` of the complex in the
-    overlap of layer tuple ``tuple_ids[p, n][i]``, so a block is sorted by
-    those two ids and by its ``keys``, which join them.  A block of p-cells
-    above the complex's dimension is empty and reads no layer.
+    Bidegree (p, n) fills ``positions[p, n]`` with the cover's block (p, n),
+    read from its cell -> sets incidence with no overlap complex built: entry
+    i is the cell ``cell_ids[p, n][i]`` of the complex in the overlap of
+    ``tuples[n][tuple_ids[p, n][i]]``, the tuple at ``index[t]`` of layer n, so a
+    block is sorted by those two ids and by its ``keys``, which join them.  A
+    block of p-cells above the complex's dimension is empty and reads no layer.
 
-    The basis keeps the complex, the set count and the layers it reads, not
+    The basis keeps the complex, the set count and the tuples it reads, not
     the cover: the cover keeps the basis, and a reference back would leave
     every dropped cover to the cycle collector.
     """
@@ -285,25 +285,21 @@ class _LayerBasis:
     def __init__(self, cover: Cover, degree: int):
         self.complex, self.set_count = cover.complex, len(cover.sets)
         self.degree, self.size = degree, 0
-        self.layers: dict[int, dict] = {}
+        self.tuples: dict[int, list[tuple[int, ...]]] = {}
         self.positions: dict[tuple[int, int], range] = {}
         self.index: dict[tuple[int, ...], int] = {}
         self.tuple_ids, self.cell_ids, self.keys = {}, {}, {}
+        empty = [], (np.zeros(0, np.int32),) * 2
         for n in range(min(degree, self.set_count) + 1):
             p = degree - n
-            layer = cover.layer(n) if p <= self.complex.top_dimension else {}
-            cells = [sub.cells(p) for sub in layer.values()]
-            counts = np.fromiter(map(len, cells), np.intp, len(cells))
-            first, self.size = self.size, self.size + int(counts.sum())
-            self.layers[n], self.positions[p, n] = layer, range(first, self.size)
-            self.index.update(zip(layer, range(len(layer))))
-            if n:
-                ids = map(self.complex.cell_positions(p).__getitem__, chain.from_iterable(cells))
-                self.cell_ids[p, n] = np.fromiter(ids, np.int32, self.size - first)
-            else:  # the one overlap of no sets is the complex, whose cells are ids 0, 1, ...
-                self.cell_ids[p, n] = np.arange(self.size - first, dtype=np.int32)
-            self.tuple_ids[p, n] = np.repeat(np.arange(len(layer), dtype=np.int32), counts)
-            self.keys[p, n] = self._key(p, self.tuple_ids[p, n], self.cell_ids[p, n])
+            arrays = cover._layer_arrays(n) if p <= self.complex.top_dimension else None
+            tuples, (tuple_ids, cell_ids) = (arrays.tuples, arrays.blocks[p]) if arrays else empty
+            self.tuples[n] = tuples
+            first, self.size = self.size, self.size + len(cell_ids)
+            self.positions[p, n] = range(first, self.size)
+            self.index.update(zip(tuples, range(len(tuples))))
+            self.tuple_ids[p, n], self.cell_ids[p, n] = tuple_ids, cell_ids
+            self.keys[p, n] = self._key(p, tuple_ids, cell_ids)
 
     def _key(self, p: int, tuple_ids: np.ndarray, cell_ids: np.ndarray) -> np.ndarray:
         """(tuple index, cell id) pairs as one integer each, in the pairs' order;
@@ -359,7 +355,7 @@ class _LayerBasis:
         """(p, n, t, cell) of coordinate j."""
         (p, n), span = next(item for item in self.positions.items() if j in item[1])
         t, c = self.tuple_ids[p, n][j - span.start], self.cell_ids[p, n][j - span.start]
-        return p, n, list(self.layers[n])[t], self.complex.cells(p)[c]
+        return p, n, self.tuples[n][t], self.complex.cells(p)[c]
 
     def components_of(self, vec: np.ndarray, p: int, n: int) -> dict[tuple[int, ...], Cochain]:
         """Block (p, n) as components of its nonzero coordinates."""
@@ -367,7 +363,7 @@ class _LayerBasis:
         at = np.flatnonzero(vec[span.start : span.stop])
         if not at.size:
             return {}
-        tuples, cells, grouped = list(self.layers[n]), self.complex.cells(p), {}
+        tuples, cells, grouped = self.tuples[n], self.complex.cells(p), {}
         found = zip(self.tuple_ids[p, n][at].tolist(), self.cell_ids[p, n][at].tolist())
         for (t, c), v in zip(found, vec[span.start + at].tolist()):
             grouped.setdefault(tuples[t], {})[cells[c]] = v
@@ -439,15 +435,14 @@ def _coboundary_matrix(cover: Cover, degree: int) -> _SparseD:
 
 def _contraction(cover: Cover, degree: int) -> _SparseD:
     """K from total degree ``degree`` to ``degree - 1``, built once per cover from
-    D's a = 0 delta run.  j(cell) is the lowest t[0] among a block's rows with
-    the cell, since every n-subset of the sets that hold it is one of them."""
+    D's a = 0 delta run: a block's rows whose tuple starts at j(cell), the first
+    of the cell's sets, which the cover's layer 1 lists in increasing order."""
     if ("K", degree) not in cover._operators:
         rows, k_rows, k_cols = _basis(cover, degree), [np.zeros(0, np.int32)], [np.zeros(0, int)]
         for (p, n), targets in _coboundary(cover, degree - 1).leading.items():
-            first = np.fromiter((t[0] for t in rows.layers[n]), np.int32)[rows.tuple_ids[p, n]]
-            cells, lowest = rows.cell_ids[p, n], np.full(len(rows.complex.cells(p)), rows.set_count)
-            np.minimum.at(lowest, cells, first)
-            keep = np.flatnonzero(first == lowest[cells])
+            (starts, sets), cells = cover._layer_arrays(1).held[p], rows.cell_ids[p, n]
+            first = cover._layer_arrays(n).table[rows.tuple_ids[p, n], 0]
+            keep = np.flatnonzero(first == cover._layer_arrays(1).table[sets[starts[cells]], 0])
             k_rows.append(targets[keep])
             k_cols.append(rows.positions[p, n].start + keep)
         shape, k_rows = (_basis(cover, degree - 1).size, rows.size), np.concatenate(k_rows)
@@ -467,12 +462,8 @@ def _global_d(complex, q: int) -> _SparseD:
 
 
 def _nerve_faces(cover: Cover, n: int) -> np.ndarray:
-    """``_face_rows`` of ``cover.layer(n)`` into ``cover.layer(n - 1)``, for n >= 1."""
-    upper, lower = (
-        np.array(list(layer), np.int64).reshape(len(layer), k)
-        for k, layer in ((n, cover.layer(n)), (n - 1, cover.layer(n - 1)))
-    )
-    return _face_rows(upper, lower)
+    """``_face_rows`` of the cover's layer table n into table n - 1, for n >= 1."""
+    return _face_rows(cover._layer_arrays(n).table, cover._layer_arrays(n - 1).table)
 
 
 def _basis(cover: Cover, degree: int) -> _LayerBasis:

@@ -3,22 +3,21 @@
 The open set U_i is the subcomplex induced on a vertex subset; the overlap of
 several sets is the subcomplex induced on their intersection.  A p-cochain
 "on an overlap" is supported on cells all of whose vertices lie inside it.
-``Cover.layer(n)`` owns the nerve: the nonempty overlaps of n sets, built only
-as deep as a caller reads.  A tuple grows only by its siblings, the tuples of
-its layer that differ from it in the last index alone, since a larger tuple
-whose faces are not all in the nerve cannot be in it either.  An overlap
-depends only on its vertex set, so the cover keeps one complex per distinct
-set, induced inside the parent overlap of the tuple that first meets it, and
-the good-cover check ranks each once: the 13,824 nerve entries of the 144-set
-star cover of a 12x12 torus share 1,440 overlaps.
 
-The good-cover check walks the layers once and takes each distinct overlap's
-Betti numbers over Q from exact ranks, with no threshold and no dense matrix:
-the rank of the 1-boundary is #vertices - #components, from a union-find over
-the edges, and each higher boundary goes to ``integer_rank``, sparse Gaussian
-elimination in exact rational arithmetic, as one {face position: (-1)^a} row
-per cell.  On the star cover above that is 864 rank calls per check, one per
-overlap that holds a triangle.
+One cell -> sets incidence owns the nerve.  A coordinate of a (q, n) cochain
+is a pair (t, cell), t an n-subset of the sets that hold the cell, so layer n
+is arrays, built on first use: its table of the distinct n-subsets of the
+vertices' set lists, each higher cell's tuples as those its faces 0 and 1
+share (``_meet``), and block (q, n) of (tuple id, cell id) pairs.  Layer 1 is
+the incidence, which ``Cover.build`` checks; ``bicomplex`` reads its bases,
+delta's nerve faces and the contraction's lowest set from these arrays.
+``Cover.layer(n)`` builds the overlaps from the blocks on demand, one complex
+per distinct vertex set: the 13,824 nerve entries of the 144-set star cover
+of a 12x12 torus share 1,440 overlaps.
+
+The good-cover check takes each distinct overlap's Betti numbers over Q from
+exact sparse ranks (``betti_numbers``), with no threshold and no dense matrix:
+864 rank calls per check on the star cover above.
 """
 
 from __future__ import annotations
@@ -29,12 +28,38 @@ from collections.abc import Mapping  # isinstance on typing.Mapping costs about 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .simplicial import SimplicialComplex, _deletion_sign, _ids
+
+
+def _meet(faces: np.ndarray, starts: np.ndarray, held: np.ndarray, count: int) -> tuple:
+    """Per cell of a face table, the ids its faces 0 and 1 both hold: face f holds
+    held[starts[f] : starts[f + 1]], increasing ids below ``count``, and the
+    cells' lists come out in that form.  One search of (face, id) keys tests
+    each id of face 0 against face 1."""
+    widths, first, second = np.diff(starts), faces[:, 0], faces[:, 1].astype(np.intp)
+    keys, wide = np.repeat(np.arange(len(widths)), widths) * count + held, widths[first]  # keys sorted
+    cells, ends = np.repeat(np.arange(len(faces)), wide), np.cumsum(wide)
+    ids = held[np.arange(len(cells)) + np.repeat(starts[first] - ends + wide, wide)]
+    wanted = second[cells] * count + ids
+    both = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] == wanted
+    return np.searchsorted(cells[both], np.arange(len(faces) + 1)), ids[both]
+
+
+class _Layer(NamedTuple):
+    """Layer n: its ``table``, (L, n) int64 in lexicographic order, as ``tuples`` too;
+    per q, ``held[q]`` lists (starts, ids) the tuples that hold each q-cell, and
+    ``blocks[q]`` has the pairs as (tuple id, cell id) int32, by tuple then cell."""
+
+    table: np.ndarray
+    tuples: list[tuple[int, ...]]
+    held: list[tuple[np.ndarray, np.ndarray]]
+    blocks: list[tuple[np.ndarray, np.ndarray]]
+    overlaps: dict[tuple[int, ...], SimplicialComplex]  # filled by ``Cover.layer``
 
 
 @dataclass(frozen=True)
@@ -66,102 +91,93 @@ class Cover:
         missing = vertices - frozenset().union(*fsets)
         if missing:
             raise InvalidInputError(f"vertices {sorted(missing)} are not covered")
-        # bit i of the packed row common[k] says whether set i holds every vertex
-        # of the k-th q-cell.  For q = 0 the rows follow the 0-cells, not the
-        # ids, which may be sparse; above, faces 0 and 1 of a cell hold all its
-        # vertices between them, so its row is the AND of theirs.
-        ids = complex._rows[0][:, 0] if complex._rows else np.zeros(0, np.int64)
-        common = np.zeros((len(ids), (len(fsets) + 7) // 8), np.uint8)
-        held = np.repeat(np.arange(len(fsets)), [len(s) for s in fsets])
-        vertex = np.fromiter(itertools.chain.from_iterable(fsets), np.int64, len(held))
-        np.bitwise_or.at(common, (np.searchsorted(ids, vertex), held // 8), (128 >> held % 8).astype(np.uint8))
-        for q in range(1, complex.top_dimension + 1):
-            faces = complex._faces[q]
-            common = common[faces[:, 0]] & common[faces[:, 1]]
-            outside = np.flatnonzero(~common.any(axis=1))
-            if outside.size:
-                raise InvalidInputError(f"cell {complex.cells(q)[outside[0]]} lies in no cover set")
-        return cls(complex, fsets)
+        cover = cls(complex, fsets)
+        for q, (starts, _) in enumerate(cover._layer_arrays(1).held):  # the incidence
+            if not (widths := np.diff(starts)).all():  # argmin: the first cell in no set
+                raise InvalidInputError(f"cell {complex.cells(q)[widths.argmin()]} lies in no cover set")
+        return cover
 
-    def _canonical(self, indices: Iterable[int]) -> tuple[int, ...]:
+    @cached_property
+    def _nerve(self) -> dict[int, _Layer]:
+        """The layers built so far; layer 0 is the one tuple (), held by every cell."""
+        cells = map(len, map(self.complex.cells, range(self.complex.top_dimension + 1)))
+        blocks = [(np.zeros(c, np.int32), np.arange(c, dtype=np.int32)) for c in cells]
+        return {0: _Layer(np.zeros((1, 0), np.int64), [()], [], blocks, {(): self.complex})}
+
+    def _layer_arrays(self, n: int) -> _Layer:
+        """Layer n, built on first use.  The table is the distinct n-subsets of
+        the vertices' set lists; the members are placed by a search of the 0-cell
+        ids, which may be sparse, so no array follows ``vertex_count``."""
+        if n not in self._nerve:
+            complex = self.complex
+            ids = complex._rows[0][:, 0] if complex._rows else np.zeros(0, np.int64)
+            vertex = np.searchsorted(ids, np.fromiter(itertools.chain.from_iterable(self.sets), np.int64))
+            sets = np.repeat(np.arange(len(self.sets)), list(map(len, self.sets)))
+            sets, widths = sets[np.argsort(vertex, kind="stable")], np.bincount(vertex, minlength=len(ids))
+            starts = np.cumsum(widths) - widths  # where each vertex's sets start
+            rows, cells = [np.zeros((0, n), np.int64)], [np.zeros(0, np.intp)]
+            for m in (np.flatnonzero(np.bincount(widths)[n:]) + n).tolist():
+                owners = np.flatnonzero(widths == m)  # the vertices in m sets, at once
+                picks = np.array(list(itertools.combinations(range(m), n)), np.intp).reshape(-1, n)
+                rows.append(sets[starts[owners, None, None] + picks].reshape(-1, n))
+                cells.append(np.repeat(owners, len(picks)))
+            rows, cells = np.concatenate(rows), np.concatenate(cells)
+            order = np.lexsort((cells, *rows.T[::-1]))  # by tuple, then by vertex
+            rows, cells, new = rows[order], cells[order], np.ones(len(rows), bool)
+            new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            table, tuples, by_vertex = rows[new], np.cumsum(new) - 1, np.argsort(cells, kind="stable")
+            held = [(np.searchsorted(cells[by_vertex], np.arange(len(widths) + 1)), tuples[by_vertex])]
+            for q in range(1, complex.top_dimension + 1):  # the tuples its faces 0 and 1 share
+                held.append(_meet(complex._faces[q], *held[-1], len(table)))
+            blocks = []
+            for starts, tuples in held:
+                order = np.argsort(tuples, kind="stable")
+                cells = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[order]
+                blocks.append((tuples[order].astype(np.int32), cells.astype(np.int32)))
+            self._nerve[n] = _Layer(table, list(zip(*table.T.tolist())), held, blocks, {})
+        return self._nerve[n]
+
+    def overlap(self, indices: Iterable[int]) -> SimplicialComplex:
+        """The overlap of the sets in any order, looked up in ``layer``: the
+        complex itself for (), the empty complex for a tuple outside the nerve."""
         t = _ids(indices, "cover indices")
         if len(set(t)) != len(t):
             raise InvalidInputError(f"repeated cover index in {t}")
         for i in t:
             if not 0 <= i < len(self.sets):
                 raise InvalidInputError(f"cover index {i} out of range")
-        return tuple(sorted(t))
-
-    def overlap(self, indices: Iterable[int]) -> SimplicialComplex:
-        """The overlap of the sets in any order, looked up in ``layer``: the
-        complex itself for (), the empty complex for a tuple outside the nerve."""
-        key = self._canonical(indices)
-        got = self.layer(len(key)).get(key)
+        got = self.layer(len(t)).get(tuple(sorted(t)))
         return SimplicialComplex(self.complex.vertex_count, {}, -1) if got is None else got
 
     @cached_property
-    def _layers(self) -> list[dict[tuple[int, ...], SimplicialComplex]]:
-        return [{(): self.complex}]
-
-    @cached_property
-    def _overlaps(self) -> dict[frozenset[int], SimplicialComplex]:
-        """Each overlap built so far, the complex included, keyed by its vertex
-        set: the nerve tuples whose sets meet in the same vertices share one
-        complex, and a tuple whose sibling leaves its vertices as they are
-        shares its own."""
-        return {self.complex.vertices: self.complex}
+    def _overlaps(self) -> dict[tuple[int, ...], SimplicialComplex]:
+        """The overlaps built so far, the complex too, by their vertices' positions."""
+        return {tuple(range(len(self.complex.cells(0)))): self.complex}
 
     def layer(self, n: int) -> dict[tuple[int, ...], SimplicialComplex]:
         """The increasing n-tuples of cover indices with a nonempty overlap,
         each mapped to its overlap, in lexicographic order; {(): complex} for 0.
 
-        Layers are built on first use, each from the one below, so an operation
-        that reads tuples of up to n sets never builds a deeper layer.  A tuple
-        t + (j,) can be in the nerve only if its face t[:-1] + (j,) is, so t
-        grows only by its later siblings: the tuples after t in its layer that
-        share t[:-1], a run in lexicographic order (() grows by every set).
-        The overlap of t + (j,) lies on the intersection of the vertex sets of
-        t and its sibling, and tuples with one intersection share one overlap:
-        t's own when the intersection is all of t's vertices, else one induced
-        inside t's overlap.
+        Built on first use, so reading tuples of up to n sets builds no deeper layer.
+        Tuple i's q-cells are its run in block (q, n); tuples with one vertex set share a complex.
         """
-        layers = self._layers
-        while len(layers) <= n and layers[-1]:
-            grown: dict[tuple[int, ...], SimplicialComplex] = {}
-            if len(layers) == 1:
-                self._grow(grown, (), self.complex, list(enumerate(self.sets)))
-            else:
-                for _, run in itertools.groupby(layers[-1].items(), lambda item: item[0][:-1]):
-                    run = list(run)
-                    later = [(t[-1], sub.vertices) for t, sub in run]
-                    for i, (t, sub) in enumerate(run):
-                        self._grow(grown, t, sub, later[i + 1 :])
-            layers.append(grown)
-        return layers[n] if 0 <= n < len(layers) else {}
-
-    def _grow(
-        self,
-        grown: dict[tuple[int, ...], SimplicialComplex],
-        t: tuple[int, ...],
-        parent: SimplicialComplex,
-        siblings: list[tuple[int, frozenset[int]]],
-    ) -> None:
-        """Map t + (j,) in ``grown`` to its overlap, for each (j, vertex set) of
-        the siblings that meets the parent overlap of t: the parent itself when
-        the sibling holds all its vertices, else the shared overlap of the
-        intersection, induced inside the parent if not built yet."""
-        shared, vertices = self._overlaps, parent.vertices
-        whole = len(vertices)
-        for j, other in siblings:
-            common = vertices & other
-            if not common:
-                continue
-            sub = parent if len(common) == whole else shared.get(common)
-            if sub is None:
-                sub = shared[common] = parent.induced(common)
-                # the cached property, filled with the key: common lies in the parent
-                vars(sub)["vertices"] = common
-            grown[t + (j,)] = sub
+        if n < 0:
+            return {}
+        arrays, complex, shared = self._layer_arrays(n), self.complex, self._overlaps
+        if arrays.tuples and not arrays.overlaps:
+            ends = np.arange(len(arrays.tuples) + 1)
+            # per q: the q-cells, the block's cell ids and where each tuple's run starts
+            runs = [(complex.cells(q), cells.tolist(), np.searchsorted(ids, ends).tolist())
+                    for q, (ids, cells) in enumerate(arrays.blocks)]
+            _, vertices, at = runs[0]
+            for i, t in enumerate(arrays.tuples):
+                key = tuple(vertices[at[i] : at[i + 1]])
+                if key not in shared:
+                    table = {q: tuple(map(all_cells.__getitem__, cells[run[i] : run[i + 1]]))
+                             for q, (all_cells, cells, run) in enumerate(runs) if run[i] < run[i + 1]}
+                    shared[key] = SimplicialComplex(complex.vertex_count, table, max(table))
+                arrays.overlaps[t] = shared[key]
+        return arrays.overlaps
 
     @cached_property
     def _operators(self) -> dict[tuple[str, int], object]:
@@ -169,15 +185,11 @@ class Cover:
         return {}
 
     def nerve(self) -> tuple[tuple[int, ...], ...]:
-        """All increasing index tuples with a nonempty overlap, in lexicographic order.
-
-        It builds every layer, exponential in the number of sets sharing a
-        vertex; only ``demo`` and ``check_good_cover`` read it whole.  The
-        work grows with the nerve, not with the number of sets: each tuple
-        is tried against its later siblings only, and each distinct overlap
-        is induced once.
-        """
-        return tuple(sorted(t for n in range(1, len(self.sets) + 1) for t in self.layer(n)))
+        """All increasing index tuples with a nonempty overlap, in lexicographic
+        order: every layer's table, exponential in the number of sets sharing a
+        vertex, and no overlap; only ``demo`` and ``check_good_cover`` read it."""
+        layers = (self._layer_arrays(n).tuples for n in itertools.count(1))
+        return tuple(sorted(itertools.chain.from_iterable(itertools.takewhile(len, layers))))
 
 
 def integer_rank(matrix: Iterable[Sequence[int] | Mapping[int, int]]) -> int:

@@ -18,13 +18,9 @@ the complex keeps it as the walk's +-1 list.  The sparse dict sum is ``_merged``
 Rank partial_1 in ``cover`` keeps its union-find: 2.1-3.4 ms per good-cover check
 of the 144-set star cover (1,440 overlaps), against 6.4-8.7 ms for the walk.
 
-``induced`` stays per-tuple Python.  The nerve runs it once per distinct
-overlap, at most 1,440 times on the 144-set star cover of a 12x12 torus, and
-such an overlap holds a few cells, so one numpy pass costs more than the dict
-lookups: 17.7 against 7.7 us per call.  ``boundary_matrix`` is the dense
-reference the tests rank with ``cover.integer_rank``; the good-cover check
-never builds it, and ranks each boundary from sparse rows instead (see
-``cover.betti_numbers``).
+``induced`` and ``boundary_matrix`` are references for the tests, which rank
+the dense boundary with ``cover.integer_rank``; the good-cover check ranks
+sparse rows instead (``cover.betti_numbers``).
 """
 
 from __future__ import annotations
@@ -320,10 +316,9 @@ class SimplicialComplex:
         return frozenset(s[0] for s in self.cells(0))
 
     def induced(self, vertex_subset: Iterable[int]) -> "SimplicialComplex":
-        """The subcomplex of all cells whose vertices lie in the subset.
-
-        Vertex ids are kept global, so cochains restrict by key filtering.
-        """
+        """The subcomplex of all cells whose vertices lie in the subset, with
+        global vertex ids.  The tests compare a cover's overlaps with it; the
+        library builds them from the cover's cell -> sets incidence instead."""
         keep = frozenset(_ids(vertex_subset, "vertex subset"))
         table = {}
         for q, cs in self.simplices.items():

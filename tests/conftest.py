@@ -101,7 +101,7 @@ def reference_contraction(cover, rows, cols):
     def coordinates(basis):
         index = {}
         for (p, n), span in basis.positions.items():
-            tuples, cells = list(basis.layers[n]), basis.complex.cells(p)
+            tuples, cells = basis.tuples[n], basis.complex.cells(p)
             for i, t, c in zip(span, basis.tuple_ids[p, n], basis.cell_ids[p, n]):
                 index[p, n, tuples[t], cells[c]] = i
         return index

@@ -659,3 +659,23 @@ def test_cli_import_loads_no_scipy():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "winding, code, shown",
+    [
+        # m = 6 is too coarse for winding -2: skipped with a note, the rest run
+        ("-2", 0, "m=  6  skipped: resolution 6 is too coarse for winding -2"),
+        ("0", 2, "argument --winding: winding must be a nonzero integer"),
+    ],
+    ids=["winding-minus-2", "winding-0"],
+)
+def test_worked_examples_script(winding, code, shown):
+    root = Path(__file__).parents[1]
+    run = subprocess.run(
+        [sys.executable, "scripts/run_examples.py", "--winding", winding],
+        capture_output=True, text=True, timeout=120, cwd=root,
+    )
+    assert run.returncode == code, run.stderr
+    assert shown in run.stdout + run.stderr
+    assert "Traceback" not in run.stderr

@@ -265,19 +265,14 @@ class TestLayer:
             assert all(sub is found[0][1] for _, sub in found), common
             assert found[0][1].vertices == common
 
-    def test_torus_nerve_induces_each_distinct_overlap_once(self, monkeypatch):
-        complex = torus_grid(12)
-        cover = closed_star_cover(complex)
-        calls, plain = [], SimplicialComplex.induced
-
-        def counted(self, vertex_subset):
-            calls.append(vertex_subset)
-            return plain(self, vertex_subset)
-
-        monkeypatch.setattr(SimplicialComplex, "induced", counted)
-        # one overlap per nerve tuple would be 13,824 calls
-        assert len(cover.nerve()) == 13_824
-        assert len(calls) <= 1_440
+    def test_torus_nerve_builds_each_distinct_overlap_once(self):
+        cover = closed_star_cover(torus_grid(12))
+        entries = [sub for n in range(1, 8) for sub in cover.layer(n).values()]
+        assert len(entries) == len(cover.nerve()) == 13_824
+        # one complex per distinct vertex set, not one per nerve tuple
+        distinct = {id(sub): sub for sub in entries}.values()
+        assert len(distinct) <= 1_440
+        assert len({sub.vertices for sub in distinct}) == len(distinct)
 
     def test_star_cover_with_a_vertex_in_25_sets_round_trips_in_bounded_time(self):
         # the full nerve has more than 2**25 entries; a level-0 datum reads only 3 layers

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import math
 import sys
 import time
@@ -37,14 +38,14 @@ from gerbecalc import (
     validate_cocycle,
     wrap,
 )
-from gerbecalc.builders import join_sphere3, two_cone_sphere
+from gerbecalc.builders import gerbopole_equator_pair, join_sphere3, two_cone_sphere
 from gerbecalc.serialize import save_datum
 from gerbecalc.cover import Cover
 from gerbecalc import bicomplex
 from gerbecalc.bicomplex import GaugePotential, _coboundary_matrix, _global_d, _LayerBasis, _SparseD
 from gerbecalc import deligne
 from gerbecalc.deligne import DEFAULT_EQUIVALENCE_TOL, _cgls, _descent
-from gerbecalc.randomdata import random_gauge_potential, random_total
+from gerbecalc.randomdata import random_complex_and_cover, random_gauge_potential, random_total
 from gerbecalc.rng import Lcg64
 
 from conftest import (
@@ -807,8 +808,61 @@ class TestCoboundaryMatrix:
         np.testing.assert_array_equal(image[span.start : span.stop], -plain)
 
 
+def _selfcheck_covers():
+    rng = Lcg64(42)  # the covers of ``gerbecalc selfcheck --seed 42``, in its order
+    return [random_complex_and_cover(rng)[1] for _ in range(25)]
+
+
+# name -> (covers, the degrees checked), given the icosahedron; every degree's
+# Cech degrees reach past each cover's nerve, so empty layers are covered too
+BLOCK_COVERS = {
+    "builders": lambda ico: [
+        (build(m).cover, None)
+        for build, m in ((build_minus_one_gerbe, 12), (build_monopole, 12), (build_gerbopole, 6))
+    ],
+    "equator pair": lambda ico: [(datum.cover, None) for datum in gerbopole_equator_pair(6)],
+    "icosahedron stars": lambda ico: [(closed_star_cover(ico), None)],
+    "torus 6x6 stars": lambda ico: [(closed_star_cover(torus_grid(6)), None)],
+    # 25 stars meet at each pole: degrees above 3 reach layers of tens of thousands
+    "two-cone 24 stars": lambda ico: [(closed_star_cover(two_cone_sphere(24)), range(4))],
+    "selfcheck seed 42": lambda ico: [(cover, None) for cover in _selfcheck_covers()],
+}
+
+
 class TestLayerBasis:
     """Flat coordinates: one block per overlap, cells in ``cells(p)`` order."""
+
+    @pytest.mark.parametrize("name", list(BLOCK_COVERS))
+    def test_blocks_and_lowest_sets_follow_set_membership(self, icosahedron, name):
+        # block (p, n) holds exactly the pairs (t, cell), in order, with t an
+        # n-subset of the sets that hold the cell; K reads each coordinate
+        # (s, cell) at (j,) + s, j the lowest of those sets, unless s starts at j
+        for cover, degrees in BLOCK_COVERS[name](icosahedron):
+            top = cover.complex.top_dimension
+            holding = {
+                cell: [i for i, members in enumerate(cover.sets) if members.issuperset(cell)]
+                for p in range(top + 1)
+                for cell in cover.complex.cells(p)
+            }
+            for k in degrees or range(top + 3):
+                basis = _LayerBasis(cover, k)
+                for (p, n), span in basis.positions.items():
+                    cells = cover.complex.cells(p)
+                    ids = zip(basis.tuple_ids[p, n].tolist(), basis.cell_ids[p, n].tolist())
+                    found = [(basis.tuples[n][t], cells[c]) for t, c in ids]
+                    expected = [(t, c) for c in cells for t in itertools.combinations(holding[c], n)]
+                    assert found == sorted(expected), (name, k, p, n)
+                rows, cols = bicomplex._basis(cover, k - 1), bicomplex._basis(cover, k)
+                read = {}
+                K = bicomplex._contraction(cover, k)
+                for r, c in zip(K.rows.tolist(), K.cols.tolist()):
+                    p, n, t, cell = cols.entry(c)
+                    assert t[0] == min(holding[cell]), (name, k, t, cell)
+                    assert rows.entry(r) == (p, n - 1, t[1:], cell)
+                    read[r] = read.get(r, 0) + 1
+                targets = map(rows.entry, range(rows.size))
+                reading = [r for r, (_, _, s, cell) in enumerate(targets) if s[:1] != (min(holding[cell]),)]
+                assert read == dict.fromkeys(reading, 1), (name, k)
 
     @pytest.mark.parametrize("omit_top_form", [False, True])
     def test_round_trip(self, icosahedron, omit_top_form):
