@@ -18,7 +18,8 @@ arrays over flat bases (``_LayerBasis``: the cover's blocks) and alone
 applies the sign (-1)^a of ``simplicial._deletion_sign``, the twist (-1)^n
 and the minus of D = delta - dbar in ``_DBAR_IN_D`` (which ``dbar`` undoes);
 its faces follow the one rule of ``simplicial._face_rows``.  Each cover keeps
-one basis and one D per total degree; ``_global_d`` is the plain d.
+one basis and one D per total degree; the equivalence solve's global d is the
+complex's walk (``SimplicialComplex._order``), with the plain sign (-1)^a.
 
 The contraction.  K lowers the Cech degree cell by cell: (K c)_s(cell) =
 c_{(j,) + s}(cell), with j the lowest set that holds the cell, and
@@ -381,7 +382,7 @@ class _SparseD:
     """D, K or a block of D in coordinate form: M[rows[e], cols[e]] = signs[e].
 
     Each (row, column) pair occurs once and every sign is +1 or -1, in one
-    byte; M x and M^T y are weighted bincounts over the nonzeros.  D keeps
+    byte; M x is a weighted bincount over the nonzeros.  D keeps
     the a = 0 delta run into each block (p, n), n >= 1, in ``leading``.
     """
 
@@ -393,9 +394,6 @@ class _SparseD:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, weights=self.signs * x[self.cols], minlength=self.shape[0])
-
-    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        return np.bincount(self.cols, weights=self.signs * y[self.rows], minlength=self.shape[1])
 
 
 def _coboundary_matrix(cover: Cover, degree: int) -> _SparseD:
@@ -449,16 +447,6 @@ def _contraction(cover: Cover, degree: int) -> _SparseD:
         signs = np.ones(len(k_rows), np.int8)
         cover._operators["K", degree] = _SparseD(shape, k_rows, np.concatenate(k_cols), signs)
     return cover._operators["K", degree]
-
-
-def _global_d(complex, q: int) -> _SparseD:
-    """The plain d from the global q-forms to the (q + 1)-forms: face a of each
-    (q + 1)-cell in run a, with (-1)^a; D's twist and minus are the assembler's."""
-    faces = complex._faces[q + 1]
-    count, width = faces.shape
-    signs = np.repeat(_deletion_sign(np.arange(width)), count)
-    rows = np.tile(np.arange(count), width)
-    return _SparseD((count, len(complex.cells(q))), rows, faces.T.ravel(), signs.astype(np.int8))
 
 
 def _nerve_faces(cover: Cover, n: int) -> np.ndarray:

@@ -104,17 +104,24 @@ class Cover:
         blocks = [(np.zeros(c, np.int32), np.arange(c, dtype=np.int32)) for c in cells]
         return {0: _Layer(np.zeros((1, 0), np.int64), [()], [], blocks, {(): self.complex})}
 
+    @cached_property
+    def _vertex_sets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each vertex's sets, in increasing order, once per cover: (sets, widths,
+        starts), vertex i's at sets[starts[i] : starts[i] + widths[i]].  The members
+        are placed by a search of the 0-cell ids, which may be sparse, so no array
+        follows ``vertex_count``."""
+        complex = self.complex
+        ids = complex._rows[0][:, 0] if complex._rows else np.zeros(0, np.int64)
+        vertex = np.searchsorted(ids, np.fromiter(itertools.chain.from_iterable(self.sets), np.int64))
+        sets = np.repeat(np.arange(len(self.sets)), list(map(len, self.sets)))
+        sets, widths = sets[np.argsort(vertex, kind="stable")], np.bincount(vertex, minlength=len(ids))
+        return sets, widths, np.cumsum(widths) - widths
+
     def _layer_arrays(self, n: int) -> _Layer:
-        """Layer n, built on first use.  The table is the distinct n-subsets of
-        the vertices' set lists; the members are placed by a search of the 0-cell
-        ids, which may be sparse, so no array follows ``vertex_count``."""
+        """Layer n, built on first use: the table is the distinct n-subsets of
+        the vertices' set lists (``_vertex_sets``)."""
         if n not in self._nerve:
-            complex = self.complex
-            ids = complex._rows[0][:, 0] if complex._rows else np.zeros(0, np.int64)
-            vertex = np.searchsorted(ids, np.fromiter(itertools.chain.from_iterable(self.sets), np.int64))
-            sets = np.repeat(np.arange(len(self.sets)), list(map(len, self.sets)))
-            sets, widths = sets[np.argsort(vertex, kind="stable")], np.bincount(vertex, minlength=len(ids))
-            starts = np.cumsum(widths) - widths  # where each vertex's sets start
+            complex, (sets, widths, starts) = self.complex, self._vertex_sets
             rows, cells = [np.zeros((0, n), np.int64)], [np.zeros(0, np.intp)]
             for m in (np.flatnonzero(np.bincount(widths)[n:]) + n).tolist():
                 owners = np.flatnonzero(widths == m)  # the vertices in m sets, at once

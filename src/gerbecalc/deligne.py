@@ -13,13 +13,14 @@ the potential to the datum's vector and builds no dicts; ``data`` adds the
 images to its dicts on first read.  Equivalence descends the difference by
 the Cech contraction K of ``bicomplex``, one sparse apply of K and one of D
 per Cech degree, and solves d eta = omega for the global form omega left on
-the manifold alone: at level 0 by ``simplicial._walk`` over the edge face
-table, and above by conjugate gradients on the normal equations (CGLS) of
-``bicomplex._global_d``.  Two valid cocycles are equivalent when the
-difference is matched by the total coboundary of a potential without global
-top form part, with angle-layer rows compared modulo 2*pi.  Rejection means
-no such witness was found at tolerance; it is numeric evidence, not a
-certificate.  The charge is the reliable separator.
+the manifold alone in one peel, at every level: ``simplicial._replay`` of the
+complex's walk of that degree (``SimplicialComplex._order``), which puts
+eta = 0 on the cells whose rows solved a step one degree down and on its
+roots; the residual checks the rows off the walk.  Two valid cocycles are
+equivalent when the difference is matched by the total coboundary of a
+potential without global top form part, with angle-layer rows compared
+modulo 2*pi.  Rejection means no such witness was found at tolerance; it is
+numeric evidence, not a certificate.  The charge is the reliable separator.
 """
 
 from __future__ import annotations
@@ -37,14 +38,12 @@ from .bicomplex import (
     _basis,
     _coboundary,
     _contraction,
-    _global_d,
     _image,
-    _SparseD,
     _wrapped,
 )
 from .cover import Cover
 from .errors import InvalidInputError, NumericError
-from .simplicial import Cochain, Simplex, _walk, _worst
+from .simplicial import Cochain, Simplex, _replay, _worst
 
 DEFAULT_VALIDATION_TOL = 1e-9
 DEFAULT_EQUIVALENCE_TOL = 1e-8
@@ -253,48 +252,6 @@ class EquivalenceResult:
     witness: GaugePotential | None
 
 
-def _cgls(matrix: _SparseD, b: np.ndarray, max_iterations: int | None = None) -> np.ndarray:
-    """Least-squares solution of matrix x = b by CGLS on unit-norm columns.
-
-    Conjugate gradients on the normal equations (Hestenes-Stiefel), never
-    forming matrix^T matrix, on (matrix S) z = b with x = S z, where
-    S = diag(1 / |matrix e_j|) scales each column to unit norm (an empty
-    column keeps scale 1).  Starting from z = 0 keeps every iterate in the
-    row space of matrix S, so the limit is the solution of least norm
-    |S^-1 x|, a fixed linear map of b.  Stops when
-    |S matrix^T r| <= 1e-15 max(1, |b|); raises NumericError if that takes
-    more than max_iterations (4 * columns by default), or if a norm overflows.
-    """
-    limit = 4 * matrix.shape[1] if max_iterations is None else max_iterations
-    # the entries are +-1, so |matrix e_j|^2 is the column's count
-    scale = 1.0 / np.sqrt(np.maximum(np.bincount(matrix.cols, minlength=matrix.shape[1]), 1))
-    matrix = _SparseD(matrix.shape, matrix.rows, matrix.cols, matrix.signs * scale[matrix.cols])
-    z = np.zeros(matrix.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = b.copy()
-        s = matrix.apply_transpose(r)
-        direction = s.copy()
-        gamma = float(s @ s)
-        stop = 1e-30 * max(1.0, float(b @ b))  # (1e-15 max(1, |b|))^2
-        if not math.isfinite(stop):
-            raise NumericError("the right-hand side is too large for CGLS")
-        for _ in range(limit):
-            if not gamma > stop:  # converged, or NaN after an overflow
-                break
-            q = matrix.apply(direction)
-            alpha = gamma / float(q @ q)
-            z += alpha * direction
-            r -= alpha * q
-            s = matrix.apply_transpose(r)
-            gamma, previous = float(s @ s), gamma
-            direction = s + (gamma / previous) * direction
-    if math.isnan(gamma):
-        raise NumericError("CGLS overflowed")
-    if gamma > stop:
-        raise NumericError(f"CGLS did not converge in {limit} iterations")
-    return scale * z
-
-
 def _descent(cover: Cover, k: int, b: np.ndarray) -> np.ndarray:
     """The zig-zag of K: a potential x of degree k - 1 without global part, a
     fixed linear map of b, with D x = b when b is D of one.
@@ -303,7 +260,7 @@ def _descent(cover: Cover, k: int, b: np.ndarray) -> np.ndarray:
     joins x and D y leaves r.  By delta K + K delta = 1 the (k - 1, 1) block
     left is delta omega, omega = K r global; and delta eta, the (k - 2, 1)
     block of D eta, has D of it equal to delta omega when d eta = omega (D's
-    global block is -d): ``simplicial._walk`` on the edge faces for k = 2, CGLS above.
+    global block is -d): the replay of the complex's walk of degree k - 2.
     """
     rows, cols = _basis(cover, k), _basis(cover, k - 1)
     d, contraction = _coboundary(cover, k - 1), _contraction(cover, k)
@@ -318,11 +275,8 @@ def _descent(cover: Cover, k: int, b: np.ndarray) -> np.ndarray:
             x, r = x + y, r - d.apply(y)
             continue
         omega, complex = y[cols.positions[k - 1, 0]], cover.complex
-        if k == 2:  # (d eta)(edge) = eta(face 0) - eta(face 1)
-            ends = complex._faces[1].tolist()
-            eta = _walk(len(complex.cells(0)), ends, [(1, -1)] * len(ends), omega.tolist(), 0.0)[0]
-        else:
-            eta = _cgls(_global_d(complex, k - 2), omega)
+        steps, _, faces, signs = complex._order(k - 2)
+        eta = _replay(steps, faces, signs, omega.tolist(), [0.0] * len(complex.cells(k - 2)))
         # delta restricts eta to each set: (t, cell) takes eta(cell)
         at = cols.positions[k - 2, 1]
         x[at.start : at.stop] += np.asarray(eta)[cols.cell_ids[k - 2, 1]]

@@ -46,15 +46,14 @@ def random_complex_and_cover(rng: Lcg64) -> tuple[SimplicialComplex, Cover]:
 def random_bigraded(
     cover: Cover, p: int, n: int, rng: Lcg64, amplitude: float = 1.0
 ) -> BigradedCochain:
-    """Dense random values on every p-cell of every n-fold overlap."""
-    components = {}
-    for t, sub in cover.layer(n).items():
-        values = {
-            cell: rng.uniform(-amplitude, amplitude) for cell in sub.cells(p)
-        }
-        if values:
-            components[t] = Cochain(p, values)
-    return BigradedCochain(p, n, components)
+    """Dense random values on every p-cell of every n-fold overlap, drawn in the
+    order of the cover's block (p, n): by tuple, then by cell."""
+    components: dict[tuple[int, ...], dict] = {}
+    if 0 <= p <= cover.complex.top_dimension and n >= 0:
+        layer, cells = cover._layer_arrays(n), cover.complex.cells(p)
+        for t, c in zip(*(ids.tolist() for ids in layer.blocks[p])):
+            components.setdefault(layer.tuples[t], {})[cells[c]] = rng.uniform(-amplitude, amplitude)
+    return BigradedCochain(p, n, {t: Cochain(p, values) for t, values in components.items()})
 
 
 def _random_total(

@@ -12,9 +12,14 @@ the table of a dimension or nerve layer comes from one stable sort of its faces
 with the rows below.  Each complex keeps the rule's table, ``_faces``, which
 ``build`` computes as its closure check.
 
-The spanning-forest walk is written once too: ``_walk`` solves a +-1 system of two
-entries per row along a breadth-first forest; the orientation is partial c = 0, and
-the complex keeps it as the walk's +-1 list.  The sparse dict sum is ``_merged``.
+The walk is written once too: ``_walk`` orders a +-1 system of rows of any width,
+breadth-first from the known nodes, a row solving its last unknown entry and the
+lowest unknown node a root when it is stuck (a discrete Morse matching: Forman,
+1998; Mrozek and Batko, 2009), and ``_replay`` solves along that order.  The
+orientation is partial c = 0 over the top cells, kept as the walk's +-1 list; the
+complex keeps, per degree q, the walk of d from the q-forms seeded with the q-cells
+that solved a step at degree q - 1 (``_order``), which the equivalence solve replays.
+The sparse dict sum is ``_merged``.
 Rank partial_1 in ``cover`` keeps its union-find: 2.1-3.4 ms per good-cover check
 of the 144-set star cover (1,440 overlaps), against 6.4-8.7 ms for the walk.
 
@@ -301,12 +306,30 @@ class SimplicialComplex:
             raise StructuralError("complex has no top-dimensional cells to orient")
         pairs = _top_cofaces(self)  # row c(t) (-1)^a + c(t') (-1)^a' = 0 per face
         ends, signs = pairs // (d + 1), _deletion_sign(pairs % (d + 1))
-        c, components = _walk(len(tops), ends.tolist(), signs.tolist(), [0] * len(pairs), 1)
-        if components > 1:
+        rows = ends.tolist()
+        steps, roots = _walk(len(tops), rows)
+        if len(roots) > 1:
             raise StructuralError("top cells are not connected")
+        c = _replay(steps, rows, signs.tolist(), [0] * len(pairs), [1] * len(tops))  # root 1
         if (signs * np.array(c)[ends]).sum(axis=1).any():
             raise StructuralError("complex is not orientable")
         return c
+
+    @cached_property
+    def _orders(self) -> dict[int, tuple[list, list, list, list]]:
+        """The walks of ``_order`` found so far, by degree."""
+        return {}
+
+    def _order(self, q: int) -> tuple[list, list, list, list]:
+        """The walk of d eta = omega from the q-forms, as (steps, roots, rows, signs) for
+        ``_replay``: a row per (q + 1)-cell, its faces with signs (-1)^a, seeded with the
+        q-cells whose rows solved a step at degree q - 1, where eta = 0 is the gauge."""
+        if q not in self._orders:
+            seeds = [e for _, e in self._order(q - 1)[0]] if q else []
+            faces = self._faces[q + 1].tolist() if q < self.top_dimension else []
+            signs = [[_deletion_sign(a) for a in range(q + 2)]] * len(faces)
+            self._orders[q] = (*_walk(len(self.cells(q)), faces, seeds), faces, signs)
+        return self._orders[q]
 
     def has_cell(self, simplex: Simplex) -> bool:
         return simplex in self._positions.get(len(simplex) - 1, ())
@@ -450,25 +473,53 @@ def _top_cofaces(complex: SimplicialComplex) -> np.ndarray:
     return np.argsort(entries, kind="stable").reshape(-1, 2)
 
 
-def _walk(count: int, ends: list, signs: list, target: list, root: float) -> tuple[list, int]:
-    """x on ``count`` nodes with su x[u] + sv x[v] = target[e], (u, v) = ends[e] and
-    (su, sv) = signs[e], on the rows of a breadth-first spanning forest, and its number
-    of trees: x = ``root`` at the lowest node of each, then x[v] = sv (target[e] - su x[u])
-    along the forest.  Rows off the forest are not checked."""
-    around: list[list[tuple]] = [[] for _ in range(count)]
-    for e, ((u, v), (su, sv)) in enumerate(zip(ends, signs)):
-        around[u].append((v, sv, su, e))
-        around[v].append((u, su, sv, e))
-    x, components = [None] * count, 0
-    for start in range(count):
-        if x[start] is None:
-            x[start], queue, components = root, [start], components + 1
-            for u in queue:
-                for v, sv, su, e in around[u]:
-                    if x[v] is None:
-                        x[v] = sv * (target[e] - su * x[u])
-                        queue.append(v)
-    return x, components
+def _walk(count: int, rows: list, seeds: Iterable[int] = ()) -> tuple[list, list]:
+    """The order in which a peel solves a system of one equation per row of nodes out of
+    ``count``, rows of any width: breadth-first from the known nodes, the ``seeds`` in
+    increasing order first, a row whose entries but one the walk has passed solves that
+    one if it is unknown; when the walk is stuck, the lowest unknown node is a root.
+    Returns the (node, row) steps in order and the roots.  Rows left with no unknown
+    entry are not checked."""
+    around: list[list[int]] = [[] for _ in range(count)]
+    for e, row in enumerate(rows):
+        for u in row:
+            around[u].append(e)
+    left, known, steps, roots = list(map(len, rows)), [False] * count, [], []
+    queue, start = sorted(seeds), 0
+    for v in queue:
+        known[v] = True
+    while True:
+        for u in queue:
+            for e in around[u]:
+                left[e] -= 1  # the row's entries not passed yet
+                if left[e] == 1:
+                    for v in rows[e]:
+                        if not known[v]:
+                            known[v] = True
+                            queue.append(v)
+                            steps.append((v, e))
+                            break
+        while start < count and known[start]:
+            start += 1
+        if start == count:
+            return steps, roots
+        known[start], queue = True, [start]
+        roots.append(start)
+
+
+def _replay(steps: list, rows: list, signs: list, target: list, x: list) -> list:
+    """x along ``_walk``'s steps, in place: step (v, e) solves
+    sum_a signs[e][a] x[rows[e][a]] = target[e] for x[v], taking the other terms in
+    row order; x holds the values of the seeds and the roots."""
+    for v, e in steps:
+        total = target[e]
+        for w, s in zip(rows[e], signs[e]):
+            if w == v:
+                sign = s
+            else:
+                total -= s * x[w]
+        x[v] = sign * total
+    return x
 
 
 def fundamental_cycle(complex: SimplicialComplex) -> Chain:

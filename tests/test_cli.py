@@ -301,8 +301,7 @@ class TestEquiv:
 
     def test_level_zero_witness_is_pinned(self, tmp_path, capsys):
         # the level-0 descent ends in an exact spanning-forest walk, so the
-        # witness bytes are those of its arithmetic on every machine; a
-        # gerbopole witness comes from CGLS, whose dot products go through BLAS
+        # witness bytes are those of its arithmetic on every machine
         names = ("mono.json", "mono-shifted.json", "witness.json")
         plain, shifted, witness = (tmp_path / name for name in names)
         assert main(["demo", "monopole", "--m", "24", "--out", str(plain)]) == 0
@@ -311,6 +310,19 @@ class TestEquiv:
         assert main(["equiv", str(plain), str(shifted), "--out", str(witness)]) == 0
         assert hashlib.sha256(witness.read_bytes()).hexdigest() == (
             "e25f00bb63ee61168fe5f026e9be665fb2aa45279c78c4bf6236ba1bea699c25"
+        )
+
+    def test_level_one_witness_is_pinned(self, tmp_path, capsys):
+        # the level-1 descent ends in the walk of degree 1, in Python floats
+        # with no BLAS call, so its witness bytes are pinned too
+        names = ("gerbe.json", "gerbe-shifted.json", "witness.json")
+        plain, shifted, witness = (tmp_path / name for name in names)
+        assert main(["demo", "gerbopole", "--m", "12", "--out", str(plain)]) == 0
+        argv = ["demo", "gerbopole", "--m", "12", "--perturb-gauge", "9", "--out", str(shifted)]
+        assert main(argv) == 0
+        assert main(["equiv", str(plain), str(shifted), "--out", str(witness)]) == 0
+        assert hashlib.sha256(witness.read_bytes()).hexdigest() == (
+            "232e881f3a2242f61cf664cfbac74a75f9d1b298916f78bf3a18951f48837f44"
         )
 
     def test_monopole_vs_trivial_not_found(self, monopole_file, tmp_path, capsys):

@@ -29,7 +29,10 @@ from gerbecalc.builders import (
 )
 from gerbecalc.randomdata import random_complex_and_cover
 from gerbecalc.rng import Lcg64
-from gerbecalc.simplicial import _walk
+from gerbecalc.cover import betti_numbers
+from gerbecalc.simplicial import _replay, _walk
+
+from conftest import torus_grid
 
 # minimal 6-vertex triangulation of the projective plane (euler = 1)
 RP2_TRIANGLES = [
@@ -398,11 +401,52 @@ class TestWalk:
         ends = [(0, 1), (1, 2), (0, 2), (3, 4)]
         signs = [(1, -1), (-1, 1), (1, 1), (1, -1)]
         target = [0.5, 2.0, 7.0, -1.5]
-        x, components = _walk(5, ends, signs, target, 0.25)
-        assert components == 2
+        steps, roots = _walk(5, ends)
+        assert roots == [0, 3]
+        x = _replay(steps, ends, signs, target, [0.25] * 5)
         assert x[0] == x[3] == 0.25
         rows = [signs[e][0] * x[u] + signs[e][1] * x[v] for e, (u, v) in enumerate(ends)]
         # rows 0 and 2 reach 1 and 2 from 0, and row 3 reaches 4 from 3; row 1
         # closes the triangle, off the forest, and the walk leaves it as it is
+        assert steps == [(1, 0), (2, 2), (4, 3)]
         assert [rows[0], rows[2], rows[3]] == [target[0], target[2], target[3]]
         assert rows[1] != target[1]
+
+    def test_a_three_entry_row_solves_its_last_unknown(self):
+        # row 0 waits for 1, which row 1 reaches from the root 0; then row 0
+        # has one unknown left, 2, and solves it
+        rows, signs = [(0, 1, 2), (0, 1)], [(1, -1, 1), (-1, 1)]
+        steps, roots = _walk(3, rows)
+        assert (steps, roots) == ([(1, 1), (2, 0)], [0])
+        x = _replay(steps, rows, signs, [4.0, 1.5], [0.5, None, None])
+        assert x == [0.5, 2.0, 4.0 - 0.5 + 2.0]
+        assert x[0] - x[1] + x[2] == 4.0 and -x[0] + x[1] == 1.5
+
+    def test_seeds_are_known_from_the_start(self):
+        # seeded 1 and 3, the walk starts from them and needs no root: row 1
+        # has one unknown once both seeds are passed, row 0 once 2 is
+        rows, signs = [(0, 1, 2), (1, 2, 3)], [(1, 1, 1), (1, -1, 1)]
+        steps, roots = _walk(4, rows, seeds=[3, 1])
+        assert (steps, roots) == ([(2, 1), (0, 0)], [])
+        x = _replay(steps, rows, signs, [1.0, 2.0], [None, 0.0, None, 0.0])
+        assert x[1] == x[3] == 0.0
+        assert [x[0] + x[1] + x[2], x[1] - x[2] + x[3]] == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "build, loops",
+        [
+            (lambda ico: ico, 0),
+            (lambda ico: join_sphere3(6, 8), 0),
+            (lambda ico: join_sphere3(12, 8), 0),
+            (lambda ico: torus_grid(6), 2),
+        ],
+        ids=["icosahedron", "join_sphere3(6, 8)", "join_sphere3(12, 8)", "torus_grid(6)"],
+    )
+    def test_roots_at_each_degree_are_the_betti_numbers(self, build, loops, icosahedron):
+        # seeded with the cells whose rows solved a step one degree down, the
+        # walk of d from the q-forms roots b_q cells: one at degree 0 and at
+        # the top, and at degree 1 none on the spheres and two on the torus
+        complex = build(icosahedron)
+        roots = [len(complex._order(q)[1]) for q in range(complex.top_dimension + 1)]
+        assert roots == list(betti_numbers(complex)[: complex.top_dimension + 1])
+        assert roots[1] == loops
