@@ -11,13 +11,13 @@ vertices' set lists, each higher cell's tuples as those its faces 0 and 1
 share (``_meet``), and block (q, n) of (tuple id, cell id) pairs.  Layer 1 is
 the incidence, which ``Cover.build`` checks; ``bicomplex`` reads its bases,
 delta's nerve faces and the contraction's lowest set from these arrays.
-``Cover.layer(n)`` builds the overlaps from the blocks on demand, one complex
-per distinct vertex set: the 13,824 nerve entries of the 144-set star cover
-of a 12x12 torus share 1,440 overlaps.
+Tuple i's q-cells are its runs in these blocks (``_runs``): ``Cover.layer(n)``
+builds each tuple's overlap from them on demand, for ``overlap`` and the builders.
 
-The good-cover check takes each distinct overlap's Betti numbers over Q from
-exact sparse ranks (``betti_numbers``), with no threshold and no dense matrix:
-864 rank calls per check on the star cover above.
+The good-cover check builds no complex.  It ranks each distinct intersection
+once, exactly over Q from its runs and the complex's face table (``_betti``):
+the 13,824 nerve entries of the 144-set star cover of a 12x12 torus have
+1,440 distinct intersections, ranked with 864 ``integer_rank`` calls.
 """
 
 from __future__ import annotations
@@ -60,6 +60,13 @@ class _Layer(NamedTuple):
     held: list[tuple[np.ndarray, np.ndarray]]
     blocks: list[tuple[np.ndarray, np.ndarray]]
     overlaps: dict[tuple[int, ...], SimplicialComplex]  # filled by ``Cover.layer``
+
+
+def _runs(layer: _Layer) -> list[tuple[list[int], list[int]]]:
+    """Per q, block (q, n)'s cell ids and where each tuple's run starts in them,
+    as lists: tuple i's q-cells are cells[at[i] : at[i + 1]], in increasing order."""
+    ends = np.arange(len(layer.tuples) + 1)
+    return [(cells.tolist(), np.searchsorted(ids, ends).tolist()) for ids, cells in layer.blocks]
 
 
 @dataclass(frozen=True)
@@ -156,34 +163,22 @@ class Cover:
         got = self.layer(len(t)).get(tuple(sorted(t)))
         return SimplicialComplex(self.complex.vertex_count, {}, -1) if got is None else got
 
-    @cached_property
-    def _overlaps(self) -> dict[tuple[int, ...], SimplicialComplex]:
-        """The overlaps built so far, the complex too, by their vertices' positions."""
-        return {tuple(range(len(self.complex.cells(0)))): self.complex}
-
     def layer(self, n: int) -> dict[tuple[int, ...], SimplicialComplex]:
         """The increasing n-tuples of cover indices with a nonempty overlap,
         each mapped to its overlap, in lexicographic order; {(): complex} for 0.
 
         Built on first use, so reading tuples of up to n sets builds no deeper layer.
-        Tuple i's q-cells are its run in block (q, n); tuples with one vertex set share a complex.
+        Tuple i's q-cells are its run in block (q, n) (``_runs``).
         """
         if n < 0:
             return {}
-        arrays, complex, shared = self._layer_arrays(n), self.complex, self._overlaps
+        arrays, complex = self._layer_arrays(n), self.complex
         if arrays.tuples and not arrays.overlaps:
-            ends = np.arange(len(arrays.tuples) + 1)
-            # per q: the q-cells, the block's cell ids and where each tuple's run starts
-            runs = [(complex.cells(q), cells.tolist(), np.searchsorted(ids, ends).tolist())
-                    for q, (ids, cells) in enumerate(arrays.blocks)]
-            _, vertices, at = runs[0]
+            runs = [(complex.cells(q), *run) for q, run in enumerate(_runs(arrays))]
             for i, t in enumerate(arrays.tuples):
-                key = tuple(vertices[at[i] : at[i + 1]])
-                if key not in shared:
-                    table = {q: tuple(map(all_cells.__getitem__, cells[run[i] : run[i + 1]]))
-                             for q, (all_cells, cells, run) in enumerate(runs) if run[i] < run[i + 1]}
-                    shared[key] = SimplicialComplex(complex.vertex_count, table, max(table))
-                arrays.overlaps[t] = shared[key]
+                table = {q: tuple(map(all_cells.__getitem__, cells[at[i] : at[i + 1]]))
+                         for q, (all_cells, cells, at) in enumerate(runs) if at[i] < at[i + 1]}
+                arrays.overlaps[t] = SimplicialComplex(complex.vertex_count, table, max(table))
         return arrays.overlaps
 
     @cached_property
@@ -255,24 +250,30 @@ def _spanning_forest_size(edges: Iterable[tuple[int, int]]) -> int:
     return joined
 
 
-def betti_numbers(complex: SimplicialComplex) -> tuple[int, ...]:
-    """Betti numbers b_0..b_max(2, top dimension) over Q from exact boundary ranks.
-
-    The rank of the 1-boundary is the size of a spanning forest of the edges.
-    Each higher boundary goes to ``integer_rank`` as one sparse row per cell,
-    {position of face a: (-1)^a}; above the top dimension the rank is 0.
+def _betti(faces: dict[int, list], runs: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Betti numbers b_0..b_max(2, top) over Q of the subcomplex whose q-cells
+    are the ids runs[q], nonempty up to its top dimension, read in ``faces``,
+    the complex's ``_faces`` as lists.  Rank partial_1 is the size of a spanning
+    forest of the edges; each higher boundary goes to ``integer_rank`` as one
+    sparse row per cell, {face id: (-1)^a}; above the top dimension it is 0.
     """
-    up_to = max(2, complex.top_dimension)
-    counts = [len(complex.cells(q)) for q in range(up_to + 2)]
+    top = len(runs) - 1
+    up_to = max(2, top)
+    counts = [len(run) for run in runs] + [0] * (up_to + 1 - top)
     ranks = [0] * (up_to + 2)
-    ranks[1] = _spanning_forest_size(complex.cells(1))
-    for q in range(2, complex.top_dimension + 1):
-        position = {s: i for i, s in enumerate(complex.cells(q - 1))}
+    if top >= 1:
+        ranks[1] = _spanning_forest_size(map(faces[1].__getitem__, runs[1]))
+    for q in range(2, top + 1):
         signs = [_deletion_sign(a) for a in range(q + 1)]
-        ranks[q] = integer_rank(
-            [{position[s[:a] + s[a + 1 :]]: sign for a, sign in enumerate(signs)} for s in complex.cells(q)]
-        )
+        ranks[q] = integer_rank([dict(zip(faces[q][c], signs)) for c in runs[q]])
     return tuple(counts[q] - ranks[q] - ranks[q + 1] for q in range(up_to + 1))
+
+
+def betti_numbers(complex: SimplicialComplex) -> tuple[int, ...]:
+    """Betti numbers b_0..b_max(2, top dimension) over Q from exact sparse
+    boundary ranks: ``_betti`` on all the cells."""
+    faces = {q: rows.tolist() for q, rows in complex._faces.items()}
+    return _betti(faces, [range(len(complex.cells(q))) for q in range(complex.top_dimension + 1)])
 
 
 @dataclass(frozen=True, slots=True)  # no __dict__ for the collector to track per entry
@@ -307,16 +308,21 @@ def check_good_cover(cover: Cover) -> GoodCoverReport:
     Betti numbers are computed up to the overlap's top dimension, and at least
     to b2.  Failures are reported with WARN status only: non-contractible
     overlaps still carry usable data, they just fall outside the good-cover
-    setting.  Each layer of the nerve is read once and each distinct overlap
-    ranked once; the entries are one per nerve tuple, in lexicographic order.
+    setting.  Each layer's arrays are read once, its tuples grouped by their
+    vertex runs, and each distinct intersection ranked once from its runs
+    (``_betti``); the entries are one per nerve tuple, in lexicographic order.
     """
+    faces = {q: rows.tolist() for q, rows in cover.complex._faces.items()}
     entries, known, n = [], {}, 1
-    while layer := cover.layer(n):
-        for t, overlap in layer.items():
-            found = known.get(overlap.vertices)
-            if found is None:
-                b = betti_numbers(overlap)
-                found = known[overlap.vertices] = (b, b == (1,) + (0,) * (len(b) - 1))
+    while (arrays := cover._layer_arrays(n)).tuples:
+        runs = _runs(arrays)
+        vertices, at = runs[0]
+        for i, t in enumerate(arrays.tuples):
+            key = tuple(vertices[at[i] : at[i + 1]])
+            found = known.get(key)
+            if found is None:  # slice the higher runs only for a new intersection
+                b = _betti(faces, [cells[s[i] : s[i + 1]] for cells, s in runs if s[i] < s[i + 1]])
+                found = known[key] = (b, b == (1,) + (0,) * (len(b) - 1))
             entries.append(OverlapDiagnostic(t, *found))
         n += 1
     # each layer is in lexicographic order, so the sort merges one run per layer

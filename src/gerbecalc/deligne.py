@@ -290,9 +290,12 @@ def gauge_equivalent(
     ``_descent``.  Only the (0, k) rows, which compare the transition layers,
     hold modulo 2*pi; they are wrapped in the difference before the descent
     and in the residual before the tolerance test, which absorbs small
-    winding differences.  Large relative windings can defeat the wrapping;
-    charges then separate the data anyway.  A NaN, infinite or negative
-    tolerance raises InvalidInputError.
+    winding differences.  The wrapping misses the integers of larger shifts,
+    and equal charges do not settle those: ``random_gauge_potential`` shifts
+    of ``build_monopole(12)`` or ``build_gerbopole(12)``, seeds 0-9, are
+    accepted 10/10 at amplitude 1, 1/10 at 2 and 0/10 at 3, every charge 1.0
+    (ROADMAP.md, "Lost integers I").  A NaN, infinite or negative tolerance
+    raises InvalidInputError.
     """
     tol = _checked_tol(DEFAULT_EQUIVALENCE_TOL if tol is None else tol)
     if first.level != second.level:

@@ -79,8 +79,10 @@ def random_total(
 def random_gauge_potential(
     cover: Cover, degree: int, rng: Lcg64, amplitude: float = 1.0
 ) -> GaugePotential:
-    """Random potential without global form part; amplitudes should stay
-    below pi so wrapped comparisons never cross a branch.  At degree 0 (level
-    -1 data) the only part would be the global one, so the potential is empty
-    and ``demo minus1 --perturb-gauge`` writes the unperturbed file."""
+    """Random potential without global form part.  ``gauge_equivalent``
+    finds the shifts it makes only at small amplitudes, even below pi: 1/10
+    at amplitude 2 on the m = 12 monopole and gerbopole, seeds 0-9 (ROADMAP.md,
+    "Lost integers I").  At degree 0 (level -1 data) the only part would be
+    the global one, so the potential is empty and ``demo minus1
+    --perturb-gauge`` writes the unperturbed file."""
     return GaugePotential(_random_total(cover, degree, rng, amplitude, 1))

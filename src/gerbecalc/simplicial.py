@@ -20,12 +20,12 @@ orientation is partial c = 0 over the top cells, kept as the walk's +-1 list; th
 complex keeps, per degree q, the walk of d from the q-forms seeded with the q-cells
 that solved a step at degree q - 1 (``_order``), which the equivalence solve replays.
 The sparse dict sum is ``_merged``.
-Rank partial_1 in ``cover`` keeps its union-find: 2.1-3.4 ms per good-cover check
-of the 144-set star cover (1,440 overlaps), against 6.4-8.7 ms for the walk.
+The good-cover check (``cover._betti``) ranks partial_1 by a union-find over rows
+of ``_faces[1]``, not by the walk: 2.1-3.4 ms per check of the 144-set star cover
+(1,440 overlaps) against 6.4-8.7 ms for the walk, which also needs local ids.
 
-``induced`` and ``boundary_matrix`` are references for the tests, which rank
-the dense boundary with ``cover.integer_rank``; the good-cover check ranks
-sparse rows instead (``cover.betti_numbers``).
+``boundary_matrix`` is the dense reference for the tests, which rank it with
+``cover.integer_rank``; the library ranks sparse face rows instead.
 """
 
 from __future__ import annotations
@@ -337,18 +337,6 @@ class SimplicialComplex:
     @cached_property
     def vertices(self) -> frozenset[int]:
         return frozenset(s[0] for s in self.cells(0))
-
-    def induced(self, vertex_subset: Iterable[int]) -> "SimplicialComplex":
-        """The subcomplex of all cells whose vertices lie in the subset, with
-        global vertex ids.  The tests compare a cover's overlaps with it; the
-        library builds them from the cover's cell -> sets incidence instead."""
-        keep = frozenset(_ids(vertex_subset, "vertex subset"))
-        table = {}
-        for q, cs in self.simplices.items():
-            kept = tuple(s for s in cs if keep.issuperset(s))
-            if kept:
-                table[q] = kept
-        return SimplicialComplex(self.vertex_count, table, max(table, default=-1))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from gerbecalc import (
     exterior_derivative,
     gauge_shift,
 )
+from gerbecalc.simplicial import _ids
 
 ICOSAHEDRON_FACES = [
     (0, 1, 2),
@@ -59,6 +60,18 @@ def closed_star_cover(complex):
         for v in cell:
             stars[v].update(cell)
     return Cover.build(complex, stars)
+
+
+def induced(complex, vertex_subset):
+    """The subcomplex of all cells whose vertices lie in the subset, with global
+    vertex ids: the reference the tests compare a cover's overlaps with."""
+    keep = frozenset(_ids(vertex_subset, "vertex subset"))
+    table = {}
+    for q, cs in complex.simplices.items():
+        kept = tuple(s for s in cs if keep.issuperset(s))
+        if kept:
+            table[q] = kept
+    return SimplicialComplex(complex.vertex_count, table, max(table, default=-1))
 
 
 def reference_delta(layer, cover):

@@ -35,7 +35,7 @@ from gerbecalc.builders import (
 from gerbecalc.randomdata import random_gauge_potential
 from gerbecalc.rng import Lcg64
 
-from conftest import closed_star_cover, torus_grid
+from conftest import closed_star_cover, induced, torus_grid
 
 # the minimal triangulation of the real projective plane: 6 vertices, 15 edges
 RP2_TRIANGLES = [
@@ -248,31 +248,9 @@ class TestLayer:
         cover = any_cover
         for n in range(1, len(cover.sets) + 1):
             for t, sub in cover.layer(n).items():
-                reference = cover.complex.induced(frozenset.intersection(*(cover.sets[i] for i in t)))
+                reference = induced(cover.complex, frozenset.intersection(*(cover.sets[i] for i in t)))
                 assert sub == reference
                 assert cover.overlap(t) is sub
-
-    def test_tuples_with_one_intersection_share_one_overlap(self, any_cover):
-        cover = any_cover
-        by_vertices = {}
-        for n in range(1, len(cover.sets) + 1):
-            for t, sub in cover.layer(n).items():
-                common = frozenset.intersection(*(cover.sets[i] for i in t))
-                by_vertices.setdefault(common, []).append((t, sub))
-                if n > 1 and common == cover.layer(n - 1)[t[:-1]].vertices:
-                    assert sub is cover.layer(n - 1)[t[:-1]]
-        for common, found in by_vertices.items():
-            assert all(sub is found[0][1] for _, sub in found), common
-            assert found[0][1].vertices == common
-
-    def test_torus_nerve_builds_each_distinct_overlap_once(self):
-        cover = closed_star_cover(torus_grid(12))
-        entries = [sub for n in range(1, 8) for sub in cover.layer(n).values()]
-        assert len(entries) == len(cover.nerve()) == 13_824
-        # one complex per distinct vertex set, not one per nerve tuple
-        distinct = {id(sub): sub for sub in entries}.values()
-        assert len(distinct) <= 1_440
-        assert len({sub.vertices for sub in distinct}) == len(distinct)
 
     def test_star_cover_with_a_vertex_in_25_sets_round_trips_in_bounded_time(self):
         # the full nerve has more than 2**25 entries; a level-0 datum reads only 3 layers
@@ -406,9 +384,31 @@ class TestGoodCover:
         assert [e.indices for e in report.entries] == list(cover.nerve())
         for e in report.entries:
             common = frozenset.intersection(*(cover.sets[i] for i in e.indices))
-            betti = dense_betti(cover.complex.induced(common))
+            betti = dense_betti(induced(cover.complex, common))
             assert e.betti == betti
             assert e.contractible == (betti == (1,) + (0,) * (len(betti) - 1))
+
+    def test_builds_no_overlap_complex(self, any_cover):
+        cover = Cover.build(any_cover.complex, any_cover.sets)  # the builders read overlaps
+        check_good_cover(cover)
+        layers = [cover._layer_arrays(n) for n in range(1, len(cover.sets) + 2)]
+        assert layers[0].tuples and not layers[-1].tuples
+        assert all(layer.overlaps == {} for layer in layers)
+
+    def test_ranks_each_distinct_intersection_once(self, monkeypatch):
+        # 13,824 nerve entries of the 144-set torus star cover meet in 1,440
+        # distinct vertex sets; 864 of those hold a triangle
+        cover = closed_star_cover(torus_grid(12))
+        ranked, calls = [], []
+        plain_betti, plain_rank = cover_module._betti, cover_module.integer_rank
+        monkeypatch.setattr(cover_module, "_betti", lambda f, runs: ranked.append(runs[0]) or plain_betti(f, runs))
+        monkeypatch.setattr(cover_module, "integer_rank", lambda rows: calls.append(rows) or plain_rank(rows))
+        report = check_good_cover(cover)
+        assert len(report.entries) == 13_824
+        distinct = {frozenset.intersection(*(cover.sets[i] for i in e.indices)) for e in report.entries}
+        assert len(ranked) == len(distinct) == 1_440
+        assert len({tuple(vertices) for vertices in ranked}) == 1_440
+        assert len(calls) == 864
 
     def test_overlaps_of_one_size_are_ranked_apart(self):
         # a 4-cycle and a 4-vertex path: as many vertices, different Betti numbers

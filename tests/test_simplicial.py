@@ -32,7 +32,7 @@ from gerbecalc.rng import Lcg64
 from gerbecalc.cover import betti_numbers
 from gerbecalc.simplicial import _replay, _walk
 
-from conftest import torus_grid
+from conftest import induced, torus_grid
 
 # minimal 6-vertex triangulation of the projective plane (euler = 1)
 RP2_TRIANGLES = [
@@ -158,7 +158,7 @@ class TestConstruction:
             )
 
     def test_induced_subcomplex(self, tetrahedron_boundary):
-        sub = tetrahedron_boundary.induced({0, 1, 2})
+        sub = induced(tetrahedron_boundary, {0, 1, 2})
         assert sub.cells(2) == ((0, 1, 2),)
         assert sub.cells(1) == ((0, 1), (0, 2), (1, 2))
         assert sub.top_dimension == 2
@@ -167,7 +167,7 @@ class TestConstruction:
     def test_induced_refuses_non_integer_ids(self, bad):
         # int() would read 0.5 or True as vertex 0 or 1 and keep the edge (0, 1)
         with pytest.raises(InvalidInputError, match="ids must be integers"):
-            circle_complex(6).induced({bad, 1})
+            induced(circle_complex(6), {bad, 1})
 
 
 def face_table_reference(tuples, lower):
