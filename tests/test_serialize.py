@@ -176,11 +176,31 @@ def _components(doc, i):
             lambda d: d["datum"].__setitem__("angle_part", [0, 2, 0]),
             r"datum.angle_part: expected \[p, n\]",
         ),
+        (
+            lambda d: d["datum"].__setitem__("angle_part", [1, 1]),
+            r"datum.parts\[1\]: only 0-form layers can be angle-valued",
+        ),
+        # the GerbeDatum and support refusals, named for the datum
+        (lambda d: d["datum"].pop("angle_part"), "datum: the transition layer must be angle-valued"),
+        (
+            lambda d: _components(d, 1)[0].__setitem__("indices", [7]),
+            r"datum: part \(1,1\) component \(7,\) does not fit 2 sets",
+        ),
+        (
+            lambda d: _components(d, 1)[0].__setitem__("indices", [-1]),
+            r"datum.parts\[1\]: component key \(-1,\) is not strictly increasing",
+        ),
+        (
+            lambda d: _components(d, 2)[0]["entries"][0].__setitem__("simplex", [0, 1, 99]),
+            r"datum: part \(2,0\) component \(\) spills outside its overlap at \(0, 1, 99\)",
+        ),
     ],
     ids=[
         "simplices-not-object", "dimension-key", "cells-not-list", "sets-not-list", "parts-not-list",
         "duplicate-bidegree", "components-not-list", "duplicate-indices", "entries-not-list",
         "simplex-length", "indices-order", "total-degree", "angle-part-length",
+        "angle-part-not-a-0-form", "no-angle-part", "component-past-the-sets", "negative-index",
+        "simplex-outside-the-complex",
     ],
 )
 def test_malformed_documents_are_refused_with_their_path(change, message):
