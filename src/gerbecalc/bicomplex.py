@@ -30,9 +30,9 @@ one K per total degree beside D.  ``_exact_defects`` checks D^2 = 0 and
 delta K + K delta = 1 on the cached D and K; ``break_sign`` negates a copy of D.
 
 Coordinates.  Cochains meet D as vectors on those bases.
-``_LayerBasis.locate`` places a part's values with one search of (tuple,
-cell) keys, the search the assembler runs, and is the one support check: a
-value it cannot place lies outside its overlap.  A ``deligne.GerbeDatum``
+``_LayerBasis.place`` places a part's values, given flat, with one search of
+(tuple, cell) keys, the search the assembler runs, and is the one support
+check: a value it cannot place lies outside its overlap.  A ``deligne.GerbeDatum``
 keeps its vector, so validation, gauge shifts and the equivalence descent
 work on vectors alone.
 ``cech_delta``, ``dbar`` and ``big_d`` locate a dict cochain, apply D and
@@ -243,6 +243,15 @@ def _image(total: TotalCochain, cover: Cover) -> np.ndarray:
     return _coboundary(cover, total.total_degree).apply(vec)
 
 
+def _flat(part: BigradedCochain, complex) -> tuple:
+    """The part as ``_LayerBasis.place`` reads it, then its values in that order:
+    its tuples, each component's count of values, and their cells, cell ids and values."""
+    comps, counts = part.components.values(), [len(c.values) for c in part.components.values()]
+    cells = list(chain.from_iterable(c.values for c in comps))
+    values = np.fromiter(chain.from_iterable(c.values.values() for c in comps), float, len(cells))
+    return list(part.components), counts, cells, complex._cell_ids(part.form_degree, cells), values
+
+
 def cech_delta(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
     """Index-deletion coboundary, the (p, n + 1) block of D.  The angle-valued
     flag propagates since sums of angles are still angles."""
@@ -313,44 +322,44 @@ class _LayerBasis:
         pairs' keys in the block's sorted ``keys``."""
         keys, wanted = self.keys[p, n], self._key(p, tuple_ids, cell_ids)
         at = np.searchsorted(keys, wanted)
-        hit = at < len(keys)
-        hit[hit] = keys[at[hit]] == wanted[hit]
+        # a search past the last key, clipped to it, finds a smaller key
+        hit = keys.take(at, mode="clip") == wanted if len(keys) else np.zeros(len(at), bool)
         return np.where(hit, self.positions[p, n].start + at, -1)
 
     def locate(self, part: BigradedCochain) -> tuple[np.ndarray, np.ndarray]:
-        """The coordinates of the part's values and the values, both in input order.
+        """The coordinates of the part's values and the values, both in input order."""
+        *flat, values = _flat(part, self.complex)
+        return self.place(part.form_degree, part.cech_degree, *flat), values
+
+    def place(self, p: int, n: int, tuples: list, counts: list, cells: list, cell_ids) -> np.ndarray:
+        """The coordinates of a (p, n) part's cells in input order: the component
+        on ``tuples[i]`` holds the next ``counts[i]`` of ``cells``, of ids ``cell_ids``.
 
         ``find`` places them all at once.  A part that needs more sets than the
         cover has is refused, and so is a component whose tuple does not index
-        the cover or a value that ``find`` does not place, outside its overlap:
-        the refusal names the first such component or value in input order.
+        the cover or a cell that ``find`` does not place, outside its overlap:
+        the refusal names the first such component or cell in input order.
         """
-        p, n, nsets = part.form_degree, part.cech_degree, self.set_count
+        nsets = self.set_count
         if n > nsets:
             raise InvalidInputError(f"part at ({p},{n}) needs {n} cover sets, cover has {nsets}")
-        comps = part.components
-        counts = [len(comp.values) for comp in comps.values()]
-        tuples = np.fromiter(map(self.index.get, comps, repeat(-1)), np.intp, len(comps))
-        cells = chain.from_iterable(comp.values for comp in comps.values())
-        ids, lacking = self.complex.cell_positions(p), len(self.complex.cells(p))
-        cell_ids = np.fromiter(map(ids.get, cells, repeat(lacking)), np.intp, sum(counts))
-        at = self.find(p, n, np.repeat(tuples, counts), cell_ids)
-        if (tuples < 0).any() or (at < 0).any():  # walk to the first fault, if any
+        index = np.fromiter(map(self.index.get, tuples, repeat(-1)), np.intp, len(tuples))
+        at = self.find(p, n, np.repeat(index, counts), cell_ids)
+        if (index < 0).any() or (at < 0).any():  # walk to the first fault, if any
             end = 0
-            for (t, comp), count in zip(comps.items(), counts):
+            for t, count in zip(tuples, counts):
                 if t and t[-1] >= nsets:
                     raise InvalidInputError(
                         f"part ({p},{n}) component {t} does not fit {nsets} sets"
                     )
                 spilled = np.flatnonzero(at[end : end + count] < 0)
                 if spilled.size:
-                    cell = list(comp.values)[spilled[0]]
                     raise InvalidInputError(
-                        f"part ({p},{n}) component {t} spills outside its overlap at {cell}"
+                        f"part ({p},{n}) component {t} spills outside its overlap at "
+                        f"{cells[end + spilled[0]]}"
                     )
                 end += count
-        values = chain.from_iterable(comp.values.values() for comp in comps.values())
-        return at, np.fromiter(values, float, len(at))
+        return at
 
     def entry(self, j: int) -> tuple[int, int, tuple[int, ...], Simplex]:
         """(p, n, t, cell) of coordinate j."""

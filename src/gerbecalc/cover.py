@@ -11,8 +11,9 @@ vertices' set lists, each higher cell's tuples as those its faces 0 and 1
 share (``_meet``), and block (q, n) of (tuple id, cell id) pairs.  Layer 1 is
 the incidence, which ``Cover.build`` checks; ``bicomplex`` reads its bases,
 delta's nerve faces and the contraction's lowest set from these arrays.
-Tuple i's q-cells are its runs in these blocks (``_runs``): ``Cover.layer(n)``
-builds each tuple's overlap from them on demand, for ``overlap`` and the builders.
+Tuple i's q-cells are its run in block (q, n): ``Cover.overlap`` builds the
+complex of one tuple from its runs on first use and keeps it, and
+``Cover.layer(n)`` those of every tuple; ``_runs`` lists a whole layer's runs.
 
 The good-cover check builds no complex.  It ranks each distinct intersection
 once, exactly over Q from its runs and the complex's face table (``_betti``):
@@ -22,6 +23,7 @@ the 13,824 nerve entries of the 144-set star cover of a 12x12 torus have
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from collections.abc import Mapping  # isinstance on typing.Mapping costs about twice as much
@@ -59,7 +61,7 @@ class _Layer(NamedTuple):
     tuples: list[tuple[int, ...]]
     held: list[tuple[np.ndarray, np.ndarray]]
     blocks: list[tuple[np.ndarray, np.ndarray]]
-    overlaps: dict[tuple[int, ...], SimplicialComplex]  # filled by ``Cover.layer``
+    overlaps: dict[tuple[int, ...], SimplicialComplex]  # filled by ``Cover.overlap``
 
 
 def _runs(layer: _Layer) -> list[tuple[list[int], list[int]]]:
@@ -152,33 +154,47 @@ class Cover:
         return self._nerve[n]
 
     def overlap(self, indices: Iterable[int]) -> SimplicialComplex:
-        """The overlap of the sets in any order, looked up in ``layer``: the
-        complex itself for (), the empty complex for a tuple outside the nerve."""
+        """The overlap of the sets in any order: the complex itself for (), the empty
+        complex for a tuple outside the nerve.  Only this overlap is built, from the
+        tuple's runs in the blocks, on first use, and it is kept for ``layer``."""
         t = _ids(indices, "cover indices")
         if len(set(t)) != len(t):
             raise InvalidInputError(f"repeated cover index in {t}")
         for i in t:
             if not 0 <= i < len(self.sets):
                 raise InvalidInputError(f"cover index {i} out of range")
-        got = self.layer(len(t)).get(tuple(sorted(t)))
-        return SimplicialComplex(self.complex.vertex_count, {}, -1) if got is None else got
+        layer, t = self._layer_arrays(len(t)), tuple(sorted(t))
+        i = bisect.bisect_left(layer.tuples, t)
+        if layer.tuples[i : i + 1] != [t]:
+            return SimplicialComplex(self.complex.vertex_count, {}, -1)
+        if t not in layer.overlaps:
+            runs = (cells[slice(*np.searchsorted(ids, (i, i + 1)))] for ids, cells in layer.blocks)
+            layer.overlaps[t] = self._complex_of(run.tolist() for run in runs)
+        return layer.overlaps[t]
+
+    def _complex_of(self, runs: Iterable[list[int]]) -> SimplicialComplex:
+        """The subcomplex whose q-cells are the cells of ids runs[q], nonempty up to its top."""
+        cells = self.complex.cells
+        table = {q: tuple(map(cells(q).__getitem__, run)) for q, run in enumerate(runs) if run}
+        return SimplicialComplex(self.complex.vertex_count, table, max(table))
 
     def layer(self, n: int) -> dict[tuple[int, ...], SimplicialComplex]:
         """The increasing n-tuples of cover indices with a nonempty overlap,
         each mapped to its overlap, in lexicographic order; {(): complex} for 0.
 
         Built on first use, so reading tuples of up to n sets builds no deeper layer.
-        Tuple i's q-cells are its run in block (q, n) (``_runs``).
+        Tuple i's q-cells are its run in block (q, n) (``_runs``); the overlaps that
+        ``overlap`` built are kept.
         """
         if n < 0:
             return {}
-        arrays, complex = self._layer_arrays(n), self.complex
-        if arrays.tuples and not arrays.overlaps:
-            runs = [(complex.cells(q), *run) for q, run in enumerate(_runs(arrays))]
+        arrays = self._layer_arrays(n)
+        if len(arrays.overlaps) < len(arrays.tuples):  # refilled in lexicographic order
+            runs, kept = _runs(arrays), dict(arrays.overlaps)
+            arrays.overlaps.clear()
             for i, t in enumerate(arrays.tuples):
-                table = {q: tuple(map(all_cells.__getitem__, cells[at[i] : at[i + 1]]))
-                         for q, (all_cells, cells, at) in enumerate(runs) if at[i] < at[i + 1]}
-                arrays.overlaps[t] = SimplicialComplex(complex.vertex_count, table, max(table))
+                built = kept[t] if t in kept else self._complex_of(c[at[i] : at[i + 1]] for c, at in runs)
+                arrays.overlaps[t] = built
         return arrays.overlaps
 
     @cached_property

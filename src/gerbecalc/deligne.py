@@ -20,13 +20,16 @@ roots; the residual checks the rows off the walk.  Two valid cocycles are
 equivalent when the difference is matched by the total coboundary of a
 potential without global top form part, with angle-layer rows compared
 modulo 2*pi.  Rejection means no such witness was found at tolerance; it is
-numeric evidence, not a certificate.  The charge is the reliable separator.
+numeric evidence, not a certificate, and equal charges do not settle it: the
+rejected amplitude-3 shifts of ``random_gauge_potential`` all have charge 1.0
+(ROADMAP.md, "Lost integers I").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .bicomplex import (
     _basis,
     _coboundary,
     _contraction,
+    _flat,
     _image,
     _wrapped,
 )
@@ -72,27 +76,32 @@ class GerbeDatum:
     supported inside its overlap.
 
     A datum keeps its coordinates on the cover's basis of total degree n + 2,
-    placed by ``_LayerBasis.locate``; validation, equivalence, the charge and
-    the shifts read them.  A shift adds the image of D to the coordinates and
-    records it in ``_shifts``; ``data`` adds the recorded images to the dict
-    form when it is first read, one dict sum per shift, so a chain of k
-    shifts costs k dict sums there.  Instances are immutable values, equal
-    when level, data and cover are.
+    placed by ``_LayerBasis.place``; validation, equivalence, the charge and
+    the shifts read them.  A datum loaded from a file keeps the file's flat
+    parts for its dict form, decoded when ``data`` is first read.  A shift adds
+    the image of D to the coordinates and records it in ``_shifts``; ``data``
+    adds the recorded images to the dict form when it is first read, one dict
+    sum per shift, so a chain of k shifts costs k dict sums there.  Instances
+    are immutable values, equal when level, data and cover are.
     """
 
     def __init__(self, level: int, data: TotalCochain, cover: Cover):
+        parts = [(key, part.angle_valued, *_flat(part, cover.complex)) for key, part in data.parts.items()]
+        self._place(level, data.total_degree, cover, parts, data)
+
+    def _place(self, level: int, degree: int, cover: Cover, parts: list, data) -> None:
+        """Set the fields, placing each part of ``parts``, ((p, n), angle_valued,
+        ``_flat`` of the part); ``data`` is their dict form, or ``parts``."""
         if level < -1:
             raise InvalidInputError("level must be at least -1")
         k = level + 2
-        if data.total_degree != k:
-            raise InvalidInputError(
-                f"level {level} needs total degree {k}, got {data.total_degree}"
-            )
+        if degree != k:
+            raise InvalidInputError(f"level {level} needs total degree {k}, got {degree}")
         basis = _basis(cover, k)
         vector = np.zeros(basis.size)
-        for (p, n), part in data.parts.items():
-            at, values = basis.locate(part)
-            if (p, n) == (0, k) and not part.angle_valued:
+        for (p, n), angle, *flat, values in parts:
+            at = basis.place(p, n, *flat)
+            if (p, n) == (0, k) and not angle:
                 raise InvalidInputError("the transition layer must be angle-valued")
             vector[at] = values
         vars(self).update(level=level, cover=cover, _data=data, _vector=vector, _shifts=())
@@ -107,6 +116,13 @@ class GerbeDatum:
 
     @property
     def data(self) -> TotalCochain:
+        if isinstance(self._data, list):  # flat parts from a file, decoded in their order
+            parts = {}
+            for (p, n), angle, tuples, counts, cells, _, values in self._data:
+                pairs = zip(cells, values.tolist())
+                comps = {t: Cochain(p, dict(islice(pairs, c))) for t, c in zip(tuples, counts)}
+                parts[p, n] = BigradedCochain(p, n, comps, angle)
+            vars(self).update(_data=TotalCochain(self.level + 2, parts))
         if self._shifts:
             # the empty angle-valued (0, k) part flags the image's transition
             # layer; joined to the data first, it would fall away with an empty part

@@ -22,14 +22,22 @@ would write them, byte for byte, but through the C encoder: the compact text
 of each bulk array is laid out at its depth by string replacement
 (``_laid_out``).  ``load_pair`` loads two files and puts the second datum on
 the first file's cover when both files hold the same complex and cover.
+
+A datum loads straight into coordinates: each part is read in one bulk pass
+(``_read_part``) and placed with one ``_LayerBasis.find``, and its dict form is
+decoded only when ``data`` is first read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
-from typing import Any
+from itertools import accumulate, chain
+from typing import Any, Iterable
+
+import numpy as np
 
 from .bicomplex import BigradedCochain, GaugePotential, TotalCochain
 from .cover import Cover
@@ -58,15 +66,21 @@ def _need(doc: Any, key: str, path: str) -> Any:
     return doc[key]
 
 
-_PLAIN_INTS = frozenset({int})  # the set of types in a list of plain ints
+def _named(path: str, build, *args):
+    """``build(*args)``, its refusal named with the path."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _of_type(values: Iterable, kinds) -> bool:
+    """Whether each value is an instance of ``kinds`` and no bool: one test per type."""
+    return all(issubclass(ty, kinds) and not issubclass(ty, bool) for ty in {*map(type, values)})
 
 
 def _int(value: Any, path: str) -> int:
-    if not _is_int(value):
+    if not _of_type([value], int):
         raise FormatError(f"{path}: expected an integer, got {value!r}")
     return value
 
@@ -74,10 +88,7 @@ def _int(value: Any, path: str) -> int:
 def _int_list(value: Any, path: str) -> list[int]:
     if not isinstance(value, list):
         raise FormatError(f"{path}: expected a list")
-    if not all(map(_is_int, value)):  # name the first bad entry; paths only on failure
-        for i, v in enumerate(value):
-            _int(v, f"{path}[{i}]")
-    return list(value)
+    return [_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def complex_to_dict(complex: SimplicialComplex) -> dict:
@@ -104,10 +115,7 @@ def complex_from_dict(doc: Any, path: str = "complex") -> SimplicialComplex:
         if not isinstance(cells, list):
             raise FormatError(f"{path}.simplices.{key}: expected a list")
         table[q] = cells
-    try:
-        return SimplicialComplex.build(vertex_count, table)
-    except Exception as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _named(path, SimplicialComplex.build, vertex_count, table)
 
 
 def cover_to_dict(cover: Cover) -> dict:
@@ -120,10 +128,7 @@ def cover_from_dict(
     raw = _need(doc, "sets", path)
     if not isinstance(raw, list):
         raise FormatError(f"{path}.sets: expected a list")
-    try:
-        return Cover.build(complex, raw)
-    except Exception as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _named(path, Cover.build, complex, raw)
 
 
 def _parts_to_list(total: TotalCochain) -> list[dict]:
@@ -142,33 +147,88 @@ def _parts_to_list(total: TotalCochain) -> list[dict]:
     return parts
 
 
-def _plain_entry(entry: Any) -> tuple[tuple[int, ...] | None, float]:
-    """The simplex and value of an entry made of plain JSON ints and a finite
-    float, or (None, 0.0) for any other entry; it builds no path."""
-    if type(entry) is dict:
-        cell, value = entry.get("simplex"), entry.get("value")
-        if type(cell) is list and type(value) is float and math.isfinite(value):
-            if {*map(type, cell)} == _PLAIN_INTS:
-                return tuple(cell), value
-    return None, 0.0
-
-
-def _checked_entry(entry: Any, path: str) -> tuple[tuple[int, ...], float]:
-    """The simplex and value of an entry, or the FormatError that names its fault."""
-    cell = tuple(_int_list(_need(entry, "simplex", path), f"{path}.simplex"))
-    value = _need(entry, "value", path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{path}.value: expected a number")
+def _column(docs: list, key: str, kinds) -> list | None:
+    """``doc[key]`` of each of the objects ``docs``, if each has the key and each
+    of those values is an instance of ``kinds``; otherwise None."""
     try:
-        value = float(value)
-    except OverflowError:
-        raise FormatError(f"{path}.value: too large for a float") from None
-    if not math.isfinite(value):
-        raise FormatError(f"{path}.value: must be finite")
-    return cell, value
+        found = list(map(operator.itemgetter(key), docs))
+    except KeyError:
+        return None
+    return found if _of_type(found, kinds) else None
 
 
-def _parts_from_list(raw: Any, degree: int, angle_part, path: str) -> TotalCochain:
+def _read_part(p: int, n: int, angle: bool, comps: list, complex, path: str) -> tuple:
+    """The part as ``_LayerBasis.place`` reads it, then its values, in file order.
+
+    The checks run over whole lists and arrays, one type test per type of
+    object.  When one fails, ``_first_fault`` walks the part to name the first
+    fault in file order; a cell that the complex lacks is left for ``place``.
+    """
+    indices = lists = simplices = values = None
+    if _of_type(comps, dict):
+        indices, lists = _column(comps, "indices", list), _column(comps, "entries", list)
+    entries = [] if lists is None else list(chain.from_iterable(lists))
+    if lists is not None and _of_type(entries, dict):
+        simplices, values = _column(entries, "simplex", list), _column(entries, "value", (int, float))
+    try:
+        values = None if values is None else np.array(values, float)
+    except OverflowError:  # an int too large for a float
+        values = None
+    if not (
+        indices is not None and simplices is not None and values is not None
+        and np.isfinite(values).all() and _of_type(chain.from_iterable(indices + simplices), int)
+        and p >= 0 and n >= 0 and not (angle and p)
+    ):
+        _first_fault(p, n, angle, comps, path)  # raises
+    tuples, counts, cells = [*map(tuple, indices)], [*map(len, lists)], [*map(tuple, simplices)]
+    ids = complex._cell_ids(p, cells)
+    # cells of the complex are p-cells, and a component's cells in rising order, as
+    # files are written, are distinct: each fall of the ids starts a component
+    falls = np.flatnonzero(ids[1:] <= ids[:-1]) + 1
+    if not (
+        len(set(tuples)) == len(tuples)
+        and all(len(t) == n and all(a < b for a, b in zip((-1, *t), t)) for t in tuples)
+        and (ids < len(complex.cells(p))).all() and {*falls.tolist()} <= {*accumulate(counts)}
+    ):
+        _first_fault(p, n, angle, comps, path)  # passes cells in another order or not in the complex
+    return tuples, counts, cells, ids, values
+
+
+def _first_fault(p: int, n: int, angle: bool, comps: list, path: str) -> None:
+    """Raise the refusal of the part's first fault in file order, if it has one
+    other than a cell that the complex lacks.  The entries are checked one by
+    one, and the cochain classes name the faults of the keys, on dicts of the
+    cells with no values."""
+    components = {}
+    for j, comp_doc in enumerate(comps):
+        cpath = f"{path}.components[{j}]"
+        t = tuple(_int_list(_need(comp_doc, "indices", cpath), f"{cpath}.indices"))
+        if t in components:
+            raise FormatError(f"{cpath}: duplicate indices {t}")
+        entries, cells = _need(comp_doc, "entries", cpath), {}
+        if not isinstance(entries, list):
+            raise FormatError(f"{cpath}.entries: expected a list")
+        for k, entry in enumerate(entries):
+            epath = f"{cpath}.entries[{k}]"
+            cell = tuple(_int_list(_need(entry, "simplex", epath), f"{epath}.simplex"))
+            value = _need(entry, "value", epath)
+            if not _of_type([value], (int, float)):
+                raise FormatError(f"{epath}.value: expected a number")
+            try:
+                value = float(value)
+            except OverflowError:
+                raise FormatError(f"{epath}.value: too large for a float") from None
+            if not math.isfinite(value):
+                raise FormatError(f"{epath}.value: must be finite")
+            if cell in cells:
+                raise FormatError(f"{epath}: duplicate simplex {cell}")
+            cells[cell] = None
+        components[t] = _named(cpath, Cochain, p, cells)
+    _named(path, BigradedCochain, p, n, components, angle)
+
+
+def _parts_from_list(raw: Any, degree: int, angle_part, complex, path: str) -> list:
+    """Each part as ((p, n), angle_valued, ``_read_part`` of it), in file order."""
     if not isinstance(raw, list):
         raise FormatError(f"{path}: expected a list")
     parts = {}
@@ -178,39 +238,14 @@ def _parts_from_list(raw: Any, degree: int, angle_part, path: str) -> TotalCocha
         n = _int(_need(part_doc, "n", ppath), f"{ppath}.n")
         if (p, n) in parts:
             raise FormatError(f"{ppath}: duplicate bidegree ({p},{n})")
-        components = {}
-        raw_comps = _need(part_doc, "components", ppath)
-        if not isinstance(raw_comps, list):
+        comps = _need(part_doc, "components", ppath)
+        if not isinstance(comps, list):
             raise FormatError(f"{ppath}.components: expected a list")
-        for j, comp_doc in enumerate(raw_comps):
-            cpath = f"{ppath}.components[{j}]"
-            indices = tuple(_int_list(_need(comp_doc, "indices", cpath), f"{cpath}.indices"))
-            if indices in components:
-                raise FormatError(f"{cpath}: duplicate indices {indices}")
-            values = {}
-            raw_entries = _need(comp_doc, "entries", cpath)
-            if not isinstance(raw_entries, list):
-                raise FormatError(f"{cpath}.entries: expected a list")
-            for k, entry in enumerate(raw_entries):
-                cell, value = _plain_entry(entry)
-                if cell is None:
-                    cell, value = _checked_entry(entry, f"{cpath}.entries[{k}]")
-                if cell in values:
-                    raise FormatError(f"{cpath}.entries[{k}]: duplicate simplex {cell}")
-                values[cell] = value
-            try:
-                components[indices] = Cochain(p, values)
-            except Exception as exc:
-                raise FormatError(f"{cpath}: {exc}") from exc
-        angle = angle_part == [p, n] or angle_part == (p, n)
-        try:
-            parts[(p, n)] = BigradedCochain(p, n, components, angle_valued=angle)
-        except Exception as exc:
-            raise FormatError(f"{ppath}: {exc}") from exc
-    try:
-        return TotalCochain(degree, parts)
-    except Exception as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        angle = angle_part == [p, n]
+        parts[p, n] = (angle, *_read_part(p, n, angle, comps, complex, ppath))
+    if any(p + n != degree for p, n in parts):  # the class names the first such part
+        _named(path, TotalCochain, degree, {key: BigradedCochain.zero(*key) for key in parts})
+    return [(key, *rest) for key, rest in parts.items()]
 
 
 def datum_to_dict(datum: GerbeDatum) -> dict:
@@ -247,13 +282,12 @@ def _datum_on(cover: Cover, doc: Any) -> GerbeDatum:
         angle_part = _int_list(angle_part, "datum.angle_part")
         if len(angle_part) != 2:
             raise FormatError("datum.angle_part: expected [p, n]")
-    data = _parts_from_list(
-        _need(datum_doc, "parts", "datum"), level + 2, angle_part, "datum.parts"
+    parts = _parts_from_list(
+        _need(datum_doc, "parts", "datum"), level + 2, angle_part, cover.complex, "datum.parts"
     )
-    try:
-        return GerbeDatum(level, data, cover)
-    except Exception as exc:
-        raise FormatError(f"datum: {exc}") from exc
+    datum = object.__new__(GerbeDatum)  # its dict form is decoded from the parts when read
+    _named("datum", datum._place, level, level + 2, cover, parts, parts)
+    return datum
 
 
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode

@@ -145,9 +145,10 @@ def _first_non_ids(cells: list[tuple], flat: list) -> int:
     holds the ids of all cells in order.
 
     The type rule is a rule on types, so one id of each type decides whether
-    any cell is refused; only then are the cells walked one by one.
+    any cell is refused (plain ints, as files hold, at once); only then are the
+    cells walked one by one.
     """
-    if _are_ids(dict(zip(map(type, flat), flat)).values()):
+    if {*map(type, flat)} <= {int} or _are_ids(dict(zip(map(type, flat), flat)).values()):
         return len(cells)
     return next(i for i, cell in enumerate(cells) if not _are_ids(cell))
 
@@ -227,7 +228,7 @@ class SimplicialComplex:
             found = _checked_rows(cells, q, vertex_count)
             if len(found):
                 rows[q] = found
-        table = {q: tuple(map(tuple, r.tolist())) for q, r in rows.items()}
+        table = {q: tuple(zip(*r.T.tolist())) for q, r in rows.items()}  # rows of Python ints
         complex = cls(vertex_count, table, max(table, default=-1))
         # the cached property, filled with the arrays just checked
         vars(complex)["_rows"] = {
@@ -284,6 +285,11 @@ class SimplicialComplex:
     def cell_positions(self, dim: int) -> dict[Simplex, int]:
         """Each dim-cell mapped to its position in ``cells(dim)``."""
         return self._positions.get(dim, {})
+
+    def _cell_ids(self, dim: int, cells: list) -> np.ndarray:
+        """The position of each cell in ``cells(dim)``, or len(cells(dim)) where there is none."""
+        lacking = itertools.repeat(len(self.cells(dim)))
+        return np.fromiter(map(self.cell_positions(dim).get, cells, lacking), np.intp, len(cells))
 
     @cached_property
     def _rows(self) -> dict[int, np.ndarray]:

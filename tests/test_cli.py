@@ -12,11 +12,13 @@ import pytest
 import gerbecalc
 
 from gerbecalc import (
+    Cochain,
     Cover,
     FormatError,
     GerbeDatum,
     TotalCochain,
     bicomplex,
+    build_gerbopole,
     build_minus_one_gerbe,
     build_monopole,
     cli,
@@ -600,6 +602,24 @@ class TestRoundTrip:
         path2 = tmp_path / "datum2.json"
         save_datum(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["validate", "charge", "equiv"])
+def test_loading_builds_no_dict_cochain(tmp_path, monkeypatch, capsys, command):
+    # files load straight into coordinates; validate, charge and equiv read those.
+    # Windings 1 and -1 are not equivalent, so equiv builds no witness, which
+    # is a dict cochain
+    files = []
+    for winding in (1, -1):
+        files.append(str(tmp_path / f"gerbe{winding}.json"))
+        save_datum(files[-1], build_gerbopole(12, winding))
+    built = []
+    post_init = Cochain.__post_init__
+    monkeypatch.setattr(Cochain, "__post_init__", lambda self: built.append(self) or post_init(self))
+    argv = [command, *files] if command == "equiv" else [command, files[0]]
+    assert main(argv) == (1 if command == "equiv" else 0)
+    assert built == []
+    capsys.readouterr()
 
 
 # where the messages point: the fourth entry of the third component of part 0

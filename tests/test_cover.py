@@ -174,6 +174,20 @@ class TestOverlap:
         datum = build_minus_one_gerbe(12)
         assert datum.cover.overlap(()) is datum.cover.complex
 
+    def test_builds_only_the_overlap_asked_for(self, monkeypatch):
+        # 576 stars of a 24x24 torus grid: layer 2 has 5,184 tuples
+        cover = closed_star_cover(torus_grid(24))
+        built = []
+        counting = lambda *args: built.append(args) or SimplicialComplex(*args)
+        monkeypatch.setattr(cover_module, "SimplicialComplex", counting)
+        sub = cover.overlap((0, 1))
+        assert sub == induced(cover.complex, cover.sets[0] & cover.sets[1])
+        assert len(built) <= 1
+        assert cover.overlap((1, 0)) is sub and len(built) <= 1
+        layer = cover.layer(2)
+        assert len(layer) == 5184 and layer[0, 1] is sub
+        assert list(layer) == sorted(layer)
+
 
 class TestNerve:
     def test_single_set(self):
