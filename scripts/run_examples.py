@@ -11,17 +11,21 @@ witness reproduces the shift.
 A resolution too coarse for the winding is skipped with a note; the
 surveys and round trips use the resolutions that remain.  A winding of 0 is
 a usage error (exit 2).  Exits 1, naming each failure on stderr, when a
-charge is more than 1e-9 from the winding, a round trip is rejected or no
-resolution of a construction is fine enough; 0 otherwise.
+charge is more than 1e-9 from the winding, a round trip is rejected, its
+witness misses the shift by more than DEFAULT_EQUIVALENCE_TOL (the (0, k)
+rows modulo 2 pi), or no resolution of a construction is fine enough; 0
+otherwise.
 """
 
 import argparse
+import math
 import sys
 import time
 
 sys.path.insert(0, "src")
 
 from gerbecalc import (
+    DEFAULT_EQUIVALENCE_TOL,
     InvalidInputError,
     big_d,
     build_gerbopole,
@@ -32,6 +36,7 @@ from gerbecalc import (
     gauge_equivalent,
     gauge_shift,
     validate_cocycle,
+    wrap,
 )
 from gerbecalc.randomdata import random_gauge_potential
 from gerbecalc.rng import Lcg64
@@ -78,6 +83,19 @@ def nonzero_winding(text):
     return winding
 
 
+def witness_gap(gap, angle):
+    """The sup norm of D(witness) - delta with its ``angle`` part, the (0, k)
+    rows, taken modulo 2 pi; inf if any value is not finite."""
+    worst = 0.0
+    for key, part in gap.parts.items():
+        for component in part.components.values():
+            for v in component.values.values():
+                if not math.isfinite(v):
+                    return math.inf
+                worst = max(worst, abs(wrap(v) if key == angle else v))
+    return worst
+
+
 def equivalence_round_trip(datum, seed, failures):
     rng = Lcg64(seed)
     potential = random_gauge_potential(datum.cover, datum.level + 1, rng)
@@ -89,11 +107,14 @@ def equivalence_round_trip(datum, seed, failures):
         return
     delta = shifted.data - datum.data
     pushed = big_d(result.witness.data, datum.cover)
+    gap = witness_gap(pushed - delta, (0, datum.level + 2))
     print(
         f"  level {datum.level}: accepted={result.equivalent}  "
         f"residual {result.residual:.2e}  "
-        f"|D(witness) - delta| = {(pushed - delta).sup_norm():.2e}"
+        f"|D(witness) - delta| = {gap:.2e}"
     )
+    if not gap <= DEFAULT_EQUIVALENCE_TOL:
+        failures.append(f"level {datum.level} witness misses the shift by {gap!r}")
 
 
 def main():

@@ -1,4 +1,4 @@
-"""Open covers by vertex subsets: overlaps, nerve, contractibility diagnostics.
+"""Open covers by vertex subsets: intersections, nerve, contractibility diagnostics.
 
 The open set U_i is the subcomplex induced on a vertex subset; the overlap of
 several sets is the subcomplex induced on their intersection.  A p-cochain
@@ -12,8 +12,7 @@ share (``_meet``), and block (q, n) of (tuple id, cell id) pairs.  Layer 1 is
 the incidence, which ``Cover.build`` checks; ``bicomplex`` reads its bases,
 delta's nerve faces and the contraction's lowest set from these arrays.
 Tuple i's q-cells are its run in block (q, n): ``Cover.overlap`` builds the
-complex of one tuple from its runs on first use and keeps it, and
-``Cover.layer(n)`` those of every tuple; ``_runs`` lists a whole layer's runs.
+complex of one tuple from its runs on each call and keeps none.
 
 The good-cover check builds no complex.  It ranks each distinct intersection
 once, exactly over Q from its runs and the complex's face table (``_betti``):
@@ -61,14 +60,6 @@ class _Layer(NamedTuple):
     tuples: list[tuple[int, ...]]
     held: list[tuple[np.ndarray, np.ndarray]]
     blocks: list[tuple[np.ndarray, np.ndarray]]
-    overlaps: dict[tuple[int, ...], SimplicialComplex]  # filled by ``Cover.overlap``
-
-
-def _runs(layer: _Layer) -> list[tuple[list[int], list[int]]]:
-    """Per q, block (q, n)'s cell ids and where each tuple's run starts in them,
-    as lists: tuple i's q-cells are cells[at[i] : at[i + 1]], in increasing order."""
-    ends = np.arange(len(layer.tuples) + 1)
-    return [(cells.tolist(), np.searchsorted(ids, ends).tolist()) for ids, cells in layer.blocks]
 
 
 @dataclass(frozen=True)
@@ -76,8 +67,8 @@ class Cover:
     """A cover of a complex by vertex subsets.
 
     Valid covers list every vertex in at least one set and fit every cell of
-    the complex inside at least one set, so that cochain data on overlaps can
-    represent any local quantity.
+    the complex inside at least one set, so that cochain data on the sets and
+    their intersections can represent any local quantity.
     """
 
     complex: SimplicialComplex
@@ -111,7 +102,7 @@ class Cover:
         """The layers built so far; layer 0 is the one tuple (), held by every cell."""
         cells = map(len, map(self.complex.cells, range(self.complex.top_dimension + 1)))
         blocks = [(np.zeros(c, np.int32), np.arange(c, dtype=np.int32)) for c in cells]
-        return {0: _Layer(np.zeros((1, 0), np.int64), [()], [], blocks, {(): self.complex})}
+        return {0: _Layer(np.zeros((1, 0), np.int64), [()], [], blocks)}
 
     @cached_property
     def _vertex_sets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,52 +141,29 @@ class Cover:
                 order = np.argsort(tuples, kind="stable")
                 cells = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[order]
                 blocks.append((tuples[order].astype(np.int32), cells.astype(np.int32)))
-            self._nerve[n] = _Layer(table, list(zip(*table.T.tolist())), held, blocks, {})
+            self._nerve[n] = _Layer(table, list(zip(*table.T.tolist())), held, blocks)
         return self._nerve[n]
 
     def overlap(self, indices: Iterable[int]) -> SimplicialComplex:
         """The overlap of the sets in any order: the complex itself for (), the empty
         complex for a tuple outside the nerve.  Only this overlap is built, from the
-        tuple's runs in the blocks, on first use, and it is kept for ``layer``."""
+        tuple's runs in the blocks, on each call."""
         t = _ids(indices, "cover indices")
         if len(set(t)) != len(t):
             raise InvalidInputError(f"repeated cover index in {t}")
         for i in t:
             if not 0 <= i < len(self.sets):
                 raise InvalidInputError(f"cover index {i} out of range")
+        if not t:
+            return self.complex
         layer, t = self._layer_arrays(len(t)), tuple(sorted(t))
         i = bisect.bisect_left(layer.tuples, t)
         if layer.tuples[i : i + 1] != [t]:
             return SimplicialComplex(self.complex.vertex_count, {}, -1)
-        if t not in layer.overlaps:
-            runs = (cells[slice(*np.searchsorted(ids, (i, i + 1)))] for ids, cells in layer.blocks)
-            layer.overlaps[t] = self._complex_of(run.tolist() for run in runs)
-        return layer.overlaps[t]
-
-    def _complex_of(self, runs: Iterable[list[int]]) -> SimplicialComplex:
-        """The subcomplex whose q-cells are the cells of ids runs[q], nonempty up to its top."""
-        cells = self.complex.cells
-        table = {q: tuple(map(cells(q).__getitem__, run)) for q, run in enumerate(runs) if run}
+        runs = (cells[slice(*np.searchsorted(ids, (i, i + 1)))] for ids, cells in layer.blocks)
+        named = self.complex.cells
+        table = {q: tuple(map(named(q).__getitem__, run.tolist())) for q, run in enumerate(runs) if run.size}
         return SimplicialComplex(self.complex.vertex_count, table, max(table))
-
-    def layer(self, n: int) -> dict[tuple[int, ...], SimplicialComplex]:
-        """The increasing n-tuples of cover indices with a nonempty overlap,
-        each mapped to its overlap, in lexicographic order; {(): complex} for 0.
-
-        Built on first use, so reading tuples of up to n sets builds no deeper layer.
-        Tuple i's q-cells are its run in block (q, n) (``_runs``); the overlaps that
-        ``overlap`` built are kept.
-        """
-        if n < 0:
-            return {}
-        arrays = self._layer_arrays(n)
-        if len(arrays.overlaps) < len(arrays.tuples):  # refilled in lexicographic order
-            runs, kept = _runs(arrays), dict(arrays.overlaps)
-            arrays.overlaps.clear()
-            for i, t in enumerate(arrays.tuples):
-                built = kept[t] if t in kept else self._complex_of(c[at[i] : at[i + 1]] for c, at in runs)
-                arrays.overlaps[t] = built
-        return arrays.overlaps
 
     @cached_property
     def _operators(self) -> dict[tuple[str, int], object]:
@@ -205,7 +173,7 @@ class Cover:
     def nerve(self) -> tuple[tuple[int, ...], ...]:
         """All increasing index tuples with a nonempty overlap, in lexicographic
         order: every layer's table, exponential in the number of sets sharing a
-        vertex, and no overlap; only ``demo`` and ``check_good_cover`` read it."""
+        vertex, and no overlap; only ``demo`` reads it."""
         layers = (self._layer_arrays(n).tuples for n in itertools.count(1))
         return tuple(sorted(itertools.chain.from_iterable(itertools.takewhile(len, layers))))
 
@@ -322,16 +290,19 @@ def check_good_cover(cover: Cover) -> GoodCoverReport:
     """Check each nonempty overlap for acyclicity: b0 = 1 and every higher b = 0.
 
     Betti numbers are computed up to the overlap's top dimension, and at least
-    to b2.  Failures are reported with WARN status only: non-contractible
-    overlaps still carry usable data, they just fall outside the good-cover
-    setting.  Each layer's arrays are read once, its tuples grouped by their
-    vertex runs, and each distinct intersection ranked once from its runs
-    (``_betti``); the entries are one per nerve tuple, in lexicographic order.
+    to b2.  Failures are reported with WARN status only: an overlap that is
+    not contractible still carries usable data, it just falls outside the
+    good-cover setting.  Each layer's arrays are read once, its tuples
+    grouped by their vertex runs, and each distinct intersection ranked once
+    from its runs (``_betti``); the entries are one per nerve tuple, in
+    lexicographic order.
     """
     faces = {q: rows.tolist() for q, rows in cover.complex._faces.items()}
     entries, known, n = [], {}, 1
     while (arrays := cover._layer_arrays(n)).tuples:
-        runs = _runs(arrays)
+        # per q, block (q, n)'s cell ids and where each tuple's run starts in them
+        ends = np.arange(len(arrays.tuples) + 1)
+        runs = [(cells.tolist(), np.searchsorted(ids, ends).tolist()) for ids, cells in arrays.blocks]
         vertices, at = runs[0]
         for i, t in enumerate(arrays.tuples):
             key = tuple(vertices[at[i] : at[i + 1]])

@@ -110,8 +110,10 @@ def complex_from_dict(doc: Any, path: str = "complex") -> SimplicialComplex:
     for key, cells in raw.items():
         try:
             q = int(key)
-        except ValueError:
-            raise FormatError(f"{path}.simplices: bad dimension key {key!r}") from None
+        except (TypeError, ValueError):
+            q = None
+        if key != str(q):  # int() also reads " 2", "+2", "02", "1_0" and other digits
+            raise FormatError(f"{path}.simplices: bad dimension key {key!r}")
         if not isinstance(cells, list):
             raise FormatError(f"{path}.simplices.{key}: expected a list")
         table[q] = cells

@@ -122,7 +122,10 @@ def _face_rows(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
 
 def _ids(values: Iterable, owner: str) -> tuple[int, ...]:
     """The values as Python ints; int() would truncate 0.5 and take '1' or True."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:  # not iterable, so not a list of ids
+        raise InvalidInputError(f"{owner} {values!r}: ids must be integers") from None
     if bool not in map(type, values):
         try:
             return tuple(map(operator.index, values))
@@ -217,12 +220,12 @@ class SimplicialComplex:
         *,
         closed_manifold: bool = False,
     ) -> "SimplicialComplex":
-        vertex_count = int(vertex_count)
+        (vertex_count,) = _ids((vertex_count,), "vertex_count")
         if vertex_count < 0:
             raise InvalidInputError("vertex_count must be non-negative")
         rows: dict[int, np.ndarray] = {}
         for q, cells in simplices_by_dim.items():
-            q = int(q)
+            (q,) = _ids((q,), "cell dimension")
             if q < 0:
                 raise InvalidInputError("cell dimensions must be non-negative")
             found = _checked_rows(cells, q, vertex_count)
@@ -261,6 +264,8 @@ class SimplicialComplex:
             raise InvalidInputError(f"cell {top_cells[repeated[0]]} has repeated vertices")
         if end < len(cells):
             _ids(cells[end], "cell")  # refuses a cell whose ids are not integers
+        if not lengths.all():  # np.lexsort would take no keys
+            raise InvalidInputError(f"cell {top_cells[lengths.argmin()]} has no vertices")
         if not cells:
             return cls.build(vertex_count, {})
         if (lengths != lengths[0]).any():

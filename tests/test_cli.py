@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -12,6 +14,7 @@ import pytest
 import gerbecalc
 
 from gerbecalc import (
+    BigradedCochain,
     Cochain,
     Cover,
     FormatError,
@@ -711,3 +714,18 @@ def test_worked_examples_script(winding, code, shown):
     assert run.returncode == code, run.stderr
     assert shown in run.stdout + run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_worked_examples_witness_gap_takes_the_angle_rows_modulo_two_pi():
+    # the script fails a round trip whose gap exceeds DEFAULT_EQUIVALENCE_TOL
+    script = Path(__file__).parents[1] / "scripts/run_examples.py"
+    witness_gap = runpy.run_path(str(script))["witness_gap"]
+    angle = Cochain(0, {(0,): 2 * math.pi, (1,): -4 * math.pi})
+    parts = {(0, 2): BigradedCochain(0, 2, {(0, 1): angle}, angle_valued=True)}
+    assert witness_gap(TotalCochain(2, parts), (0, 2)) < 1e-15
+    parts[1, 1] = BigradedCochain(1, 1, {(0,): Cochain(1, {(0, 1): -3e-8})})
+    assert witness_gap(TotalCochain(2, parts), (0, 2)) == 3e-8 > DEFAULT_EQUIVALENCE_TOL
+    # a 2 pi offset off the angle rows is a miss, and so is a value that is not finite
+    assert witness_gap(TotalCochain(2, parts), (1, 1)) > 6
+    parts[1, 1] = BigradedCochain(1, 1, {(0,): Cochain(1, {(0, 1): math.nan})})
+    assert witness_gap(TotalCochain(2, parts), (0, 2)) == math.inf

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -868,15 +869,15 @@ class TestLayerBasis:
 
     def test_blocks_follow_the_layers(self, icosahedron):
         cover = closed_star_cover(icosahedron)
-        basis = _LayerBasis(cover, 3)
+        basis, overlap = _LayerBasis(cover, 3), functools.cache(cover.overlap)
         for j in range(basis.size):
             p, n, t, cell = basis.entry(j)
             assert j in basis.positions[p, n]
             # overlap t's block starts at the first coordinate of its tuple index
             first = np.searchsorted(basis.tuple_ids[p, n], basis.index[t])
             start = basis.positions[p, n].start + int(first)
-            assert j == start + cover.layer(n)[t].cells(p).index(cell)
-            assert basis.index[t] == list(cover.layer(n)).index(t)
+            assert j == start + overlap(t).cells(p).index(cell)
+            assert basis.index[t] == cover._layer_arrays(n).tuples.index(t)
         for key, span in basis.positions.items():
             # sorted by (tuple index, cell id), the order the assembler searches
             keys = list(zip(basis.tuple_ids[key].tolist(), basis.cell_ids[key].tolist()))
@@ -900,7 +901,7 @@ class TestLayerBasis:
     def test_value_outside_the_basis_raises(self, icosahedron, part, message):
         # values reach the basis only through locate, as in big_d and GerbeDatum
         cover = closed_star_cover(icosahedron)
-        assert (0, 11) not in cover.layer(2)
+        assert (0, 11) not in cover._layer_arrays(2).tuples
         basis = _LayerBasis(cover, 2)
         total = TotalCochain(2, {(part.form_degree, part.cech_degree): part})
         with pytest.raises(InvalidInputError, match=message):
@@ -954,7 +955,7 @@ class TestLayerBasis:
         expected = [
             first
             + int(np.searchsorted(tuple_ids, basis.index[t]))
-            + cover.layer(2)[t].cells(0).index(cell)
+            + cover.overlap(t).cells(0).index(cell)
             for t, comp in comps.items()
             for cell in comp
         ]

@@ -3,6 +3,7 @@ bytes of ``json.dumps(doc, indent=1) + "\\n"`` of the document dict they
 describe, and load_datum reads back the same data, value for value."""
 
 import json
+import re
 
 import pytest
 
@@ -142,6 +143,19 @@ def _components(doc, i):
             lambda d: d["complex"]["simplices"].__setitem__("x", []),
             "complex.simplices: bad dimension key 'x'",
         ),
+        # only the canonical decimal form: int() would read each of these as a dimension
+        *(
+            (
+                lambda d, key=key: d["complex"]["simplices"].__setitem__(key, []),
+                f"complex.simplices: bad dimension key {re.escape(repr(key))}",
+            )
+            for key in (" 2", "+2", "02", "\uff12", "1_0", "-0")
+        ),
+        # "01" would otherwise replace the cells of "1"
+        (
+            lambda d: d["complex"]["simplices"].__setitem__("01", d["complex"]["simplices"]["1"]),
+            "complex.simplices: bad dimension key '01'",
+        ),
         (
             lambda d: d["complex"]["simplices"].__setitem__("0", {}),
             "complex.simplices.0: expected a list",
@@ -201,7 +215,10 @@ def _components(doc, i):
         ),
     ],
     ids=[
-        "simplices-not-object", "dimension-key", "cells-not-list", "sets-not-list", "parts-not-list",
+        "simplices-not-object", "dimension-key", "dimension-key-space", "dimension-key-plus",
+        "dimension-key-zero-padded", "dimension-key-fullwidth", "dimension-key-underscore",
+        "dimension-key-minus-zero", "dimension-key-twice", "cells-not-list", "sets-not-list",
+        "parts-not-list",
         "duplicate-bidegree", "components-not-list", "duplicate-indices", "entries-not-list",
         "simplex-length", "indices-order", "total-degree", "angle-part-length",
         "angle-part-not-a-0-form", "no-angle-part", "component-past-the-sets", "negative-index",

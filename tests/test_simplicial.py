@@ -64,6 +64,13 @@ class TestConstruction:
         with pytest.raises(InvalidInputError, match="^vertex_count must be non-negative$"):
             SimplicialComplex.build(-1, {})
 
+    @pytest.mark.parametrize("bad", [3.5, True, "3"])
+    def test_non_integer_vertex_count_rejected(self, bad):
+        # int() would read 3.5 as 3, True as 1 and "3" as 3
+        message = f"vertex_count ({bad!r},): ids must be integers"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            SimplicialComplex.build(bad, {})
+
     def test_negative_dimension_rejected(self):
         with pytest.raises(InvalidInputError, match="^cell dimensions must be non-negative$"):
             SimplicialComplex.build(2, {-1: []})
@@ -106,6 +113,10 @@ class TestConstruction:
             ({0: [(0,), (2**70,)]}, f"cell ({2**70},): vertex id out of range"),
             ({1: [(2**70, 1)]}, f"cell ({2**70}, 1): vertex ids must be strictly increasing"),
             ({0: [(np.True_,)]}, "cell (np.True_,): ids must be integers"),
+            # dimension keys by the same rule: int() would read 1.5 as 1 and True as 1
+            ({0: [(0,), (1,)], 1.5: [(0, 1)]}, "cell dimension (1.5,): ids must be integers"),
+            ({0: [(0,), (1,)], True: [(0, 1)]}, "cell dimension (True,): ids must be integers"),
+            ({"a": [(0,)]}, "cell dimension ('a',): ids must be integers"),
             ({0: [(0,), (1,)], 1: [(0, 1), (0, 1)]}, "duplicate 1-cells"),
             # a dimension is checked whole before the next one is read
             ({0: [(0,), (0,)], 1: [(0, 9)]}, "duplicate 0-cells"),
@@ -132,6 +143,9 @@ class TestConstruction:
             ([(0, 1, 2), (0.5, 1, 2), (3, 3, 1)], "cell (0.5, 1, 2): ids must be integers"),
             ([(0, 1, 2), (np.True_, 1, 2)], "cell (np.True_, 1, 2): ids must be integers"),
             ([(0, 1, 2), (1, 3)], "top cells must all share one dimension"),
+            # a cell with no vertices has no dimension to build
+            ([()], "cell () has no vertices"),
+            ([(0, 1, 2), []], "cell [] has no vertices"),
             # range refusals come from build, which reads the sorted top cells
             ([(3, 1, 2), (2, 1, -1)], "cell (-1, 1, 2): vertex id out of range"),
             ([(0, 1, 2**70), (0, 1, 2)], f"cell (0, 1, {2**70}): vertex id out of range"),
@@ -219,8 +233,8 @@ class TestFaceTable:
             assert table.dtype == np.int32
             assert table.tolist() == face_table_reference(complex.cells(q), complex.cells(q - 1))
         n = 1
-        while cover.layer(n):
-            expected = face_table_reference(list(cover.layer(n)), list(cover.layer(n - 1)))
+        while tuples := cover._layer_arrays(n).tuples:
+            expected = face_table_reference(tuples, cover._layer_arrays(n - 1).tuples)
             assert _nerve_faces(cover, n).tolist() == expected
             n += 1
 
