@@ -29,15 +29,15 @@ whose tuple starts at j, with sign +1, so it adds no sign; each cover keeps
 one K per total degree beside D.  ``_exact_defects`` checks D^2 = 0 and
 delta K + K delta = 1 on the cached D and K; ``break_sign`` negates a copy of D.
 
-Coordinates.  Cochains meet D as vectors on those bases.
-``_LayerBasis.place`` places a part's values, given flat, with one search of
-(tuple, cell) keys, the search the assembler runs, and is the one support
-check: a value it cannot place lies outside its overlap.  A ``deligne.GerbeDatum``
-keeps its vector, so validation, gauge shifts and the equivalence descent
-work on vectors alone.
-``cech_delta``, ``dbar`` and ``big_d`` locate a dict cochain, apply D and
-decode the image; a shifted datum's ``data`` adds such images to its dicts
-with ``+``.
+Coordinates.  Cochains meet D as vectors on those bases, and parts reach them
+one way: ``_LayerBasis.vector`` puts each part, given flat (``_flat``), at the
+coordinates ``place`` finds with one search of (tuple, cell) keys, the search
+the assembler runs.  ``place`` is the one support check: a value it cannot
+place lies outside its overlap.  A ``deligne.GerbeDatum`` keeps its vector, so
+validation, gauge shifts and the equivalence descent work on vectors alone.
+``cech_delta``, ``dbar`` and ``big_d`` apply D to the ``vector`` of a dict
+cochain and decode the image; a shifted datum's ``data`` adds such images to
+its dicts with ``+``.
 
 Angle-valued layers.  A (0, n) layer may be flagged angle-valued, meaning its
 values are defined only modulo 2*pi.  The flag declares a type; no operator
@@ -232,15 +232,10 @@ class GaugePotential:
 
 
 def _image(total: TotalCochain, cover: Cover) -> np.ndarray:
-    """D(total) in coordinates: the cover's cached D applied to the coordinates
-    of the nonempty parts, which ``locate`` places."""
-    basis = _basis(cover, total.total_degree)
-    vec = np.zeros(basis.size)
-    for part in total.parts.values():
-        if part.components:
-            at, values = basis.locate(part)
-            vec[at] = values
-    return _coboundary(cover, total.total_degree).apply(vec)
+    """D(total) in coordinates: the cached D applied to the ``vector`` of its nonempty parts."""
+    k, complex = total.total_degree, cover.complex
+    parts = [(*key, *_flat(part, complex)) for key, part in total.parts.items() if part.components]
+    return _coboundary(cover, k).apply(_basis(cover, k).vector(parts))
 
 
 def _flat(part: BigradedCochain, complex) -> tuple:
@@ -273,7 +268,7 @@ def dbar(cochain: BigradedCochain, cover: Cover) -> BigradedCochain:
 
 def big_d(total: TotalCochain, cover: Cover) -> TotalCochain:
     """Total coboundary D = delta - dbar, applied through the cover's cached
-    matrix to the coordinates ``locate`` finds; D(D(x)) = 0 for real-valued x."""
+    matrix to the coordinates ``_LayerBasis.vector`` places; D(D(x)) = 0 for real-valued x."""
     return _basis(cover, total.total_degree + 1).total_of(_image(total, cover))
 
 
@@ -326,10 +321,13 @@ class _LayerBasis:
         hit = keys.take(at, mode="clip") == wanted if len(keys) else np.zeros(len(at), bool)
         return np.where(hit, self.positions[p, n].start + at, -1)
 
-    def locate(self, part: BigradedCochain) -> tuple[np.ndarray, np.ndarray]:
-        """The coordinates of the part's values and the values, both in input order."""
-        *flat, values = _flat(part, self.complex)
-        return self.place(part.form_degree, part.cech_degree, *flat), values
+    def vector(self, parts: Iterable[tuple]) -> np.ndarray:
+        """The zero vector with each flat part's values placed by ``place``, in input
+        order; a flat part is (p, n) followed by ``_flat`` of the part."""
+        vec = np.zeros(self.size)
+        for p, n, *flat, values in parts:
+            vec[self.place(p, n, *flat)] = values
+        return vec
 
     def place(self, p: int, n: int, tuples: list, counts: list, cells: list, cell_ids) -> np.ndarray:
         """The coordinates of a (p, n) part's cells in input order: the component

@@ -24,12 +24,13 @@ wrapped angle differences, so every charge is an exact telescoping sum.
 from __future__ import annotations
 
 import math
+import operator
 
 from .bicomplex import TWO_PI, BigradedCochain, TotalCochain, wrap
 from .cover import Cover
 from .deligne import GerbeDatum
 from .errors import InvalidInputError
-from .simplicial import Cochain, SimplicialComplex, exterior_derivative
+from .simplicial import Cochain, SimplicialComplex, _are_ids, exterior_derivative
 
 __all__ = [
     "circle_complex",
@@ -42,8 +43,17 @@ __all__ = [
     "gerbopole_equator_pair",
 ]
 
+
+def _integer(value, name: str) -> int:
+    """The value as a Python int by ``_ids``'s rule: 5.5, True and "a" are refused."""
+    if not _are_ids((value,)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def circle_complex(segments: int) -> SimplicialComplex:
     """An m-gon circle; vertex k sits at angle 2*pi*k/m."""
+    segments = _integer(segments, "segments")
     if segments < 3:
         raise InvalidInputError("a circle needs at least 3 segments")
     edges = [(k, k + 1) for k in range(segments - 1)] + [(0, segments - 1)]
@@ -56,7 +66,7 @@ def two_cone_sphere(segments: int) -> SimplicialComplex:
     Vertices 0..m-1 are the upper ring, m..2m-1 the lower ring (same
     longitudes), 2m the north pole and 2m+1 the south pole.
     """
-    m = segments
+    m = _integer(segments, "segments")
     if m < 3:
         raise InvalidInputError("a sphere band needs at least 3 segments")
     north, south = 2 * m, 2 * m + 1
@@ -76,7 +86,7 @@ def join_sphere3(segments: int, base_segments: int = 8) -> SimplicialComplex:
     Vertices 0..m-1 are the fiber circle carrying the winding coordinate;
     m..m+l-1 are the base polygon giving the suspension direction.
     """
-    m, l = segments, base_segments
+    m, l = _integer(segments, "segments"), _integer(base_segments, "base_segments")
     if m < 3 or l < 3:
         raise InvalidInputError("both polygons need at least 3 segments")
     tetrahedra = []
@@ -192,7 +202,7 @@ def build_gerbopole(m: int, winding: int = 1, base_segments: int = 8) -> GerbeDa
     the tetrahedra where the third patch's 2-form layer tapers off.
     """
     _check_resolution(m, winding, 6)
-    l = base_segments
+    l = _integer(base_segments, "base_segments")
     if l % 2 != 0 or l < 8:
         raise InvalidInputError("the base polygon needs an even count >= 8")
     complex = join_sphere3(m, l)

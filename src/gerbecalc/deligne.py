@@ -47,7 +47,7 @@ from .bicomplex import (
 )
 from .cover import Cover
 from .errors import InvalidInputError, NumericError
-from .simplicial import Cochain, Simplex, _replay, _worst
+from .simplicial import Cochain, Simplex, _ids, _replay, _worst
 
 DEFAULT_VALIDATION_TOL = 1e-9
 DEFAULT_EQUIVALENCE_TOL = 1e-8
@@ -71,12 +71,12 @@ __all__ = [
 class GerbeDatum:
     """Local data of a level-n object over a fixed cover.
 
-    Parts may be absent (absent means zero).  The (0, n+2) part, when
-    present, must be flagged angle-valued and every component must be
-    supported inside its overlap.
+    Parts may be absent (absent means zero).  The level is an integer by
+    ``_ids``'s rule; the (0, n+2) part, when present, must be flagged
+    angle-valued; and every component must be supported inside its overlap.
 
     A datum keeps its coordinates on the cover's basis of total degree n + 2,
-    placed by ``_LayerBasis.place``; validation, equivalence, the charge and
+    placed by ``_LayerBasis.vector``; validation, equivalence, the charge and
     the shifts read them.  A datum loaded from a file keeps the file's flat
     parts for its dict form, decoded when ``data`` is first read.  A shift adds
     the image of D to the coordinates and records it in ``_shifts``; ``data``
@@ -90,20 +90,17 @@ class GerbeDatum:
         self._place(level, data.total_degree, cover, parts, data)
 
     def _place(self, level: int, degree: int, cover: Cover, parts: list, data) -> None:
-        """Set the fields, placing each part of ``parts``, ((p, n), angle_valued,
-        ``_flat`` of the part); ``data`` is their dict form, or ``parts``."""
+        """Set the fields from ``parts``, each ((p, n), angle_valued, ``_flat`` of it),
+        checked for the angle rule before ``vector`` places them, and ``data``, their
+        dict form or ``parts``."""
+        (level,) = _ids((level,), "level")
         if level < -1:
             raise InvalidInputError("level must be at least -1")
-        k = level + 2
-        if degree != k:
+        if degree != (k := level + 2):
             raise InvalidInputError(f"level {level} needs total degree {k}, got {degree}")
-        basis = _basis(cover, k)
-        vector = np.zeros(basis.size)
-        for (p, n), angle, *flat, values in parts:
-            at = basis.place(p, n, *flat)
-            if (p, n) == (0, k) and not angle:
-                raise InvalidInputError("the transition layer must be angle-valued")
-            vector[at] = values
+        if any(key == (0, k) and not angle for key, angle, *_ in parts):
+            raise InvalidInputError("the transition layer must be angle-valued")
+        vector = _basis(cover, k).vector((*key, *flat) for key, _, *flat in parts)
         vars(self).update(level=level, cover=cover, _data=data, _vector=vector, _shifts=())
 
     @classmethod

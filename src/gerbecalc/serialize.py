@@ -42,7 +42,7 @@ import numpy as np
 from .bicomplex import BigradedCochain, GaugePotential, TotalCochain
 from .cover import Cover
 from .deligne import GerbeDatum
-from .errors import FormatError
+from .errors import FormatError, GerbecalcError
 from .simplicial import Cochain, SimplicialComplex
 
 FORMAT_VERSION = 1
@@ -67,10 +67,10 @@ def _need(doc: Any, key: str, path: str) -> Any:
 
 
 def _named(path: str, build, *args):
-    """``build(*args)``, its refusal named with the path."""
+    """``build(*args)``, its refusal named with the path; any other error passes."""
     try:
         return build(*args)
-    except Exception as exc:
+    except GerbecalcError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -166,6 +166,26 @@ def _id_array(flat: list, count: int, width: int) -> np.ndarray:
         return np.array(flat, object).reshape(count, width)
 
 
+def _cell_tuples(cells: Iterable, owner: str) -> tuple[list, list[tuple]]:
+    """The cells as a list and as tuples.  A list that is not iterable is refused,
+    named with ``owner``; at the first cell that is not, the tuples end with
+    ``(None,)``, a cell ``_ids`` refuses, so the list's first fault is named."""
+    try:
+        cells = list(cells)
+    except TypeError:
+        raise InvalidInputError(f"{owner} {cells!r}: expected a list of cells") from None
+    try:
+        return cells, list(map(tuple, cells))
+    except TypeError:  # walk to the first cell that is not iterable
+        tuples = []
+        for cell in cells:
+            try:
+                tuples.append(tuple(cell))
+            except TypeError:
+                break
+        return cells, tuples + [(None,)]
+
+
 def _checked_rows(cells: Iterable[Iterable[int]], q: int, vertex_count: int) -> np.ndarray:
     """The q-cells as one (N, q + 1) int64 array in lexicographic order.
 
@@ -174,7 +194,7 @@ def _checked_rows(cells: Iterable[Iterable[int]], q: int, vertex_count: int) -> 
     the first bad cell in input order, with the first rule it breaks in that
     order; an id too large for int64 is out of range.
     """
-    cells = list(map(tuple, cells))
+    given, cells = _cell_tuples(cells, f"{q}-cells")
     flat = list(itertools.chain.from_iterable(cells))
     end = _first_non_ids(cells, flat)
     lengths = np.fromiter(map(len, cells[:end]), np.intp, end)
@@ -190,7 +210,7 @@ def _checked_rows(cells: Iterable[Iterable[int]], q: int, vertex_count: int) -> 
             raise InvalidInputError(f"cell {s}: vertex ids must be strictly increasing")
         raise InvalidInputError(f"cell {s}: vertex id out of range")
     if end < len(cells):
-        s = _ids(cells[end], "cell")  # refuses a cell whose ids are not integers
+        s = _ids(given[end], "cell")  # refuses a cell whose ids are not integers
         raise InvalidInputError(f"{s} is not a {q}-cell")
     rows, repeats = _lex_sorted(rows)
     if repeats.any():
@@ -253,8 +273,7 @@ class SimplicialComplex:
         closed_manifold: bool = False,
     ) -> "SimplicialComplex":
         """Build the complex generated by the given cells and all their faces."""
-        top_cells = list(top_cells)
-        cells = list(map(tuple, top_cells))
+        top_cells, cells = _cell_tuples(top_cells, "top cells")
         flat = list(itertools.chain.from_iterable(cells))
         end = _first_non_ids(cells, flat)
         lengths = np.fromiter(map(len, cells), np.intp, len(cells))
@@ -263,7 +282,7 @@ class SimplicialComplex:
         if repeated.size:
             raise InvalidInputError(f"cell {top_cells[repeated[0]]} has repeated vertices")
         if end < len(cells):
-            _ids(cells[end], "cell")  # refuses a cell whose ids are not integers
+            _ids(top_cells[end], "cell")  # refuses a cell whose ids are not integers
         if not lengths.all():  # np.lexsort would take no keys
             raise InvalidInputError(f"cell {top_cells[lengths.argmin()]} has no vertices")
         if not cells:

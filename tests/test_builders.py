@@ -269,8 +269,18 @@ def test_builder_output_is_pinned_byte_for_byte(key, tmp_path):
         (lambda: build_monopole(12, 1.0), "^winding must be a nonzero integer, got 1.0$"),
         (lambda: build_gerbopole(6, base_segments=6), "^the base polygon needs an even count >= 8$"),
         (lambda: build_gerbopole(6, base_segments=9), "^the base polygon needs an even count >= 8$"),
+        # a count that is not an integer is refused, as a resolution is by _check_resolution
+        (lambda: circle_complex(5.5), "^segments must be an integer, got 5.5$"),
+        (lambda: two_cone_sphere(5.5), "^segments must be an integer, got 5.5$"),
+        (lambda: join_sphere3(6, 5.5), "^base_segments must be an integer, got 5.5$"),
+        (lambda: join_sphere3(True), "^segments must be an integer, got True$"),
+        (lambda: build_gerbopole(12, 1, "a"), "^base_segments must be an integer, got 'a'$"),
+        (lambda: build_monopole(5.5), "^resolution must be an integer >= 6, got 5.5$"),
     ],
-    ids=["circle", "sphere-band", "join", "winding-0", "winding-float", "base-6", "base-odd"],
+    ids=[
+        "circle", "sphere-band", "join", "winding-0", "winding-float", "base-6", "base-odd",
+        "circle-float", "sphere-band-float", "join-base-float", "join-bool", "base-str", "monopole-float",
+    ],
 )
 def test_refusals(build, message):
     with pytest.raises(InvalidInputError, match=message):

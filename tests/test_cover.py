@@ -402,6 +402,15 @@ class TestGoodCover:
             assert e.betti == betti
             assert e.contractible == (betti == (1,) + (0,) * (len(betti) - 1))
 
+    def test_betti_numbers_of_each_overlap_complex_match_its_entry(self, any_cover):
+        # an overlap complex comes from the constructor, so its row arrays are
+        # made from its cells when betti_numbers first reads them
+        cover = any_cover
+        for e in check_good_cover(cover).entries:
+            overlap = cover.overlap(e.indices)
+            assert "_rows" not in vars(overlap)
+            assert betti_numbers(overlap) == e.betti
+
     def test_builds_no_overlap_complex(self, any_cover, monkeypatch):
         cover, built = Cover.build(any_cover.complex, any_cover.sets), []
         plain_init = SimplicialComplex.__init__

@@ -40,10 +40,10 @@ from gerbecalc import (
     wrap,
 )
 from gerbecalc.builders import gerbopole_equator_pair, join_sphere3, two_cone_sphere
-from gerbecalc.serialize import save_datum
+from gerbecalc.serialize import load_datum, save_datum
 from gerbecalc.cover import Cover
 from gerbecalc import bicomplex
-from gerbecalc.bicomplex import GaugePotential, _coboundary_matrix, _LayerBasis, _SparseD
+from gerbecalc.bicomplex import GaugePotential, _coboundary_matrix, _flat, _LayerBasis, _SparseD
 from gerbecalc.deligne import DEFAULT_EQUIVALENCE_TOL, _descent
 from gerbecalc.randomdata import random_complex_and_cover, random_gauge_potential, random_total
 from gerbecalc.rng import Lcg64
@@ -62,12 +62,8 @@ TWO_PI = 2.0 * math.pi
 
 
 def coordinates(basis, total):
-    """The vector of a total cochain on the basis, each part placed by locate."""
-    vec = np.zeros(basis.size)
-    for part in total.parts.values():
-        at, values = basis.locate(part)
-        vec[at] = values
-    return vec
+    """The vector of a total cochain on the basis, its parts placed by ``vector``."""
+    return basis.vector((*key, *_flat(part, basis.complex)) for key, part in total.parts.items())
 
 
 def without_leading_columns(matrix, count):
@@ -192,8 +188,13 @@ class TestValidate:
         parts = dict(datum.data.parts)
         plain = parts[(0, 2)]
         parts[(0, 2)] = BigradedCochain(0, 2, plain.components, angle_valued=False)
-        with pytest.raises(InvalidInputError):
-            GerbeDatum(0, TotalCochain(2, parts), datum.cover)
+        # a part that spills, before or after the transition layer: the angle
+        # rule is checked on every part before any part is placed
+        spill = BigradedCochain(1, 1, {(1,): Cochain(1, {(0, 12): 1.0})})  # 12 is outside set 1
+        rest = {key: part for key, part in parts.items() if key != (1, 1)}
+        for given in (parts, {(1, 1): spill, **rest}, {**rest, (1, 1): spill}):
+            with pytest.raises(InvalidInputError, match="^the transition layer must be angle-valued$"):
+                GerbeDatum(0, TotalCochain(2, given), datum.cover)
 
     def test_support_outside_overlap_rejected(self):
         datum = build_monopole(6)
@@ -899,7 +900,7 @@ class TestLayerBasis:
         ids=["tuple-outside-nerve", "cell-outside-overlap", "omitted-top-form"],
     )
     def test_value_outside_the_basis_raises(self, icosahedron, part, message):
-        # values reach the basis only through locate, as in big_d and GerbeDatum
+        # values reach the basis only through vector, as in big_d and GerbeDatum
         cover = closed_star_cover(icosahedron)
         assert (0, 11) not in cover._layer_arrays(2).tuples
         basis = _LayerBasis(cover, 2)
@@ -928,7 +929,7 @@ class TestLayerBasis:
             0, 2, {t: Cochain(0, values) for t, values in components.items()}
         )
         with pytest.raises(InvalidInputError, match=named):
-            _LayerBasis(cover, 2).locate(part)
+            _LayerBasis(cover, 2).vector([(0, 2, *_flat(part, cover.complex))])
 
     def test_a_part_that_needs_more_sets_than_the_cover_has_is_refused(self):
         # the monopole's cover has two sets, and a (0, 3) part needs three
@@ -936,20 +937,22 @@ class TestLayerBasis:
         part = BigradedCochain(0, 3, {(0, 1, 2): Cochain(0, {(0,): 1.0})}, angle_valued=True)
         message = r"^part at \(0,3\) needs 3 cover sets, cover has 2$"
         with pytest.raises(InvalidInputError, match=message):
-            _LayerBasis(cover, 3).locate(part)
+            _LayerBasis(cover, 3).vector([(0, 3, *_flat(part, cover.complex))])
         with pytest.raises(InvalidInputError, match=message):
             GerbeDatum(1, TotalCochain(3, {(0, 3): part}), cover)
 
-    def test_locate_gives_the_positions_and_values_in_input_order(self, icosahedron):
+    def test_place_and_vector_keep_the_input_order(self, icosahedron):
         cover = closed_star_cover(icosahedron)
         basis = _LayerBasis(cover, 2)
         comps = {(1, 5): {(6,): 0.5, (0,): -0.0}, (0, 1): {(5,): 2.0, (11,): 1.0}}
         part = BigradedCochain(0, 2, {t: Cochain(0, v) for t, v in comps.items()})
         with pytest.raises(InvalidInputError, match=r"\(0, 1\) spills .* at \(11,\)"):
-            basis.locate(part)
+            basis.place(0, 2, *_flat(part, cover.complex)[:-1])
         del comps[0, 1][11,]
         part = BigradedCochain(0, 2, {t: Cochain(0, v) for t, v in comps.items()})
-        at, values = basis.locate(part)
+        *flat, values = _flat(part, cover.complex)
+        at = basis.place(0, 2, *flat)
+        vec = basis.vector([(0, 2, *flat, values)])
         first = basis.positions[0, 2].start
         tuple_ids = basis.tuple_ids[0, 2]
         expected = [
@@ -962,6 +965,9 @@ class TestLayerBasis:
         assert at.tolist() == expected
         assert values.tolist() == [0.5, -0.0, 2.0]
         assert math.copysign(1.0, values[1]) == -1.0
+        # vector puts each value at its coordinate, the -0.0 with its sign
+        assert vec[at].tolist() == [0.5, -0.0, 2.0] and np.count_nonzero(vec) == 2
+        assert math.copysign(1.0, vec[at[1]]) == -1.0
 
 
 class TestResidualAgainstIndependentReference:
@@ -1206,6 +1212,19 @@ class TestDataAsCoordinates:
             GerbeDatum(-2, TotalCochain.zero(0), cover)
         with pytest.raises(InvalidInputError, match="^level 0 needs total degree 2, got 3$"):
             GerbeDatum(0, TotalCochain.zero(3), cover)
+        # the level is read by the id rule, so a file can always hold it
+        for level in (0.0, True, "0"):
+            with pytest.raises(InvalidInputError, match=r"^level \(.*,\): ids must be integers$"):
+                GerbeDatum(level, TotalCochain.zero(2), cover)
+
+    def test_a_numpy_level_is_kept_as_an_int_and_round_trips(self, tmp_path):
+        datum = build_monopole(6)
+        numpy_level = GerbeDatum(np.int64(0), datum.data, datum.cover)
+        assert type(numpy_level.level) is int and numpy_level == datum
+        save_datum(tmp_path / "datum.json", numpy_level)
+        save_datum(tmp_path / "plain.json", datum)
+        assert (tmp_path / "datum.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert load_datum(tmp_path / "datum.json") == datum
 
     def test_datum_is_an_immutable_value(self):
         datum = build_monopole(6)

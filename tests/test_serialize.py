@@ -3,6 +3,7 @@ bytes of ``json.dumps(doc, indent=1) + "\\n"`` of the document dict they
 describe, and load_datum reads back the same data, value for value."""
 
 import json
+import math
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from gerbecalc import (
     Cover,
     FormatError,
     GerbeDatum,
+    GerbecalcError,
     TotalCochain,
     build_gerbopole,
     build_minus_one_gerbe,
@@ -160,6 +162,7 @@ def _components(doc, i):
             lambda d: d["complex"]["simplices"].__setitem__("0", {}),
             "complex.simplices.0: expected a list",
         ),
+        (lambda d: d["complex"]["simplices"]["0"].__setitem__(0, 5), "complex: cell 5: ids must be integers"),
         (lambda d: d["cover"].__setitem__("sets", {}), "cover.sets: expected a list"),
         (lambda d: d["datum"].__setitem__("parts", {}), "datum.parts: expected a list"),
         (
@@ -213,21 +216,88 @@ def _components(doc, i):
             lambda d: _components(d, 2)[0]["entries"][0].__setitem__("simplex", [0, 1, 99]),
             r"datum: part \(2,0\) component \(\) spills outside its overlap at \(0, 1, 99\)",
         ),
+        # an unflagged transition layer listed after a part that spills: the angle
+        # rule is checked on every part before any is placed
+        (
+            lambda d: (
+                d["datum"].pop("angle_part"),
+                _components(d, 2)[0]["entries"][0].__setitem__("simplex", [0, 1, 99]),
+                d["datum"]["parts"].reverse(),
+            ),
+            "datum: the transition layer must be angle-valued",
+        ),
     ],
     ids=[
         "simplices-not-object", "dimension-key", "dimension-key-space", "dimension-key-plus",
         "dimension-key-zero-padded", "dimension-key-fullwidth", "dimension-key-underscore",
-        "dimension-key-minus-zero", "dimension-key-twice", "cells-not-list", "sets-not-list",
+        "dimension-key-minus-zero", "dimension-key-twice", "cells-not-list", "cell-not-a-list",
+        "sets-not-list",
         "parts-not-list",
         "duplicate-bidegree", "components-not-list", "duplicate-indices", "entries-not-list",
         "simplex-length", "indices-order", "total-degree", "angle-part-length",
         "angle-part-not-a-0-form", "no-angle-part", "component-past-the-sets", "negative-index",
-        "simplex-outside-the-complex",
+        "simplex-outside-the-complex", "unflagged-transition-after-a-spill",
     ],
 )
 def test_malformed_documents_are_refused_with_their_path(change, message):
     with pytest.raises(FormatError, match=f"^{message}$"):
         datum_from_dict(_broken(change))
+
+
+# the values a mutation puts at a path of a document
+MUTATION_ATOMS = [5, 0.5, True, None, "a", [], [[0]], {}, 10**30, 2**63, math.nan]
+
+
+def _paths(value, path=()):
+    """The path of the value and of everything inside it, in document order."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _paths(inner, (*path, key))
+
+
+def _changed(doc, path, change):
+    """A copy of ``doc`` that shares all but the containers on ``path`` with it,
+    and in which ``change(container, key)`` has acted on the last of them."""
+    copy, (key, *rest) = doc.copy(), path
+    if rest:
+        copy[key] = _changed(doc[key], rest, change)
+    else:
+        change(copy, key)
+    return copy
+
+
+def _mutated(doc, paths, rng):
+    """The document with one mutation at a random path: most often a value set
+    to one of ``MUTATION_ATOMS``, otherwise a key or an item dropped, or a list
+    item repeated."""
+    path, kind = paths[rng.randint(0, len(paths) - 1)], rng.randint(0, 9)
+    if not path:
+        return MUTATION_ATOMS[rng.randint(0, len(MUTATION_ATOMS) - 1)]
+    if kind < 7:
+        atom = MUTATION_ATOMS[rng.randint(0, len(MUTATION_ATOMS) - 1)]
+        return _changed(doc, path, lambda c, key: c.__setitem__(key, atom))
+    if kind < 9:
+        return _changed(doc, path, lambda c, key: c.pop(key))
+    # on a dict, repeating an item would only set it again
+    return _changed(doc, path, lambda c, key: c.insert(key, c[key]) if isinstance(c, list) else c.pop(key))
+
+
+def test_mutated_documents_load_or_are_refused():
+    docs = [datum_to_dict(build) for build in (build_monopole(6), build_gerbopole(6), build_minus_one_gerbe(12))]
+    paths = [list(_paths(doc)) for doc in docs]
+    rng, outcomes = Lcg64(2029), {"loaded": 0, "refused": 0}
+    for _ in range(2000):
+        i = rng.randint(0, len(docs) - 1)
+        doc = _mutated(docs[i], paths[i], rng)
+        try:
+            datum_from_dict(doc)
+        except GerbecalcError:
+            outcomes["refused"] += 1
+        else:
+            outcomes["loaded"] += 1
+    # both outcomes occur, so neither the loader nor the mutations are trivial
+    assert min(outcomes.values()) > 50, outcomes
 
 
 def _hexed(total):

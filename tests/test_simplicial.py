@@ -113,6 +113,11 @@ class TestConstruction:
             ({0: [(0,), (2**70,)]}, f"cell ({2**70},): vertex id out of range"),
             ({1: [(2**70, 1)]}, f"cell ({2**70}, 1): vertex ids must be strictly increasing"),
             ({0: [(np.True_,)]}, "cell (np.True_,): ids must be integers"),
+            # a cell or a list of cells that is not iterable, by the same rules
+            ({0: [5]}, "cell 5: ids must be integers"),
+            ({0: [None]}, "cell None: ids must be integers"),
+            ({0: [(0,), (7,), 5]}, "cell (7,): vertex id out of range"),
+            ({0: 5}, "0-cells 5: expected a list of cells"),
             # dimension keys by the same rule: int() would read 1.5 as 1 and True as 1
             ({0: [(0,), (1,)], 1.5: [(0, 1)]}, "cell dimension (1.5,): ids must be integers"),
             ({0: [(0,), (1,)], True: [(0, 1)]}, "cell dimension (True,): ids must be integers"),
@@ -142,6 +147,9 @@ class TestConstruction:
             ([(0, 1, 2), [3, 3, 1], (0.5, 1, 2)], "cell [3, 3, 1] has repeated vertices"),
             ([(0, 1, 2), (0.5, 1, 2), (3, 3, 1)], "cell (0.5, 1, 2): ids must be integers"),
             ([(0, 1, 2), (np.True_, 1, 2)], "cell (np.True_, 1, 2): ids must be integers"),
+            ([5], "cell 5: ids must be integers"),
+            ([(0, 1, 2), [3, 3, 1], 5], "cell [3, 3, 1] has repeated vertices"),
+            (None, "top cells None: expected a list of cells"),
             ([(0, 1, 2), (1, 3)], "top cells must all share one dimension"),
             # a cell with no vertices has no dimension to build
             ([()], "cell () has no vertices"),
@@ -164,6 +172,12 @@ class TestConstruction:
         assert by_tops.cells(2) == ((0, 1, 2),)
         for complex in (by_table, by_tops):
             assert {type(v) for cells in complex.simplices.values() for c in cells for v in c} == {int}
+
+    def test_no_top_cells_give_the_empty_complex(self):
+        for given in ([], iter([]), ()):
+            complex = SimplicialComplex.from_top_cells(4, given)
+            assert complex == SimplicialComplex(4, {}, -1) == SimplicialComplex.build(4, {})
+            assert complex.top_dimension == -1 and complex._rows == {} and complex._faces == {}
 
     def test_manifold_flag_rejects_open_disk(self, single_triangle):
         with pytest.raises(StructuralError):
@@ -214,6 +228,14 @@ class TestCochain:
         # a stored -0.0 that meets no value is copied as it is
         kept = (Cochain(0, {(0,): -0.0}) + Cochain(0, {(1,): 1.0})).values
         assert math.copysign(1.0, kept[(0,)]) == -1.0 and kept[(1,)] == 1.0
+
+    def test_scaled_by_zero_is_the_empty_cochain(self):
+        cochain = Cochain(1, {(0, 1): 2.0, (1, 2): math.inf, (0, 2): math.nan})
+        for zero in (0.0, -0.0, 0):
+            assert cochain.scaled(zero) == Cochain.zero(1)
+        # any other factor keeps every key, however small the values become
+        tiny = cochain.scaled(1e-320)
+        assert list(tiny.values) == list(cochain.values) and tiny.values[0, 1] == 2e-320
 
     def test_nan_is_kept(self):
         for left in [{}, {(0,): 1.0}, {(0,): math.nan}]:
@@ -305,6 +327,11 @@ class TestIntegrate:
 
 
 class TestChainBoundary:
+    def test_a_0_chain_has_the_empty_boundary(self, single_triangle):
+        # the boundary of a 0-chain is a (-1)-chain, even on cells the complex lacks
+        for coefficients in ({}, {(0,): 3, (2,): -1}, {(7,): 1}):
+            assert chain_boundary(Chain(0, coefficients), single_triangle) == Chain(-1, {})
+
     def test_unknown_cell_rejected(self, single_triangle):
         with pytest.raises(InvalidInputError, match=r"^chain references unknown cell \(0, 3\)$"):
             chain_boundary(Chain(1, {(0, 1): 1, (0, 3): 1}), single_triangle)
