@@ -98,14 +98,17 @@ def join_sphere3(segments: int, base_segments: int = 8) -> SimplicialComplex:
     return SimplicialComplex.from_top_cells(m + l, tetrahedra, closed_manifold=True)
 
 
-def _check_resolution(m: int, winding: int, minimum: int) -> None:
-    if not isinstance(m, int) or m < minimum:
+def _check_resolution(m: int, winding: int, minimum: int) -> tuple[int, int]:
+    """m and winding as Python ints, read by ``_ids``'s rule: True and 12.0 are refused."""
+    if not _are_ids((m,)) or m < minimum:
         raise InvalidInputError(f"resolution must be an integer >= {minimum}, got {m!r}")
-    if not isinstance(winding, int) or winding == 0:
+    if not _are_ids((winding,)) or winding == 0:
         raise InvalidInputError(f"winding must be a nonzero integer, got {winding!r}")
+    m, winding = operator.index(m), operator.index(winding)
     # every wrapped increment must stay below pi/2 to rule out branch ambiguity
     if abs(winding) * TWO_PI / m >= 0.5 * math.pi:
         raise InvalidInputError(f"resolution {m} is too coarse for winding {winding}")
+    return m, winding
 
 
 def _wrapped_differences(edges, angle: dict[int, float], factor: int) -> dict:
@@ -127,11 +130,11 @@ def build_minus_one_gerbe(m: int, winding: int = 1) -> GerbeDatum:
     and at least 12, so every arc endpoint separates the same pair of
     vertices as in the continuum picture and each edge fits inside an arc.
     """
-    if not isinstance(m, int) or m < 12 or m % 6 != 0:
+    if not _are_ids((m,)) or m < 12 or m % 6 != 0:
         raise InvalidInputError(
             f"the three-arc cover needs m >= 12 with 6 | m, got {m!r}"
         )
-    _check_resolution(m, winding, 12)
+    m, winding = _check_resolution(m, winding, 12)
     complex = circle_complex(m)
     # arcs (0, pi), (2pi/3, 5pi/3), (4pi/3, 7pi/3) in vertex indices
     arc0 = {v for v in range(m) if 0 < v < m // 2}
@@ -184,7 +187,7 @@ def build_monopole(m: int, winding: int = 1) -> GerbeDatum:
     annulus (flagged WARN by the good-cover check, as expected).  Curvature
     lives on the m south polar triangles, roughly 2*pi*winding/m each.
     """
-    _check_resolution(m, winding, 6)
+    m, winding = _check_resolution(m, winding, 6)
     complex = two_cone_sphere(m)
     band = set(range(2 * m))
     cover = Cover.build(complex, [band | {2 * m}, band | {2 * m + 1}])
@@ -201,7 +204,7 @@ def build_gerbopole(m: int, winding: int = 1, base_segments: int = 8) -> GerbeDa
     circle and carries the winding transition function; the curvature sits on
     the tetrahedra where the third patch's 2-form layer tapers off.
     """
-    _check_resolution(m, winding, 6)
+    m, winding = _check_resolution(m, winding, 6)
     l = _integer(base_segments, "base_segments")
     if l % 2 != 0 or l < 8:
         raise InvalidInputError("the base polygon needs an even count >= 8")

@@ -106,6 +106,7 @@ class GerbeDatum:
     @classmethod
     def zero(cls, cover: Cover, level: int) -> "GerbeDatum":
         """The zero datum at the given level: all parts absent."""
+        (level,) = _ids((level,), "level")
         return cls(level, TotalCochain.zero(level + 2), cover)
 
     def __setattr__(self, name, value):

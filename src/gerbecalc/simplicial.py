@@ -20,9 +20,12 @@ orientation is partial c = 0 over the top cells, kept as the walk's +-1 list; th
 complex keeps, per degree q, the walk of d from the q-forms seeded with the q-cells
 that solved a step at degree q - 1 (``_order``), which the equivalence solve replays.
 The sparse dict sum is ``_merged``.
-The good-cover check (``cover._betti``) ranks partial_1 by a union-find over rows
-of ``_faces[1]``, not by the walk: 2.1-3.4 ms per check of the 144-set star cover
-(1,440 overlaps) against 6.4-8.7 ms for the walk, which also needs local ids.
+The good-cover check (``cover._betti``) does not walk: it collapses the free faces
+of dimension 2 and up of all overlaps at once, in parallel rounds, and ranks
+partial_1 by one union-find over the surviving rows of ``_faces[1]``.  Over all the
+edges of the 144-set star cover's overlaps the union-find took 2.1-3.4 ms against
+6.4-8.7 ms for the walk, and collapsing vertices into edges too would take one
+round per step along a path.
 
 ``boundary_matrix`` is the dense reference for the tests, which rank it with
 ``cover.integer_rank``; the library ranks sparse face rows instead.

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from gerbecalc import (
@@ -276,12 +277,26 @@ def test_builder_output_is_pinned_byte_for_byte(key, tmp_path):
         (lambda: join_sphere3(True), "^segments must be an integer, got True$"),
         (lambda: build_gerbopole(12, 1, "a"), "^base_segments must be an integer, got 'a'$"),
         (lambda: build_monopole(5.5), "^resolution must be an integer >= 6, got 5.5$"),
+        # m and winding are read by the id rule, so True is not a winding of 1
+        (lambda: build_monopole(12, True), "^winding must be a nonzero integer, got True$"),
+        (lambda: build_gerbopole(True), "^resolution must be an integer >= 6, got True$"),
+        (lambda: build_minus_one_gerbe(12.0), r"^the three-arc cover needs m >= 12 with 6 \| m, got 12\.0$"),
+        (lambda: build_minus_one_gerbe(12, True), "^winding must be a nonzero integer, got True$"),
     ],
     ids=[
         "circle", "sphere-band", "join", "winding-0", "winding-float", "base-6", "base-odd",
         "circle-float", "sphere-band-float", "join-base-float", "join-bool", "base-str", "monopole-float",
+        "monopole-winding-bool", "gerbopole-bool", "minus1-float", "minus1-winding-bool",
     ],
 )
 def test_refusals(build, message):
     with pytest.raises(InvalidInputError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build", [build_minus_one_gerbe, build_monopole, build_gerbopole])
+def test_numpy_integers_build_the_same_document(build, tmp_path):
+    # read by the id rule, np.int64(12) and np.int32(-1) are the ints 12 and -1
+    save_datum(tmp_path / "plain.json", build(12, -1))
+    save_datum(tmp_path / "numpy.json", build(np.int64(12), np.int32(-1)))
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()

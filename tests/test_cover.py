@@ -32,7 +32,7 @@ from gerbecalc.builders import (
     join_sphere3,
     two_cone_sphere,
 )
-from gerbecalc.randomdata import random_gauge_potential
+from gerbecalc.randomdata import random_complex_and_cover, random_gauge_potential
 from gerbecalc.rng import Lcg64
 
 from conftest import closed_star_cover, induced, torus_grid
@@ -51,6 +51,33 @@ def dense_betti(complex):
     counts = [len(complex.cells(q)) for q in range(up_to + 2)]
     ranks = [0] + [integer_rank(boundary_matrix(complex, q)) for q in range(1, up_to + 2)]
     return tuple(counts[q] - ranks[q] - ranks[q + 1] for q in range(up_to + 1))
+
+
+def cube_ball(n):
+    """The n x n x n cube grid, each unit cube cut into the 6 tetrahedra along
+    its main diagonal: a 3-ball."""
+    vid = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
+    tetrahedra = []
+    for corner in itertools.product(range(n), repeat=3):
+        for axes in itertools.permutations(range(3)):
+            step, path = list(corner), [vid(*corner)]
+            for a in axes:
+                step[a] += 1
+                path.append(vid(*step))
+            tetrahedra.append(tuple(path))
+    return SimplicialComplex.from_top_cells((n + 1) ** 3, tetrahedra)
+
+
+def nested_triangles(levels):
+    """A disc of nested triangles: triangle k is (3k, 3k + 1, 3k + 2), and 6
+    triangles fill the band between triangles k and k + 1.  Only the outer
+    band has free edges, so a collapse goes one band per round."""
+    triangles = [(0, 1, 2)]
+    for k in range(levels - 1):
+        for i in range(3):
+            a, b, j = 3 * k + i, 3 * k + 3 + i, 3 * k + (i + 1) % 3
+            triangles += [tuple(sorted((a, j, b))), tuple(sorted((j, b, j + 3)))]
+    return SimplicialComplex.from_top_cells(3 * levels, triangles)
 
 
 def random_closed_complex(seed):
@@ -124,6 +151,11 @@ class TestCoverConstruction:
     def test_non_integer_member_rejected(self, first):
         with pytest.raises(InvalidInputError, match=r"^cover set 0 .*ids must be integers$"):
             Cover.build(circle_complex(6), [first, [3, 4, 5, 0]])
+
+    @pytest.mark.parametrize("sets", [5, None])
+    def test_sets_that_are_not_iterable_are_refused(self, sets):
+        with pytest.raises(InvalidInputError, match=f"^cover sets {sets}: not a list of vertex sets$"):
+            Cover.build(circle_complex(6), sets)
 
     def test_sparse_vertex_ids_far_beyond_the_cells(self):
         # membership rows follow the three 0-cells, not the ids up to 10**13
@@ -421,20 +453,79 @@ class TestGoodCover:
         assert layers[0].tuples and not layers[-1].tuples
         assert built == []
 
-    def test_ranks_each_distinct_intersection_once(self, monkeypatch):
+    def test_certifies_each_distinct_intersection_once_in_one_batch(self, monkeypatch):
         # 13,824 nerve entries of the 144-set torus star cover meet in 1,440
-        # distinct vertex sets; 864 of those hold a triangle
+        # distinct vertex sets, certified by one call; each is at most a disc,
+        # so the collapse leaves no triangle and nothing is ranked exactly
         cover = closed_star_cover(torus_grid(12))
-        ranked, calls = [], []
+        batches, calls = [], []
         plain_betti, plain_rank = cover_module._betti, cover_module.integer_rank
-        monkeypatch.setattr(cover_module, "_betti", lambda f, runs: ranked.append(runs[0]) or plain_betti(f, runs))
+        monkeypatch.setattr(cover_module, "_betti", lambda *args: batches.append(args) or plain_betti(*args))
         monkeypatch.setattr(cover_module, "integer_rank", lambda rows: calls.append(rows) or plain_rank(rows))
         report = check_good_cover(cover)
         assert len(report.entries) == 13_824
         distinct = {frozenset.intersection(*(cover.sets[i] for i in e.indices)) for e in report.entries}
-        assert len(ranked) == len(distinct) == 1_440
-        assert len({tuple(vertices) for vertices in ranked}) == 1_440
-        assert len(calls) == 864
+        [(complex, owners, cells, count)] = batches
+        assert count == len(distinct) == 1_440
+        named = complex.cells(0)
+        vertices = [frozenset(named[c][0] for c in cells[0][owners[0] == o].tolist()) for o in range(count)]
+        assert set(vertices) == distinct
+        assert calls == []
+
+    def test_projective_plane_as_one_set_is_ranked_exactly(self, monkeypatch):
+        # no edge of RP^2_6 bounds only one triangle, so all 10 triangles survive
+        # the collapse and go to the exact rank, which works over Q
+        calls, plain = [], cover_module.integer_rank
+        monkeypatch.setattr(cover_module, "integer_rank", lambda rows: calls.append(rows) or plain(rows))
+        K = SimplicialComplex.from_top_cells(6, RP2_TRIANGLES)
+        [entry] = check_good_cover(Cover.build(K, [K.vertices])).entries
+        assert entry == ((0,), (1, 0, 0), True)
+        assert [len(rows) for rows in calls] == [10]
+
+    def test_a_three_ball_collapses_with_no_exact_rank(self, monkeypatch):
+        # the tetrahedra collapse into triangles and the triangles into edges
+        calls, plain = [], cover_module.integer_rank
+        monkeypatch.setattr(cover_module, "integer_rank", lambda rows: calls.append(rows) or plain(rows))
+        K = cube_ball(3)
+        assert len(K.cells(3)) == 162
+        [entry] = check_good_cover(Cover.build(K, [K.vertices])).entries
+        assert (entry.betti, calls) == ((1, 0, 0, 0), [])
+
+    def test_a_deep_disc_is_collapsed_in_bounded_time(self):
+        # 5,000 rounds of one band each: a round looks only at the faces whose
+        # coface count fell to 1, where a scan of every live cell per round
+        # would grow with the square of the bands
+        K = nested_triangles(5_000)
+        start = time.perf_counter()
+        [entry] = check_good_cover(Cover.build(K, [K.vertices])).entries
+        assert entry.betti == (1, 0, 0) and len(K.cells(2)) == 29_995
+        assert time.perf_counter() - start < 2.0
+
+    def test_the_empty_complex_has_no_overlaps(self):
+        assert check_good_cover(Cover.build(SimplicialComplex.build(0, {}), [[]])).entries == ()
+
+    def test_torus_as_one_set_warns(self):
+        K = torus_grid(6)
+        [entry] = check_good_cover(Cover.build(K, [K.vertices])).entries
+        assert (entry.betti, entry.status) == ((1, 2, 1), "WARN")
+
+    def test_overlap_of_two_disjoint_discs_has_two_components(self, monkeypatch):
+        # hexagonal discs around 0 and 10, joined by the path 1-20-11 in set 0
+        # and by 4-21-14 in set 1, so the sets are contractible and meet in both discs
+        fans = [tuple(sorted((c, c + k, c + k % 6 + 1))) for c in (0, 10) for k in range(1, 7)]
+        cells = {f for t in fans for k in (1, 2, 3) for f in itertools.combinations(t, k)}
+        cells |= {(1, 20), (11, 20), (4, 21), (14, 21), (20,), (21,)}
+        K = SimplicialComplex.build(22, {q: [c for c in cells if len(c) == q + 1] for q in range(3)})
+        discs = set(range(7)) | set(range(10, 17))
+        calls, plain = [], cover_module.integer_rank
+        monkeypatch.setattr(cover_module, "integer_rank", lambda rows: calls.append(rows) or plain(rows))
+        report = check_good_cover(Cover.build(K, [discs | {20}, discs | {21}]))
+        assert [(e.indices, e.betti, e.status) for e in report.entries] == [
+            ((0,), (1, 0, 0), "OK"),
+            ((0, 1), (2, 0, 0), "WARN"),
+            ((1,), (1, 0, 0), "OK"),
+        ]
+        assert calls == []
 
     def test_overlaps_of_one_size_are_ranked_apart(self):
         # a 4-cycle and a 4-vertex path: as many vertices, different Betti numbers
@@ -457,13 +548,24 @@ class TestGoodCover:
 
 
 class TestSparseBettiNumbers:
-    """``betti_numbers`` ranks 1-boundaries by components and higher ones by
-    sparse face rows; the dense reference ranks ``boundary_matrix``."""
+    """``betti_numbers`` collapses free faces, ranks 1-boundaries by components
+    and what survives above by sparse face rows; the dense reference ranks
+    ``boundary_matrix``."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_random_complexes_match_the_dense_reference(self, seed):
         K = random_closed_complex(seed)
         assert betti_numbers(K) == dense_betti(K)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_randomdata_complexes_and_overlaps_match_the_dense_reference(self, seed):
+        # circles and two-cone spheres with their random covers' overlaps:
+        # discs, annuli, arcs and pieces of several components
+        complex, cover = random_complex_and_cover(Lcg64(seed))
+        assert betti_numbers(complex) == dense_betti(complex)
+        for t in cover.nerve():
+            overlap = cover.overlap(t)
+            assert betti_numbers(overlap) == dense_betti(overlap)
 
     def test_random_complexes_cover_the_cases(self):
         # the seeds above reach disconnected complexes, isolated vertices and

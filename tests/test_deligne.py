@@ -1216,6 +1216,9 @@ class TestDataAsCoordinates:
         for level in (0.0, True, "0"):
             with pytest.raises(InvalidInputError, match=r"^level \(.*,\): ids must be integers$"):
                 GerbeDatum(level, TotalCochain.zero(2), cover)
+            with pytest.raises(InvalidInputError, match=r"^level \(.*,\): ids must be integers$"):
+                GerbeDatum.zero(cover, level)
+        assert GerbeDatum.zero(cover, np.int64(0)) == GerbeDatum.zero(cover, 0)
 
     def test_a_numpy_level_is_kept_as_an_int_and_round_trips(self, tmp_path):
         datum = build_monopole(6)
