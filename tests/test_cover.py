@@ -453,10 +453,10 @@ class TestGoodCover:
         assert layers[0].tuples and not layers[-1].tuples
         assert built == []
 
-    def test_certifies_each_distinct_intersection_once_in_one_batch(self, monkeypatch):
+    def test_ranks_each_distinct_intersection_once(self, monkeypatch):
         # 13,824 nerve entries of the 144-set torus star cover meet in 1,440
-        # distinct vertex sets, certified by one call; each is at most a disc,
-        # so the collapse leaves no triangle and nothing is ranked exactly
+        # distinct vertex sets, certified by one call; no triangle survives
+        # the collapse, so nothing is ranked exactly
         cover = closed_star_cover(torus_grid(12))
         batches, calls = [], []
         plain_betti, plain_rank = cover_module._betti, cover_module.integer_rank
