@@ -298,7 +298,7 @@ class _LayerBasis:
         for n in range(min(degree, self.set_count) + 1):
             p = degree - n
             arrays = cover._layer_arrays(n) if p <= self.complex.top_dimension else None
-            tuples, (tuple_ids, cell_ids) = (arrays.tuples, arrays.blocks[p]) if arrays else empty
+            tuples, (tuple_ids, cell_ids) = (arrays.tuples, arrays.block(p)) if arrays else empty
             self.tuples[n] = tuples
             first, self.size = self.size, self.size + len(cell_ids)
             self.positions[p, n] = range(first, self.size)
@@ -445,7 +445,7 @@ def _contraction(cover: Cover, degree: int) -> _SparseD:
     if ("K", degree) not in cover._operators:
         rows, k_rows, k_cols = _basis(cover, degree), [np.zeros(0, np.int32)], [np.zeros(0, int)]
         for (p, n), targets in _coboundary(cover, degree - 1).leading.items():
-            (starts, sets), cells = cover._layer_arrays(1).held[p], rows.cell_ids[p, n]
+            (starts, sets), cells = cover._layer_arrays(1).held(p), rows.cell_ids[p, n]
             first = cover._layer_arrays(n).table[rows.tuple_ids[p, n], 0]
             keep = np.flatnonzero(first == cover._layer_arrays(1).table[sets[starts[cells]], 0])
             k_rows.append(targets[keep])

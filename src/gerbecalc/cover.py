@@ -7,21 +7,26 @@ several sets is the subcomplex induced on their intersection.  A p-cochain
 One cell -> sets incidence owns the nerve.  A coordinate of a (q, n) cochain
 is a pair (t, cell), t an n-subset of the sets that hold the cell, so layer n
 is arrays, built on first use: its table of the distinct n-subsets of the
-vertices' set lists, each higher cell's tuples as those its faces 0 and 1
-share (``_meet``), and block (q, n) of (tuple id, cell id) pairs.  Layer 1 is
-the incidence, which ``Cover.build`` checks; ``bicomplex`` reads its bases,
+vertices' set lists and its vertex block, made by one sort.  Above the
+vertices a layer's incidence is made only when first read (``_Layer``): each
+higher cell's tuples are those its faces 0 and 1 share (``_meet``, chained by
+``_holders``), and block (q, n) lists the (tuple id, cell id) pairs.  Layer 1
+is the incidence, which ``Cover.build`` checks; ``bicomplex`` reads its bases,
 delta's nerve faces and the contraction's lowest set from these arrays.
 Tuple i's q-cells are its run in block (q, n): ``Cover.overlap`` builds the
 complex of one tuple from its runs on each call and keeps none.
 
-The good-cover check builds no complex.  It groups each layer's tuples by
-their vertex runs and certifies all distinct intersections in one batch from
-their runs and the complex's face table (``_betti``): parallel collapses of
-free faces remove the cells of dimension 2 and up, one union-find over the
+The good-cover check builds no complex and reads no layer above its vertex
+block.  One numpy pass groups the tuples of all layers by their vertex runs
+(``_group_runs``: a seeded sum per run, then an exact comparison), and the
+distinct intersections' own vertex lists give their cells through
+``_holders``.  ``_betti`` certifies them all in one batch: parallel collapses
+of free faces remove the cells of dimension 2 and up, one union-find over the
 edges left gives b0 and b1, and ``integer_rank`` ranks only the cells of
 dimension 2 and up that no collapse reaches.  The 13,824 nerve entries of the
 144-set star cover of a 12x12 torus have 1,440 distinct intersections, every
-one certified with no ``integer_rank`` call.
+one certified with no ``integer_rank`` call, and no Python step is taken per
+entry beyond making it.
 """
 
 from __future__ import annotations
@@ -55,15 +60,62 @@ def _meet(faces: np.ndarray, starts: np.ndarray, held: np.ndarray, count: int) -
     return np.searchsorted(cells[both], np.arange(len(faces) + 1)), ids[both]
 
 
-class _Layer(NamedTuple):
-    """Layer n: its ``table``, (L, n) int64 in lexicographic order, as ``tuples`` too;
-    per q, ``held[q]`` lists (starts, ids) the tuples that hold each q-cell, and
-    ``blocks[q]`` has the pairs as (tuple id, cell id) int32, by tuple then cell."""
+def _holders(complex: SimplicialComplex, starts: np.ndarray, ids: np.ndarray, count: int):
+    """Per q from 0 to the top, (starts, ids): the owners below ``count`` that hold
+    each q-cell, at ids[starts[c] : starts[c + 1]] in increasing order, from the
+    vertices' lists given.  A q-cell is held by the owners its faces 0 and 1 both
+    hold (``_meet``); each q is made when the one before it has been read."""
+    yield starts, ids
+    for q in range(1, complex.top_dimension + 1):
+        starts, ids = _meet(complex._faces[q], starts, ids, count)
+        yield starts, ids
 
-    table: np.ndarray
-    tuples: list[tuple[int, ...]]
-    held: list[tuple[np.ndarray, np.ndarray]]
-    blocks: list[tuple[np.ndarray, np.ndarray]]
+
+def _stable_order(ids: np.ndarray) -> np.ndarray:
+    """The stable argsort of nonnegative ids, sorted as the smallest unsigned type
+    that holds them: numpy sorts 8- and 16-bit keys by radix."""
+    return np.argsort(ids.astype(np.min_scalar_type(int(ids.max(initial=0)))), kind="stable")
+
+
+def _pairs(starts: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (owner id, cell id) pairs of per-cell owner lists, int32, by owner then cell."""
+    order = _stable_order(ids)
+    cells = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[order]
+    return ids[order].astype(np.int32), cells.astype(np.int32)
+
+
+def _lists(owners: np.ndarray, cells: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_pairs`` undone: the owner lists (starts, ids) of ``count`` cells, from
+    (owner id, cell id) pairs sorted by owner."""
+    starts = np.zeros(count + 1, np.intp)
+    np.cumsum(np.bincount(cells, minlength=count), out=starts[1:])
+    return starts, owners[_stable_order(cells)]
+
+
+class _Layer:
+    """Layer n: its ``table``, (L, n) int64 in lexicographic order, as ``tuples`` too.
+    ``held(q)`` lists (starts, ids) the tuples that hold each q-cell, and ``block(q)``
+    has the pairs as (tuple id, cell id) int32, by tuple then cell.  A layer is
+    made with its vertex block; the rest is made from it (``_lists``, then
+    ``_holders``) when first read, so a layer that nothing reads above the
+    vertices keeps its vertex block alone."""
+
+    def __init__(self, complex: SimplicialComplex, table: np.ndarray, tuples: list, blocks: dict):
+        self.complex, self.table, self.tuples = complex, table, tuples
+        self._blocks, self._held, self._holders = blocks, [], None
+
+    def held(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._holders is None:
+            vertices = _lists(*self.block(0), len(self.complex.cells(0)))
+            self._holders = _holders(self.complex, *vertices, len(self.tuples))
+        while len(self._held) <= q:
+            self._held.append(next(self._holders))
+        return self._held[q]
+
+    def block(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        if q not in self._blocks:
+            self._blocks[q] = _pairs(*self.held(q))
+        return self._blocks[q]
 
 
 @dataclass(frozen=True)
@@ -100,56 +152,55 @@ class Cover:
         if missing:
             raise InvalidInputError(f"vertices {sorted(missing)} are not covered")
         cover = cls(complex, fsets)
-        for q, (starts, _) in enumerate(cover._layer_arrays(1).held):  # the incidence
-            if not (widths := np.diff(starts)).all():  # argmin: the first cell in no set
+        incidence = cover._layer_arrays(1)  # each cell's sets
+        for q in range(complex.top_dimension + 1):
+            if not (widths := np.diff(incidence.held(q)[0])).all():  # argmin: the first cell in no set
                 raise InvalidInputError(f"cell {complex.cells(q)[widths.argmin()]} lies in no cover set")
         return cover
 
     @cached_property
     def _nerve(self) -> dict[int, _Layer]:
         """The layers built so far; layer 0 is the one tuple (), held by every cell."""
-        cells = map(len, map(self.complex.cells, range(self.complex.top_dimension + 1)))
-        blocks = [(np.zeros(c, np.int32), np.arange(c, dtype=np.int32)) for c in cells]
-        return {0: _Layer(np.zeros((1, 0), np.int64), [()], [], blocks)}
+        complex = self.complex
+        cells = map(len, map(complex.cells, range(complex.top_dimension + 1)))
+        blocks = {q: (np.zeros(c, np.int32), np.arange(c, dtype=np.int32)) for q, c in enumerate(cells)}
+        return {0: _Layer(complex, np.zeros((1, 0), np.int64), [()], blocks)}
 
     @cached_property
     def _vertex_sets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each vertex's sets, in increasing order, once per cover: (sets, widths,
         starts), vertex i's at sets[starts[i] : starts[i] + widths[i]].  The members
         are placed by a search of the 0-cell ids, which may be sparse, so no array
-        follows ``vertex_count``."""
+        follows ``vertex_count``.  The set ids have the smallest unsigned type that
+        holds them, so the layers' sorts on them go by radix."""
         complex = self.complex
         ids = complex._rows[0][:, 0] if complex._rows else np.zeros(0, np.int64)
         vertex = np.searchsorted(ids, np.fromiter(itertools.chain.from_iterable(self.sets), np.int64))
-        sets = np.repeat(np.arange(len(self.sets)), list(map(len, self.sets)))
+        small = np.arange(len(self.sets), dtype=np.min_scalar_type(len(self.sets)))
+        sets = np.repeat(small, list(map(len, self.sets)))
         sets, widths = sets[np.argsort(vertex, kind="stable")], np.bincount(vertex, minlength=len(ids))
         return sets, widths, np.cumsum(widths) - widths
 
     def _layer_arrays(self, n: int) -> _Layer:
         """Layer n, built on first use: the table is the distinct n-subsets of
-        the vertices' set lists (``_vertex_sets``)."""
+        the vertices' set lists (``_vertex_sets``), and the vertex block comes
+        out of the same sort, whose keys have the smallest types that hold them."""
         if n not in self._nerve:
-            complex, (sets, widths, starts) = self.complex, self._vertex_sets
-            rows, cells = [np.zeros((0, n), np.int64)], [np.zeros(0, np.intp)]
+            sets, widths, starts = self._vertex_sets
+            small = np.min_scalar_type(len(widths))
+            rows, cells = [np.zeros((0, n), sets.dtype)], [np.zeros(0, small)]
             for m in (np.flatnonzero(np.bincount(widths)[n:]) + n).tolist():
                 owners = np.flatnonzero(widths == m)  # the vertices in m sets, at once
                 picks = np.array(list(itertools.combinations(range(m), n)), np.intp).reshape(-1, n)
                 rows.append(sets[starts[owners, None, None] + picks].reshape(-1, n))
-                cells.append(np.repeat(owners, len(picks)))
+                cells.append(np.repeat(owners.astype(small), len(picks)))
             rows, cells = np.concatenate(rows), np.concatenate(cells)
             order = np.lexsort((cells, *rows.T[::-1]))  # by tuple, then by vertex
             rows, cells, new = rows[order], cells[order], np.ones(len(rows), bool)
             new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-            table, tuples, by_vertex = rows[new], np.cumsum(new) - 1, np.argsort(cells, kind="stable")
-            held = [(np.searchsorted(cells[by_vertex], np.arange(len(widths) + 1)), tuples[by_vertex])]
-            for q in range(1, complex.top_dimension + 1):  # the tuples its faces 0 and 1 share
-                held.append(_meet(complex._faces[q], *held[-1], len(table)))
-            blocks = []
-            for starts, tuples in held:
-                order = np.argsort(tuples, kind="stable")
-                cells = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[order]
-                blocks.append((tuples[order].astype(np.int32), cells.astype(np.int32)))
-            self._nerve[n] = _Layer(table, list(zip(*table.T.tolist())), held, blocks)
+            table, tuples = rows[new].astype(np.int64), np.cumsum(new, dtype=np.int32) - 1
+            block = {0: (tuples, cells.astype(np.int32))}  # by tuple, then vertex
+            self._nerve[n] = _Layer(self.complex, table, list(zip(*table.T.tolist())), block)
         return self._nerve[n]
 
     def overlap(self, indices: Iterable[int]) -> SimplicialComplex:
@@ -168,7 +219,8 @@ class Cover:
         i = bisect.bisect_left(layer.tuples, t)
         if layer.tuples[i : i + 1] != [t]:
             return SimplicialComplex(self.complex.vertex_count, {}, -1)
-        runs = (cells[slice(*np.searchsorted(ids, (i, i + 1)))] for ids, cells in layer.blocks)
+        blocks = map(layer.block, range(self.complex.top_dimension + 1))
+        runs = (cells[slice(*np.searchsorted(ids, (i, i + 1)))] for ids, cells in blocks)
         named = self.complex.cells
         table = {q: tuple(map(named(q).__getitem__, run.tolist())) for q, run in enumerate(runs) if run.size}
         return SimplicialComplex(self.complex.vertex_count, table, max(table))
@@ -333,51 +385,77 @@ class GoodCoverReport:
         return not self.warnings
 
 
+def _run_words(count: int, seed: int) -> np.ndarray:
+    """``count`` seeded 64-bit words, one per vertex position."""
+    return np.random.default_rng(seed).bit_generator.random_raw(count)
+
+
+def _group_runs(ids: np.ndarray, vertices: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Owners of the runs: tuple t's vertex run is ``vertices`` where ``ids`` == t,
+    ids sorted and every run nonempty.  Returns each tuple's owner, equal owners
+    for equal runs and numbered by first appearance, and each owner's first tuple.
+
+    A run's key is its width plus the sum, modulo 2**64, of seeded words
+    (``_run_words``) indexed by its vertices.  Tuples are grouped by key, and
+    then each run is compared, entry by entry, with its group's first run; on a
+    mismatch the grouping is redone with the next seed.
+    """
+    widths = np.bincount(ids, minlength=count)
+    starts = np.cumsum(widths) - widths
+    lead_at = np.arange(len(vertices)) - np.repeat(starts, widths)  # offset in its run
+    for seed in itertools.count():
+        words = _run_words(int(vertices.max(initial=-1)) + 1, seed)
+        keys = np.add.reduceat(words[vertices], starts) + widths.astype(np.uint64)
+        _, first, owner = np.unique(keys, return_index=True, return_inverse=True)
+        by_appearance = np.argsort(first)
+        rank = np.empty(len(first), np.intp)
+        rank[by_appearance] = np.arange(len(first))
+        owner, first = rank[owner], first[by_appearance]
+        lead = first[owner]  # each tuple's group's first tuple
+        if (widths == widths[lead]).all():
+            if (vertices[np.repeat(starts[lead], widths) + lead_at] == vertices).all():
+                return owner, first
+
+
 def check_good_cover(cover: Cover) -> GoodCoverReport:
     """Check each nonempty overlap for acyclicity: b0 = 1 and every higher b = 0.
 
     Betti numbers are computed up to the overlap's top dimension, and at least
     to b2.  Failures are reported with WARN status only: an overlap that is
     not contractible still carries usable data, it just falls outside the
-    good-cover setting.  Each layer's tuples are grouped by their vertex runs,
-    and the first tuple of each distinct intersection gives its (owner, cell)
-    pairs from the blocks; ``_betti`` certifies them all in one batch.  The
-    entries are one per nerve tuple, in lexicographic order: one lexsort of the
-    layer tables, padded with -1.
+    good-cover setting.  The tuples of all layers are grouped by their vertex
+    runs in one pass (``_group_runs``); the first run of each distinct
+    intersection gives its vertex list, ``_holders`` its cells, and ``_betti``
+    certifies them all in one batch.  No layer's incidence above the vertices
+    is read.  The entries are one per nerve tuple, in lexicographic order: one
+    lexsort of the layer tables, padded with -1.
     """
     layers = []
     while (layer := cover._layer_arrays(len(layers) + 1)).tuples:
         layers.append(layer)
     if not layers:
         return GoodCoverReport(())
-    known, owner = {}, []  # an owner per distinct vertex run; each layer's tuples' owners
-    owners, cells = [[] for _ in layers[0].blocks], [[] for _ in layers[0].blocks]
-    for layer in layers:
-        ids, vertices = layer.blocks[0]
-        at = np.searchsorted(ids, np.arange(len(layer.tuples) + 1)).tolist()
-        data, size, before = vertices.tobytes(), vertices.itemsize, len(known)
-        mine = np.array([known.setdefault(data[size * a : size * b], len(known)) for a, b in zip(at, at[1:])])
-        # owners are handed out in order: an intersection's first tuple is above all owners before it
-        first = mine > np.maximum.accumulate(np.concatenate(([before - 1], mine[:-1])))
-        chosen = np.where(first, mine, -1)
-        for q, (ids, block) in enumerate(layer.blocks):
-            kept = chosen[ids]
-            owners[q].append(kept[kept >= 0])
-            cells[q].append(block[kept >= 0])
-        owner.append(mine)
-    owners, cells = list(map(np.concatenate, owners)), list(map(np.concatenate, cells))
-    betti = _betti(cover.complex, owners, cells, len(known))
+    blocks, sizes = [layer.block(0) for layer in layers], [len(layer.tuples) for layer in layers]
+    offsets = np.cumsum([0, *sizes[:-1]]).tolist()  # the tuples of all layers, layer by layer
+    ids = np.concatenate([ids + offset for (ids, _), offset in zip(blocks, offsets)])
+    vertices = np.concatenate([vertices for _, vertices in blocks])
+    owner, first = _group_runs(ids, vertices, sum(sizes))
+    # the vertex lists of the distinct intersections, from their first runs
+    leads = np.zeros(sum(sizes), bool)
+    leads[first] = True
+    kept = leads[ids]
+    complex, count = cover.complex, len(first)
+    lists = _lists(owner[ids[kept]], vertices[kept], len(complex.cells(0)))  # sorted by owner
+    owners, cells = zip(*(_pairs(*held) for held in _holders(complex, *lists, count)))
+    betti = _betti(complex, list(owners), list(cells), count)
     contractible = [b == (1,) + (0,) * (len(b) - 1) for b in betti]
-    table, row = np.full((sum(len(layer.tuples) for layer in layers), len(layers)), -1, np.int64), 0
+    # the smallest integer type that holds -1 and every set id: lexsort then sorts by radix
+    table, row = np.full((len(owner), len(layers)), -1, np.min_scalar_type(-len(cover.sets))), 0
     for n, layer in enumerate(layers, 1):
         table[row : row + len(layer.tuples), :n], row = layer.table, row + len(layer.tuples)
     order = np.lexsort(table.T[::-1]).tolist()
     tuples = list(itertools.chain.from_iterable(layer.tuples for layer in layers))
-    owner = np.concatenate(owner)[order].tolist()
-    entries = map(
-        OverlapDiagnostic,
-        map(tuples.__getitem__, order),
-        map(betti.__getitem__, owner),
-        map(contractible.__getitem__, owner),
-    )
-    return GoodCoverReport(tuple(entries))
+    owner = owner[order].tolist()
+    indices = map(tuples.__getitem__, order)
+    fields = zip(indices, map(betti.__getitem__, owner), map(contractible.__getitem__, owner))
+    return GoodCoverReport(tuple(map(tuple.__new__, itertools.repeat(OverlapDiagnostic), fields)))

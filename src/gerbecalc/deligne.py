@@ -28,6 +28,7 @@ rejected amplitude-3 shifts of ``random_gauge_potential`` all have charge 1.0
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice
 
@@ -256,7 +257,7 @@ def charge(datum: GerbeDatum) -> float:
     # curvature() holds minus the values; where none is stored, the term -0.0 or
     # 0.0 leaves the running sum as integrate's 0.0 for an absent cell does
     values = (-datum._vector[span.start : span.stop]).tolist()
-    return float(sum(c * v for c, v in zip(complex._cycle, values))) / TWO_PI
+    return float(sum(map(operator.mul, complex._cycle, values))) / TWO_PI
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ def random_bigraded(
     components: dict[tuple[int, ...], dict] = {}
     if 0 <= p <= cover.complex.top_dimension and n >= 0:
         layer, cells = cover._layer_arrays(n), cover.complex.cells(p)
-        for t, c in zip(*(ids.tolist() for ids in layer.blocks[p])):
+        for t, c in zip(*(ids.tolist() for ids in layer.block(p))):
             components.setdefault(layer.tuples[t], {})[cells[c]] = rng.uniform(-amplitude, amplitude)
     return BigradedCochain(p, n, {t: Cochain(p, values) for t, values in components.items()})
 

@@ -32,7 +32,7 @@ from gerbecalc.builders import (
     join_sphere3,
     two_cone_sphere,
 )
-from gerbecalc.randomdata import random_complex_and_cover, random_gauge_potential
+from gerbecalc.randomdata import random_bigraded, random_complex_and_cover, random_gauge_potential
 from gerbecalc.rng import Lcg64
 
 from conftest import closed_star_cover, induced, torus_grid
@@ -298,6 +298,33 @@ class TestLayer:
                 reference = induced(cover.complex, frozenset.intersection(*(cover.sets[i] for i in t)))
                 assert cover.overlap(t) == reference
 
+    def test_incidence_above_the_vertices_is_built_when_first_read(self):
+        # a level-0 datum reads layer 3 only at its vertices (block (0, 3)), and
+        # the good-cover check reads no layer above them; later readers still
+        # find every block
+        cover = closed_star_cover(torus_grid(6))
+        zero = GerbeDatum.zero(cover, 0)
+        shifted = gauge_shift(zero, random_gauge_potential(cover, 1, Lcg64(6), amplitude=0.5))
+        assert validate_cocycle(shifted).passed
+        check_good_cover(cover)
+        layers = [cover._layer_arrays(n) for n in range(3, 8)]
+        assert all(layer.tuples for layer in layers) and not cover._layer_arrays(8).tuples
+        for layer in layers:
+            assert list(layer._blocks) == [0] and layer._held == []
+        triples = cover._layer_arrays(3).tuples
+        t = triples[len(triples) // 2]
+        assert cover.overlap(t) == induced(cover.complex, frozenset.intersection(*(cover.sets[i] for i in t)))
+        for p in (0, 1, 2):
+            rng, expected = Lcg64(p), {}
+            for t in triples:
+                common = frozenset.intersection(*(cover.sets[i] for i in t))
+                values = {c: rng.uniform(-1.0, 1.0) for c in induced(cover.complex, common).cells(p)}
+                if values:
+                    expected[t] = values
+            part = random_bigraded(cover, p, 3, Lcg64(p))
+            assert {t: c.values for t, c in part.components.items()} == expected
+            assert list(part.components) == list(expected)
+
     def test_star_cover_with_a_vertex_in_25_sets_round_trips_in_bounded_time(self):
         # the full nerve has more than 2**25 entries; a level-0 datum reads only 3 layers
         sphere = two_cone_sphere(24)
@@ -433,6 +460,42 @@ class TestGoodCover:
             betti = dense_betti(induced(cover.complex, common))
             assert e.betti == betti
             assert e.contractible == (betti == (1,) + (0,) * (len(betti) - 1))
+
+    @staticmethod
+    def check_grouping_under_collisions(complex, sets, monkeypatch):
+        """On seed 0 every word is 0, so the keys of all runs of one width agree
+        and only the entry-by-entry comparison tells the runs apart: the entries
+        must not change, and no word array may follow the vertex count."""
+        expected = check_good_cover(Cover.build(complex, sets)).entries
+        seeds, plain = [], cover_module._run_words
+        def colliding(count, seed):
+            seeds.append(seed)
+            assert count <= len(complex.cells(0))
+            return np.zeros(count, np.uint64) if seed == 0 else plain(count, seed)
+        monkeypatch.setattr(cover_module, "_run_words", colliding)
+        cover = Cover.build(complex, sets)
+        report = check_good_cover(cover)
+        assert report.entries == expected
+        assert [e.indices for e in report.entries] == list(cover.nerve())
+        runs = set()
+        for e in report.entries:
+            common = frozenset.intersection(*(cover.sets[i] for i in e.indices))
+            assert e.betti == dense_betti(induced(cover.complex, common))
+            runs.add(common)
+        # a retry exactly when two different runs have one width
+        collide = len({len(r) for r in runs}) < len(runs)
+        assert seeds == ([0, 1] if collide else [0])
+
+    def test_grouping_stays_exact_when_every_run_sums_alike(self, any_cover, monkeypatch):
+        self.check_grouping_under_collisions(any_cover.complex, any_cover.sets, monkeypatch)
+
+    def test_grouping_under_collisions_with_sparse_vertex_ids(self, monkeypatch):
+        # six vertices with ids up to 2**40
+        ids = [0, 3, 2**20, 2**39, 2**40 - 2, 2**40 - 1]
+        triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (1, 2, 5), (2, 3, 5)]
+        complex = SimplicialComplex.from_top_cells(2**40, [[ids[v] for v in t] for t in triangles])
+        sets = [{ids[v] for v in s} for s in ({0, 1, 2, 5}, {0, 2, 3, 4}, {0, 4, 5, 1}, {2, 3, 5})]
+        self.check_grouping_under_collisions(complex, sets, monkeypatch)
 
     def test_betti_numbers_of_each_overlap_complex_match_its_entry(self, any_cover):
         # an overlap complex comes from the constructor, so its row arrays are
