@@ -56,7 +56,7 @@ import numpy as np
 
 from .cover import Cover
 from .errors import InvalidInputError
-from .simplicial import Cochain, Simplex, _deletion_sign, _face_rows, _ids, _merged, _worst
+from .simplicial import Cochain, Simplex, _deletion_sign, _face_rows, _ids, _merged, _real, _worst
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,7 +78,7 @@ __all__ = [
 
 def wrap(x: float) -> float:
     """Reduce an angle to the principal branch (-pi, pi]."""
-    x = float(x)
+    x = _real(x, "angle")
     if not math.isfinite(x):
         raise InvalidInputError(f"cannot wrap non-finite value {x!r}")
     r = math.remainder(x, TWO_PI)
@@ -100,7 +100,7 @@ def _wrapped(values: np.ndarray) -> np.ndarray:
 
 def permutation_sign(indices: Iterable[int]) -> int:
     """Sign of the permutation sorting the tuple; 0 if an index repeats."""
-    t = tuple(indices)
+    t = _ids(indices, "permutation indices")
     if len(set(t)) != len(t):
         return 0
     sign = 1
@@ -125,6 +125,9 @@ class BigradedCochain:
     angle_valued: bool = False
 
     def __post_init__(self):
+        p, n = _ids((self.form_degree, self.cech_degree), "bidegree")
+        object.__setattr__(self, "form_degree", p)
+        object.__setattr__(self, "cech_degree", n)
         if self.form_degree < 0 or self.cech_degree < 0:
             raise InvalidInputError("bidegrees must be non-negative")
         if self.angle_valued and self.form_degree != 0:
@@ -185,6 +188,8 @@ class TotalCochain:
     parts: dict[tuple[int, int], BigradedCochain]
 
     def __post_init__(self):
+        (degree,) = _ids((self.total_degree,), "total degree")
+        object.__setattr__(self, "total_degree", degree)
         for (p, n), part in self.parts.items():
             if p + n != self.total_degree:
                 raise InvalidInputError(
@@ -441,13 +446,17 @@ def _coboundary_matrix(cover: Cover, degree: int) -> _SparseD:
 def _contraction(cover: Cover, degree: int) -> _SparseD:
     """K from total degree ``degree`` to ``degree - 1``, built once per cover from
     D's a = 0 delta run: a block's rows whose tuple starts at j(cell), the first
-    of the cell's sets, which the cover's layer 1 lists in increasing order."""
+    of the cell's sets: its lowest tuple id in layer 1's block, whose tuples are the
+    sets in increasing order and where every cell has one (``Cover.build``)."""
     if ("K", degree) not in cover._operators:
         rows, k_rows, k_cols = _basis(cover, degree), [np.zeros(0, np.int32)], [np.zeros(0, int)]
+        table = cover._layer_arrays(1).table
         for (p, n), targets in _coboundary(cover, degree - 1).leading.items():
-            (starts, sets), cells = cover._layer_arrays(1).held(p), rows.cell_ids[p, n]
+            sets, cells = cover._layer_arrays(1).block(p)
+            lowest = np.full(len(cover.complex.cells(p)), len(table), sets.dtype)
+            np.minimum.at(lowest, cells, sets)
             first = cover._layer_arrays(n).table[rows.tuple_ids[p, n], 0]
-            keep = np.flatnonzero(first == cover._layer_arrays(1).table[sets[starts[cells]], 0])
+            keep = np.flatnonzero(first == table[lowest[rows.cell_ids[p, n]], 0])
             k_rows.append(targets[keep])
             k_cols.append(rows.positions[p, n].start + keep)
         shape, k_rows = (_basis(cover, degree - 1).size, rows.size), np.concatenate(k_rows)

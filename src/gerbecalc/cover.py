@@ -7,20 +7,21 @@ several sets is the subcomplex induced on their intersection.  A p-cochain
 One cell -> sets incidence owns the nerve.  A coordinate of a (q, n) cochain
 is a pair (t, cell), t an n-subset of the sets that hold the cell, so layer n
 is arrays, built on first use: its table of the distinct n-subsets of the
-vertices' set lists and its vertex block, made by one sort.  Above the
-vertices a layer's incidence is made only when first read (``_Layer``): each
-higher cell's tuples are those its faces 0 and 1 share (``_meet``, chained by
-``_holders``), and block (q, n) lists the (tuple id, cell id) pairs.  Layer 1
-is the incidence, which ``Cover.build`` checks; ``bicomplex`` reads its bases,
-delta's nerve faces and the contraction's lowest set from these arrays.
-Tuple i's q-cells are its run in block (q, n): ``Cover.overlap`` builds the
-complex of one tuple from its runs on each call and keeps none.
+vertices' set lists and its vertex block, made by one sort.  The incidence has
+one form, block (q, n): the (tuple id, cell id) pairs, by tuple then cell.
+Above the vertices a block is made only when first read (``_Layer``), from the
+block one dimension lower: each higher cell's tuples are those its faces 0 and
+1 share (``_meet``).  Layer 1 is the incidence, whose every cell ``Cover.build``
+checks has a set; ``bicomplex`` reads its bases, delta's nerve faces and the
+contraction's lowest set from these arrays.  Tuple i's q-cells are its run in
+block (q, n): ``Cover.overlap`` builds the complex of one tuple from its runs
+on each call and keeps none.
 
 The good-cover check builds no complex and reads no layer above its vertex
 block.  One numpy pass groups the tuples of all layers by their vertex runs
 (``_group_runs``: a seeded sum per run, then an exact comparison), and the
-distinct intersections' own vertex lists give their cells through
-``_holders``.  ``_betti`` certifies them all in one batch: parallel collapses
+distinct intersections' own (owner, vertex) pairs give their cells through
+``_meet``.  ``_betti`` certifies them all in one batch: parallel collapses
 of free faces remove the cells of dimension 2 and up, one union-find over the
 edges left gives b0 and b1, and ``integer_rank`` ranks only the cells of
 dimension 2 and up that no collapse reaches.  The 13,824 nerve entries of the
@@ -46,75 +47,45 @@ from .errors import InvalidInputError
 from .simplicial import SimplicialComplex, _deletion_sign, _ids
 
 
-def _meet(faces: np.ndarray, starts: np.ndarray, held: np.ndarray, count: int) -> tuple:
-    """Per cell of a face table, the ids its faces 0 and 1 both hold: face f holds
-    held[starts[f] : starts[f + 1]], increasing ids below ``count``, and the
-    cells' lists come out in that form.  One search of (face, id) keys tests
-    each id of face 0 against face 1."""
-    widths, first, second = np.diff(starts), faces[:, 0], faces[:, 1].astype(np.intp)
-    keys, wide = np.repeat(np.arange(len(widths)), widths) * count + held, widths[first]  # keys sorted
-    cells, ends = np.repeat(np.arange(len(faces)), wide), np.cumsum(wide)
-    ids = held[np.arange(len(cells)) + np.repeat(starts[first] - ends + wide, wide)]
-    wanted = second[cells] * count + ids
-    both = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] == wanted
-    return np.searchsorted(cells[both], np.arange(len(faces) + 1)), ids[both]
-
-
-def _holders(complex: SimplicialComplex, starts: np.ndarray, ids: np.ndarray, count: int):
-    """Per q from 0 to the top, (starts, ids): the owners below ``count`` that hold
-    each q-cell, at ids[starts[c] : starts[c + 1]] in increasing order, from the
-    vertices' lists given.  A q-cell is held by the owners its faces 0 and 1 both
-    hold (``_meet``); each q is made when the one before it has been read."""
-    yield starts, ids
-    for q in range(1, complex.top_dimension + 1):
-        starts, ids = _meet(complex._faces[q], starts, ids, count)
-        yield starts, ids
-
-
 def _stable_order(ids: np.ndarray) -> np.ndarray:
     """The stable argsort of nonnegative ids, sorted as the smallest unsigned type
     that holds them: numpy sorts 8- and 16-bit keys by radix."""
     return np.argsort(ids.astype(np.min_scalar_type(int(ids.max(initial=0)))), kind="stable")
 
 
-def _pairs(starts: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (owner id, cell id) pairs of per-cell owner lists, int32, by owner then cell."""
+def _meet(complex: SimplicialComplex, q: int, owners: np.ndarray, cells: np.ndarray, count: int) -> tuple:
+    """The (owner id, cell id) pairs of the q-cells, from those of the (q - 1)-cells:
+    a q-cell is held by the owners below ``count`` that its faces 0 and 1 both
+    hold.  The pairs are int32, by owner then cell, in and out.  A stable sort by
+    cell lists each face's owners in increasing order, at held[starts[f] :
+    starts[f] + widths[f]], and one search of (face, owner) keys tests each
+    owner of face 0 against face 1."""
+    faces, order = complex._faces[q], _stable_order(cells)
+    held, widths = owners[order], np.bincount(cells, minlength=len(complex.cells(q - 1)))
+    starts, first, second = np.cumsum(widths) - widths, faces[:, 0], faces[:, 1].astype(np.intp)
+    keys, wide = np.repeat(np.arange(len(widths)), widths) * count + held, widths[first]  # keys sorted
+    tops, ends = np.repeat(np.arange(len(faces)), wide), np.cumsum(wide)
+    ids = held[np.arange(len(tops)) + np.repeat(starts[first] - ends + wide, wide)]
+    wanted = second[tops] * count + ids
+    both = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] == wanted
+    ids, tops = ids[both], tops[both]  # by cell, then owner
     order = _stable_order(ids)
-    cells = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[order]
-    return ids[order].astype(np.int32), cells.astype(np.int32)
-
-
-def _lists(owners: np.ndarray, cells: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_pairs`` undone: the owner lists (starts, ids) of ``count`` cells, from
-    (owner id, cell id) pairs sorted by owner."""
-    starts = np.zeros(count + 1, np.intp)
-    np.cumsum(np.bincount(cells, minlength=count), out=starts[1:])
-    return starts, owners[_stable_order(cells)]
+    return ids[order].astype(np.int32), tops[order].astype(np.int32)
 
 
 class _Layer:
-    """Layer n: its ``table``, (L, n) int64 in lexicographic order, as ``tuples`` too.
-    ``held(q)`` lists (starts, ids) the tuples that hold each q-cell, and ``block(q)``
-    has the pairs as (tuple id, cell id) int32, by tuple then cell.  A layer is
-    made with its vertex block; the rest is made from it (``_lists``, then
-    ``_holders``) when first read, so a layer that nothing reads above the
-    vertices keeps its vertex block alone."""
+    """Layer n: its ``table``, (L, n) int64 in lexicographic order, as ``tuples`` too,
+    and its incidence: ``block(q)`` has the (tuple id, cell id) pairs of the
+    q-cells, int32, by tuple then cell.  A layer is made with its vertex block;
+    block q is made from block q - 1 (``_meet``) when first read, so a layer
+    that nothing reads above the vertices keeps its vertex block alone."""
 
-    def __init__(self, complex: SimplicialComplex, table: np.ndarray, tuples: list, blocks: dict):
-        self.complex, self.table, self.tuples = complex, table, tuples
-        self._blocks, self._held, self._holders = blocks, [], None
-
-    def held(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._holders is None:
-            vertices = _lists(*self.block(0), len(self.complex.cells(0)))
-            self._holders = _holders(self.complex, *vertices, len(self.tuples))
-        while len(self._held) <= q:
-            self._held.append(next(self._holders))
-        return self._held[q]
+    def __init__(self, complex: SimplicialComplex, table: np.ndarray, tuples: list, blocks: list):
+        self.complex, self.table, self.tuples, self._blocks = complex, table, tuples, blocks
 
     def block(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        if q not in self._blocks:
-            self._blocks[q] = _pairs(*self.held(q))
+        for made in range(len(self._blocks), q + 1):
+            self._blocks.append(_meet(self.complex, made, *self._blocks[-1], len(self.tuples)))
         return self._blocks[q]
 
 
@@ -154,8 +125,9 @@ class Cover:
         cover = cls(complex, fsets)
         incidence = cover._layer_arrays(1)  # each cell's sets
         for q in range(complex.top_dimension + 1):
-            if not (widths := np.diff(incidence.held(q)[0])).all():  # argmin: the first cell in no set
-                raise InvalidInputError(f"cell {complex.cells(q)[widths.argmin()]} lies in no cover set")
+            counts = np.bincount(incidence.block(q)[1], minlength=len(complex.cells(q)))
+            if not counts.all():  # argmin: the first cell in no set
+                raise InvalidInputError(f"cell {complex.cells(q)[counts.argmin()]} lies in no cover set")
         return cover
 
     @cached_property
@@ -163,7 +135,7 @@ class Cover:
         """The layers built so far; layer 0 is the one tuple (), held by every cell."""
         complex = self.complex
         cells = map(len, map(complex.cells, range(complex.top_dimension + 1)))
-        blocks = {q: (np.zeros(c, np.int32), np.arange(c, dtype=np.int32)) for q, c in enumerate(cells)}
+        blocks = [(np.zeros(c, np.int32), np.arange(c, dtype=np.int32)) for c in cells]
         return {0: _Layer(complex, np.zeros((1, 0), np.int64), [()], blocks)}
 
     @cached_property
@@ -199,7 +171,7 @@ class Cover:
             rows, cells, new = rows[order], cells[order], np.ones(len(rows), bool)
             new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
             table, tuples = rows[new].astype(np.int64), np.cumsum(new, dtype=np.int32) - 1
-            block = {0: (tuples, cells.astype(np.int32))}  # by tuple, then vertex
+            block = [(tuples, cells.astype(np.int32))]  # by tuple, then vertex
             self._nerve[n] = _Layer(self.complex, table, list(zip(*table.T.tolist())), block)
         return self._nerve[n]
 
@@ -425,7 +397,7 @@ def check_good_cover(cover: Cover) -> GoodCoverReport:
     not contractible still carries usable data, it just falls outside the
     good-cover setting.  The tuples of all layers are grouped by their vertex
     runs in one pass (``_group_runs``); the first run of each distinct
-    intersection gives its vertex list, ``_holders`` its cells, and ``_betti``
+    intersection gives its vertex pairs, ``_meet`` its cells, and ``_betti``
     certifies them all in one batch.  No layer's incidence above the vertices
     is read.  The entries are one per nerve tuple, in lexicographic order: one
     lexsort of the layer tables, padded with -1.
@@ -445,8 +417,10 @@ def check_good_cover(cover: Cover) -> GoodCoverReport:
     leads[first] = True
     kept = leads[ids]
     complex, count = cover.complex, len(first)
-    lists = _lists(owner[ids[kept]], vertices[kept], len(complex.cells(0)))  # sorted by owner
-    owners, cells = zip(*(_pairs(*held) for held in _holders(complex, *lists, count)))
+    pairs = [(owner[ids[kept]].astype(np.int32), vertices[kept])]  # by owner, then vertex
+    for q in range(1, complex.top_dimension + 1):
+        pairs.append(_meet(complex, q, *pairs[-1], count))
+    owners, cells = zip(*pairs)
     betti = _betti(complex, list(owners), list(cells), count)
     contractible = [b == (1,) + (0,) * (len(b) - 1) for b in betti]
     # the smallest integer type that holds -1 and every set id: lexsort then sorts by radix

@@ -48,7 +48,7 @@ from .bicomplex import (
 )
 from .cover import Cover
 from .errors import InvalidInputError, NumericError
-from .simplicial import Cochain, Simplex, _ids, _replay, _worst
+from .simplicial import Cochain, Simplex, _ids, _real, _replay, _worst
 
 DEFAULT_VALIDATION_TOL = 1e-9
 DEFAULT_EQUIVALENCE_TOL = 1e-8
@@ -167,8 +167,8 @@ class ResidualPeak:
 
 
 def _checked_tol(tol: float, name: str = "tol") -> float:
-    """The tolerance as a float; NaN, infinite and negative values are refused."""
-    tol = float(tol)
+    """The tolerance as a float (``_real``); NaN, infinite and negative values are refused."""
+    tol = _real(tol, name)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidInputError(f"{name} must be finite and non-negative, got {tol!r}")
     return tol

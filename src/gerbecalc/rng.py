@@ -11,6 +11,9 @@ A uniform double in [0, 1) takes the top 53 bits: (x >> 11) * 2**-53.
 
 from __future__ import annotations
 
+from .errors import InvalidInputError
+from .simplicial import _ids
+
 MASK64 = (1 << 64) - 1
 MULTIPLIER = 6364136223846793005
 INCREMENT = 1442695040888963407
@@ -20,7 +23,7 @@ class Lcg64:
     """Deterministic linear generator; not for cryptography, only fixtures."""
 
     def __init__(self, seed: int):
-        self.state = int(seed) & MASK64
+        self.state = _ids((seed,), "seed")[0] & MASK64
 
     def next_u64(self) -> int:
         self.state = (MULTIPLIER * self.state + INCREMENT) & MASK64
@@ -33,5 +36,5 @@ class Lcg64:
     def randint(self, low: int, high: int) -> int:
         """Uniform-ish integer in [low, high], inclusive."""
         if high < low:
-            raise ValueError("empty range")
+            raise InvalidInputError(f"empty range [{low}, {high}]")
         return low + self.next_u64() % (high - low + 1)

@@ -34,6 +34,7 @@ round per step along a path.
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -135,6 +136,13 @@ def _ids(values: Iterable, owner: str) -> tuple[int, ...]:
         except TypeError:  # operator.index takes exactly the types with __index__
             pass
     raise InvalidInputError(f"{owner} {values}: ids must be integers")
+
+
+def _real(value, owner: str) -> float:
+    """The value as a float; float() would take '1e-9' and True."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidInputError(f"{owner} {value!r}: must be a real number")
 
 
 def _are_ids(values: Iterable) -> bool:
@@ -380,6 +388,9 @@ class Cochain:
     values: dict[Simplex, float]
 
     def __post_init__(self):
+        if type(self.degree) is not int:  # a cochain is made per component: keep ints cheap
+            (degree,) = _ids((self.degree,), "cochain degree")
+            object.__setattr__(self, "degree", degree)
         if self.degree < 0:
             raise InvalidInputError("cochain degree must be non-negative")
         for s in self.values:

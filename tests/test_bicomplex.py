@@ -66,6 +66,16 @@ class TestWrap:
         with pytest.raises(InvalidInputError):
             wrap(float("inf"))
 
+    @pytest.mark.parametrize("bad", ["1", None, True, [1.0], np.bool_(True)])
+    def test_refuses_what_is_not_a_real_number(self, bad):
+        # float() would take "1" and True, and raise a bare TypeError on None
+        with pytest.raises(InvalidInputError, match="^angle .*: must be a real number$"):
+            wrap(bad)
+
+    def test_takes_any_real_number(self):
+        assert wrap(7) == wrap(7.0) == wrap(np.int64(7)) == wrap(np.float64(7.0))
+        assert type(wrap(np.float32(1.5))) is float and wrap(np.float32(1.5)) == 1.5
+
     @given(st.floats(-50.0, 50.0, allow_nan=False))
     def test_range_and_congruence(self, x):
         w = wrap(x)
@@ -105,6 +115,12 @@ class TestAntisymmetry:
         assert permutation_sign((0, 2, 1)) == -1
         assert permutation_sign((2, 0, 1)) == 1
         assert permutation_sign((1, 1)) == 0
+        assert permutation_sign(np.array([2, 0, 1])) == 1
+
+    @pytest.mark.parametrize("bad", [["a", 1], [0.5, 1], [True, 0]])
+    def test_permutation_sign_refuses_what_is_not_an_id(self, bad):
+        with pytest.raises(InvalidInputError, match="^permutation indices .*: ids must be integers$"):
+            permutation_sign(bad)
 
     def test_component_lookup_applies_sign(self):
         c = Cochain(0, {(0,): 2.0})
@@ -434,6 +450,22 @@ class TestStructuralValidation:
             BigradedCochain(0, 2, {}).component((0,))
         with pytest.raises(InvalidInputError, match="^bidegrees differ$"):
             BigradedCochain(0, 2, {}) + BigradedCochain(0, 1, {})
+
+    @pytest.mark.parametrize("bad", ["a", 1.0, True, None])
+    def test_degrees_are_read_as_ids(self, bad):
+        with pytest.raises(InvalidInputError, match="^cochain degree .*: ids must be integers$"):
+            Cochain(bad, {})
+        for degrees in ((bad, 0), (0, bad)):
+            with pytest.raises(InvalidInputError, match="^bidegree .*: ids must be integers$"):
+                BigradedCochain(*degrees, {})
+        with pytest.raises(InvalidInputError, match="^total degree .*: ids must be integers$"):
+            TotalCochain(bad, {})
+
+    def test_numpy_degrees_are_stored_as_python_ints(self):
+        one = np.int64(1)
+        layer = BigradedCochain(one, one, {})
+        degrees = [Cochain(one, {}).degree, layer.form_degree, layer.cech_degree, TotalCochain(one, {}).total_degree]
+        assert [type(d) for d in degrees] == [int] * 4
 
     def test_total_refusals(self):
         with pytest.raises(InvalidInputError, match=r"^part stored under wrong bidegree \(1,1\)$"):

@@ -32,10 +32,11 @@ from gerbecalc.builders import (
     join_sphere3,
     two_cone_sphere,
 )
+from gerbecalc.bicomplex import _basis, _contraction
 from gerbecalc.randomdata import random_bigraded, random_complex_and_cover, random_gauge_potential
 from gerbecalc.rng import Lcg64
 
-from conftest import closed_star_cover, induced, torus_grid
+from conftest import closed_star_cover, induced, reference_contraction, torus_grid
 
 # the minimal triangulation of the real projective plane: 6 vertices, 15 edges
 RP2_TRIANGLES = [
@@ -310,7 +311,7 @@ class TestLayer:
         layers = [cover._layer_arrays(n) for n in range(3, 8)]
         assert all(layer.tuples for layer in layers) and not cover._layer_arrays(8).tuples
         for layer in layers:
-            assert list(layer._blocks) == [0] and layer._held == []
+            assert len(layer._blocks) == 1  # the vertex block alone
         triples = cover._layer_arrays(3).tuples
         t = triples[len(triples) // 2]
         assert cover.overlap(t) == induced(cover.complex, frozenset.intersection(*(cover.sets[i] for i in t)))
@@ -324,6 +325,33 @@ class TestLayer:
             part = random_bigraded(cover, p, 3, Lcg64(p))
             assert {t: c.values for t, c in part.components.items()} == expected
             assert list(part.components) == list(expected)
+
+    def test_a_cover_with_an_empty_set(self):
+        # set 1 is empty, so layer 1's tuple ids (0 and 1) differ from its set
+        # ids (0 and 2): the caps of a sphere, which overlap in a band
+        band = set(range(12))
+        cover = Cover.build(two_cone_sphere(6), [band | {12}, [], band | {13}])
+        assert cover._layer_arrays(1).tuples == [(0,), (2,)]
+        for n in range(4):
+            layer = cover._layer_arrays(n)
+            for q in range(3):
+                expected = [
+                    (t, c)
+                    for t, sets in enumerate(layer.tuples)
+                    for c, cell in enumerate(cover.complex.cells(q))
+                    if all(set(cell) <= cover.sets[i] for i in sets)
+                ]
+                assert list(zip(*(ids.tolist() for ids in layer.block(q)))) == expected
+        for k in range(1, 4):
+            rows, cols = _basis(cover, k), _basis(cover, k - 1)
+            contraction = _contraction(cover, k)
+            pairs = sorted(zip(contraction.rows.tolist(), contraction.cols.tolist()))
+            assert pairs == sorted(reference_contraction(cover, rows, cols))
+        zero = GerbeDatum.zero(cover, 0)
+        shifted = gauge_shift(zero, random_gauge_potential(cover, 1, Lcg64(6), amplitude=0.5))
+        assert validate_cocycle(shifted).passed
+        assert gauge_equivalent(zero, shifted).equivalent
+        assert [e.betti for e in check_good_cover(cover).entries] == [(1, 0, 0), (1, 1, 0), (1, 0, 0)]
 
     def test_star_cover_with_a_vertex_in_25_sets_round_trips_in_bounded_time(self):
         # the full nerve has more than 2**25 entries; a level-0 datum reads only 3 layers

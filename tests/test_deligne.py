@@ -8,6 +8,7 @@ import time
 import warnings
 import weakref
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -358,6 +359,21 @@ class TestTolerance:
         # an infinite tolerance once accepted any residual, so charges 1 and 2 matched
         with pytest.raises(InvalidInputError):
             gauge_equivalent(build_monopole(12), build_monopole(12, winding=2), tol=math.inf)
+
+    @pytest.mark.parametrize("tol", ["1e-9", True, "abc", [1], np.bool_(False)])
+    def test_refuses_what_is_not_a_real_number(self, tol):
+        # float() would take "1e-9" and True (as 1.0), and raise a bare error on the rest
+        datum = build_monopole(6)
+        with pytest.raises(InvalidInputError, match="tol .*: must be a real number"):
+            validate_cocycle(datum, tol)
+        with pytest.raises(InvalidInputError, match="tol .*: must be a real number"):
+            gauge_equivalent(datum, datum, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1, np.float32(1e-6), np.int64(0), Fraction(1, 10**9)])
+    def test_takes_any_real_number(self, tol):
+        datum = build_monopole(6)
+        report = validate_cocycle(datum, tol)
+        assert report.passed and report.tolerance == float(tol) and type(report.tolerance) is float
 
     def test_zero_is_legal(self):
         # the builder's residuals are exactly zero
