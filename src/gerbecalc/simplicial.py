@@ -388,9 +388,8 @@ class Cochain:
     values: dict[Simplex, float]
 
     def __post_init__(self):
-        if type(self.degree) is not int:  # a cochain is made per component: keep ints cheap
-            (degree,) = _ids((self.degree,), "cochain degree")
-            object.__setattr__(self, "degree", degree)
+        (degree,) = _ids((self.degree,), "cochain degree")
+        object.__setattr__(self, "degree", degree)
         if self.degree < 0:
             raise InvalidInputError("cochain degree must be non-negative")
         for s in self.values:
