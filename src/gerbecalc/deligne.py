@@ -10,18 +10,22 @@ charge, shifts and equivalence read them; all but the charge apply the
 cover's cached sparse D (``bicomplex._coboundary``) to vectors, and the
 charge zips them with the complex's +-1 orientation list.  A shift adds D of
 the potential to the datum's vector and builds no dicts; ``data`` adds the
-images to its dicts on first read.  Equivalence descends the difference by
-the Cech contraction K of ``bicomplex``, one sparse apply of K and one of D
-per Cech degree, and solves d eta = omega for the global form omega left on
-the manifold alone in one peel, at every level: ``simplicial._replay`` of the
-complex's walk of that degree (``SimplicialComplex._order``), which puts
-eta = 0 on the cells whose rows solved a step one degree down and on its
-roots; the residual checks the rows off the walk.  Two valid cocycles are
-equivalent when the difference is matched by the total coboundary of a
-potential without global top form part, with angle-layer rows compared
-modulo 2*pi.  Rejection means no such witness was found at tolerance; it is
-numeric evidence, not a certificate, and equal charges do not settle it: the
-rejected amplitude-3 shifts of ``random_gauge_potential`` all have charge 1.0
+images to its dicts on first read.  A datum summarises its residual, the
+largest value per bidegree and the worst peaks, once, on the first validation
+or equivalence that reads it; each call compares the summary with its own
+tolerance.  Equivalence descends the difference by the Cech contraction K of
+``bicomplex``, one sparse apply of K and one of D per Cech degree, and solves
+d eta = omega for the global form omega left on the manifold alone in one
+peel, at every level: ``simplicial._replay`` of the complex's walk of that
+degree (``SimplicialComplex._order``), which puts eta = 0 on the cells whose
+rows solved a step one degree down and on its roots; the residual checks the
+rows off the walk.  Two valid cocycles are equivalent when the difference is
+matched by the total coboundary of a potential without global top form part,
+with angle-layer rows compared modulo 2*pi; the witness is kept as the
+descent's coordinates, and its dict form is decoded when first read.
+Rejection means no such witness was found at tolerance; it is numeric
+evidence, not a certificate, and equal charges do not settle it: the rejected
+amplitude-3 shifts of ``random_gauge_potential`` all have charge 1.0
 (ROADMAP.md, "Lost integers I").
 """
 
@@ -82,8 +86,10 @@ class GerbeDatum:
     parts for its dict form, decoded when ``data`` is first read.  A shift adds
     the image of D to the coordinates and records it in ``_shifts``; ``data``
     adds the recorded images to the dict form when it is first read, one dict
-    sum per shift, so a chain of k shifts costs k dict sums there.  Instances
-    are immutable values, equal when level, data and cover are.
+    sum per shift, so a chain of k shifts costs k dict sums there.  The
+    residual summary (``_residual_summary``) is kept from its first use; a
+    shift starts without one.  Instances are immutable values, equal when
+    level, data and cover are.
     """
 
     def __init__(self, level: int, data: TotalCochain, cover: Cover):
@@ -102,7 +108,9 @@ class GerbeDatum:
         if any(key == (0, k) and not angle for key, angle, *_ in parts):
             raise InvalidInputError("the transition layer must be angle-valued")
         vector = _basis(cover, k).vector((*key, *flat) for key, _, *flat in parts)
-        vars(self).update(level=level, cover=cover, _data=data, _vector=vector, _shifts=())
+        vars(self).update(
+            level=level, cover=cover, _data=data, _vector=vector, _shifts=(), _summary=None
+        )
 
     @classmethod
     def zero(cls, cover: Cover, level: int) -> "GerbeDatum":
@@ -154,7 +162,8 @@ class GerbeDatum:
         at = np.flatnonzero(image)
         vector[at] += image[at]
         datum = object.__new__(GerbeDatum)
-        vars(datum).update(vars(self), _vector=vector, _shifts=self._shifts + (image,))
+        # the shifted vector has its own residual, summarised when first asked for
+        vars(datum).update(vars(self), _vector=vector, _shifts=self._shifts + (image,), _summary=None)
         return datum
 
 
@@ -194,40 +203,49 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
     (1, k), hold only modulo 2*pi: each of their values is wrapped into
     (-pi, pi] before the tolerance test, and one that wraps to 0 is dropped.
     A non-finite residual fails at any tolerance; a NaN, infinite or negative
-    tolerance raises InvalidInputError.
+    tolerance raises InvalidInputError.  The residuals and peaks are the
+    datum's summary, computed once; ``passed`` is decided per call from tol.
     """
     tol = _checked_tol(DEFAULT_VALIDATION_TOL if tol is None else tol)
-    cover, k = datum.cover, datum.level + 2
-    residual, at, residuals, passed = _residual_maxima(datum._vector, cover, k, tol)
-    magnitudes = np.abs(residual[at])
-    nan = np.isnan(magnitudes)
-    # NaN first, since NaN compares false with everything; then the largest.  The
-    # sort is stable and ``at`` runs by bidegree, then by (indices, cell).
-    peaks, rows = [], _basis(cover, k + 1)
-    for i in np.lexsort((-np.where(nan, 0.0, magnitudes), ~nan))[:8]:
-        p, n, t, cell = rows.entry(int(at[i]))
-        peaks.append(ResidualPeak((p, n), t, cell, float(magnitudes[i])))
-    return ValidationReport(tol, residuals, tuple(peaks), passed)
+    residuals, peaks = _residual_summary(datum)
+    return ValidationReport(tol, dict(residuals), peaks, _within(residuals, tol))
 
 
-def _residual_maxima(vector: np.ndarray, cover: Cover, k: int, tol: float):
-    """The residual of the coordinates of a degree-k datum: D of them through
-    the cover's cached matrix, with the (0, k+1) and (1, k) rows wrapped; the
-    positions of its nonzero values, by bidegree; the largest |value| per
-    bidegree; and whether every maximum is finite and within tol."""
-    rows = _basis(cover, k + 1)
-    residual = _coboundary(cover, k).apply(vector)
-    residuals: dict[tuple[int, int], float] = {}
-    nonzero = []
-    for key, span in sorted(rows.positions.items()):
-        at = span.start + np.flatnonzero(residual[span.start : span.stop])
-        if key in ((0, k + 1), (1, k)):
-            residual[at] = _wrapped(residual[at])
-            at = at[residual[at] != 0.0]
-        residuals[key] = float(np.max(np.abs(residual[at]), initial=0.0))
-        nonzero.append(at)
+def _residual_summary(datum: GerbeDatum) -> tuple[dict[tuple[int, int], float], tuple]:
+    """The residual of the datum's coordinates summarised, computed on the first
+    call and kept: D of them through the cover's cached matrix, with the
+    (0, k+1) and (1, k) rows wrapped; the largest |value| per bidegree; and the
+    eight worst ``ResidualPeak``s.  Neither depends on a tolerance."""
+    if datum._summary is None:
+        cover, k = datum.cover, datum.level + 2
+        rows = _basis(cover, k + 1)
+        residual = _coboundary(cover, k).apply(datum._vector)
+        residuals: dict[tuple[int, int], float] = {}
+        nonzero = []
+        for key, span in sorted(rows.positions.items()):
+            at = span.start + np.flatnonzero(residual[span.start : span.stop])
+            if key in ((0, k + 1), (1, k)):
+                residual[at] = _wrapped(residual[at])
+                at = at[residual[at] != 0.0]
+            residuals[key] = float(np.max(np.abs(residual[at]), initial=0.0))
+            nonzero.append(at)
+        at = np.concatenate(nonzero)
+        magnitudes = np.abs(residual[at])
+        nan = np.isnan(magnitudes)
+        # NaN first, since NaN compares false with everything; then the largest.  The
+        # sort is stable and ``at`` runs by bidegree, then by (indices, cell).
+        peaks = []
+        for i in np.lexsort((-np.where(nan, 0.0, magnitudes), ~nan))[:8]:
+            p, n, t, cell = rows.entry(int(at[i]))
+            peaks.append(ResidualPeak((p, n), t, cell, float(magnitudes[i])))
+        vars(datum).update(_summary=(residuals, tuple(peaks)))
+    return datum._summary
+
+
+def _within(residuals: dict[tuple[int, int], float], tol: float) -> bool:
+    """Whether every per-bidegree maximum is finite and within tol."""
     worst = _worst(residuals.values())
-    return residual, np.concatenate(nonzero), residuals, math.isfinite(worst) and worst <= tol
+    return math.isfinite(worst) and worst <= tol
 
 
 def curvature(datum: GerbeDatum) -> Cochain:
@@ -311,6 +329,11 @@ def gauge_equivalent(
     accepted 10/10 at amplitude 1, 1/10 at 2 and 0/10 at 3, every charge 1.0
     (ROADMAP.md, "Lost integers I").  A NaN, infinite or negative tolerance
     raises InvalidInputError.
+
+    Both data are checked against tol through their residual summaries, so a
+    datum already validated is not checked again.  An accepted result's
+    witness keeps the descent's coordinates and decodes its dict form by
+    ``_LayerBasis.total_of`` when ``witness.data`` is first read.
     """
     tol = _checked_tol(DEFAULT_EQUIVALENCE_TOL if tol is None else tol)
     if first.level != second.level:
@@ -321,8 +344,7 @@ def gauge_equivalent(
     # the covers are equal by value, so both data are checked on one cached D,
     # and their coordinates lie on bases of one layout
     for name, datum in (("first", first), ("second", second)):
-        *_, passed = _residual_maxima(datum._vector, cover, k, tol)
-        if not passed:
+        if not _within(_residual_summary(datum)[0], tol):
             raise InvalidInputError(f"{name} datum is not a cocycle at tolerance {tol:g}")
     rows, cols = _basis(cover, k), _basis(cover, k - 1)
     with np.errstate(over="ignore"):
@@ -338,7 +360,7 @@ def gauge_equivalent(
     residual_vec[angle] = _wrapped(residual_vec[angle])
     residual = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
     if residual <= tol:
-        return EquivalenceResult(True, residual, GaugePotential(cols.total_of(x)))
+        return EquivalenceResult(True, residual, GaugePotential._of(cols, x))
     return EquivalenceResult(False, residual, None)
 
 

@@ -6,11 +6,14 @@ determines the produced objects across runs and platforms.
 
 from __future__ import annotations
 
+import math
+
 from .bicomplex import BigradedCochain, GaugePotential, TotalCochain
 from .builders import circle_complex, two_cone_sphere
 from .cover import Cover
+from .errors import InvalidInputError
 from .rng import Lcg64
-from .simplicial import Cochain, SimplicialComplex
+from .simplicial import Cochain, SimplicialComplex, _real
 
 
 def random_complex(rng: Lcg64) -> SimplicialComplex:
@@ -48,6 +51,7 @@ def random_bigraded(
 ) -> BigradedCochain:
     """Dense random values on every p-cell of every n-fold overlap, drawn in the
     order of the cover's block (p, n): by tuple, then by cell."""
+    amplitude = _amplitude(amplitude)
     components: dict[tuple[int, ...], dict] = {}
     if 0 <= p <= cover.complex.top_dimension and n >= 0:
         layer, cells = cover._layer_arrays(n), cover.complex.cells(p)
@@ -56,9 +60,18 @@ def random_bigraded(
     return BigradedCochain(p, n, {t: Cochain(p, values) for t, values in components.items()})
 
 
+def _amplitude(amplitude: float) -> float:
+    """The amplitude as a float (``_real``); NaN and infinite values are refused."""
+    amplitude = _real(amplitude, "amplitude")
+    if not math.isfinite(amplitude):
+        raise InvalidInputError(f"amplitude must be finite, got {amplitude!r}")
+    return amplitude
+
+
 def _random_total(
     cover: Cover, degree: int, rng: Lcg64, amplitude: float, first_cech_degree: int
 ) -> TotalCochain:
+    amplitude = _amplitude(amplitude)
     parts = {}
     for n in range(first_cech_degree, min(degree, len(cover.sets)) + 1):
         p = degree - n

@@ -34,7 +34,8 @@ class Lcg64:
         return low + (high - low) * u
 
     def randint(self, low: int, high: int) -> int:
-        """Uniform-ish integer in [low, high], inclusive."""
+        """Uniform-ish integer in [low, high], inclusive; the bounds are read by ``_ids``'s rule."""
+        low, high = _ids((low, high), "randint bounds")
         if high < low:
             raise InvalidInputError(f"empty range [{low}, {high}]")
         return low + self.next_u64() % (high - low + 1)

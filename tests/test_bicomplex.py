@@ -461,6 +461,14 @@ class TestStructuralValidation:
         with pytest.raises(InvalidInputError, match="^total degree .*: ids must be integers$"):
             TotalCochain(bad, {})
 
+    def test_negative_total_degree_refused(self):
+        # as Cochain and BigradedCochain refuse theirs; big_d once gave degree -4
+        with pytest.raises(InvalidInputError, match="^total degree must be non-negative$"):
+            TotalCochain(-5, {})
+        with pytest.raises(InvalidInputError, match="^total degree must be non-negative$"):
+            TotalCochain.zero(-1)
+        assert TotalCochain(0, {}).total_degree == 0
+
     def test_numpy_degrees_are_stored_as_python_ints(self):
         one = np.int64(1)
         layer = BigradedCochain(one, one, {})

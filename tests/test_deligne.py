@@ -45,7 +45,7 @@ from gerbecalc.serialize import load_datum, save_datum
 from gerbecalc.cover import Cover
 from gerbecalc import bicomplex
 from gerbecalc.bicomplex import GaugePotential, _coboundary_matrix, _flat, _LayerBasis, _SparseD
-from gerbecalc.deligne import DEFAULT_EQUIVALENCE_TOL, _descent
+from gerbecalc.deligne import DEFAULT_EQUIVALENCE_TOL, EquivalenceResult, _descent
 from gerbecalc.randomdata import random_complex_and_cover, random_gauge_potential, random_total
 from gerbecalc.rng import Lcg64
 
@@ -653,6 +653,118 @@ class TestGaugeEquivalence:
         broken = GerbeDatum(0, TotalCochain(2, parts), datum.cover)
         with pytest.raises(InvalidInputError):
             gauge_equivalent(datum, broken)
+
+
+def moved_connection(datum, by):
+    """The datum with one value of its (1, k - 1) connection layer moved by ``by``."""
+    k = datum.level + 2
+    layer = datum.data.part(1, k - 1)
+    t, comp = next(iter(layer.components.items()))
+    cell = next(iter(comp.values))
+    components = {**layer.components, t: Cochain(1, {**comp.values, cell: comp.values[cell] + by})}
+    parts = {**datum.data.parts, (1, k - 1): BigradedCochain(1, k - 1, components)}
+    return GerbeDatum(datum.level, TotalCochain(k, parts), datum.cover)
+
+
+def unsummarised(datum):
+    """A copy of the datum that has not yet summarised its residual."""
+    copy = object.__new__(GerbeDatum)
+    vars(copy).update(vars(datum), _summary=None)
+    return copy
+
+
+class TestResidualSummary:
+    """A datum summarises its residual once; each call reads the summary with its own tol."""
+
+    @pytest.mark.parametrize("build", [build_monopole, build_gerbopole], ids=["monopole", "gerbopole"])
+    def test_a_passing_report_at_a_loose_tol_passes_nothing_on(self, build):
+        datum, other = moved_connection(build(12), 1e-6), build(12)
+        report = validate_cocycle(datum, 1.0)
+        assert report.passed and 1e-7 < report.max_residual() < 1e-5
+        assert not validate_cocycle(datum, 1e-12).passed
+        with pytest.raises(InvalidInputError, match="^first datum is not a cocycle at tolerance 1e-12$"):
+            gauge_equivalent(datum, other, 1e-12)
+        with pytest.raises(InvalidInputError, match="^second datum is not a cocycle at tolerance 1e-12$"):
+            gauge_equivalent(other, datum, 1e-12)
+        assert gauge_equivalent(datum, datum, 1.0).equivalent
+
+    @pytest.mark.parametrize("build", [build_monopole, build_gerbopole], ids=["monopole", "gerbopole"])
+    def test_a_shift_summarises_its_own_residual(self, build):
+        # the parent's report is read first, so a shift that kept its summary would repeat it
+        datum = moved_connection(build(12), 1e-3)
+        before = validate_cocycle(datum)
+        for seed in range(3):
+            potential = random_gauge_potential(datum.cover, datum.level + 1, Lcg64(seed), amplitude=0.5)
+            shifted = gauge_shift(datum, potential)
+            report = validate_cocycle(shifted)
+            assert report == validate_cocycle(unsummarised(shifted))
+            assert report != before
+        assert validate_cocycle(datum) == before
+
+    def test_a_report_is_a_copy_of_the_summary(self):
+        datum = moved_connection(build_monopole(12), 1e-6)
+        report = validate_cocycle(datum)
+        report.residuals.clear()
+        assert validate_cocycle(datum) == validate_cocycle(unsummarised(datum))
+        assert validate_cocycle(datum).residuals
+
+
+def eager_witness(first, second):
+    """The witness of ``gauge_equivalent(first, second)`` decoded at once from
+    the coordinates of the descent."""
+    cover, k = first.cover, first.level + 2
+    b = second._vector - first._vector
+    span = bicomplex._basis(cover, k).positions[0, k]
+    b[span.start : span.stop] = bicomplex._wrapped(b[span.start : span.stop])
+    cols = bicomplex._basis(cover, k - 1)
+    # at level -1 a potential, having no global part, is empty
+    return cols.total_of(_descent(cover, k, b) if k > 1 else np.zeros(cols.size))
+
+
+class TestLazyWitness:
+    """An accepted result keeps its witness as coordinates, decoded when ``data`` is read."""
+
+    CASES = (
+        [("monopole", m) for m in (12, 24, 48, 96)]
+        + [("gerbopole", m) for m in (12, 24)]
+        + [("minus1", m) for m in (12, 24)]
+        + [("torus star", 12)]
+    )
+
+    @staticmethod
+    def datum(name, m):
+        if name == "torus star":
+            return GerbeDatum.zero(closed_star_cover(torus_grid(m)), 0)
+        return {"monopole": build_monopole, "gerbopole": build_gerbopole, "minus1": build_minus_one_gerbe}[name](m)
+
+    @pytest.mark.parametrize("name, m", CASES)
+    def test_decodes_to_the_eager_witness(self, name, m, monkeypatch):
+        datum = self.datum(name, m)
+        potential = random_gauge_potential(datum.cover, datum.level + 1, Lcg64(m), amplitude=0.5)
+        shifted = gauge_shift(datum, potential)
+        decodes = []
+        total_of = _LayerBasis.total_of
+        monkeypatch.setattr(_LayerBasis, "total_of", lambda basis, x: decodes.append(basis) or total_of(basis, x))
+        result = gauge_equivalent(datum, shifted)
+        assert result.equivalent and decodes == []
+        expected = eager_witness(datum, shifted)
+        decodes.clear()
+        assert result.witness.data == expected and len(decodes) == 1
+        assert result.witness.data is result.witness.data and len(decodes) == 1
+
+    def test_equality_and_repr_read_the_decoded_witness(self):
+        datum = build_monopole(24)
+        shifted = gauge_shift(datum, random_gauge_potential(datum.cover, 1, Lcg64(2), amplitude=0.5))
+        first, second = gauge_equivalent(datum, shifted), gauge_equivalent(datum, shifted)
+        eager = EquivalenceResult(True, first.residual, GaugePotential(eager_witness(datum, shifted)))
+        assert first == second == eager
+        assert repr(gauge_equivalent(datum, shifted)) == repr(eager)
+        assert first != gauge_equivalent(shifted, datum)
+        assert first.witness != GaugePotential(TotalCochain.zero(1))
+        with pytest.raises(FrozenInstanceError):
+            first.witness.data = TotalCochain.zero(1)
+        with pytest.raises(TypeError):
+            hash(first.witness)
 
 
 class TestTorusStarCovers:

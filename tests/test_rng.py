@@ -28,3 +28,13 @@ class TestRandint:
     def test_refuses_an_empty_range(self):
         with pytest.raises(InvalidInputError, match=r"^empty range \[3, 2\]$"):
             Lcg64(1).randint(3, 2)
+
+    @pytest.mark.parametrize("bounds", [(0.5, 2), (0, 2.0), (True, 2), ("0", 2), (0, None)])
+    def test_refuses_bounds_that_are_not_ids(self, bounds):
+        # 0.5 + an int would return the float 1.0
+        with pytest.raises(InvalidInputError, match="^randint bounds .*: ids must be integers$"):
+            Lcg64(1).randint(*bounds)
+
+    def test_numpy_bounds_are_read_as_ints(self):
+        value = Lcg64(1).randint(np.int64(2), np.uint8(9))
+        assert type(value) is int and value == Lcg64(1).randint(2, 9)
