@@ -211,7 +211,9 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
     return ValidationReport(tol, dict(residuals), peaks, _within(residuals, tol))
 
 
-def _residual_summary(datum: GerbeDatum) -> tuple[dict[tuple[int, int], float], tuple]:
+def _residual_summary(
+    datum: GerbeDatum,
+) -> tuple[dict[tuple[int, int], float], tuple[ResidualPeak, ...]]:
     """The residual of the datum's coordinates summarised, computed on the first
     call and kept: D of them through the cover's cached matrix, with the
     (0, k+1) and (1, k) rows wrapped; the largest |value| per bidegree; and the
