@@ -34,9 +34,7 @@ one way: ``_LayerBasis.vector`` puts each part, given flat (``_flat``), at the
 coordinates ``place`` finds with one search of (tuple, cell) keys, the search
 the assembler runs.  ``place`` is the one support check: a value it cannot
 place lies outside its overlap.  A ``deligne.GerbeDatum`` keeps its vector, so
-validation, gauge shifts and the equivalence descent work on vectors alone,
-and the witness ``GaugePotential`` keeps the descent's coordinates until its
-``data`` is read.
+validation, gauge shifts and the equivalence descent work on vectors alone.
 ``cech_delta``, ``dbar`` and ``big_d`` apply D to the ``vector`` of a dict
 cochain and decode the image; a shifted datum's ``data`` adds such images to
 its dicts with ``+``.
@@ -50,7 +48,7 @@ modulo 2*pi, so ``deligne`` wraps the rows it compares with zero.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from typing import Iterable
 
@@ -227,50 +225,17 @@ class TotalCochain:
         return self + other.scaled(-1.0)
 
 
+@dataclass(frozen=True)
 class GaugePotential:
     """Shift datum for equivalence tests: a total cochain whose global
-    top-degree form part is structurally absent.
+    top-degree form part is structurally absent."""
 
-    ``GaugePotential(total)`` checks the total cochain and keeps it.  The
-    witness of ``deligne.gauge_equivalent`` is kept as its coordinates on the
-    cover's basis instead (``_of``), and ``data`` decodes them by
-    ``_LayerBasis.total_of`` when first read, so a caller that reads only the
-    decision builds no dicts.  Instances are immutable values, equal when
-    their data are.
-    """
+    data: TotalCochain
 
-    def __init__(self, data: TotalCochain):
-        for (p, n) in data.parts:
+    def __post_init__(self):
+        for (p, n) in self.data.parts:
             if n == 0:
                 raise InvalidInputError("gauge potentials carry no global form part")
-        vars(self).update(_data=data)
-
-    @classmethod
-    def _of(cls, basis: "_LayerBasis", x: np.ndarray) -> "GaugePotential":
-        """The potential of coordinates ``x`` on ``basis``, zero on its global block."""
-        potential = object.__new__(cls)
-        vars(potential).update(_data=(basis, x))
-        return potential
-
-    @property
-    def data(self) -> TotalCochain:
-        if isinstance(self._data, tuple):  # coordinates, decoded on this first read
-            basis, x = self._data
-            vars(self).update(_data=basis.total_of(x))
-        return self._data
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.data == other.data
-
-    __hash__ = None  # the data are dicts
-
-    def __repr__(self) -> str:
-        return f"GaugePotential(data={self.data!r})"
 
 
 def _image(total: TotalCochain, cover: Cover) -> np.ndarray:

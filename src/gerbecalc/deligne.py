@@ -6,13 +6,13 @@ layers, and the global (n+2, 0) part stores minus the curvature.  A bundle is
 the level-0 case and a gerbe the level-1 case; level -1 is allowed.
 
 A datum keeps its coordinates on the cover's basis, and validation, the
-charge, shifts and equivalence read them; all but the charge apply the
-cover's cached sparse D (``bicomplex._coboundary``) to vectors, and the
-charge zips them with the complex's +-1 orientation list.  A shift adds D of
-the potential to the datum's vector and builds no dicts; ``data`` adds the
-images to its dicts on first read.  A datum summarises its residual, the
-largest value per bidegree and the worst peaks, once, on the first validation
-or equivalence that reads it; each call compares the summary with its own
+charge, shifts and equivalence read them; all but the charge apply the cover's
+cached sparse D (``bicomplex._coboundary``) to vectors, and the charge zips
+them with the complex's +-1 orientation list.  A shift adds D of the potential
+to the datum's vector and builds no dicts; ``data`` adds the images to its
+dicts on first read.  A datum keeps the largest value of its residual per
+bidegree from the first validation or equivalence that reads it, and its worst
+peaks from the first validation; each call compares the maxima with its own
 tolerance.  Equivalence descends the difference by the Cech contraction K of
 ``bicomplex``, one sparse apply of K and one of D per Cech degree, and solves
 d eta = omega for the global form omega left on the manifold alone in one
@@ -21,11 +21,10 @@ degree (``SimplicialComplex._order``), which puts eta = 0 on the cells whose
 rows solved a step one degree down and on its roots; the residual checks the
 rows off the walk.  Two valid cocycles are equivalent when the difference is
 matched by the total coboundary of a potential without global top form part,
-with angle-layer rows compared modulo 2*pi; the witness is kept as the
-descent's coordinates, and its dict form is decoded when first read.
-Rejection means no such witness was found at tolerance; it is numeric
-evidence, not a certificate, and equal charges do not settle it: the rejected
-amplitude-3 shifts of ``random_gauge_potential`` all have charge 1.0
+with angle-layer rows compared modulo 2*pi.  Rejection means no such witness
+was found at tolerance; it is numeric evidence, not a certificate, and equal
+charges do not settle it: the rejected amplitude-3 shifts of
+``random_gauge_potential`` all have charge 1.0
 (ROADMAP.md, "Lost integers I").
 """
 
@@ -87,9 +86,9 @@ class GerbeDatum:
     the image of D to the coordinates and records it in ``_shifts``; ``data``
     adds the recorded images to the dict form when it is first read, one dict
     sum per shift, so a chain of k shifts costs k dict sums there.  The
-    residual summary (``_residual_summary``) is kept from its first use; a
-    shift starts without one.  Instances are immutable values, equal when
-    level, data and cover are.
+    residual's maxima (``_residual_maxima``) and peaks (``validate_cocycle``)
+    are kept from their first use; a shift starts without them.  Instances are
+    immutable values, equal when level, data and cover are.
     """
 
     def __init__(self, level: int, data: TotalCochain, cover: Cover):
@@ -109,7 +108,7 @@ class GerbeDatum:
             raise InvalidInputError("the transition layer must be angle-valued")
         vector = _basis(cover, k).vector((*key, *flat) for key, _, *flat in parts)
         vars(self).update(
-            level=level, cover=cover, _data=data, _vector=vector, _shifts=(), _summary=None
+            level=level, cover=cover, _data=data, _vector=vector, _shifts=(), _maxima=None, _peaks=None
         )
 
     @classmethod
@@ -162,8 +161,10 @@ class GerbeDatum:
         at = np.flatnonzero(image)
         vector[at] += image[at]
         datum = object.__new__(GerbeDatum)
-        # the shifted vector has its own residual, summarised when first asked for
-        vars(datum).update(vars(self), _vector=vector, _shifts=self._shifts + (image,), _summary=None)
+        # the shifted vector has its own residual, computed when first asked for
+        vars(datum).update(
+            vars(self), _vector=vector, _shifts=self._shifts + (image,), _maxima=None, _peaks=None
+        )
         return datum
 
 
@@ -203,45 +204,47 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
     (1, k), hold only modulo 2*pi: each of their values is wrapped into
     (-pi, pi] before the tolerance test, and one that wraps to 0 is dropped.
     A non-finite residual fails at any tolerance; a NaN, infinite or negative
-    tolerance raises InvalidInputError.  The residuals and peaks are the
-    datum's summary, computed once; ``passed`` is decided per call from tol.
+    tolerance raises InvalidInputError.  The datum keeps its maxima and peaks
+    from the first call; ``passed`` is decided per call from tol.
     """
     tol = _checked_tol(DEFAULT_VALIDATION_TOL if tol is None else tol)
-    residuals, peaks = _residual_summary(datum)
-    return ValidationReport(tol, dict(residuals), peaks, _within(residuals, tol))
-
-
-def _residual_summary(
-    datum: GerbeDatum,
-) -> tuple[dict[tuple[int, int], float], tuple[ResidualPeak, ...]]:
-    """The residual of the datum's coordinates summarised, computed on the first
-    call and kept: D of them through the cover's cached matrix, with the
-    (0, k+1) and (1, k) rows wrapped; the largest |value| per bidegree; and the
-    eight worst ``ResidualPeak``s.  Neither depends on a tolerance."""
-    if datum._summary is None:
-        cover, k = datum.cover, datum.level + 2
-        rows = _basis(cover, k + 1)
-        residual = _coboundary(cover, k).apply(datum._vector)
-        residuals: dict[tuple[int, int], float] = {}
-        nonzero = []
-        for key, span in sorted(rows.positions.items()):
-            at = span.start + np.flatnonzero(residual[span.start : span.stop])
-            if key in ((0, k + 1), (1, k)):
-                residual[at] = _wrapped(residual[at])
-                at = at[residual[at] != 0.0]
-            residuals[key] = float(np.max(np.abs(residual[at]), initial=0.0))
-            nonzero.append(at)
-        at = np.concatenate(nonzero)
+    if datum._peaks is None:
+        residual, at, maxima = _residual(datum)
         magnitudes = np.abs(residual[at])
         nan = np.isnan(magnitudes)
         # NaN first, since NaN compares false with everything; then the largest.  The
         # sort is stable and ``at`` runs by bidegree, then by (indices, cell).
-        peaks = []
+        peaks, rows = [], _basis(datum.cover, datum.level + 3)
         for i in np.lexsort((-np.where(nan, 0.0, magnitudes), ~nan))[:8]:
             p, n, t, cell = rows.entry(int(at[i]))
             peaks.append(ResidualPeak((p, n), t, cell, float(magnitudes[i])))
-        vars(datum).update(_summary=(residuals, tuple(peaks)))
-    return datum._summary
+        vars(datum).update(_maxima=maxima, _peaks=tuple(peaks))
+    return ValidationReport(tol, dict(datum._maxima), datum._peaks, _within(datum._maxima, tol))
+
+
+def _residual(datum: GerbeDatum):
+    """The residual of the datum's coordinates: D of them through the cover's
+    cached matrix, with the (0, k+1) and (1, k) rows wrapped; the positions of
+    its nonzero values, by bidegree; and the largest |value| per bidegree."""
+    cover, k = datum.cover, datum.level + 2
+    residual = _coboundary(cover, k).apply(datum._vector)
+    maxima: dict[tuple[int, int], float] = {}
+    nonzero = []
+    for key, span in sorted(_basis(cover, k + 1).positions.items()):
+        at = span.start + np.flatnonzero(residual[span.start : span.stop])
+        if key in ((0, k + 1), (1, k)):
+            residual[at] = _wrapped(residual[at])
+            at = at[residual[at] != 0.0]
+        maxima[key] = float(np.max(np.abs(residual[at]), initial=0.0))
+        nonzero.append(at)
+    return residual, np.concatenate(nonzero), maxima
+
+
+def _residual_maxima(datum: GerbeDatum) -> dict[tuple[int, int], float]:
+    """The datum's largest |residual| per bidegree, computed on first use and kept."""
+    if datum._maxima is None:
+        vars(datum).update(_maxima=_residual(datum)[2])
+    return datum._maxima
 
 
 def _within(residuals: dict[tuple[int, int], float], tol: float) -> bool:
@@ -332,10 +335,8 @@ def gauge_equivalent(
     (ROADMAP.md, "Lost integers I").  A NaN, infinite or negative tolerance
     raises InvalidInputError.
 
-    Both data are checked against tol through their residual summaries, so a
-    datum already validated is not checked again.  An accepted result's
-    witness keeps the descent's coordinates and decodes its dict form by
-    ``_LayerBasis.total_of`` when ``witness.data`` is first read.
+    Both data are checked against tol through their kept residual maxima, so
+    the residual of a datum already validated is not computed again.
     """
     tol = _checked_tol(DEFAULT_EQUIVALENCE_TOL if tol is None else tol)
     if first.level != second.level:
@@ -346,7 +347,7 @@ def gauge_equivalent(
     # the covers are equal by value, so both data are checked on one cached D,
     # and their coordinates lie on bases of one layout
     for name, datum in (("first", first), ("second", second)):
-        if not _within(_residual_summary(datum)[0], tol):
+        if not _within(_residual_maxima(datum), tol):
             raise InvalidInputError(f"{name} datum is not a cocycle at tolerance {tol:g}")
     rows, cols = _basis(cover, k), _basis(cover, k - 1)
     with np.errstate(over="ignore"):
@@ -362,7 +363,7 @@ def gauge_equivalent(
     residual_vec[angle] = _wrapped(residual_vec[angle])
     residual = float(np.max(np.abs(residual_vec))) if residual_vec.size else 0.0
     if residual <= tol:
-        return EquivalenceResult(True, residual, GaugePotential._of(cols, x))
+        return EquivalenceResult(True, residual, GaugePotential(cols.total_of(x)))
     return EquivalenceResult(False, residual, None)
 
 
