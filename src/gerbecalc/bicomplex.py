@@ -56,7 +56,7 @@ import numpy as np
 
 from .cover import Cover
 from .errors import InvalidInputError
-from .simplicial import Cochain, Simplex, _deletion_sign, _face_rows, _ids, _merged, _real, _worst
+from .simplicial import Cochain, Simplex, _deletion_sign, _face_rows, _id_keys, _ids, _merged, _real, _worst
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,6 +132,7 @@ class BigradedCochain:
             raise InvalidInputError("bidegrees must be non-negative")
         if self.angle_valued and self.form_degree != 0:
             raise InvalidInputError("only 0-form layers can be angle-valued")
+        object.__setattr__(self, "components", _id_keys(self.components, "component key"))
         for t, comp in self.components.items():
             if len(t) != self.cech_degree:
                 raise InvalidInputError(
@@ -192,7 +193,11 @@ class TotalCochain:
         object.__setattr__(self, "total_degree", degree)
         if degree < 0:
             raise InvalidInputError("total degree must be non-negative")
-        for (p, n), part in self.parts.items():
+        object.__setattr__(self, "parts", _id_keys(self.parts, "part key"))
+        for key, part in self.parts.items():
+            if len(key) != 2:
+                raise InvalidInputError(f"part key {key} is not a bidegree (p, n)")
+            p, n = key
             if p + n != self.total_degree:
                 raise InvalidInputError(
                     f"part at ({p},{n}) does not match total degree {self.total_degree}"

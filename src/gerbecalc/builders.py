@@ -4,6 +4,8 @@ The paper's ladder of equations is the descent (tic-tac-toe) of the
 Cech-de Rham double complex.  ``_descend`` writes it once: from a winding
 transition on the deepest overlap of k sets, each row of D = delta - dbar
 fixes the next form one overlap shallower, down to the global curvature.
+Every form below the transition is ``bicomplex.dbar`` of the one above, the
+cover's cached D with its minus undone, so no sign is written here.
 
 * level -1 on a circle: a family of functions equal to the vertex angle on
   each arc of a three-arc cover, with the winding 1-form as curvature; its
@@ -17,8 +19,8 @@ fixes the next form one overlap shallower, down to the global curvature.
 
 Meshes are chosen as the smallest complexes on which the required cover
 combinatorics (which overlaps are nonempty, which are bands or shells) are
-realized by vertex-induced subcomplexes.  All connection values come from
-wrapped angle differences, so every charge is an exact telescoping sum.
+realized by vertex-induced subcomplexes.  The first form is the wrapped
+dbar of the angle, so every charge is an exact telescoping sum.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from __future__ import annotations
 import math
 import operator
 
-from .bicomplex import TWO_PI, BigradedCochain, TotalCochain, wrap
+import numpy as np
+
+from .bicomplex import TWO_PI, BigradedCochain, TotalCochain, _wrapped, dbar
 from .cover import Cover
 from .deligne import GerbeDatum
 from .errors import InvalidInputError
-from .simplicial import Cochain, SimplicialComplex, _are_ids, exterior_derivative
+from .simplicial import Cochain, SimplicialComplex, _are_ids
 
 __all__ = [
     "circle_complex",
@@ -111,14 +115,12 @@ def _check_resolution(m: int, winding: int, minimum: int) -> tuple[int, int]:
     return m, winding
 
 
-def _wrapped_differences(edges, angle: dict[int, float], factor: int) -> dict:
-    """wrap(factor * (angle[b] - angle[a])) on the edges; zero values are left out."""
-    out = {}
-    for a, b in edges:
-        val = wrap(factor * (angle[b] - angle[a]))
-        if val != 0.0:
-            out[(a, b)] = val
-    return out
+def _winding_form(cover: Cover, angle: BigradedCochain, winding: int) -> Cochain:
+    """wrap(winding * dbar angle) on the angle's one overlap, by ``_wrapped``;
+    zero values are left out."""
+    (form,) = dbar(angle, cover).components.values()
+    values = _wrapped(winding * np.fromiter(form.values.values(), float, len(form.values)))
+    return Cochain(1, {c: v for c, v in zip(form.values, values.tolist()) if v != 0.0})
 
 
 def build_minus_one_gerbe(m: int, winding: int = 1) -> GerbeDatum:
@@ -141,17 +143,17 @@ def build_minus_one_gerbe(m: int, winding: int = 1) -> GerbeDatum:
     arc1 = {v for v in range(m) if m // 3 < v < 5 * m // 6}
     arc2 = {v for v in range(m) if 2 * m // 3 < v or v < m // 6}
     cover = Cover.build(complex, [arc0, arc1, arc2])
-    theta = {v: TWO_PI * v / m for v in range(m)}
+    theta = Cochain(0, {(v,): TWO_PI * v / m for v in range(m)})
     functions = {
-        (i,): Cochain(0, {(v,): winding * theta[v] for v in sorted(arc)})
+        (i,): Cochain(0, {(v,): winding * theta.get((v,)) for v in sorted(arc)})
         for i, arc in enumerate(cover.sets)
     }
-    one_form = _wrapped_differences(complex.cells(1), theta, winding)
+    one_form = _winding_form(cover, BigradedCochain(0, 0, {(): theta}), winding)
     data = TotalCochain(
         1,
         {
             (0, 1): BigradedCochain(0, 1, functions, angle_valued=True),
-            (1, 0): BigradedCochain(1, 0, {(): Cochain(1, one_form).scaled(-1.0)}),
+            (1, 0): BigradedCochain(1, 0, {(): one_form.scaled(-1.0)}),
         },
     )
     return GerbeDatum(-1, data, cover)
@@ -161,22 +163,20 @@ def _descend(cover: Cover, angle: dict[int, float], winding: int) -> TotalCochai
     """The ladder of a transition on the deepest overlap, down to a curvature.
 
     With k cover sets and T = (0, ..., k-1), c_0 = winding * angle on the
-    overlap of T is the angle-valued (0, k) part at T; c_1 is (-1)^k times its
-    wrapped differences on that overlap's edges, stored at T[1:]; and each
-    c_{j+1} = (-1)^(k-j) d c_j on the overlap of T[j:], stored at T[j+1:], so
-    row (j+1, k-j) of D = delta - dbar vanishes at T[j:].  The last is the
-    global (k, 0) curvature.
+    overlap of T is the angle-valued (0, k) part at T; c_1 = wrap(winding *
+    dbar angle) on that overlap is stored at T[1:]; and each c_{j+1} = dbar c_j,
+    taken at T[j:], is stored at T[j+1:], so row (j+1, k-j) of D = delta - dbar
+    vanishes at T[j:].  The last is the global (k, 0) curvature.
     """
     k = len(cover.sets)
     t = tuple(range(k))
-    deepest = cover.overlap(t)
-    layer = Cochain(0, {(v,): winding * angle[v] for (v,) in deepest.cells(0)})
-    parts = {(0, k): BigradedCochain(0, k, {t: layer}, angle_valued=True)}
-    layer = Cochain(1, _wrapped_differences(deepest.cells(1), angle, (-1) ** k * winding))
-    parts[(1, k - 1)] = BigradedCochain(1, k - 1, {t[1:]: layer})
-    for j in range(1, k):
-        layer = exterior_derivative(layer, cover.overlap(t[j:])).scaled((-1) ** (k - j))
-        parts[(j + 1, k - j - 1)] = BigradedCochain(j + 1, k - j - 1, {t[j + 1 :]: layer})
+    theta = Cochain(0, {(v,): angle[v] for (v,) in cover.overlap(t).cells(0)})
+    parts = {(0, k): BigradedCochain(0, k, {t: theta.scaled(winding)}, angle_valued=True)}
+    layer = _winding_form(cover, BigradedCochain(0, k, {t: theta}), winding)
+    for j in range(1, k + 1):
+        parts[j, k - j] = BigradedCochain(j, k - j, {t[j:]: layer})
+        if j < k:
+            (layer,) = dbar(parts[j, k - j], cover).components.values()
     return TotalCochain(k, parts)
 
 

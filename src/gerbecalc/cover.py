@@ -43,7 +43,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _expect
 from .simplicial import SimplicialComplex, _deletion_sign, _ids
 
 
@@ -105,6 +105,7 @@ class Cover:
     def build(
         cls, complex: SimplicialComplex, sets: Sequence[Iterable[int]]
     ) -> "Cover":
+        _expect(complex, SimplicialComplex, "complex")
         try:
             sets = tuple(sets)
         except TypeError:  # not iterable, so not a list of sets
@@ -328,6 +329,7 @@ def _betti(
 
 def betti_numbers(complex: SimplicialComplex) -> tuple[int, ...]:
     """Betti numbers b_0..b_max(2, top dimension) over Q: ``_betti`` with one owner."""
+    _expect(complex, SimplicialComplex, "complex")
     cells = [np.arange(len(complex.cells(q))) for q in range(complex.top_dimension + 1)]
     return _betti(complex, [np.zeros(len(c), np.intp) for c in cells], cells, 1)[0]
 
@@ -402,6 +404,7 @@ def check_good_cover(cover: Cover) -> GoodCoverReport:
     is read.  The entries are one per nerve tuple, in lexicographic order: one
     lexsort of the layer tables, padded with -1.
     """
+    _expect(cover, Cover, "cover")
     layers = []
     while (layer := cover._layer_arrays(len(layers) + 1)).tuples:
         layers.append(layer)

@@ -50,7 +50,7 @@ from .bicomplex import (
     _wrapped,
 )
 from .cover import Cover
-from .errors import InvalidInputError, NumericError
+from .errors import InvalidInputError, NumericError, _expect
 from .simplicial import Cochain, Simplex, _ids, _real, _replay, _worst
 
 DEFAULT_VALIDATION_TOL = 1e-9
@@ -92,6 +92,7 @@ class GerbeDatum:
     """
 
     def __init__(self, level: int, data: TotalCochain, cover: Cover):
+        data, cover = _expect(data, TotalCochain, "data"), _expect(cover, Cover, "cover")
         parts = [(key, part.angle_valued, *_flat(part, cover.complex)) for key, part in data.parts.items()]
         self._place(level, data.total_degree, cover, parts, data)
 
@@ -208,7 +209,7 @@ def validate_cocycle(datum: GerbeDatum, tol: float | None = None) -> ValidationR
     from the first call; ``passed`` is decided per call from tol.
     """
     tol = _checked_tol(DEFAULT_VALIDATION_TOL if tol is None else tol)
-    if datum._peaks is None:
+    if _expect(datum, GerbeDatum, "datum")._peaks is None:
         residual, at, maxima = _residual(datum)
         magnitudes = np.abs(residual[at])
         nan = np.isnan(magnitudes)
@@ -255,7 +256,7 @@ def _within(residuals: dict[tuple[int, int], float], tol: float) -> bool:
 
 def curvature(datum: GerbeDatum) -> Cochain:
     """The globally defined top form: minus the stored (k, 0) part."""
-    k = datum.level + 2
+    k = _expect(datum, GerbeDatum, "datum").level + 2
     part = datum.data.part(k, 0)
     if part is None:
         return Cochain.zero(k)
@@ -271,7 +272,7 @@ def charge(datum: GerbeDatum) -> float:
     the global (k, 0) coordinates, both in ``cells(k)`` order, ``integrate``'s
     sorted order, so the float is ``integrate(curvature(datum), cycle)``'s.
     """
-    complex, k = datum.cover.complex, datum.level + 2
+    complex, k = _expect(datum, GerbeDatum, "datum").cover.complex, datum.level + 2
     if complex.top_dimension != k:
         raise InvalidInputError(
             f"charge needs a closed ({k})-manifold; top dimension is {complex.top_dimension}"
@@ -299,7 +300,10 @@ def _descent(cover: Cover, k: int, b: np.ndarray) -> np.ndarray:
     left is delta omega, omega = K r global; and delta eta, the (k - 2, 1)
     block of D eta, has D of it equal to delta omega when d eta = omega (D's
     global block is -d): the replay of the complex's walk of degree k - 2.
+    A total degree k < 2, whose potential has no global form to descend, is refused.
     """
+    if k < 2:
+        raise InvalidInputError(f"the descent needs a total degree k >= 2, got {k}")
     rows, cols = _basis(cover, k), _basis(cover, k - 1)
     d, contraction = _coboundary(cover, k - 1), _contraction(cover, k)
     x, r = np.zeros(cols.size), b.copy()
@@ -339,6 +343,8 @@ def gauge_equivalent(
     the residual of a datum already validated is not computed again.
     """
     tol = _checked_tol(DEFAULT_EQUIVALENCE_TOL if tol is None else tol)
+    _expect(first, GerbeDatum, "first")
+    _expect(second, GerbeDatum, "second")
     if first.level != second.level:
         raise InvalidInputError("data have different levels")
     if first.cover != second.cover:
@@ -374,6 +380,8 @@ def higher_gauge_shift(datum: GerbeDatum, shift: TotalCochain) -> GerbeDatum:
     part B, which moves the curvature by its derivative while preserving the
     charge on closed manifolds.
     """
+    _expect(datum, GerbeDatum, "datum")
+    _expect(shift, TotalCochain, "shift")
     if shift.total_degree != datum.level + 1:
         raise InvalidInputError(
             f"shift must have total degree {datum.level + 1}, got {shift.total_degree}"
@@ -383,4 +391,4 @@ def higher_gauge_shift(datum: GerbeDatum, shift: TotalCochain) -> GerbeDatum:
 
 def gauge_shift(datum: GerbeDatum, potential: GaugePotential) -> GerbeDatum:
     """Shift by the coboundary of a gauge potential (no global form part)."""
-    return higher_gauge_shift(datum, potential.data)
+    return higher_gauge_shift(datum, _expect(potential, GaugePotential, "potential").data)

@@ -19,3 +19,11 @@ class NumericError(GerbecalcError, RuntimeError):
 
 class FormatError(InvalidInputError):
     """A datum file does not conform to the JSON interchange schema."""
+
+
+def _expect(value, kind: type, name: str):
+    """The value, if it is a ``kind``; else an InvalidInputError naming the argument
+    and the type it has, where an attribute read would raise a bare AttributeError."""
+    if not isinstance(value, kind):
+        raise InvalidInputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value

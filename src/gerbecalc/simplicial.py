@@ -167,6 +167,20 @@ def _first_non_ids(cells: list[tuple], flat: list) -> int:
     return next(i for i, cell in enumerate(cells) if not _are_ids(cell))
 
 
+def _id_keys(mapping: dict, owner: str) -> dict:
+    """``mapping`` with each key read by ``_ids``'s rule, as a tuple of Python ints:
+    the same dict when every key already is one, else a copy in the same order.
+
+    As in ``_first_non_ids``, the rule is a rule on types, so one pass over the
+    keys' and ids' types decides; only then are the keys read one by one, and
+    the first that ``_ids`` refuses (True, 1.0, a bare int) is named with ``owner``.
+    """
+    flat = itertools.chain.from_iterable
+    if {*map(type, mapping)} <= {tuple} and {*map(type, flat(mapping))} <= {int}:
+        return mapping
+    return {_ids(key, owner): value for key, value in mapping.items()}
+
+
 def _id_array(flat: list, count: int, width: int) -> np.ndarray:
     """The first ``count`` cells of ``width`` ids each, from their ids in order,
     as a (count, width) array: int64, or Python ints if an id does not fit."""
@@ -364,7 +378,10 @@ class SimplicialComplex:
     def _order(self, q: int) -> tuple[list, list, list, list]:
         """The walk of d eta = omega from the q-forms, as (steps, roots, rows, signs) for
         ``_replay``: a row per (q + 1)-cell, its faces with signs (-1)^a, seeded with the
-        q-cells whose rows solved a step at degree q - 1, where eta = 0 is the gauge."""
+        q-cells whose rows solved a step at degree q - 1, where eta = 0 is the gauge.
+        A degree q < 0 is refused."""
+        if q < 0:
+            raise InvalidInputError(f"the walk of d needs a form degree q >= 0, got {q}")
         if q not in self._orders:
             seeds = [e for _, e in self._order(q - 1)[0]] if q else []
             faces = self._faces[q + 1].tolist() if q < self.top_dimension else []

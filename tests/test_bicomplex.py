@@ -244,11 +244,10 @@ class TestCechDelta:
 
     @ONE_PART_OPS
     def test_non_integer_index_rejected(self, op):
-        # no set has index 0.5; int() would read it as set 0, which holds vertex 0
-        layer = BigradedCochain(0, 1, {(0.5,): Cochain(0, {(0,): 1.0})})
-        spill = r"part \(0,1\) component \(0.5,\) spills outside its overlap at \(0,\)"
-        with pytest.raises(InvalidInputError, match=spill):
-            op(layer, two_set_cover())
+        # no set has index 0.5; int() would read it as set 0, which holds vertex 0.
+        # The id rule refuses the key when the layer is made, before op reads it
+        with pytest.raises(InvalidInputError, match=r"^component key \(0.5,\): ids must be integers$"):
+            op(BigradedCochain(0, 1, {(0.5,): Cochain(0, {(0,): 1.0})}), two_set_cover())
 
 
 class TestOperatorIdentities:
@@ -460,6 +459,43 @@ class TestStructuralValidation:
                 BigradedCochain(*degrees, {})
         with pytest.raises(InvalidInputError, match="^total degree .*: ids must be integers$"):
             TotalCochain(bad, {})
+
+    @pytest.mark.parametrize(
+        "key",
+        [(True,), (1.0,), (np.float64(1.0),), (0.5,), ("1",), 1],
+        ids=["bool", "float", "numpy-float", "half", "str", "bare-int"],
+    )
+    def test_component_keys_are_read_as_ids(self, key):
+        # a file holds integer indices only, so the key is refused where the layer is made
+        with pytest.raises(InvalidInputError, match=r"^component key .*: ids must be integers$"):
+            BigradedCochain(1, 1, {key: Cochain(1, {})})
+
+    @pytest.mark.parametrize(
+        "key", [(1.0, 1), (True, 1), (1, np.float64(1.0)), "ab"], ids=["float", "bool", "numpy-float", "str"]
+    )
+    def test_part_keys_are_read_as_ids(self, key):
+        # a file holds an integer "p" and "n" only, so the key is refused where the total is made
+        with pytest.raises(InvalidInputError, match=r"^part key .*: ids must be integers$"):
+            TotalCochain(2, {key: BigradedCochain(1, 1, {})})
+
+    @pytest.mark.parametrize("key", [(1,), (1, 1, 0)], ids=["one", "three"])
+    def test_part_keys_are_pairs(self, key):
+        with pytest.raises(InvalidInputError, match=r"^part key .* is not a bidegree \(p, n\)$"):
+            TotalCochain(2, {key: BigradedCochain(1, 1, {})})
+
+    def test_keys_are_stored_as_python_ints(self):
+        one = Cochain(1, {})
+        comps = {(np.int64(0),): one, (np.int32(1),): one}
+        layer = BigradedCochain(1, 1, comps)
+        assert list(layer.components) == [(0,), (1,)]
+        assert {type(i) for t in layer.components for i in t} == {int}
+        total = TotalCochain(2, {(np.int64(1), np.uint8(1)): layer})
+        assert list(total.parts) == [(1, 1)] and {*map(type, next(iter(total.parts)))} == {int}
+        # keys that already are tuples of ints keep their dict
+        plain = {(0,): one, (1,): one}
+        assert BigradedCochain(1, 1, plain).components is plain
+        parts = {(1, 1): layer}
+        assert TotalCochain(2, parts).parts is parts
 
     def test_negative_total_degree_refused(self):
         # as Cochain and BigradedCochain refuse theirs; big_d once gave degree -4

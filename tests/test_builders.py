@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from gerbecalc import (
     BigradedCochain,
     Cochain,
+    Cover,
     InvalidInputError,
     build_gerbopole,
     build_minus_one_gerbe,
@@ -250,6 +252,14 @@ PINNED_DIGESTS = {
     ("equator", 6, "direct"): "ae5a886fb8be838ef949a6d3e9899bd91d4c8df0e1aeed49f5a7c0e1e1d786dd",
     ("equator", 12, -1, "restricted"): "5ebdc24924b34c1147e859d0ee1b661a029308c3cebe9131ce6011c73abadf4b",
     ("equator", 12, -1, "direct"): "5ebdc24924b34c1147e859d0ee1b661a029308c3cebe9131ce6011c73abadf4b",
+    # at winding 3, wrap(w * (b - a)) and wrap(w * b - w * a) differ on most
+    # ring and band edges (at winding 2 on none), so these rows catch a
+    # descent that scales the angle before its difference
+    ("monopole", 24, 3): "827ea288bcf5b09098a3a74f3148adaca127a70209a6e9859dcadd9b18fb9770",
+    ("monopole", 24, -3): "371d90018c728d96ff77bc89b220a86f1acb39dd8767b100ec6e3afdbddfc1f5",
+    ("gerbopole", 24, 3, 8): "57e6b7597d29208d4b2a887dc755a233df5dbc5cfbfc551a1598ef21c84c13eb",
+    ("minus1", 24, 3): "593308f4049aee9df25c19c2f627f6df8b0d73ae6ea1ecaf25dcd6e1e3e7d913",
+    ("equator", 24, 3, "direct"): "df9affa03aea639502474a222459ce5d34199009aae78aba69f8f6b45a7b067c",
 }
 
 
@@ -258,6 +268,35 @@ def test_builder_output_is_pinned_byte_for_byte(key, tmp_path):
     path = tmp_path / "datum.json"
     save_datum(path, _build_for(key))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[key]
+
+
+@pytest.mark.parametrize(
+    "build, asked",
+    [
+        (lambda: build_minus_one_gerbe(24, 3), []),
+        (lambda: build_monopole(24, 3), [(0, 1)]),
+        (lambda: build_gerbopole(12, -1), [(0, 1, 2)]),
+        # the gerbopole's ladder, then the direct bundle's
+        (lambda: gerbopole_equator_pair(24, 3), [(0, 1, 2), (0, 1)]),
+    ],
+    ids=["minus1", "monopole", "gerbopole", "equator"],
+)
+def test_each_ladder_asks_only_its_deepest_overlap(build, asked, monkeypatch):
+    # every form below the transition is read off the cover's D through dbar:
+    # no overlap complex but the deepest is built, and no dict d is taken
+    seen, overlap = [], Cover.overlap
+    monkeypatch.setattr(Cover, "overlap", lambda cover, t: seen.append(tuple(t)) or overlap(cover, t))
+
+    def refused(*args):
+        raise AssertionError("a builder called exterior_derivative")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gerbecalc" and hasattr(module, "exterior_derivative"):
+            monkeypatch.setattr(module, "exterior_derivative", refused)
+    built = build()
+    assert seen == asked
+    for datum in built if isinstance(built, tuple) else (built,):
+        assert validate_cocycle(datum).passed
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ import pytest
 from gerbecalc import (
     BigradedCochain,
     Cochain,
+    Cover,
     GerbeDatum,
     GerbecalcError,
     InvalidInputError,
@@ -24,12 +25,14 @@ from gerbecalc import (
     StructuralError,
     TotalCochain,
     ValidationReport,
+    betti_numbers,
     big_d,
     build_gerbopole,
     build_minus_one_gerbe,
     build_monopole,
     build_trivial,
     charge,
+    check_good_cover,
     curvature,
     exterior_derivative,
     fundamental_cycle,
@@ -42,7 +45,6 @@ from gerbecalc import (
 )
 from gerbecalc.builders import gerbopole_equator_pair, join_sphere3, two_cone_sphere
 from gerbecalc.serialize import load_datum, save_datum
-from gerbecalc.cover import Cover
 from gerbecalc import bicomplex
 from gerbecalc.bicomplex import GaugePotential, _coboundary_matrix, _flat, _LayerBasis, _SparseD
 from gerbecalc.deligne import DEFAULT_EQUIVALENCE_TOL, EquivalenceResult, _descent
@@ -214,9 +216,9 @@ class TestValidate:
         parts = dict(datum.data.parts)
         comps = dict(parts[(1, 1)].components)
         comps[(1.5,)] = comps.pop((1,))
-        parts[(1, 1)] = BigradedCochain(1, 1, comps)
-        with pytest.raises(InvalidInputError, match=r"\(1,1\) component \(1.5,\) spills"):
-            validate_cocycle(GerbeDatum(0, TotalCochain(2, parts), datum.cover))
+        # the id rule refuses the key when the layer is made
+        with pytest.raises(InvalidInputError, match=r"^component key \(1.5,\): ids must be integers$"):
+            parts[(1, 1)] = BigradedCochain(1, 1, comps)
 
     @pytest.mark.parametrize("position", [0, -1])
     def test_non_finite_curvature_fails(self, position):
@@ -1432,3 +1434,45 @@ class TestOneCachedD:
         assert result.equivalent and result.residual == 0.0
         assert not result.witness.data.parts
         assert time.perf_counter() - start < 5.0
+
+
+class TestInputRules:
+    """Inputs outside a routine's domain raise InvalidInputError, not a bare
+    RecursionError or AttributeError."""
+
+    def test_the_walk_refuses_a_negative_degree(self):
+        complex = build_monopole(6).cover.complex
+        with pytest.raises(InvalidInputError, match="^the walk of d needs a form degree q >= 0, got -1$"):
+            complex._order(-1)
+        assert complex._order(0)[1] == [0]  # one root: the sphere is connected
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_the_descent_refuses_a_total_degree_below_two(self, k):
+        cover = build_minus_one_gerbe(12).cover
+        b = np.zeros(bicomplex._basis(cover, k).size)
+        with pytest.raises(InvalidInputError, match=f"^the descent needs a total degree k >= 2, got {k}$"):
+            _descent(cover, k, b)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda d: validate_cocycle("x"), "datum must be a GerbeDatum, got str"),
+            (lambda d: charge(None), "datum must be a GerbeDatum, got NoneType"),
+            (lambda d: curvature(None), "datum must be a GerbeDatum, got NoneType"),
+            (lambda d: gauge_shift(d, "x"), "potential must be a GaugePotential, got str"),
+            (lambda d: higher_gauge_shift(d, None), "shift must be a TotalCochain, got NoneType"),
+            (lambda d: gauge_equivalent(d, None), "second must be a GerbeDatum, got NoneType"),
+            (lambda d: GerbeDatum(0, None, d.cover), "data must be a TotalCochain, got NoneType"),
+            (lambda d: GerbeDatum(0, d.data, None), "cover must be a Cover, got NoneType"),
+            (lambda d: check_good_cover(None), "cover must be a Cover, got NoneType"),
+            (lambda d: betti_numbers(None), "complex must be a SimplicialComplex, got NoneType"),
+            (lambda d: Cover.build(None, [{0}]), "complex must be a SimplicialComplex, got NoneType"),
+        ],
+        ids=[
+            "validate", "charge", "curvature", "gauge_shift", "higher_gauge_shift", "gauge_equivalent",
+            "datum-data", "datum-cover", "check_good_cover", "betti_numbers", "cover-build",
+        ],
+    )
+    def test_public_entries_refuse_the_wrong_type(self, call, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            call(build_monopole(6))

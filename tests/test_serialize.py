@@ -6,6 +6,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from gerbecalc import (
@@ -77,6 +78,22 @@ def _with_empty_component():
     datum = build_monopole(6)
     part = BigradedCochain(1, 1, {(0,): Cochain(1, {}), (1,): Cochain(1, {(0, 1): 0.25})})
     return GerbeDatum(0, TotalCochain(2, {**datum.data.parts, (1, 1): part}), datum.cover)
+
+
+def test_numpy_integer_keys_save_and_load(tmp_path):
+    # numpy integer keys are stored as Python ints, so the file is the plain datum's
+    datum = build_monopole(12)
+    parts = {
+        tuple(map(np.int64, key)): BigradedCochain(
+            *key, {tuple(map(np.int64, t)): c for t, c in part.components.items()}, part.angle_valued
+        )
+        for key, part in datum.data.parts.items()
+    }
+    keyed = GerbeDatum(0, TotalCochain(2, parts), datum.cover)
+    save_datum(tmp_path / "keyed.json", keyed)
+    save_datum(tmp_path / "plain.json", datum)
+    assert (tmp_path / "keyed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert load_datum(tmp_path / "keyed.json") == keyed == datum
 
 
 def test_part_with_an_empty_component(tmp_path):
