@@ -22,12 +22,12 @@ block.  One numpy pass groups the tuples of all layers by their vertex runs
 (``_group_runs``: a seeded sum per run, then an exact comparison), and the
 distinct intersections' own (owner, vertex) pairs give their cells through
 ``_meet``.  ``_betti`` certifies them all in one batch: parallel collapses
-of free faces remove the cells of dimension 2 and up, one union-find over the
-edges left gives b0 and b1, and ``integer_rank`` ranks only the cells of
-dimension 2 and up that no collapse reaches.  The 13,824 nerve entries of the
-144-set star cover of a 12x12 torus have 1,440 distinct intersections, every
-one certified with no ``integer_rank`` call, and no Python step is taken per
-entry beyond making it.
+of free faces remove the cells of dimension 2 and up, the connected components
+of the edges left (``simplicial._components``) give b0 and b1, and
+``integer_rank`` ranks only the cells of dimension 2 and up that no collapse
+reaches.  The 13,824 nerve entries of the 144-set star cover of a 12x12 torus
+have 1,440 distinct intersections, every one certified with no ``integer_rank``
+call, and no Python step is taken per entry beyond making it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, _expect
-from .simplicial import SimplicialComplex, _deletion_sign, _ids
+from .simplicial import SimplicialComplex, _components, _deletion_sign, _ids
 
 
 def _stable_order(ids: np.ndarray) -> np.ndarray:
@@ -247,21 +247,6 @@ def integer_rank(matrix: Iterable[Sequence[int] | Mapping[int, int]]) -> int:
     return len(pivots)
 
 
-def _joins(count: int, edges: list) -> list[bool]:
-    """Per edge (u, v) of nodes below ``count``, whether it joins two components
-    of the edges before it: a union-find with path halving."""
-    root, joined = list(range(count)), []
-    for u, v in edges:
-        while root[u] != u:
-            root[u] = u = root[root[u]]
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        if u != v:
-            root[u] = v
-        joined.append(u != v)
-    return joined
-
-
 def _betti(
     complex: SimplicialComplex, owners: list[np.ndarray], cells: list[np.ndarray], count: int
 ) -> list[tuple[int, ...]]:
@@ -278,9 +263,11 @@ def _betti(
     never clash; a round looks only at the faces whose coface count fell to 1,
     and the rounds stop when there are none.  A collapse keeps the homotopy
     type.  Vertices are not collapsed into edges, which would take a round per
-    step along a path: one union-find over the surviving edges gives rank
-    partial_1, and ``integer_rank`` ranks the higher boundaries only of the
-    subcomplexes where a cell of dimension >= 2 survives (closed surfaces, RP^2).
+    step along a path: rank partial_1 is an owner's vertices less its
+    components under the surviving edges (``simplicial._components``, pointer
+    jumping in a logarithmic number of rounds), and ``integer_rank`` ranks the
+    higher boundaries only of the subcomplexes where a cell of dimension >= 2
+    survives (closed surfaces, RP^2).
     """
     sizes = [len(complex.cells(q)) for q in range(len(cells))]
     keys = [o.astype(np.int64) * s + c for o, c, s in zip(owners, cells, sizes)]
@@ -315,8 +302,10 @@ def _betti(
     for q, (o, l) in enumerate(zip(owners, live)):
         counts[:, q], tops[o] = np.bincount(o[l], minlength=count), q
     if len(cells) > 1:
-        joined = _joins(len(cells[0]), where[1][live[1]].tolist())
-        ranks[:, 1] = np.bincount(owners[1][live[1]][joined], minlength=count)
+        ends = where[1][live[1]]
+        label, _ = _components(len(cells[0]), ends[:, 0], ends[:, 1], 1)
+        roots = owners[0][label == np.arange(len(cells[0]))]
+        ranks[:, 1] = counts[:, 0] - np.bincount(roots, minlength=count)
     for q in range(2, len(cells)):
         o, at = owners[q][live[q]], where[q][live[q]].tolist()
         signs = [_deletion_sign(a) for a in range(q + 1)]

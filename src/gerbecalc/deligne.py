@@ -268,7 +268,7 @@ def charge(datum: GerbeDatum) -> float:
     """Integral of curvature / 2*pi over the fundamental cycle.
 
     An integer, up to round-off, for any valid cocycle on a closed oriented
-    manifold of dimension level + 2.  It zips the walk's +-1 orientation with
+    manifold of dimension level + 2.  It zips the complex's +-1 orientation with
     the global (k, 0) coordinates, both in ``cells(k)`` order, ``integrate``'s
     sorted order, so the float is ``integrate(curvature(datum), cycle)``'s.
     """

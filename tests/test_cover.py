@@ -658,6 +658,24 @@ class TestSparseBettiNumbers:
             overlap = cover.overlap(t)
             assert betti_numbers(overlap) == dense_betti(overlap)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_randomly_numbered_paths_and_cycles_match_the_dense_reference(self, seed):
+        # paths and cycles of up to 60 vertices, numbered at random: the
+        # components of the edges take several hooking rounds there
+        rng = Lcg64(seed)
+        numbering = list(range(60))
+        for i in range(59, 0, -1):
+            j = rng.randint(0, i)
+            numbering[i], numbering[j] = numbering[j], numbering[i]
+        cuts = sorted({rng.randint(1, 59) for _ in range(3)})
+        edges = []
+        for start, end in itertools.pairwise([0, *cuts, 60]):
+            run = numbering[start:end]
+            edges += list(itertools.pairwise(run)) + ([(run[-1], run[0])] if len(run) > 2 and start else [])
+        K = SimplicialComplex.build(60, {0: [[v] for v in range(60)], 1: [sorted(e) for e in edges]})
+        assert betti_numbers(K) == dense_betti(K)
+        assert betti_numbers(K)[0] == len(cuts) + 1
+
     def test_random_complexes_cover_the_cases(self):
         # the seeds above reach disconnected complexes, isolated vertices and
         # complexes of vertices only, and cells of every dimension up to 3

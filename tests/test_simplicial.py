@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from gerbecalc.builders import (
 from gerbecalc.randomdata import random_complex_and_cover
 from gerbecalc.rng import Lcg64
 from gerbecalc.cover import betti_numbers
-from gerbecalc.simplicial import _replay, _walk
+from gerbecalc.simplicial import _components, _replay, _top_cofaces, _walk
 
 from conftest import induced, torus_grid
 
@@ -196,6 +198,14 @@ class TestConstruction:
         # int() would read 0.5 or True as vertex 0 or 1 and keep the edge (0, 1)
         with pytest.raises(InvalidInputError, match="ids must be integers"):
             induced(circle_complex(6), {bad, 1})
+
+    def test_has_cell_reads_the_cell_by_the_id_rule(self):
+        complex = build_monopole(12).cover.complex
+        assert complex.has_cell([0]) and complex.has_cell(np.array([0, 1]))
+        assert complex.has_cell((0, 1)) and not complex.has_cell((0, 10**30))
+        for bad in [(0.0,), [True], 0, ("0", 1)]:
+            with pytest.raises(InvalidInputError, match="ids must be integers"):
+                complex.has_cell(bad)
 
 
 def face_table_reference(tuples, lower):
@@ -491,3 +501,156 @@ class TestWalk:
         roots = [len(complex._order(q)[1]) for q in range(complex.top_dimension + 1)]
         assert roots == list(betti_numbers(complex)[: complex.top_dimension + 1])
         assert roots[1] == loops
+
+
+def walked_orientation(complex):
+    """The +-1 orientation by ``_walk`` and ``_replay`` over the rows of partial c = 0,
+    the lowest top cell +1: the reference ``_cycle`` is compared with."""
+    d, pairs = complex.top_dimension, _top_cofaces(complex)
+    rows = (pairs // (d + 1)).tolist()
+    signs = [[(-1) ** a for a in row] for row in (pairs % (d + 1)).tolist()]
+    steps, roots = _walk(len(complex.cells(d)), rows)
+    assert roots == [0]
+    c = _replay(steps, rows, signs, [0] * len(rows), [1] * len(complex.cells(d)))
+    assert all(sum(s * c[t] for s, t in zip(row_signs, row)) == 0 for row, row_signs in zip(rows, signs))
+    return c
+
+
+def random_permutation(n, rng):
+    """A Fisher-Yates shuffle of range(n) by ``rng``."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randint(0, i)
+        order[i], order[j] = order[j], order[i]
+    return np.array(order)
+
+
+def traced_rounds(count, u, v, rel):
+    """``_components``'s result, and how many times its lines marked hook and
+    jump ran."""
+    lines, first = inspect.getsourcelines(_components)
+    marks = {first + i: mark for i, line in enumerate(lines) for mark in ("hook", "jump") if f"# {mark}" in line}
+    seen = dict.fromkeys(("hook", "jump"), 0)
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in marks:
+            seen[marks[frame.f_lineno]] += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is _components.__code__ else None)
+    try:
+        result = _components(count, u, v, rel)
+    finally:
+        sys.settrace(previous)
+    return result, seen
+
+
+class TestComponents:
+    @staticmethod
+    def searched(count, u, v, rel):
+        """Labels and parities by a breadth-first search from each lowest unvisited node."""
+        around = [[] for _ in range(count)]
+        for a, b, r in zip(u, v, rel):
+            around[a].append((b, r))
+            around[b].append((a, r))
+        label, parity = [None] * count, [None] * count
+        for start in range(count):
+            if label[start] is None:
+                label[start], parity[start], queue = start, 1, [start]
+                for a in queue:
+                    for b, r in around[a]:
+                        if label[b] is None:
+                            label[b], parity[b] = start, r * parity[a]
+                            queue.append(b)
+        return label, parity
+
+    @staticmethod
+    def random_signed_graph(seed):
+        """A consistent signed graph, x = +-1 per node and rel = x[u] x[v], with
+        few enough edges that most are disconnected and hold isolated nodes."""
+        rng = Lcg64(seed)
+        count = rng.randint(1, 60)
+        x = [rng.randint(0, 1) * 2 - 1 for _ in range(count)]
+        u = [rng.randint(0, count - 1) for _ in range(rng.randint(0, 2 * count))]
+        v = [rng.randint(0, count - 1) for _ in u]
+        return count, x, u, v, [x[a] * x[b] for a, b in zip(u, v)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_a_breadth_first_search(self, seed):
+        count, x, u, v, rel = self.random_signed_graph(seed)
+        label, parity = _components(count, np.array(u, np.intp), np.array(v, np.intp), np.array(rel))
+        assert (label.tolist(), parity.tolist()) == self.searched(count, u, v, rel)
+        assert all(parity[b] * x[label[b]] == x[b] for b in range(count))
+
+    def test_the_seeds_reach_the_cases(self):
+        cases = []
+        for seed in range(40):
+            count, _, u, v, rel = self.random_signed_graph(seed)
+            label, _ = self.searched(count, u, v, rel)
+            cases.append((len(set(label)), len(set(range(count)) - set(u) - set(v))))
+        assert any(components > 1 for components, _ in cases)
+        assert any(components == 1 for components, _ in cases)
+        assert any(isolated > 0 for _, isolated in cases)
+
+    def test_no_edges_and_no_nodes(self):
+        empty = np.zeros(0, np.intp)
+        for count in (0, 3):
+            label, parity = _components(count, empty, empty, 1)
+            assert label.tolist() == list(range(count)) and parity.tolist() == [1] * count
+
+    def test_an_odd_signed_cycle_is_left_for_the_row_check(self):
+        # x1 = -x0, x2 = -x1 and x0 = -x2 hold for no nonzero x: the routine
+        # still labels one component and leaves one edge unsatisfied, which
+        # _cycle's row check refuses (the RP^2 test below)
+        u, v = np.array([0, 1, 2]), np.array([1, 2, 0])
+        label, parity = _components(3, u, v, np.array([-1, -1, -1]))
+        assert label.tolist() == [0, 0, 0]
+        assert (parity[v] != -parity[u]).sum() == 1
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+    def test_rounds_are_logarithmic_in_the_nodes(self, closed):
+        # a path or cycle of 2**14 randomly numbered nodes: a round per step
+        # along it would take thousands; pointer jumping takes 9 hooking rounds
+        # and 23 jumps (seed 14, Lcg64's Fisher-Yates numbering; seeds 10-19
+        # take 8-10 rounds and 20-23 jumps)
+        n = 2**14
+        numbering = random_permutation(n, Lcg64(14))
+        steps = np.arange(n if closed else n - 1)
+        (label, parity), seen = traced_rounds(n, numbering[steps], numbering[(steps + 1) % n], 1)
+        assert (label == 0).all() and (parity == 1).all()
+        assert seen == {"hook": 9, "jump": 23}
+        assert seen["hook"] <= 14 and seen["jump"] <= 2 * 14
+
+
+class TestOrientationByComponents:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(lambda ico, m=m: build_monopole(m).cover.complex for m in (6, 12, 48, 384)),
+            *(lambda ico, m=m: build_gerbopole(m).cover.complex for m in (6, 12, 24)),
+            lambda ico: build_gerbopole(12, base_segments=32).cover.complex,
+            *(lambda ico, m=m: build_minus_one_gerbe(m).cover.complex for m in (12, 96)),
+            lambda ico: torus_grid(3),
+            lambda ico: torus_grid(12),
+            lambda ico: ico,
+            lambda ico: join_sphere3(6),
+            lambda ico: join_sphere3(12, 8),
+        ],
+        ids=[
+            *(f"monopole({m})" for m in (6, 12, 48, 384)),
+            *(f"gerbopole({m})" for m in (6, 12, 24)),
+            "gerbopole(12, base 32)",
+            *(f"minus_one({m})" for m in (12, 96)),
+            "torus_grid(3)",
+            "torus_grid(12)",
+            "icosahedron",
+            "join_sphere3(6)",
+            "join_sphere3(12, 8)",
+        ],
+    )
+    def test_equals_the_walked_orientation(self, build, icosahedron):
+        # the orientation of a connected orientable complex is unique once the
+        # lowest top cell is +1, so the two lists are equal, not only equivalent
+        complex = build(icosahedron)
+        assert complex._cycle == walked_orientation(complex)
