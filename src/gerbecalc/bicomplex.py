@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable
 
@@ -56,7 +57,7 @@ import numpy as np
 
 from .cover import Cover
 from .errors import InvalidInputError
-from .simplicial import Cochain, Simplex, _deletion_sign, _face_rows, _id_keys, _ids, _merged, _real, _worst
+from .simplicial import Cochain, Simplex, _deletion_sign, _face_rows, _id_keys, _ids, _merged, _real, _search, _worst
 
 TWO_PI = 2.0 * math.pi
 
@@ -290,9 +291,12 @@ class _LayerBasis:
     Bidegree (p, n) fills ``positions[p, n]`` with the cover's block (p, n),
     read from its cell -> sets incidence with no overlap complex built: entry
     i is the cell ``cell_ids[p, n][i]`` of the complex in the overlap of
-    ``tuples[n][tuple_ids[p, n][i]]``, the tuple at ``index[t]`` of layer n, so a
-    block is sorted by those two ids and by its ``keys``, which join them.  A
-    block of p-cells above the complex's dimension is empty and reads no layer.
+    ``tuples[n][tuple_ids[p, n][i]]``, so a block is sorted by those two ids
+    and by its ``keys``, which join them.  A block of p-cells above the
+    complex's dimension is empty and reads no layer.  ``index``, each tuple's
+    position in its layer, is a dict of every layer tuple, made only when
+    ``place`` first reads a part: D's assembly reads the layers' nerve faces,
+    one search of row keys per layer (``_nerve_faces``), and no dict.
 
     The basis keeps the complex, the set count and the tuples it reads, not
     the cover: the cover keeps the basis, and a reference back would leave
@@ -304,7 +308,6 @@ class _LayerBasis:
         self.degree, self.size = degree, 0
         self.tuples: dict[int, list[tuple[int, ...]]] = {}
         self.positions: dict[tuple[int, int], range] = {}
-        self.index: dict[tuple[int, ...], int] = {}
         self.tuple_ids, self.cell_ids, self.keys = {}, {}, {}
         empty = [], (np.zeros(0, np.int32),) * 2
         for n in range(min(degree, self.set_count) + 1):
@@ -314,9 +317,14 @@ class _LayerBasis:
             self.tuples[n] = tuples
             first, self.size = self.size, self.size + len(cell_ids)
             self.positions[p, n] = range(first, self.size)
-            self.index.update(zip(tuples, range(len(tuples))))
             self.tuple_ids[p, n], self.cell_ids[p, n] = tuple_ids, cell_ids
             self.keys[p, n] = self._key(p, tuple_ids, cell_ids)
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Each tuple of the layers read, mapped to its position in its layer;
+        made when ``place`` first needs it."""
+        return {t: i for tuples in self.tuples.values() for i, t in enumerate(tuples)}
 
     def _key(self, p: int, tuple_ids: np.ndarray, cell_ids: np.ndarray) -> np.ndarray:
         """(tuple index, cell id) pairs as one integer each, in the pairs' order;
@@ -327,10 +335,7 @@ class _LayerBasis:
         """The coordinate of each (layer tuple index, cell id) pair in block
         (p, n), or -1 where the block has no such pair: one searchsorted of the
         pairs' keys in the block's sorted ``keys``."""
-        keys, wanted = self.keys[p, n], self._key(p, tuple_ids, cell_ids)
-        at = np.searchsorted(keys, wanted)
-        # a search past the last key, clipped to it, finds a smaller key
-        hit = keys.take(at, mode="clip") == wanted if len(keys) else np.zeros(len(at), bool)
+        at, hit = _search(self.keys[p, n], self._key(p, tuple_ids, cell_ids))
         return np.where(hit, self.positions[p, n].start + at, -1)
 
     def vector(self, parts: Iterable[tuple]) -> np.ndarray:
@@ -473,8 +478,12 @@ def _contraction(cover: Cover, degree: int) -> _SparseD:
 
 
 def _nerve_faces(cover: Cover, n: int) -> np.ndarray:
-    """``_face_rows`` of the cover's layer table n into table n - 1, for n >= 1."""
-    return _face_rows(cover._layer_arrays(n).table, cover._layer_arrays(n - 1).table)
+    """``_face_rows`` of the cover's layer table n into table n - 1, for n >= 1:
+    one search of the faces' row keys in those of table n - 1, once per cover."""
+    if ("faces", n) not in cover._operators:
+        tables = (cover._layer_arrays(n).table, cover._layer_arrays(n - 1).table)
+        cover._operators["faces", n] = _face_rows(*tables)
+    return cover._operators["faces", n]
 
 
 def _basis(cover: Cover, degree: int) -> _LayerBasis:

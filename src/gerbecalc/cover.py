@@ -7,7 +7,8 @@ several sets is the subcomplex induced on their intersection.  A p-cochain
 One cell -> sets incidence owns the nerve.  A coordinate of a (q, n) cochain
 is a pair (t, cell), t an n-subset of the sets that hold the cell, so layer n
 is arrays, built on first use: its table of the distinct n-subsets of the
-vertices' set lists and its vertex block, made by one sort.  The incidence has
+vertices' set lists and its vertex block, made by one argsort of row keys
+(``simplicial._row_keys``).  The incidence has
 one form, block (q, n): the (tuple id, cell id) pairs, by tuple then cell.
 Above the vertices a block is made only when first read (``_Layer``), from the
 block one dimension lower: each higher cell's tuples are those its faces 0 and
@@ -44,7 +45,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, _expect
-from .simplicial import SimplicialComplex, _components, _deletion_sign, _ids
+from .simplicial import SimplicialComplex, _components, _deletion_sign, _ids, _row_keys, _search
 
 
 def _stable_order(ids: np.ndarray) -> np.ndarray:
@@ -66,8 +67,7 @@ def _meet(complex: SimplicialComplex, q: int, owners: np.ndarray, cells: np.ndar
     keys, wide = np.repeat(np.arange(len(widths)), widths) * count + held, widths[first]  # keys sorted
     tops, ends = np.repeat(np.arange(len(faces)), wide), np.cumsum(wide)
     ids = held[np.arange(len(tops)) + np.repeat(starts[first] - ends + wide, wide)]
-    wanted = second[tops] * count + ids
-    both = keys[np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)] == wanted
+    _, both = _search(keys, second[tops] * count + ids)
     ids, tops = ids[both], tops[both]  # by cell, then owner
     order = _stable_order(ids)
     return ids[order].astype(np.int32), tops[order].astype(np.int32)
@@ -145,7 +145,7 @@ class Cover:
         starts), vertex i's at sets[starts[i] : starts[i] + widths[i]].  The members
         are placed by a search of the 0-cell ids, which may be sparse, so no array
         follows ``vertex_count``.  The set ids have the smallest unsigned type that
-        holds them, so the layers' sorts on them go by radix."""
+        holds them, as do the layers' candidate rows made from them."""
         complex = self.complex
         ids = complex._rows[0][:, 0] if complex._rows else np.zeros(0, np.int64)
         vertex = np.searchsorted(ids, np.fromiter(itertools.chain.from_iterable(self.sets), np.int64))
@@ -157,7 +157,7 @@ class Cover:
     def _layer_arrays(self, n: int) -> _Layer:
         """Layer n, built on first use: the table is the distinct n-subsets of
         the vertices' set lists (``_vertex_sets``), and the vertex block comes
-        out of the same sort, whose keys have the smallest types that hold them."""
+        out of the same argsort of the row keys of (tuple, vertex)."""
         if n not in self._nerve:
             sets, widths, starts = self._vertex_sets
             small = np.min_scalar_type(len(widths))
@@ -168,7 +168,8 @@ class Cover:
                 rows.append(sets[starts[owners, None, None] + picks].reshape(-1, n))
                 cells.append(np.repeat(owners.astype(small), len(picks)))
             rows, cells = np.concatenate(rows), np.concatenate(cells)
-            order = np.lexsort((cells, *rows.T[::-1]))  # by tuple, then by vertex
+            keys = _row_keys(np.column_stack((rows, cells)))
+            order = np.argsort(keys, kind="stable")  # by tuple, then by vertex
             rows, cells, new = rows[order], cells[order], np.ones(len(rows), bool)
             new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
             table, tuples = rows[new].astype(np.int64), np.cumsum(new, dtype=np.int32) - 1
@@ -200,7 +201,8 @@ class Cover:
 
     @cached_property
     def _operators(self) -> dict[tuple[str, int], object]:
-        """``bicomplex``'s flat bases and sparse D per total degree, built on first use."""
+        """``bicomplex``'s flat bases, sparse D and K per total degree and nerve
+        faces per layer, built on first use."""
         return {}
 
     def nerve(self) -> tuple[tuple[int, ...], ...]:
@@ -391,7 +393,7 @@ def check_good_cover(cover: Cover) -> GoodCoverReport:
     intersection gives its vertex pairs, ``_meet`` its cells, and ``_betti``
     certifies them all in one batch.  No layer's incidence above the vertices
     is read.  The entries are one per nerve tuple, in lexicographic order: one
-    lexsort of the layer tables, padded with -1.
+    argsort of the row keys of the layer tables, padded with -1.
     """
     _expect(cover, Cover, "cover")
     layers = []
@@ -415,11 +417,11 @@ def check_good_cover(cover: Cover) -> GoodCoverReport:
     owners, cells = zip(*pairs)
     betti = _betti(complex, list(owners), list(cells), count)
     contractible = [b == (1,) + (0,) * (len(b) - 1) for b in betti]
-    # the smallest integer type that holds -1 and every set id: lexsort then sorts by radix
+    # one row per nerve entry, in the smallest integer type that holds -1 and every set id
     table, row = np.full((len(owner), len(layers)), -1, np.min_scalar_type(-len(cover.sets))), 0
     for n, layer in enumerate(layers, 1):
         table[row : row + len(layer.tuples), :n], row = layer.table, row + len(layer.tuples)
-    order = np.lexsort(table.T[::-1]).tolist()
+    order = np.argsort(_row_keys(table), kind="stable").tolist()  # merges the layers' sorted runs
     tuples = list(itertools.chain.from_iterable(layer.tuples for layer in layers))
     owner = owner[order].tolist()
     indices = map(tuples.__getitem__, order)

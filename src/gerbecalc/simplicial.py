@@ -8,9 +8,13 @@ sparse maps keyed by simplex tuple; a missing key means the value is zero.
 The face rule is written once, in ``_face_rows``: face a of a cell or Cech index
 tuple drops entry a, with sign ``_deletion_sign(a)``.  It works on arrays:
 ``build`` checks and sorts each dimension as one (N, q + 1) int64 array, and
-the table of a dimension or nerve layer comes from one stable sort of its faces
-with the rows below.  Each complex keeps the rule's table, ``_faces``, which
-``build`` computes as its closure check.
+the table of a dimension or nerve layer is one search of its faces' row keys in
+those of the rows below.  A row key (``_row_keys``) is one int64 per row, the
+ids less their column minimum as digits in a mixed radix, re-ranked where the
+radix would pass 2**63: keys sort as their rows do and are equal exactly when
+their rows are, so every sort and search of id rows here and in ``cover`` is an
+argsort or a searchsorted of keys.  Each complex keeps the rule's table,
+``_faces``, which ``build`` computes as its closure check.
 
 The walk is written once too: ``_walk`` orders a +-1 system of rows of any width,
 breadth-first from the known nodes, a row solving its last unknown entry and the
@@ -89,33 +93,59 @@ def _faces_of(rows: np.ndarray) -> np.ndarray:
     return rows[:, drop.reshape(k, k - 1)].reshape(n * k, k - 1)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row of an (N, k) integer array: keys compare as their rows
+    do in lexicographic order, and two keys are equal exactly when their rows are.
+
+    A column's ids less the column minimum, taken in int64 so that a narrow type
+    does not wrap, are its digits in a mixed radix, and its span, max - min + 1,
+    is their base.  Where the product of the bases would reach 2**63, a column
+    whose span passes N is replaced by its ranks (``np.unique``), and if the
+    product still would, so are the keys so far; a base is then at most N.
+    Ranks keep order and equality, so the keys are exact for any ids: the
+    columns of an object array, whose Python ints may not fit int64, are ranked.
+    """
+    keys, base = np.zeros(len(rows), np.int64), 1
+    for column in rows.T if len(rows) else ():
+        low = column.min()
+        span = int(column.max()) - int(low) + 1
+        if column.dtype == object or (base * span >= _INT64_END and span > len(rows)):
+            distinct, column = np.unique(column, return_inverse=True)
+            low, span = 0, len(distinct)
+        if base * span >= _INT64_END:
+            distinct, keys = np.unique(keys, return_inverse=True)
+            base = len(distinct)
+        keys, base = keys * span + np.subtract(column, low, dtype=np.int64), base * span
+    return keys
+
+
+def _search(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each wanted key is in the increasing ``keys``, and whether it is there:
+    one searchsorted, whose positions past the last key are clipped to it."""
+    at = np.searchsorted(keys, wanted)
+    return at, keys.take(at, mode="clip") == wanted if len(keys) else np.zeros(len(at), bool)
+
+
 def _lex_sorted(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows in lexicographic order, and where each equals the row before it."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    repeats = np.zeros(len(rows), bool)
-    repeats[1:] = (rows[1:] == rows[:-1]).all(axis=1)
-    return rows, repeats
+    keys = _row_keys(rows)
+    order = np.argsort(keys, kind="stable")  # timsort, quick on the sorted runs of faces
+    keys, repeats = keys[order], np.zeros(len(rows), bool)
+    repeats[1:] = keys[1:] == keys[:-1]
+    return rows[order], repeats
 
 
 def _face_rows(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Row j holds, at index a, the position in ``lower`` of ``upper[j]`` less its entry a.
 
     ``upper`` is an (N, k) and ``lower`` an (M, k - 1) integer array whose rows are
-    distinct and in lexicographic order.  One stable sort of the rows of ``lower``
-    followed by the faces puts each face after the lower row equal to it, so the
-    last lower row at or before a face is the only one it can equal.  A face that
-    is not a row of ``lower`` raises, named with the first row of ``upper`` that
-    needs it.
+    distinct and in lexicographic order, so the ``_row_keys`` of ``lower`` rise and
+    one search of the faces' keys in them finds every face.  A face that is not a
+    row of ``lower`` raises, named with the first row of ``upper`` that needs it.
     """
     faces, m = _faces_of(upper), len(lower)
-    both = np.concatenate([lower, faces])
-    # lexsort needs a key; rows of no entries are all equal, already in order
-    order = np.lexsort(both.T[::-1]) if both.shape[1] else np.arange(len(both))
-    found = np.empty(len(both), np.intp)
-    found[order] = np.maximum.accumulate(np.where(order < m, order, -1))
-    found = found[m:]
-    equal = found >= 0
-    equal[equal] = (lower[found[equal]] == faces[equal]).all(axis=1)
+    keys = _row_keys(np.concatenate([lower, faces]))
+    found, equal = _search(keys[:m], keys[m:])
     missing = np.flatnonzero(~equal)
     if missing.size:
         face, cell = faces[missing[0]], upper[missing[0] // upper.shape[1]]
@@ -153,15 +183,16 @@ def _are_ids(values: Iterable) -> bool:
     return True
 
 
-def _first_non_ids(cells: list[tuple], flat: list) -> int:
+def _first_non_ids(cells: list[tuple], flat: list, plain: bool) -> int:
     """The position of the first cell ``_ids`` refuses, or len(cells); ``flat``
-    holds the ids of all cells in order.
+    holds the ids of all cells in order, and ``plain`` says whether each is of
+    type int.
 
     The type rule is a rule on types, so one id of each type decides whether
     any cell is refused (plain ints, as files hold, at once); only then are the
     cells walked one by one.
     """
-    if {*map(type, flat)} <= {int} or _are_ids(dict(zip(map(type, flat), flat)).values()):
+    if plain or _are_ids(dict(zip(map(type, flat), flat)).values()):
         return len(cells)
     return next(i for i, cell in enumerate(cells) if not _are_ids(cell))
 
@@ -210,17 +241,23 @@ def _cell_tuples(cells: Iterable, owner: str) -> tuple[list, list[tuple]]:
         return cells, tuples + [(None,)]
 
 
-def _checked_rows(cells: Iterable[Iterable[int]], q: int, vertex_count: int) -> np.ndarray:
-    """The q-cells as one (N, q + 1) int64 array in lexicographic order.
+def _checked_rows(
+    cells: Iterable[Iterable[int]], q: int, vertex_count: int
+) -> tuple[np.ndarray, tuple[Simplex, ...]]:
+    """The q-cells as one (N, q + 1) int64 array in lexicographic order, and as
+    the tuple of their tuples of Python ints in that order.
 
     One pass over the ids applies ``_ids``'s type rule; array checks then cover
     length, strictly increasing ids, range and duplicates.  A refusal names
     the first bad cell in input order, with the first rule it breaks in that
-    order; an id too large for int64 is out of range.
+    order; an id too large for int64 is out of range.  Cells already in order
+    (files and ``from_top_cells`` give them so) are not sorted again, and when
+    their ids are plain ints their own tuples are the table.
     """
     given, cells = _cell_tuples(cells, f"{q}-cells")
     flat = list(itertools.chain.from_iterable(cells))
-    end = _first_non_ids(cells, flat)
+    plain = {*map(type, flat)} <= {int}
+    end = _first_non_ids(cells, flat, plain)
     lengths = np.fromiter(map(len, cells[:end]), np.intp, end)
     short = np.flatnonzero(lengths != q + 1)
     end = int(short[0]) if short.size else end
@@ -236,10 +273,13 @@ def _checked_rows(cells: Iterable[Iterable[int]], q: int, vertex_count: int) -> 
     if end < len(cells):
         s = _ids(given[end], "cell")  # refuses a cell whose ids are not integers
         raise InvalidInputError(f"{s} is not a {q}-cell")
+    keys = _row_keys(rows)
+    if (keys[1:] > keys[:-1]).all():
+        return rows, tuple(cells) if plain else tuple(zip(*rows.T.tolist()))
     rows, repeats = _lex_sorted(rows)
     if repeats.any():
         raise InvalidInputError(f"duplicate {q}-cells")
-    return rows
+    return rows, tuple(zip(*rows.T.tolist()))  # rows of Python ints
 
 
 @dataclass(frozen=True)
@@ -268,14 +308,14 @@ class SimplicialComplex:
         if vertex_count < 0:
             raise InvalidInputError("vertex_count must be non-negative")
         rows: dict[int, np.ndarray] = {}
+        table: dict[int, tuple[Simplex, ...]] = {}
         for q, cells in simplices_by_dim.items():
             (q,) = _ids((q,), "cell dimension")
             if q < 0:
                 raise InvalidInputError("cell dimensions must be non-negative")
-            found = _checked_rows(cells, q, vertex_count)
+            found, tuples = _checked_rows(cells, q, vertex_count)
             if len(found):
-                rows[q] = found
-        table = {q: tuple(zip(*r.T.tolist())) for q, r in rows.items()}  # rows of Python ints
+                rows[q], table[q] = found, tuples
         complex = cls(vertex_count, table, max(table, default=-1))
         # the cached property, filled with the arrays just checked
         vars(complex)["_rows"] = {
@@ -299,7 +339,7 @@ class SimplicialComplex:
         """Build the complex generated by the given cells and all their faces."""
         top_cells, cells = _cell_tuples(top_cells, "top cells")
         flat = list(itertools.chain.from_iterable(cells))
-        end = _first_non_ids(cells, flat)
+        end = _first_non_ids(cells, flat, {*map(type, flat)} <= {int})
         lengths = np.fromiter(map(len, cells), np.intp, len(cells))
         distinct = np.fromiter(map(len, map(set, cells[:end])), np.intp, end)
         repeated = np.flatnonzero(distinct != lengths[:end])
@@ -307,7 +347,7 @@ class SimplicialComplex:
             raise InvalidInputError(f"cell {top_cells[repeated[0]]} has repeated vertices")
         if end < len(cells):
             _ids(top_cells[end], "cell")  # refuses a cell whose ids are not integers
-        if not lengths.all():  # np.lexsort would take no keys
+        if not lengths.all():
             raise InvalidInputError(f"cell {top_cells[lengths.argmin()]} has no vertices")
         if not cells:
             return cls.build(vertex_count, {})

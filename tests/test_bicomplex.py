@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import struct
@@ -11,6 +12,7 @@ from gerbecalc import (
     BigradedCochain,
     Cochain,
     Cover,
+    check_good_cover,
     GaugePotential,
     InvalidInputError,
     TotalCochain,
@@ -34,6 +36,7 @@ from gerbecalc.builders import (
     build_minus_one_gerbe,
     build_monopole,
     circle_complex,
+    gerbopole_equator_pair,
     two_cone_sphere,
 )
 from gerbecalc.randomdata import random_bigraded, random_complex_and_cover, random_total
@@ -415,6 +418,129 @@ class TestContraction:
         # K_2 acts in delta K on degree 2 and in K delta on degree 1
         assert _exact_defects(cover, (1,))["homotopy"] == 1
         assert _exact_defects(cover, (2,))["homotopy"] == 1
+
+
+def layout_digests(cover) -> dict[str, str]:
+    """The first 16 hex digits of sha256 digests of a cover's arrays, over total
+    degrees k = 0 to top + 1: the complex's face tables, every basis block that
+    D_k reads or writes, D_k and K_k (shape, rows, cols, signs), and the
+    good-cover entries.  Each array is hashed as int64 after its shape."""
+    top = cover.complex.top_dimension
+
+    def digest(arrays) -> str:
+        sha = hashlib.sha256()
+        for array in arrays:
+            array = np.asarray(array, np.int64)
+            sha.update(repr(array.shape).encode())
+            sha.update(array.tobytes())
+        return sha.hexdigest()[:16]
+
+    def blocks(basis):
+        for (p, n), span in basis.positions.items():
+            tuples = np.array(basis.tuples[n], np.int64).reshape(len(basis.tuples[n]), n)
+            yield from ([p, n, span.start, span.stop], tuples, basis.tuple_ids[p, n], basis.cell_ids[p, n])
+            yield basis.keys[p, n]
+
+    def matrix(m):
+        return [m.shape, m.rows, m.cols, m.signs]
+
+    degrees = range(top + 2)
+    entries = repr(check_good_cover(cover).entries).encode()
+    return {
+        "faces": digest(cover.complex._faces[q] for q in range(1, top + 1)),
+        "bases": digest(a for k in range(top + 3) for a in blocks(_basis(cover, k))),
+        "D": digest(a for k in degrees for a in matrix(_coboundary(cover, k))),
+        "K": digest(a for k in degrees for a in matrix(_contraction(cover, k))),
+        "good": hashlib.sha256(entries).hexdigest()[:16],
+    }
+
+
+LAYOUT_COVERS = {
+    "minus1-12": lambda: build_minus_one_gerbe(12).cover,
+    "monopole-6": lambda: build_monopole(6).cover,
+    "gerbopole-6": lambda: build_gerbopole(6).cover,
+    "equator-6": lambda: gerbopole_equator_pair(6)[0].cover,
+    "torus-6-stars": lambda: closed_star_cover(torus_grid(6)),
+    "torus-12-stars": lambda: closed_star_cover(torus_grid(12)),
+    **{f"random-{seed}": lambda seed=seed: random_complex_and_cover(Lcg64(seed))[1] for seed in range(10)},
+}
+
+# taken from an implementation that sorted rows by np.lexsort and found faces by a
+# stable sort, so they check the row keys against an independent order
+PINNED_LAYOUTS = {
+    "minus1-12": {
+        "faces": "520e85bae215b5fb", "bases": "e5a6a49f274f75f8", "D": "318d986a8c65ba2a",
+        "K": "13b6bc7106f6cc1c", "good": "5dda400e42f3276e",
+    },
+    "monopole-6": {
+        "faces": "2618c5da51ae8b37", "bases": "69c4e7d457324bec", "D": "121952fdcb5800b4",
+        "K": "cd60e83b51cfe0b3", "good": "db547517e9e12016",
+    },
+    "gerbopole-6": {
+        "faces": "9c4e8f1329ca65fe", "bases": "799d9e4a6f14fc5a", "D": "1f0bf338b57642f5",
+        "K": "f2f07debfff59910", "good": "28df034a7fcff9f9",
+    },
+    "equator-6": {
+        "faces": "b35f740bae98cebe", "bases": "b419875a4dead48a", "D": "2fffc229e2a80ca7",
+        "K": "2d74f055119ec321", "good": "db547517e9e12016",
+    },
+    "torus-6-stars": {
+        "faces": "dc641b6b615d4ac7", "bases": "68f2f20e518d268b", "D": "da490649e17d13da",
+        "K": "4ce59d8397e5a651", "good": "9c7b36bb29f0061b",
+    },
+    "torus-12-stars": {
+        "faces": "fb5a59411d7b63bb", "bases": "052c9f4542c61f19", "D": "2281fc7f52f1a793",
+        "K": "308ca1ef338773ca", "good": "11f1e27b8486f4db",
+    },
+    "random-0": {
+        "faces": "925bb1dd8c51eb21", "bases": "ba61f84f5e422ddc", "D": "fe351fe06c2c322f",
+        "K": "52548888609bfedc", "good": "8168b9ee9be1f856",
+    },
+    "random-1": {
+        "faces": "c7a1de67c18a01ee", "bases": "6ba12b643d820b2f", "D": "6ea25c2acbd5e846",
+        "K": "ccb638a9a7bd1827", "good": "27730bfc35f59854",
+    },
+    "random-2": {
+        "faces": "0b3cc2384d155fc6", "bases": "c01390905f410941", "D": "a69560e8818e8d0b",
+        "K": "78ea3086bff61f07", "good": "bf3ba6ea04635278",
+    },
+    "random-3": {
+        "faces": "48959ee1c265cf25", "bases": "2a7172707d3693f0", "D": "5dc1bcb1a8297d4a",
+        "K": "ad4f1084dbe651ce", "good": "1520450e7deadd44",
+    },
+    "random-4": {
+        "faces": "1bd714da25998e56", "bases": "879fdbcaddd1ec54", "D": "10dd76390996a33e",
+        "K": "0f1d3c557ac80fe6", "good": "65212e075c76d6a9",
+    },
+    "random-5": {
+        "faces": "141c8a61b93ee2e8", "bases": "3970107e5e263c10", "D": "ef39bf587b34e216",
+        "K": "ff400c7bae18bfb3", "good": "66eb66294a22faf9",
+    },
+    "random-6": {
+        "faces": "a4e4b3d5f1a4c779", "bases": "d7cb68b345cb566c", "D": "d45444c4904b7c4b",
+        "K": "d9b909453d3e7dd1", "good": "ca294a1027892a2b",
+    },
+    "random-7": {
+        "faces": "7558de5a03071e72", "bases": "727e512c881d058a", "D": "2cc7879d1afe095b",
+        "K": "6872e0e1bf0efbce", "good": "27730bfc35f59854",
+    },
+    "random-8": {
+        "faces": "0b3cc2384d155fc6", "bases": "27d88205dad2980d", "D": "10c966db199ff73f",
+        "K": "5f1049ecf7674547", "good": "21f47a3545133d16",
+    },
+    "random-9": {
+        "faces": "b3c0875cec73d059", "bases": "c765764b26367233", "D": "0abc84a5a3560ff2",
+        "K": "8a7f3a884eafa265", "good": "1520450e7deadd44",
+    },
+}
+
+
+class TestLayoutPin:
+    """Face tables, bases, D, K and good-cover entries, byte for byte."""
+
+    @pytest.mark.parametrize("name", list(LAYOUT_COVERS))
+    def test_layout_is_pinned(self, name):
+        assert layout_digests(LAYOUT_COVERS[name]()) == PINNED_LAYOUTS[name]
 
 
 class TestStructuralValidation:

@@ -592,6 +592,13 @@ class TestGoodCover:
         assert entry.betti == (1, 0, 0) and len(K.cells(2)) == 29_995
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("m", [127, 128, 129])
+    def test_entries_are_in_order_at_the_edge_of_a_narrow_type(self, m):
+        # with 128 sets the padded table is int8, and set 127 less the pad -1 is 128
+        cover = Cover.build(circle_complex(m), [{(v - 1) % m, v, (v + 1) % m} for v in range(m)])
+        indices = [e.indices for e in check_good_cover(cover).entries]
+        assert indices == sorted(indices) == list(cover.nerve()) and len(indices) == 4 * m
+
     def test_the_empty_complex_has_no_overlaps(self):
         assert check_good_cover(Cover.build(SimplicialComplex.build(0, {}), [[]])).entries == ()
 

@@ -1,3 +1,4 @@
+import bisect
 import inspect
 import itertools
 import math
@@ -32,7 +33,16 @@ from gerbecalc.builders import (
 from gerbecalc.randomdata import random_complex_and_cover
 from gerbecalc.rng import Lcg64
 from gerbecalc.cover import betti_numbers
-from gerbecalc.simplicial import _components, _replay, _top_cofaces, _walk
+from gerbecalc.simplicial import (
+    _components,
+    _face_rows,
+    _lex_sorted,
+    _replay,
+    _row_keys,
+    _search,
+    _top_cofaces,
+    _walk,
+)
 
 from conftest import induced, torus_grid
 
@@ -113,6 +123,8 @@ class TestConstruction:
             ({1: [(1, 0), (0,)]}, "cell (1, 0): vertex ids must be strictly increasing"),
             ({0: [(0,), (-1,)]}, "cell (-1,): vertex id out of range"),
             ({0: [(0,), (2**70,)]}, f"cell ({2**70},): vertex id out of range"),
+            ({0: [(0,), (2**63,)]}, f"cell ({2**63},): vertex id out of range"),
+            ({1: [(0, 2**63)]}, f"cell (0, {2**63}): vertex id out of range"),
             ({1: [(2**70, 1)]}, f"cell ({2**70}, 1): vertex ids must be strictly increasing"),
             ({0: [(np.True_,)]}, "cell (np.True_,): ids must be integers"),
             # a cell or a list of cells that is not iterable, by the same rules
@@ -159,6 +171,10 @@ class TestConstruction:
             # range refusals come from build, which reads the sorted top cells
             ([(3, 1, 2), (2, 1, -1)], "cell (-1, 1, 2): vertex id out of range"),
             ([(0, 1, 2**70), (0, 1, 2)], f"cell (0, 1, {2**70}): vertex id out of range"),
+            ([(0, 1, 2**63), (0, 1, 2)], f"cell (0, 1, {2**63}): vertex id out of range"),
+            ([(0, 1, 2**70), (-1, 1, 2)], "cell (-1, 1, 2): vertex id out of range"),
+            ([(2**63 - 1, 0, 1), (-(2**63), 0, 1)], f"cell ({-(2**63)}, 0, 1): vertex id out of range"),
+            ([(0, 1, -(2**70)), (0, 1, 2**70)], f"cell ({-(2**70)}, 0, 1): vertex id out of range"),
         ],
     )
     def test_from_top_cells_refusal_messages(self, top_cells, message):
@@ -252,6 +268,106 @@ class TestCochain:
             assert math.isnan((Cochain(0, left) + Cochain(0, {(0,): math.nan})).values[(0,)])
         assert math.isnan((Cochain(0, {(0,): math.nan}) + Cochain(0, {(0,): 1.0})).values[(0,)])
         assert math.isnan((Cochain(0, {(0,): math.inf}) + Cochain(0, {(0,): -math.inf})).values[(0,)])
+
+
+def lcg_rows(seed: int, count: int, width: int, ids: list[tuple[int, int]]) -> np.ndarray:
+    """``count`` rows of ``width`` ids from a seeded Lcg64, each id drawn from one of
+    the inclusive ranges ``ids``: an int64 array, or an object array of Python ints
+    where an id does not fit."""
+    rng, drawn = Lcg64(seed), []
+    for _ in range(count * width):  # by the high bits: an LCG's low bits cycle
+        low, high = ids[int(rng.uniform() * len(ids))]
+        drawn.append(low + int(rng.uniform() * (high - low + 1)))
+    try:
+        return np.array(drawn, np.int64).reshape(count, width)
+    except OverflowError:
+        return np.array(drawn, object).reshape(count, width)
+
+
+class TestRowKeys:
+    """``_row_keys`` against sorted(map(tuple, rows)): order, repeats and search."""
+
+    CASES = {
+        # few distinct ids: many repeated rows
+        "small": (200, 2, [(0, 5)]),
+        # spans of 2**62 and of 2**63: the columns and the keys so far are re-ranked
+        "near 2**62": (200, 4, [(0, 3), (2**62 - 2, 2**62 + 2)]),
+        "the largest ids": (200, 3, [(0, 2), (2**63 - 3, 2**63 - 1)]),
+        # a base of 2,305 per column: 2305**6 passes 2**63, so the keys re-rank at column 6
+        "width 8 at radix 2305": (500, 8, [(-1, 2303)]),
+        "width 8, few ids": (500, 8, [(-1, -1), (2303, 2303), (0, 1)]),
+        # from_top_cells sorts ids before build refuses those out of range
+        "negative": (200, 3, [(-5, 5), (-(2**63), -(2**63) + 1), (2**63 - 2, 2**63 - 1)]),
+        "beyond int64": (100, 3, [(-(2**70), -(2**70) + 3), (0, 3), (2**70, 2**70 + 3)]),
+        "width 0": (5, 0, [(0, 1)]),
+        "no rows": (0, 3, [(0, 1)]),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_keys_follow_the_rows(self, name, seed):
+        rows = lcg_rows(seed, *self.CASES[name])
+        keys, tuples = _row_keys(rows), list(map(tuple, rows.tolist()))
+        assert keys.dtype == np.int64 and keys.shape == (len(rows),)
+        # equal keys exactly for equal rows
+        pairs = set(zip(tuples, keys.tolist()))
+        assert len(pairs) == len(set(tuples)) == len(set(keys.tolist()))
+        # order: keys sort as the rows do
+        order = np.argsort(keys, kind="stable")
+        assert [tuples[i] for i in order] == sorted(tuples)
+        # repeats
+        ordered, repeats = _lex_sorted(rows)
+        reference = sorted(tuples)
+        assert list(map(tuple, ordered.tolist())) == reference
+        assert repeats.tolist() == [i > 0 and reference[i] == reference[i - 1] for i in range(len(reference))]
+        # search: half of the distinct rows are the table, every row is looked up
+        table = sorted(set(tuples))[::2]
+        lower = np.array(table, rows.dtype).reshape(len(table), rows.shape[1])
+        both = _row_keys(np.concatenate([lower, rows]))
+        at, hit = _search(both[: len(table)], both[len(table) :])
+        assert hit.tolist() == [t in set(table) for t in tuples]
+        assert at.tolist() == [bisect.bisect_left(table, t) for t in tuples]
+
+    @pytest.mark.parametrize("dtype, ids", [(np.int8, (-128, 127)), (np.int16, (-1, 2**15 - 1)), (np.uint8, (0, 255))])
+    def test_narrow_types_do_not_wrap(self, dtype, ids):
+        rows = lcg_rows(5, 300, 3, [ids, (ids[0], ids[0] + 1), (ids[1] - 1, ids[1])]).astype(dtype)
+        tuples = list(map(tuple, rows.tolist()))
+        assert [tuples[i] for i in np.argsort(_row_keys(rows), kind="stable")] == sorted(tuples)
+
+    def test_width_0_and_no_rows(self):
+        assert _row_keys(np.zeros((4, 0), np.int64)).tolist() == [0] * 4
+        assert _row_keys(np.zeros((0, 2), np.int64)).dtype == np.int64
+        assert _search(np.zeros(0, np.int64), np.array([3]))[1].tolist() == [False]
+
+    def test_the_largest_legal_id_builds(self):
+        complex = SimplicialComplex.build(2**64, {0: [(2**63 - 1,), (0,)], 1: [(0, 2**63 - 1)]})
+        assert complex.simplices == {0: ((0,), (2**63 - 1,)), 1: ((0, 2**63 - 1),)}
+        assert complex._faces[1].tolist() == [[1, 0]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_missing_face_is_named_in_face_order(self, seed):
+        # drop edges of a torus at random: the refusal names the first face, by
+        # triangle then by position, that is not an edge, and its triangle
+        complex, rng = torus_grid(6), Lcg64(seed)
+        edges = [e for e in complex.cells(1) if rng.uniform() > 0.2]
+        triangles, kept = complex.cells(2), set(edges)
+        faces = ((t[:a] + t[a + 1 :], t) for t in triangles for a in range(3))
+        face, cell = next((f, t) for f, t in faces if f not in kept)
+        message = f"^{re.escape(f'face {face} of {cell} is missing')}$"
+        with pytest.raises(InvalidInputError, match=message):
+            _face_rows(np.array(triangles, np.int64), np.array(edges, np.int64))
+        with pytest.raises(InvalidInputError, match=message):
+            SimplicialComplex.build(36, {0: complex.cells(0), 1: edges, 2: triangles})
+
+    def test_a_table_given_in_order_with_plain_ids_is_kept(self):
+        cells = [(0, 1), (0, 2), (1, 2)]
+        complex = SimplicialComplex.build(3, {0: [(0,), (1,), (2,)], 1: cells})
+        assert all(a is b for a, b in zip(complex.cells(1), cells))
+        # out of order, or with numpy ids, the table is made from the sorted array, in Python ints
+        for given in (cells[::-1], [tuple(map(np.int64, c)) for c in cells]):
+            complex = SimplicialComplex.build(3, {0: [(0,), (1,), (2,)], 1: given})
+            assert complex.cells(1) == tuple(cells)
+            assert {type(v) for c in complex.cells(1) for v in c} == {int}
 
 
 class TestFaceTable:
