@@ -48,6 +48,7 @@ modulo 2*pi, so ``deligne`` wraps the rows it compares with zero.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, repeat
@@ -383,16 +384,21 @@ class _LayerBasis:
         return p, n, self.tuples[n][t], self.complex.cells(p)[c]
 
     def components_of(self, vec: np.ndarray, p: int, n: int) -> dict[tuple[int, ...], Cochain]:
-        """Block (p, n) as components of its nonzero coordinates."""
+        """Block (p, n) as components of its nonzero coordinates.  The block is
+        sorted by tuple, so each component is one run of them."""
         span = self.positions.get((p, n), range(0))
         at = np.flatnonzero(vec[span.start : span.stop])
         if not at.size:
             return {}
-        tuples, cells, grouped = self.tuples[n], self.complex.cells(p), {}
-        found = zip(self.tuple_ids[p, n][at].tolist(), self.cell_ids[p, n][at].tolist())
-        for (t, c), v in zip(found, vec[span.start + at].tolist()):
-            grouped.setdefault(tuples[t], {})[cells[c]] = v
-        return {t: Cochain(p, v) for t, v in grouped.items()}
+        tuple_ids = self.tuple_ids[p, n][at]
+        bounds = [0, *(np.flatnonzero(tuple_ids[1:] != tuple_ids[:-1]) + 1).tolist(), len(at)]
+        # the last 0 keeps the result a tuple when one cell is read; no run reaches it
+        cells = operator.itemgetter(*self.cell_ids[p, n][at].tolist(), 0)(self.complex.cells(p))
+        values, tuples = vec[span.start + at].tolist(), self.tuples[n]
+        return {
+            tuples[t]: Cochain(p, dict(zip(cells[a:b], values[a:b])))
+            for t, a, b in zip(tuple_ids[bounds[:-1]].tolist(), bounds, bounds[1:])
+        }
 
     def total_of(self, vec: np.ndarray) -> TotalCochain:
         """The total cochain of the nonzero coordinates, block by block."""

@@ -16,11 +16,13 @@ peaks from the first validation; each call compares the maxima with its own
 tolerance.  Equivalence descends the difference by the Cech contraction K of
 ``bicomplex``, one sparse apply of K and one of D per Cech degree, and solves
 d eta = omega for the global form omega left on the manifold alone in one
-peel, at every level: ``simplicial._replay`` of the complex's walk of that
-degree (``SimplicialComplex._order``), which puts eta = 0 on the cells whose
-rows solved a step one degree down and on its roots; the residual checks the
-rows off the walk.  Two valid cocycles are equivalent when the difference is
-matched by the total coboundary of a potential without global top form part,
+peel, at every level: the complex's walk of that degree
+(``SimplicialComplex._order``), which puts eta = 0 on the cells whose rows
+solved a step one degree down and on its roots, replayed on omega in rounds,
+one numpy pass per round (``SimplicialComplex._schedule``, level scheduling:
+Anderson and Saad, 1989); the residual checks the rows off the walk.  Two
+valid cocycles are equivalent when the difference is matched by the total
+coboundary of a potential without global top form part,
 with angle-layer rows compared modulo 2*pi.  Rejection means no such witness
 was found at tolerance; it is numeric evidence, not a certificate, and equal
 charges do not settle it: the rejected amplitude-3 shifts of
@@ -51,7 +53,7 @@ from .bicomplex import (
 )
 from .cover import Cover
 from .errors import InvalidInputError, NumericError, _expect
-from .simplicial import Cochain, Simplex, _ids, _real, _replay, _worst
+from .simplicial import Cochain, Simplex, _ids, _real, _worst
 
 DEFAULT_VALIDATION_TOL = 1e-9
 DEFAULT_EQUIVALENCE_TOL = 1e-8
@@ -299,7 +301,9 @@ def _descent(cover: Cover, k: int, b: np.ndarray) -> np.ndarray:
     joins x and D y leaves r.  By delta K + K delta = 1 the (k - 1, 1) block
     left is delta omega, omega = K r global; and delta eta, the (k - 2, 1)
     block of D eta, has D of it equal to delta omega when d eta = omega (D's
-    global block is -d): the replay of the complex's walk of degree k - 2.
+    global block is -d): the replay of the complex's walk of degree k - 2 by
+    rounds, one numpy pass per round (``SimplicialComplex._schedule``), with
+    eta = 0 on the walk's seeds and roots.
     A total degree k < 2, whose potential has no global form to descend, is refused.
     """
     if k < 2:
@@ -316,12 +320,12 @@ def _descent(cover: Cover, k: int, b: np.ndarray) -> np.ndarray:
         if n > 1:
             x, r = x + y, r - d.apply(y)
             continue
-        omega, complex = y[cols.positions[k - 1, 0]], cover.complex
-        steps, _, faces, signs = complex._order(k - 2)
-        eta = _replay(steps, faces, signs, omega.tolist(), [0.0] * len(complex.cells(k - 2)))
+        forms, complex = cols.positions[k - 1, 0], cover.complex
+        omega = y[forms.start : forms.stop]
+        eta = complex._schedule(k - 2).replay(omega, np.zeros(len(complex.cells(k - 2))))
         # delta restricts eta to each set: (t, cell) takes eta(cell)
         at = cols.positions[k - 2, 1]
-        x[at.start : at.stop] += np.asarray(eta)[cols.cell_ids[k - 2, 1]]
+        x[at.start : at.stop] += eta[cols.cell_ids[k - 2, 1]]
     return x
 
 

@@ -200,7 +200,7 @@ def _first_fault(p: int, n: int, angle: bool, comps: list, path: str) -> None:
     """Raise the refusal of the part's first fault in file order, if it has one
     other than a cell that the complex lacks.  The entries are checked one by
     one, and the cochain classes name the faults of the keys, on dicts of the
-    cells with no values."""
+    cells with the placeholder value 0.0."""
     components = {}
     for j, comp_doc in enumerate(comps):
         cpath = f"{path}.components[{j}]"
@@ -224,7 +224,7 @@ def _first_fault(p: int, n: int, angle: bool, comps: list, path: str) -> None:
                 raise FormatError(f"{epath}.value: must be finite")
             if cell in cells:
                 raise FormatError(f"{epath}: duplicate simplex {cell}")
-            cells[cell] = None
+            cells[cell] = 0.0
         components[t] = _named(cpath, Cochain, p, cells)
     _named(path, BigradedCochain, p, n, components, angle)
 

@@ -19,9 +19,13 @@ argsort or a searchsorted of keys.  Each complex keeps the rule's table,
 The walk is written once too: ``_walk`` orders a +-1 system of rows of any width,
 breadth-first from the known nodes, a row solving its last unknown entry and the
 lowest unknown node a root when it is stuck (a discrete Morse matching: Forman,
-1998; Mrozek and Batko, 2009), and ``_replay`` solves along that order.  The
-complex keeps, per degree q, the walk of d from the q-forms seeded with the q-cells
-that solved a step at degree q - 1 (``_order``), which the equivalence solve replays.
+1998; Mrozek and Batko, 2009), and gives each step a round, one more than the
+latest of the other entries of its row.  The complex keeps, per degree q, the walk
+of d from the q-forms seeded with the q-cells that solved a step at degree q - 1
+(``_order``), and for the degree the equivalence solve replays, the steps grouped
+into rounds as arrays read from the face table (``_schedule``, a ``_Rounds``),
+which ``_Rounds.replay`` solves with one numpy pass per round (level scheduling:
+Anderson and Saad, 1989), each value by the float operations of a step-by-step replay.
 The sparse dict sum is ``_merged``.
 Connected components are ``_components``, by pointer jumping in numpy rounds.  The
 orientation is their +-1 parities under partial c = 0 over the top cells, the lowest
@@ -41,11 +45,11 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sized
 
 import numpy as np
 
-from .errors import InvalidInputError, StructuralError
+from .errors import InvalidInputError, StructuralError, _expect
 
 Simplex = tuple[int, ...]
 
@@ -165,6 +169,9 @@ def _ids(values: Iterable, owner: str) -> tuple[int, ...]:
         except TypeError:  # operator.index takes exactly the types with __index__
             pass
     raise InvalidInputError(f"{owner} {values}: ids must be integers")
+
+
+_REAL_TYPES = {float, int}  # types that ``_real`` takes; bool is not int by type
 
 
 def _real(value, owner: str) -> float:
@@ -408,13 +415,13 @@ class SimplicialComplex:
         return c.tolist()
 
     @cached_property
-    def _orders(self) -> dict[int, tuple[list, list, list, list]]:
+    def _orders(self) -> dict[int, tuple[list, list, list]]:
         """The walks of ``_order`` found so far, by degree."""
         return {}
 
-    def _order(self, q: int) -> tuple[list, list, list, list]:
-        """The walk of d eta = omega from the q-forms, as (steps, roots, rows, signs) for
-        ``_replay``: a row per (q + 1)-cell, its faces with signs (-1)^a, seeded with the
+    def _order(self, q: int) -> tuple[list, list, list]:
+        """The walk of d eta = omega from the q-forms, as ``_walk``'s (steps, roots,
+        rounds): a row per (q + 1)-cell, its faces with signs (-1)^a, seeded with the
         q-cells whose rows solved a step at degree q - 1, where eta = 0 is the gauge.
         A degree q < 0 is refused."""
         if q < 0:
@@ -422,9 +429,23 @@ class SimplicialComplex:
         if q not in self._orders:
             seeds = [e for _, e in self._order(q - 1)[0]] if q else []
             faces = self._faces[q + 1].tolist() if q < self.top_dimension else []
-            signs = [[_deletion_sign(a) for a in range(q + 2)]] * len(faces)
-            self._orders[q] = (*_walk(len(self.cells(q)), faces, seeds), faces, signs)
+            self._orders[q] = _walk(len(self.cells(q)), faces, seeds)
         return self._orders[q]
+
+    @cached_property
+    def _schedules(self) -> dict[int, "_Rounds"]:
+        """The walks of ``_schedule`` grouped into rounds so far, by degree."""
+        return {}
+
+    def _schedule(self, q: int) -> "_Rounds":
+        """The steps of ``_order(q)`` as arrays in round order, read from the face
+        table, for ``_Rounds.replay``; made only for a degree that is replayed, not
+        for the degrees below it, walked only for their seeds."""
+        if q not in self._schedules:
+            steps, _, rounds = self._order(q)
+            faces = self._faces.get(q + 1, np.zeros((0, q + 2), np.int32))
+            self._schedules[q] = _Rounds.of(len(self.cells(q)), steps, rounds, faces)
+        return self._schedules[q]
 
     def has_cell(self, simplex: Iterable[int]) -> bool:
         """Whether the cell, read by ``_ids``'s rule, is one of the complex's."""
@@ -444,15 +465,24 @@ class Cochain:
     values: dict[Simplex, float]
 
     def __post_init__(self):
-        (degree,) = _ids((self.degree,), "cochain degree")
-        object.__setattr__(self, "degree", degree)
-        if self.degree < 0:
+        degree = self.degree
+        if type(degree) is not int:  # a plain int already is what _ids gives
+            (degree,) = _ids((degree,), "cochain degree")
+            object.__setattr__(self, "degree", degree)
+        if degree < 0:
             raise InvalidInputError("cochain degree must be non-negative")
-        for s in self.values:
-            if len(s) != self.degree + 1:
-                raise InvalidInputError(
-                    f"key {s} is not a {self.degree}-cell"
-                )
+        values = self.values if type(self.values) is dict else _expect(self.values, dict, "values")
+        # the rules are rules on lengths and types: one pass over each decides,
+        # and only a fault walks the items to name its key
+        try:
+            fine = {*map(len, values)} <= {degree + 1}
+        except TypeError:  # a key with no length
+            fine = False
+        if not (fine and {*map(type, values.values())} <= _REAL_TYPES):
+            for s, value in values.items():
+                if not (isinstance(s, Sized) and len(s) == degree + 1):
+                    raise InvalidInputError(f"key {s} is not a {degree}-cell")
+                _real(value, f"value at key {s}")
 
     @classmethod
     def zero(cls, degree: int) -> "Cochain":
@@ -584,53 +614,112 @@ def _components(count: int, u: np.ndarray, v: np.ndarray, rel) -> tuple[np.ndarr
         parity[high[hooked]] = rel_ab[hooked]
 
 
-def _walk(count: int, rows: list, seeds: Iterable[int] = ()) -> tuple[list, list]:
+def _walk(count: int, rows: list, seeds: Iterable[int] = ()) -> tuple[list, list, list]:
     """The order in which a peel solves a system of one equation per row of nodes out of
     ``count``, rows of any width: breadth-first from the known nodes, the ``seeds`` in
     increasing order first, a row whose entries but one the walk has passed solves that
     one if it is unknown; when the walk is stuck, the lowest unknown node is a root.
-    Returns the (node, row) steps in order and the roots.  Rows left with no unknown
-    entry are not checked."""
+    Returns the (node, row) steps in order, the roots, and each step's round: one more
+    than the latest round of the other entries of its row, the seeds and the roots
+    being round 0, so a step reads only nodes known before its round (Anderson and
+    Saad, 1989, level scheduling).  Rows left with no unknown entry are not checked."""
     around: list[list[int]] = [[] for _ in range(count)]
     for e, row in enumerate(rows):
         for u in row:
             around[u].append(e)
     left, known, steps, roots = list(map(len, rows)), [False] * count, [], []
-    queue, start = sorted(seeds), 0
+    level, rounds = [0] * count, []
+    queue, start, first = sorted(seeds), 0, True
     for v in queue:
         known[v] = True
     while True:
         for u in queue:
+            after = level[u] + 1
             for e in around[u]:
                 left[e] -= 1  # the row's entries not passed yet
                 if left[e] == 1:
-                    for v in rows[e]:
+                    row = rows[e]
+                    for v in row:
                         if not known[v]:
                             known[v] = True
                             queue.append(v)
                             steps.append((v, e))
+                            # rounds rise along a breadth-first queue, so in the first
+                            # pass that passes a node the others' latest is u's; later,
+                            # an earlier pass's node may be later still (v's is 0 yet)
+                            level[v] = r = after if first else max(map(level.__getitem__, row)) + 1
+                            rounds.append(r)
                             break
+        first = first and not queue
         while start < count and known[start]:
             start += 1
         if start == count:
-            return steps, roots
+            return steps, roots, rounds
         known[start], queue = True, [start]
         roots.append(start)
 
 
-def _replay(steps: list, rows: list, signs: list, target: list, x: list) -> list:
-    """x along ``_walk``'s steps, in place: step (v, e) solves
-    sum_a signs[e][a] x[rows[e][a]] = target[e] for x[v], taking the other terms in
-    row order; x holds the values of the seeds and the roots."""
-    for v, e in steps:
-        total = target[e]
-        for w, s in zip(rows[e], signs[e]):
-            if w == v:
-                sign = s
-            else:
-                total -= s * x[w]
-        x[v] = sign * total
-    return x
+@dataclass(frozen=True, eq=False)
+class _Rounds:
+    """A walk's steps grouped by round, replayed with one numpy pass per round.
+
+    The replay keeps one buffer z: first the value of each node ``nodes[i]``
+    over ``signs[i]``, the sign of the row entry that solves it (1 where no step
+    does), the steps' nodes first in round order; then each step's target,
+    ``target[rows[i]]``.  Round r is z's slots ``bounds[r - 1]:bounds[r]``, and
+    ``rounds[r - 1]`` is a (k, steps) array of the slots each step reads, its
+    target and then the other entries of its row in row order, with their
+    weights: 1 for the target, s over the sign of the entry's own step for an
+    entry of sign s.  Sign flips are exact, so the target less each weighted
+    term, in order, is bit for bit the step's sum before its own sign.  A step
+    reads only slots of earlier rounds.
+    """
+
+    nodes: np.ndarray
+    signs: np.ndarray
+    rows: np.ndarray
+    bounds: list[int]
+    rounds: list[tuple[np.ndarray, np.ndarray]]
+
+    @classmethod
+    def of(cls, count: int, steps: list, rounds: list, faces: np.ndarray) -> "_Rounds":
+        """The ``_walk`` steps and rounds over ``count`` nodes of the rows ``faces``,
+        an (M, k) array whose entry a has sign (-1)^a."""
+        n, k = len(steps), faces.shape[1]
+        walk = np.fromiter(itertools.chain.from_iterable(steps), np.intp, 2 * n).reshape(n, 2)
+        level = np.fromiter(rounds, np.intp, n)
+        order = np.argsort(level, kind="stable")
+        (nodes, rows), level = walk[order].T, level[order]
+        unsolved = np.ones(count, bool)
+        unsolved[nodes] = False
+        nodes = np.concatenate([nodes, np.flatnonzero(unsolved)])
+        slot = np.empty(count, np.intp)
+        slot[nodes] = np.arange(count)
+        entries, sign = faces[rows], _deletion_sign(np.arange(k)).astype(float)
+        own = entries == nodes[:n, None]  # once per row: a row holds distinct nodes
+        step, column = np.nonzero(~own)  # the other entries, in row order
+        others = slot[entries[step, column]].reshape(n, k - 1).T
+        signs = np.ones(count)
+        signs[:n] = sign[own.argmax(axis=1)]
+        # column i: the slots step i reads, its target's and then its other entries'
+        reads, weights = np.empty((k, n), np.intp), np.empty((k, n))
+        reads[0], reads[1:] = count + np.arange(n), others
+        weights[0], weights[1:] = 1.0, sign[column].reshape(n, k - 1).T * signs[others]
+        bounds = [0, *(np.flatnonzero(level[1:] != level[:-1]) + 1).tolist(), n] if n else [0]
+        return cls(nodes, signs, rows, bounds, [
+            (reads[:, a:b].copy(), weights[:, a:b].copy()) for a, b in itertools.pairwise(bounds)
+        ])
+
+    def replay(self, target: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """x along the steps, in place: a step of node v and row e sets x[v] to its
+        sign times ``target[e]`` less s x[w] for each other entry w, sign s, in row
+        order, each element by the operations of a step-by-step replay; x holds the
+        values of the nodes that no step solves."""
+        z = np.concatenate([x[self.nodes] * self.signs, target[self.rows]])
+        for (start, stop), (reads, weights) in zip(itertools.pairwise(self.bounds), self.rounds):
+            np.subtract.reduce(weights * z.take(reads), axis=0, out=z[start:stop])
+        x[self.nodes] = z[: len(x)] * self.signs
+        return x
 
 
 def fundamental_cycle(complex: SimplicialComplex) -> Chain:

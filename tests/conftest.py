@@ -74,6 +74,22 @@ def induced(complex, vertex_subset):
     return SimplicialComplex(complex.vertex_count, table, max(table, default=-1))
 
 
+def reference_replay(steps, rows, signs, target, x):
+    """x along ``_walk``'s steps, one step at a time, in place: step (v, e) solves
+    sum_a signs[e][a] x[rows[e][a]] = target[e] for x[v], taking the other terms in
+    row order; x holds the values of the seeds and the roots.  The reference the
+    replay by rounds, ``_Rounds.replay``, is compared with."""
+    for v, e in steps:
+        total = target[e]
+        for w, s in zip(rows[e], signs[e]):
+            if w == v:
+                sign = s
+            else:
+                total -= s * x[w]
+        x[v] = sign * total
+    return x
+
+
 def reference_delta(layer, cover):
     """The components of delta(layer): at every (n+1)-subset of the sets, the
     alternating sum of the layer at the subset less one index, restricted to

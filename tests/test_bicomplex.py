@@ -673,3 +673,69 @@ class TestSparseSums:
         flag = TotalCochain(2, {(0, 2): BigradedCochain.zero(0, 2, True)})
         assert (total + flag).parts == total.parts
         assert (flag + total).parts == {**flag.parts, **total.parts}
+
+
+def setdefault_components(basis, vec, p, n):
+    """Block (p, n) of ``vec`` as components, one ``setdefault`` per nonzero
+    coordinate: a decode that reads no runs, the reference ``components_of``
+    is compared with."""
+    span = basis.positions.get((p, n), range(0))
+    at = np.flatnonzero(vec[span.start : span.stop])
+    if not at.size:
+        return {}
+    tuples, cells, grouped = basis.tuples[n], basis.complex.cells(p), {}
+    found = zip(basis.tuple_ids[p, n][at].tolist(), basis.cell_ids[p, n][at].tolist())
+    for (t, c), v in zip(found, vec[span.start + at].tolist()):
+        grouped.setdefault(tuples[t], {})[cells[c]] = v
+    return {t: Cochain(p, v) for t, v in grouped.items()}
+
+
+def sparse_vectors(size, seed):
+    """Seeded vectors of ``size`` coordinates: empty, one nonzero at each end, and
+    random ones with about 1 in 2, 1 in 5 and 1 in 50 coordinates nonzero."""
+    rng, found = Lcg64(seed), [np.zeros(size)]
+    for at in {0, size - 1} if size else ():
+        one = np.zeros(size)
+        one[at] = -0.75
+        found.append(one)
+    for keep in (0.5, 0.2, 0.02):
+        found.append(np.array([rng.uniform(-1.0, 1.0) if rng.uniform() < keep else 0.0 for _ in range(size)]))
+    return found
+
+
+DECODE_COVERS = {
+    "minus one gerbe 12": lambda: build_minus_one_gerbe(12).cover,
+    "monopole 12": lambda: build_monopole(12).cover,
+    "monopole 48": lambda: build_monopole(48).cover,
+    "gerbopole 6": lambda: build_gerbopole(6).cover,
+    "gerbopole 12": lambda: build_gerbopole(12).cover,
+    "torus 6x6 stars": lambda: closed_star_cover(torus_grid(6)),
+    "torus 12x12 stars": lambda: closed_star_cover(torus_grid(12)),
+}
+
+
+class TestDecode:
+    """``components_of`` reads each component off one run of its block; it gives
+    the cochains, and their order, of a decode by one ``setdefault`` per value."""
+
+    @pytest.mark.parametrize("name", list(DECODE_COVERS))
+    def test_runs_decode_as_setdefault_does(self, name):
+        cover = DECODE_COVERS[name]()
+        for degree in range(cover.complex.top_dimension + 3):
+            basis = _basis(cover, degree)
+            for i, vec in enumerate(sparse_vectors(basis.size, degree)):
+                parts = {}
+                for p, n in basis.positions:
+                    got, expected = basis.components_of(vec, p, n), setdefault_components(basis, vec, p, n)
+                    assert list(got) == list(expected), (name, degree, i, p, n)
+                    for t, comp in got.items():
+                        assert comp.degree == p
+                        assert list(comp.values.items()) == list(expected[t].values.items())
+                    if expected:
+                        parts[p, n] = BigradedCochain(p, n, expected)
+                total = basis.total_of(vec)
+                assert total == TotalCochain(degree, parts) and list(total.parts) == list(parts)
+
+    def test_a_block_beyond_the_layout_is_empty(self):
+        basis = _basis(build_monopole(12).cover, 2)
+        assert basis.components_of(np.ones(basis.size), 3, 0) == {}

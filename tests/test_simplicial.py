@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,14 +38,13 @@ from gerbecalc.simplicial import (
     _components,
     _face_rows,
     _lex_sorted,
-    _replay,
     _row_keys,
     _search,
     _top_cofaces,
     _walk,
 )
 
-from conftest import induced, torus_grid
+from conftest import ICOSAHEDRON_FACES, induced, reference_replay, torus_grid
 
 # minimal 6-vertex triangulation of the projective plane (euler = 1)
 RP2_TRIANGLES = [
@@ -238,6 +238,43 @@ class TestCochain:
             Cochain(0, {(0, 1): 1.0})
         with pytest.raises(InvalidInputError, match="^cochain degrees differ$"):
             Cochain(0, {}) + Cochain(1, {})
+
+    def test_values_must_be_a_dict(self):
+        # a list of cells, iterable like the keys of a dict, is refused too
+        for values in ([(0, 1)], ((0, 1), (1, 2)), None):
+            with pytest.raises(InvalidInputError, match=f"^values must be a dict, got {type(values).__name__}$"):
+                Cochain(1, values)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, 1 + 0j, None], ids=["str", "bool", "complex", "None"])
+    def test_a_value_that_is_not_real_is_named_by_its_key(self, bad):
+        # the first fault in insertion order is named; a later bad value is not reached
+        values = {(0, 1): 0.5, (1, 2): bad, (0, 2): "1"}
+        message = f"value at key (1, 2) {bad!r}: must be a real number"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            Cochain(1, values)
+
+    def test_mixed_key_lengths_name_the_first_bad_key(self):
+        # named at the first key of the wrong length in insertion order
+        values = {(0, 1): 1.0, (1, 2): 2.0, (2,): 3.0, (0, 1, 2): 4.0}
+        with pytest.raises(InvalidInputError, match=r"^key \(2,\) is not a 1-cell$"):
+            Cochain(1, values)
+        with pytest.raises(InvalidInputError, match=r"^key \(0, 1, 2\) is not a 1-cell$"):
+            Cochain(1, {(0, 1, 2): 4.0, (2,): 3.0})
+        # a key fault before a value fault is named first, and the other way round
+        with pytest.raises(InvalidInputError, match=r"^key \(2,\) is not a 1-cell$"):
+            Cochain(1, {(2,): 1.0, (0, 1): None})
+        with pytest.raises(InvalidInputError, match=r"^value at key \(0, 1\) None: must be a real number$"):
+            Cochain(1, {(0, 1): None, (2,): 1.0})
+
+    def test_a_key_with_no_length_is_not_a_cell(self):
+        with pytest.raises(InvalidInputError, match="^key 5 is not a 0-cell$"):
+            Cochain(0, {(0,): 1.0, 5: 2.0})
+
+    def test_real_values_of_other_types_are_kept_as_they_are(self):
+        values = {(0,): np.float64(0.5), (1,): np.int64(2), (2,): Fraction(1, 3), (3,): 4, (4,): -0.0}
+        cochain = Cochain(0, values)
+        assert cochain.values is values
+        assert [type(v) for v in cochain.values.values()] == [np.float64, np.int64, Fraction, int, float]
 
     def test_exact_cancellation_drops_the_key(self):
         left = Cochain(1, {(0, 1): 0.1, (1, 2): 2.0})
@@ -568,9 +605,10 @@ class TestWalk:
         ends = [(0, 1), (1, 2), (0, 2), (3, 4)]
         signs = [(1, -1), (-1, 1), (1, 1), (1, -1)]
         target = [0.5, 2.0, 7.0, -1.5]
-        steps, roots = _walk(5, ends)
+        steps, roots, rounds = _walk(5, ends)
         assert roots == [0, 3]
-        x = _replay(steps, ends, signs, target, [0.25] * 5)
+        assert rounds == [1, 1, 1]
+        x = reference_replay(steps, ends, signs, target, [0.25] * 5)
         assert x[0] == x[3] == 0.25
         rows = [signs[e][0] * x[u] + signs[e][1] * x[v] for e, (u, v) in enumerate(ends)]
         # rows 0 and 2 reach 1 and 2 from 0, and row 3 reaches 4 from 3; row 1
@@ -583,9 +621,9 @@ class TestWalk:
         # row 0 waits for 1, which row 1 reaches from the root 0; then row 0
         # has one unknown left, 2, and solves it
         rows, signs = [(0, 1, 2), (0, 1)], [(1, -1, 1), (-1, 1)]
-        steps, roots = _walk(3, rows)
-        assert (steps, roots) == ([(1, 1), (2, 0)], [0])
-        x = _replay(steps, rows, signs, [4.0, 1.5], [0.5, None, None])
+        steps, roots, rounds = _walk(3, rows)
+        assert (steps, roots, rounds) == ([(1, 1), (2, 0)], [0], [1, 2])
+        x = reference_replay(steps, rows, signs, [4.0, 1.5], [0.5, None, None])
         assert x == [0.5, 2.0, 4.0 - 0.5 + 2.0]
         assert x[0] - x[1] + x[2] == 4.0 and -x[0] + x[1] == 1.5
 
@@ -593,9 +631,9 @@ class TestWalk:
         # seeded 1 and 3, the walk starts from them and needs no root: row 1
         # has one unknown once both seeds are passed, row 0 once 2 is
         rows, signs = [(0, 1, 2), (1, 2, 3)], [(1, 1, 1), (1, -1, 1)]
-        steps, roots = _walk(4, rows, seeds=[3, 1])
-        assert (steps, roots) == ([(2, 1), (0, 0)], [])
-        x = _replay(steps, rows, signs, [1.0, 2.0], [None, 0.0, None, 0.0])
+        steps, roots, rounds = _walk(4, rows, seeds=[3, 1])
+        assert (steps, roots, rounds) == ([(2, 1), (0, 0)], [], [1, 2])
+        x = reference_replay(steps, rows, signs, [1.0, 2.0], [None, 0.0, None, 0.0])
         assert x[1] == x[3] == 0.0
         assert [x[0] + x[1] + x[2], x[1] - x[2] + x[3]] == [1.0, 2.0]
 
@@ -619,15 +657,145 @@ class TestWalk:
         assert roots[1] == loops
 
 
+def lcg_values(count, seed):
+    """Seeded values for a replay: every third near +-2**40, the others in (-1, 1),
+    so that a sum taken in another order rounds differently."""
+    rng = Lcg64(seed)
+    return np.array([rng.uniform(-1.0, 1.0) + (2.0**40 if i % 3 == 0 else 0.0) * (-1) ** i for i in range(count)])
+
+
+def replay_complexes():
+    """(name, complex) for the replay and schedule tests: the builders' ladders at
+    levels -1, 0 and 1, the torus grids of the star covers, the icosahedron, two
+    3-spheres and the 25 complexes of ``gerbecalc selfcheck --seed 42``."""
+    ladders = [("monopole", build_monopole), ("gerbopole", build_gerbopole)]
+    found = [(f"{name}({m})", build(m).cover.complex) for name, build in ladders for m in (6, 12, 24, 48, 96, 192, 384)]
+    found += [(f"minus_one_gerbe({m})", build_minus_one_gerbe(m).cover.complex) for m in (12, 48)]
+    found += [(f"torus_grid({n})", torus_grid(n)) for n in (6, 12, 24)]
+    found += [("icosahedron", SimplicialComplex.from_top_cells(12, ICOSAHEDRON_FACES, closed_manifold=True))]
+    found += [(f"join_sphere3({m}, 8)", join_sphere3(m, 8)) for m in (6, 12)]
+    rng = Lcg64(42)
+    found += [(f"selfcheck 42 #{i}", random_complex_and_cover(rng)[0]) for i in range(25)]
+    return found
+
+
+REPLAY_COMPLEXES = replay_complexes()
+
+
+class TestRoundsReplay:
+    """The replay by rounds does, element by element, the float operations of
+    the step-by-step reference, so it matches it bit for bit."""
+
+    @pytest.mark.parametrize("name, complex", REPLAY_COMPLEXES, ids=[name for name, _ in REPLAY_COMPLEXES])
+    def test_matches_the_step_by_step_replay(self, name, complex):
+        for q in range(complex.top_dimension + 1):
+            steps = complex._order(q)[0]
+            faces = complex._faces[q + 1].tolist() if q < complex.top_dimension else []
+            signs = [[(-1) ** a for a in range(q + 2)]] * len(faces)
+            count = len(complex.cells(q))
+            for seed in (q, 100 + q):
+                target, start = lcg_values(len(faces), seed), lcg_values(count, 7 + seed)
+                expected = reference_replay(steps, faces, signs, target.tolist(), start.tolist())
+                got = complex._schedule(q).replay(target, start.copy())
+                assert got.tolist() == expected, (name, q)
+                assert np.signbit(got).tolist() == [math.copysign(1.0, v) < 0 for v in expected]
+
+    def test_the_deep_chain_of_the_monopole_matches(self):
+        # degree 1 on build_monopole(384)'s 2-sphere: a chain of 383 rounds
+        complex = build_monopole(384).cover.complex
+        steps, faces = complex._order(1)[0], complex._faces[2].tolist()
+        target = lcg_values(len(faces), 5)
+        expected = reference_replay(steps, faces, [[1, -1, 1]] * len(faces), target.tolist(), [0.0] * len(complex.cells(1)))
+        got = complex._schedule(1).replay(target, np.zeros(len(complex.cells(1))))
+        assert got.tolist() == expected
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_a_zero_target_keeps_the_signs_of_zero(self):
+        # x[v] = sign * (0.0 - ...): -0.0 where the sign is -1, as the reference gives
+        complex = build_monopole(12).cover.complex
+        steps, faces = complex._order(0)[0], complex._faces[1].tolist()
+        expected = reference_replay(steps, faces, [[1, -1]] * len(faces), [0.0] * len(faces), [0.0] * 26)
+        got = complex._schedule(0).replay(np.zeros(len(faces)), np.zeros(26))
+        assert np.signbit(got).tolist() == [math.copysign(1.0, v) < 0 for v in expected]
+        assert any(np.signbit(got))
+
+
+def schedule_faults(complex, q):
+    """Where the walk of degree q and its rounds break the schedule's rules, as messages:
+    each step's other entries are seeds, roots, or solved in an earlier round, and its
+    round is one more than their latest; the arrays replay the steps by those rounds."""
+    steps, roots, rounds = complex._order(q)
+    seeds = [e for _, e in complex._order(q - 1)[0]] if q else []
+    faces = complex._faces[q + 1].tolist() if q < complex.top_dimension else []
+    level, faults = dict.fromkeys([*seeds, *roots], 0), []
+    for (v, e), r in zip(steps, rounds):
+        others = [w for w in faces[e] if w != v]
+        if not all(w in level for w in others):
+            faults.append(f"step {(v, e)} reads a node not known before it")
+        elif r != 1 + max(level[w] for w in others):
+            faults.append(f"step {(v, e)} is at round {r}")
+        level[v] = r
+    schedule, count, n = complex._schedule(q), len(complex.cells(q)), len(steps)
+    if schedule.bounds[-1] != n or len(schedule.rounds) != max(rounds, default=0):
+        faults.append("the arrays hold another count of steps or rounds")
+    by_round = sorted(range(n), key=rounds.__getitem__)  # stably, in step order within a round
+    if schedule.nodes[:n].tolist() != [steps[i][0] for i in by_round]:
+        faults.append("the arrays hold the steps in another order")
+    known = set(range(n, count))  # the slots of the nodes no step solves
+    for r, ((a, b), (reads, _)) in enumerate(zip(itertools.pairwise(schedule.bounds), schedule.rounds), 1):
+        if {rounds[i] for i in by_round[a:b]} != {r} or reads[0].tolist() != list(range(count + a, count + b)):
+            faults.append(f"round {r} holds other steps")
+        if not set(reads[1:].ravel().tolist()) <= known:
+            faults.append(f"round {r} reads a slot not solved before it")
+        known.update(range(a, b))
+    return faults
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("name, complex", REPLAY_COMPLEXES, ids=[name for name, _ in REPLAY_COMPLEXES])
+    def test_every_step_reads_only_earlier_rounds(self, name, complex):
+        for q in range(complex.top_dimension + 1):
+            assert schedule_faults(complex, q) == [], (name, q)
+
+    @pytest.mark.parametrize(
+        "build, q, count",
+        [
+            (lambda: build_monopole(12), 0, 3),
+            (lambda: build_monopole(48), 0, 3),
+            (lambda: build_monopole(384), 0, 3),
+            (lambda: build_gerbopole(96), 1, 5),
+            (lambda: build_monopole(384), 1, 383),
+        ],
+        ids=["monopole(12) q=0", "monopole(48) q=0", "monopole(384) q=0", "gerbopole(96) q=1", "monopole(384) q=1"],
+    )
+    def test_the_round_counts_are_pinned(self, build, q, count):
+        # the benchmark's ladders replay in 3 and 5 rounds; a change that deepens
+        # the peel shows here.  Degree 1 on the monopole's sphere is a chain
+        complex = build().cover.complex
+        assert len(complex._schedule(q).rounds) == max(complex._order(q)[2]) == count
+
+    def test_the_torus_walks_past_its_first_pass(self):
+        # at degree 1 the torus has two roots: rows there may read a node of an
+        # earlier pass, whose round is read off the row
+        complex = torus_grid(6)
+        assert len(complex._order(1)[1]) == 2
+        assert schedule_faults(complex, 1) == []
+
+    def test_the_degrees_below_are_walked_but_not_scheduled(self):
+        complex = build_gerbopole(12).cover.complex
+        complex._schedule(1)
+        assert sorted(complex._orders) == [0, 1] and sorted(complex._schedules) == [1]
+
+
 def walked_orientation(complex):
-    """The +-1 orientation by ``_walk`` and ``_replay`` over the rows of partial c = 0,
+    """The +-1 orientation by ``_walk`` and ``reference_replay`` over the rows of partial c = 0,
     the lowest top cell +1: the reference ``_cycle`` is compared with."""
     d, pairs = complex.top_dimension, _top_cofaces(complex)
     rows = (pairs // (d + 1)).tolist()
     signs = [[(-1) ** a for a in row] for row in (pairs % (d + 1)).tolist()]
-    steps, roots = _walk(len(complex.cells(d)), rows)
+    steps, roots, _ = _walk(len(complex.cells(d)), rows)
     assert roots == [0]
-    c = _replay(steps, rows, signs, [0] * len(rows), [1] * len(complex.cells(d)))
+    c = reference_replay(steps, rows, signs, [0] * len(rows), [1] * len(complex.cells(d)))
     assert all(sum(s * c[t] for s, t in zip(row_signs, row)) == 0 for row, row_signs in zip(rows, signs))
     return c
 
